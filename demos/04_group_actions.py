@@ -10,6 +10,7 @@ factor maps with no point action.
 import math
 
 from torus_planes import (
+    Case3Element,
     CircleHomeo,
     DiagonalPSL,
     KernelMinusPSL,
@@ -23,7 +24,6 @@ from torus_planes import (
     diagonal_transitivity_witness,
     half_classical_plane,
     induced_factor_action,
-    so2_times_l2_factor_model,
 )
 
 pt = TorusPoint.from_reals
@@ -95,8 +95,8 @@ for g, label in ((g_good, "kernel-plus"), (g_bad, "kernel-minus")):
     print(f"  translation on the {label} side is {verdict}")
 
 print("\n== the factor-action-only family ==")
-e = so2_times_l2_factor_model(math.pi / 3, (2.0, 1.0))
-f = so2_times_l2_factor_model(math.pi / 6, (1.0, -1.0))
+e = Case3Element(math.pi / 3, 2.0, 1.0)
+f = Case3Element(math.pi / 6, 1.0, -1.0)
 print(f"  {e!r} composed with {f!r}")
 print(f"  = {e.compose(f)!r}")
 print(f"  point action available: {hasattr(e, 'act')} (none is known)")

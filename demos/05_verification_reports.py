@@ -15,7 +15,6 @@ from torus_planes import CircleHomeo, classical_plane, half_classical_plane
 from torus_planes.verify import (
     SUITES,
     TrialConfig,
-    control_joining,
     verify_joining,
     verify_touching,
 )
@@ -37,7 +36,7 @@ report = verify_touching(classical, TrialConfig(seed=42, trials=60))
 print(f"  {report.plane}: pass={report.passed}, worst separation {report.max_residual:.2e}")
 
 print("\n== the negative control must fail ==")
-control = control_joining(TrialConfig(seed=42, trials=30))
+control = SUITES["joining"].control(TrialConfig(seed=42, trials=30))
 print(f"  corrupted plane: pass={control.passed} with {len(control.counterexamples)} counterexamples")
 print(f"  first reason: {control.counterexamples[0]['reason'][:72]}...")
 

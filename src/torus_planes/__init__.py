@@ -19,6 +19,7 @@ from .errors import (
     PlaneGeometryError,
     PointOnBaseCross,
     PreconditionViolated,
+    SamplingExhausted,
     UnsupportedPlane,
 )
 from .groups import (
@@ -37,14 +38,11 @@ from .groups import (
     group_literal,
     induced_factor_action,
     parse_group_literal,
-    so2_times_l2_factor_model,
 )
 from .homeo import (
     CircleHomeo,
     MonotoneSpline,
     PowerMap,
-    homeo_apply,
-    homeo_inverse,
     homeo_sup_distance,
     load_spline_knots,
 )
@@ -53,24 +51,19 @@ from .planes import (
     DerivedLine,
     ParallelClass,
     PlaneModel,
-    circle_intersect,
     classical_plane,
     corrupted_half_classical,
-    derived_line_through,
     half_classical_plane,
     homeo_from_spec,
-    join,
     parallel,
     parse_plane_spec,
     plane_from_config,
-    touch,
 )
 from .projline import (
     MobiusMap,
     ProjPoint,
     TorusPoint,
     chordal,
-    mobius_apply,
     mobius_fixed_points,
     mobius_from_three,
     mobius_two_pairs,

@@ -92,7 +92,13 @@ def _parse_real(token: str) -> float:
         return math.inf
     if token == "-inf":
         return math.inf  # one point at infinity on the projective line
-    return float(token)
+    try:
+        value = float(token)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise ConfigError(f"not a real number: {token!r}")
+    return value
 
 
 def _parse_torus_point(token: str) -> TorusPoint:

@@ -51,3 +51,7 @@ class MonotonicityError(PlaneGeometryError):
 
 class ConfigError(PlaneGeometryError):
     """Malformed configuration, literal, or data file."""
+
+
+class SamplingExhausted(PlaneGeometryError):
+    """A sampler rejected every draw up to its retry limit."""

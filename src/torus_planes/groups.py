@@ -47,7 +47,20 @@ def _require_psl(mu: MobiusMap) -> MobiusMap:
     return mu
 
 
-class _MobiusFamilyElement:
+class _FactorwiseElement:
+    """Shared plumbing: immutable elements acting through factor_homeos()."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("group elements are immutable")
+
+    def act(self, p: TorusPoint) -> TorusPoint:
+        hx, hy = self.factor_homeos()
+        return TorusPoint(hx.apply(p.x), hy.apply(p.y))
+
+
+class _MobiusFamilyElement(_FactorwiseElement):
     """Shared plumbing for the three PSL-parametrized families."""
 
     __slots__ = ("mu",)
@@ -55,9 +68,6 @@ class _MobiusFamilyElement:
 
     def __init__(self, mu: MobiusMap):
         object.__setattr__(self, "mu", _require_psl(mu))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("group elements are immutable")
 
     @classmethod
     def identity(cls):
@@ -75,10 +85,6 @@ class _MobiusFamilyElement:
 
     def inverse(self):
         return type(self)(self.mu.inverse())
-
-    def act(self, p: TorusPoint) -> TorusPoint:
-        hx, hy = self.factor_homeos()
-        return TorusPoint(hx.apply(p.x), hy.apply(p.y))
 
     def __repr__(self):
         return f"{type(self).__name__}({self.mu!r})"
@@ -112,7 +118,7 @@ class DiagonalPSL(_MobiusFamilyElement):
         return h, h
 
 
-class PhiStd:
+class PhiStd(_FactorwiseElement):
     """The affine family with one fixed point at (inf, inf).
 
     Finite exponent d couples the y-scale to the x-scale as a^d; d = inf
@@ -129,9 +135,6 @@ class PhiStd:
         object.__setattr__(self, "a", float(a))
         object.__setattr__(self, "b", float(b))
         object.__setattr__(self, "c", float(c))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("group elements are immutable")
 
     @classmethod
     def identity(cls, d: float):
@@ -180,16 +183,12 @@ class PhiStd:
             CircleHomeo.from_mobius(MobiusMap.affine(self.a ** self.d, self.c)),
         )
 
-    def act(self, p: TorusPoint) -> TorusPoint:
-        hx, hy = self.factor_homeos()
-        return TorusPoint(hx.apply(p.x), hy.apply(p.y))
-
     def __repr__(self):
         d = "inf" if math.isinf(self.d) else f"{self.d:g}"
         return f"PhiStd(d={d}, a={self.a:g}, b={self.b:g}, c={self.c:g})"
 
 
-class PhiTwoFixed:
+class PhiTwoFixed(_FactorwiseElement):
     """The family with the two fixed parallel points (inf, inf) and (0, inf).
 
     For d = 0 the action is (a x, b y + c); for d < 0 the first factor
@@ -208,9 +207,6 @@ class PhiTwoFixed:
         object.__setattr__(self, "a", float(a))
         object.__setattr__(self, "b", float(b))
         object.__setattr__(self, "c", float(c))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("group elements are immutable")
 
     @classmethod
     def identity(cls, d: float):
@@ -264,19 +260,10 @@ class PhiTwoFixed:
         hy = CircleHomeo.from_mobius(MobiusMap.affine(self.b ** self.d, self.c))
         return hx, hy
 
-    def act(self, p: TorusPoint) -> TorusPoint:
-        hx, hy = self.factor_homeos()
-        return TorusPoint(hx.apply(p.x), hy.apply(p.y))
-
     def __repr__(self):
         return (
             f"PhiTwoFixed(d={self.d:g}, a={self.a:g}, b={self.b:g}, c={self.c:g})"
         )
-
-
-GroupElement = (
-    KernelPlusPSL | KernelMinusPSL | DiagonalPSL | PhiStd | PhiTwoFixed
-)
 
 
 def act(g, p: TorusPoint) -> TorusPoint:
@@ -444,12 +431,6 @@ class Case3Element:
 
     def __repr__(self):
         return f"Case3Element(angle={self.angle:g}, a={self.a:g}, b={self.b:g})"
-
-
-def so2_times_l2_factor_model(angle: float, l2_params) -> Case3Element:
-    """Factor actions for the rotation-by-angle, affine-on-the-line family."""
-    a, b = l2_params
-    return Case3Element(angle, a, b)
 
 
 # ----------------------------------------------------------------------

@@ -191,9 +191,6 @@ class CircleHomeo:
             h = atom.apply_h(h)
         return h
 
-    def __call__(self, p: ProjPoint) -> ProjPoint:
-        return self.apply(p)
-
     def compose(self, first: "CircleHomeo") -> "CircleHomeo":
         """self after first."""
         return CircleHomeo(first.atoms + self.atoms)
@@ -248,16 +245,6 @@ class CircleHomeo:
         if not self.atoms:
             return "CircleHomeo(identity)"
         return "CircleHomeo[" + " -> ".join(repr(a) for a in self.atoms) + "]"
-
-
-def homeo_apply(h: CircleHomeo, x: ProjPoint) -> ProjPoint:
-    """Left-to-right evaluation of the chain at x."""
-    return h.apply(x)
-
-
-def homeo_inverse(h: CircleHomeo) -> CircleHomeo:
-    """Chain of atom inverses in reverse order."""
-    return h.inverse()
 
 
 def homeo_sup_distance(h1: CircleHomeo, h2: CircleHomeo, grid_size: int) -> float:

@@ -75,10 +75,6 @@ class ParallelClass:
     kind: str
     coordinate: ProjPoint
 
-    def contains(self, p: TorusPoint, tol: float = EQUALITY_TOL) -> bool:
-        c = p.x if self.kind == PLUS else p.y
-        return chordal(c, self.coordinate) <= tol
-
 
 class Circle:
     """A circle of the torus: the graph of a circle homeomorphism.
@@ -422,22 +418,24 @@ class PlaneModel:
     def _pencil_branches(self, p: TorusPoint, q: TorusPoint):
         """The branch parametrizations of circles through p and q."""
         fam_xy = TwoPointFamily(p.x, p.y, q.x, q.y, tol=self.tol)
-        branches = []
+
+        def mobius_branch(name: str, sign: int, tag: str) -> _PencilBranch:
+            return _PencilBranch(
+                name=name,
+                family=fam_xy,
+                sign=sign,
+                circle=lambda t: Circle(
+                    CircleHomeo.from_mobius(fam_xy.member(t, sign)),
+                    tag,
+                    fam_xy.member(t, sign),
+                ),
+            )
+
         if self.family == "classical":
-            for name, sign in (("pgl-positive", 1), ("pgl-negative", -1)):
-                branches.append(
-                    _PencilBranch(
-                        name=name,
-                        family=fam_xy,
-                        sign=sign,
-                        circle=lambda t, s=sign: Circle(
-                            CircleHomeo.from_mobius(fam_xy.member(t, s)),
-                            TAG_CLASSICAL,
-                            fam_xy.member(t, s),
-                        ),
-                    )
-                )
-            return branches
+            return [
+                mobius_branch("pgl-positive", 1, TAG_CLASSICAL),
+                mobius_branch("pgl-negative", -1, TAG_CLASSICAL),
+            ]
         fam_uv = TwoPointFamily(
             self.f.apply(p.x),
             self.g.apply(p.y),
@@ -446,29 +444,13 @@ class PlaneModel:
             tol=self.tol,
         )
         twisted_sign = 1 if self.corrupt_twisted else -1
-        branches.append(
-            _PencilBranch(
-                name="psl",
-                family=fam_xy,
-                sign=1,
-                circle=lambda t: Circle(
-                    CircleHomeo.from_mobius(fam_xy.member(t, 1)),
-                    TAG_PSL,
-                    fam_xy.member(t, 1),
-                ),
-            )
+        twisted = _PencilBranch(
+            name="twisted",
+            family=fam_uv,
+            sign=twisted_sign,
+            circle=lambda t: self._twisted_circle(fam_uv.member(t, twisted_sign)),
         )
-        branches.append(
-            _PencilBranch(
-                name="twisted",
-                family=fam_uv,
-                sign=twisted_sign,
-                circle=lambda t: self._twisted_circle(
-                    fam_uv.member(t, twisted_sign)
-                ),
-            )
-        )
-        return branches
+        return [mobius_branch("psl", 1, TAG_PSL), twisted]
 
     def _branch_base_mobius(self, branch: _PencilBranch, c: Circle) -> MobiusMap | None:
         """c expressed as a Mobius map in branch coordinates, when possible."""
@@ -813,22 +795,6 @@ class PlaneModel:
         if rel == MINUS:
             return DerivedLine(kind="minus-class", pclass=ParallelClass(MINUS, a.y))
         return DerivedLine(kind="circle", circle=self.join(base, a, b))
-
-
-def join(plane: PlaneModel, p: TorusPoint, q: TorusPoint, r: TorusPoint) -> Circle:
-    return plane.join(p, q, r)
-
-
-def circle_intersect(plane: PlaneModel, c1: Circle, c2: Circle):
-    return plane.circle_intersect(c1, c2)
-
-
-def touch(plane: PlaneModel, c: Circle, p: TorusPoint, q: TorusPoint) -> Circle:
-    return plane.touch(c, p, q)
-
-
-def derived_line_through(plane: PlaneModel, base, a, b) -> DerivedLine:
-    return plane.derived_line_through(base, a, b)
 
 
 def classical_plane(tol: float = 1e-9, **kwargs) -> PlaneModel:

@@ -113,10 +113,6 @@ class ProjPoint:
         alpha = float(theta) * math.pi
         return cls(math.sin(alpha), math.cos(alpha))
 
-    @property
-    def h(self) -> np.ndarray:
-        return np.array([self.h0, self.h1])
-
     def value(self) -> float:
         """Real value of the point; infinity for [1 : 0]."""
         if self.h1 == 0.0:
@@ -125,9 +121,6 @@ class ProjPoint:
 
     def chart(self) -> float:
         return (math.atan2(self.h0, self.h1) / math.pi) % 1.0
-
-    def is_infinity(self, tol: float = EQUALITY_TOL) -> bool:
-        return abs(self.h1) <= tol
 
     def __repr__(self):
         if self.h1 == 0.0:
@@ -140,10 +133,6 @@ def chordal(p: ProjPoint, q: ProjPoint) -> float:
     d_minus = math.hypot(p.h0 - q.h0, p.h1 - q.h1)
     d_plus = math.hypot(p.h0 + q.h0, p.h1 + q.h1)
     return min(d_minus, d_plus)
-
-
-def proj_equal(p: ProjPoint, q: ProjPoint, tol: float = EQUALITY_TOL) -> bool:
-    return chordal(p, q) <= tol
 
 
 class TorusPoint:
@@ -224,15 +213,9 @@ class MobiusMap:
         """self after other: (self . other)(x) = self(other(x))."""
         return MobiusMap(self.m @ other.m)
 
-    def __matmul__(self, other: "MobiusMap") -> "MobiusMap":
-        return self.compose(other)
-
     def inverse(self) -> "MobiusMap":
         a, b, c, d = self.m[0, 0], self.m[0, 1], self.m[1, 0], self.m[1, 1]
         return MobiusMap([[d, -b], [-c, a]])
-
-    def trace(self) -> float:
-        return self.m[0, 0] + self.m[1, 1]
 
     def is_identity(self, tol: float = 1e-12) -> bool:
         if self.orientation != 1:
@@ -258,9 +241,6 @@ class MobiusMap:
         h = np.asarray(h, dtype=float)
         return normalize_h(np.tensordot(self.m, h, axes=(1, 0)))
 
-    def __call__(self, p: ProjPoint) -> ProjPoint:
-        return self.apply(p)
-
     def __repr__(self):
         a, b, c, d = self.m.ravel()
         return f"MobiusMap([[{a:.6g}, {b:.6g}], [{c:.6g}, {d:.6g}]])"
@@ -271,11 +251,6 @@ def proj_matrix_equal(m1: MobiusMap, m2: MobiusMap, tol: float = 1e-10) -> bool:
     d_minus = np.max(np.abs(m1.m - m2.m))
     d_plus = np.max(np.abs(m1.m + m2.m))
     return min(d_minus, d_plus) <= tol
-
-
-def mobius_apply(m: MobiusMap, x: ProjPoint) -> ProjPoint:
-    """Canonical representative of the matrix action on x."""
-    return m.apply(x)
 
 
 def _frame_map(p0: ProjPoint, p1: ProjPoint, p2: ProjPoint, tol: float) -> MobiusMap:
@@ -375,9 +350,6 @@ class TwoPointFamily:
     def psl_member(self, t: float) -> MobiusMap:
         """The det > 0 member at parameter t."""
         return self.member(t, orientation=1)
-
-    def __call__(self, t: float) -> MobiusMap:
-        return self.member(t)
 
 
 def mobius_two_pairs(

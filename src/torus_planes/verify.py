@@ -3,14 +3,23 @@
 Each suite runs seeded trials against a plane (and possibly a group
 element) and produces a VerifyReport: pass/fail, the worst residual, and
 a counterexample list carrying full inputs so any failure can be replayed
-in isolation. Reports are deterministic: trial i draws from an RNG
-substream keyed by (seed, i), so serial and parallel execution, or two
-runs on the same manifest, produce byte-identical payloads (wall time is
-excluded from the canonical form).
+in isolation. Reports are deterministic: trial i draws only from the RNG
+substream keyed by (seed, i), so reruns of the same configuration give
+byte-identical payloads (wall time is excluded from the canonical form).
 
-Every suite has a paired negative control, a deliberately broken input
-that must fail; a passing control fails the whole run. Controls are how
-the harness distinguishes "the property holds" from "the test is vacuous".
+A trial-based suite is `sample(plane, rng, cfg)`, which draws a trial's
+inputs as library objects (the entry point binds suite arguments such as
+the group element into them), and `check(plane, inputs, cfg)`, which
+returns `(residual, reasons)`; a non-empty `reasons` fails the trial.
+Inputs are serialised only for counterexamples, and
+`recheck_counterexample` runs the check on deserialised ones.
+
+Every suite has a paired negative control, a deliberately broken run that
+must fail; a passing control fails the whole run. The registry gives each
+control's plane and trial cap, and `negative_control=True` selects the
+suite's broken variant where the plane or group does not already carry
+it. Controls are how the harness distinguishes "the property holds" from
+"the test is vacuous".
 """
 
 from __future__ import annotations
@@ -18,16 +27,18 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     NoBranch,
-    NotFound,
     ParallelInput,
     PlaneGeometryError,
+    SamplingExhausted,
     UnsupportedPlane,
 )
 from .groups import (
@@ -55,6 +66,7 @@ from .projline import (
     TorusPoint,
     chordal,
     mobius_from_three,
+    torus_dist,
 )
 
 SCHEMA = "torus-planes/verify-report/v1"
@@ -70,11 +82,18 @@ class TrialConfig:
     separation: float = 1e-3
     tol: float | None = None
 
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ConfigError(f"trials must be at least 1, got {self.trials}")
+        if self.grid < 3:
+            raise ConfigError(f"grid must be at least 3, got {self.grid}")
+        for name in ("separation", "tol"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
+
     def rng_for(self, trial: int) -> np.random.Generator:
         return np.random.default_rng((int(self.seed), int(trial)))
-
-    def with_trials(self, trials: int) -> "TrialConfig":
-        return TrialConfig(self.seed, trials, self.grid, self.separation, self.tol)
 
 
 @dataclass
@@ -126,42 +145,58 @@ class VerifyReport:
 
 
 _MAX_COUNTEREXAMPLES = 20
+_CE_FIELDS = {"trial", "reason", "residual"}  # counterexample keys that are not inputs
 
 
 def _run_trials(
     suite: str,
-    plane_desc: str,
+    plane: PlaneModel,
     cfg: TrialConfig,
-    trial_fn: Callable[[int, np.random.Generator], tuple[float, dict | None]],
-    statistics: dict | None = None,
-    negative_control: bool = False,
+    sample: Callable,
+    check: Callable,
+    statistics: dict,
+    negative_control: bool,
+    keep_residual: bool = False,
 ) -> VerifyReport:
+    """Run `check(plane, sample(plane, rng_i, cfg), cfg)` for every trial i.
+
+    With `keep_residual`, a counterexample also records its finite residual.
+    """
     t0 = time.perf_counter()
     counterexamples = []
     dropped = 0
     max_residual = 0.0
     for i in range(cfg.trials):
-        residual, ce = trial_fn(i, cfg.rng_for(i))
+        try:
+            inputs = sample(plane, cfg.rng_for(i), cfg)
+        except SamplingExhausted as exc:
+            inputs, residual, reasons = {}, math.inf, [str(exc)]
+        else:
+            residual, reasons = check(plane, inputs, cfg)
         if math.isfinite(residual):
             max_residual = max(max_residual, residual)
-        if ce is not None:
-            if len(counterexamples) < _MAX_COUNTEREXAMPLES:
-                counterexamples.append({"trial": i, **ce})
-            else:
-                dropped += 1
-    stats = dict(statistics or {})
+        if not reasons:
+            continue
+        if len(counterexamples) == _MAX_COUNTEREXAMPLES:
+            dropped += 1
+            continue
+        ce = {"trial": i, **{k: _ser(v) for k, v in inputs.items()}}
+        ce["reason"] = "; ".join(reasons)
+        if keep_residual and math.isfinite(residual):
+            ce["residual"] = residual
+        counterexamples.append(ce)
     if dropped:
-        stats["counterexamples_dropped"] = dropped
+        statistics["counterexamples_dropped"] = dropped
     return VerifyReport(
         suite=suite,
-        plane=plane_desc,
+        plane=plane.describe(),
         seed=cfg.seed,
         trials=cfg.trials,
-        passed=not counterexamples and not dropped,
+        passed=not counterexamples,
         max_residual=max_residual,
         counterexamples=counterexamples,
         runtime_ms=(time.perf_counter() - t0) * 1000.0,
-        statistics=stats,
+        statistics=statistics,
         negative_control=negative_control,
     )
 
@@ -170,16 +205,31 @@ def _run_trials(
 # sampling
 
 
+_MAX_DRAWS = 1000
+
+
 def sample_proj_point(rng: np.random.Generator) -> ProjPoint:
     return ProjPoint.from_chart(rng.random())
 
 
+def _random_torus_point(rng: np.random.Generator) -> TorusPoint:
+    return TorusPoint(sample_proj_point(rng), sample_proj_point(rng))
+
+
+def _draw(rng, make: Callable, accept: Callable):
+    """The first `make(rng)` that `accept` takes, within _MAX_DRAWS draws."""
+    for _ in range(_MAX_DRAWS):
+        cand = make(rng)
+        if accept(cand):
+            return cand
+    raise SamplingExhausted(f"sampling exhausted: {_MAX_DRAWS} draws rejected")
+
+
 def _sample_separated(rng, count: int, separation: float) -> list[ProjPoint]:
     pts: list[ProjPoint] = []
-    while len(pts) < count:
-        cand = sample_proj_point(rng)
-        if all(chordal(cand, p) >= separation for p in pts):
-            pts.append(cand)
+    for _ in range(count):
+        pts.append(_draw(rng, sample_proj_point,
+                         lambda c: all(chordal(c, p) >= separation for p in pts)))
     return pts
 
 
@@ -190,24 +240,54 @@ def sample_triple(rng: np.random.Generator, separation: float) -> list[TorusPoin
     return [TorusPoint(x, y) for x, y in zip(xs, ys)]
 
 
-def _ser_proj(p: ProjPoint) -> list:
-    return [p.h0, p.h1]
+def _sample_points(plane, rng, cfg) -> dict:
+    return {"points": sample_triple(rng, cfg.separation)}
 
 
-def _ser_point(p: TorusPoint) -> list:
-    return [_ser_proj(p.x), _ser_proj(p.y)]
+def _ser(value):
+    """JSON form of a trial input: a point, a list of points or a group element."""
+    if isinstance(value, TorusPoint):
+        return [[value.x.h0, value.x.h1], [value.y.h0, value.y.h1]]
+    if isinstance(value, list):
+        return [_ser(v) for v in value]
+    return group_literal(value)
 
 
-def _deser_proj(obj) -> ProjPoint:
-    return ProjPoint(obj[0], obj[1])
-
-
-def _deser_point(obj) -> TorusPoint:
-    return TorusPoint(_deser_proj(obj[0]), _deser_proj(obj[1]))
+def _deser(obj):
+    if isinstance(obj, str):
+        return parse_group_literal(obj)
+    if isinstance(obj[0][0], list):
+        return [_deser(v) for v in obj]
+    return TorusPoint(ProjPoint(*obj[0]), ProjPoint(*obj[1]))
 
 
 # ----------------------------------------------------------------------
 # joining
+
+
+def _check_joining(plane, inputs, cfg):
+    """Join the triple: membership, circle set, unique branch, permuted rejoin."""
+    p, q, r = inputs["points"]
+    try:
+        circle = plane.join(p, q, r)
+    except (NoBranch, ParallelInput) as exc:
+        return math.inf, [f"join failed: {exc}"]
+    residual = max(plane.membership_residual(circle, pt) for pt in (p, q, r))
+    threshold = cfg.tol if cfg.tol is not None else plane.tol
+    valid = sum(1 for _, ok in plane.join_branches(p, q, r).values() if ok)
+    reasons = []
+    if residual > threshold:
+        reasons.append(f"membership residual {residual:.3e}")
+    if not plane.circle_in_set(circle):
+        reasons.append("circle not in the plane's circle set")
+    if valid != 1:
+        reasons.append(f"branch uniqueness violated ({valid} branches valid)")
+    if plane.family == "classical":
+        again = plane.join(r, p, q)
+        agreement = homeo_sup_distance(circle.graph, again.graph, cfg.grid)
+        if agreement > plane.uniq_tol:
+            reasons.append(f"permuted rejoin disagrees by {agreement:.3e}")
+    return residual, reasons
 
 
 def verify_joining(
@@ -225,74 +305,100 @@ def verify_joining(
     """
     separation = 1e-7 if stress else cfg.separation
     threshold = cfg.tol if cfg.tol is not None else (1e-5 if stress else plane.tol)
-
-    def trial(i, rng):
-        p, q, r = sample_triple(rng, separation)
-        inputs = {"points": [_ser_point(p), _ser_point(q), _ser_point(r)]}
-        try:
-            circle = plane.join(p, q, r)
-        except (NoBranch, ParallelInput) as exc:
-            return math.inf, {**inputs, "reason": f"join failed: {exc}"}
-        residual = max(
-            plane.membership_residual(circle, pt) for pt in (p, q, r)
-        )
-        branches = plane.join_branches(p, q, r)
-        valid = sum(1 for _, ok in branches.values() if ok)
-        reasons = []
-        if residual > threshold:
-            reasons.append(f"membership residual {residual:.3e}")
-        if not plane.circle_in_set(circle):
-            reasons.append("circle not in the plane's circle set")
-        if valid != 1:
-            reasons.append(f"branch uniqueness violated ({valid} branches valid)")
-        if plane.family == "classical":
-            again = plane.join(r, p, q)
-            agreement = homeo_sup_distance(circle.graph, again.graph, cfg.grid)
-            if agreement > plane.uniq_tol:
-                reasons.append(f"permuted rejoin disagrees by {agreement:.3e}")
-        if reasons:
-            return residual, {**inputs, "reason": "; ".join(reasons),
-                              "residual": residual}
-        return residual, None
-
     return _run_trials(
         "joining-stress" if stress else "joining",
-        plane.describe(),
-        cfg,
-        trial,
-        statistics={"separation": separation, "threshold": threshold},
-        negative_control=negative_control,
+        plane,
+        replace(cfg, separation=separation, tol=threshold),
+        _sample_points,
+        _check_joining,
+        {"separation": separation, "threshold": threshold},
+        negative_control,
+        keep_residual=True,
     )
-
-
-def control_joining(cfg: TrialConfig) -> VerifyReport:
-    """Negative control: a plane whose twisted branch uses det > 0 members."""
-    plane = corrupted_half_classical(CircleHomeo.power(2.0))
-    return verify_joining(plane, cfg.with_trials(min(cfg.trials, 60)),
-                          negative_control=True)
 
 
 # ----------------------------------------------------------------------
 # touching
 
 
-def _twist_slope(plane: PlaneModel, x: ProjPoint) -> float:
-    """Chart-space slope of the plane's twist map at x, by central difference."""
+_SLOPE_BOUNDS = (0.05, 20.0)
+
+
+def _conditioned(plane: PlaneModel, x: ProjPoint) -> bool:
+    """Whether the twist's chart slope at x (central difference) is in bounds."""
     eps = 1e-4
     theta = x.chart()
     lo = plane.f.apply(ProjPoint.from_chart(theta - eps)).chart()
     hi = plane.f.apply(ProjPoint.from_chart(theta + eps)).chart()
-    return abs(float((hi - lo + 0.5) % 1.0 - 0.5)) / (2.0 * eps)
+    slope = abs(float((hi - lo + 0.5) % 1.0 - 0.5)) / (2.0 * eps)
+    return _SLOPE_BOUNDS[0] <= slope <= _SLOPE_BOUNDS[1]
 
 
-_SLOPE_BOUNDS = (0.05, 20.0)
+def _off_margin(cfg: TrialConfig) -> float:
+    return max(10.0 * cfg.separation, 1e-2)
+
+
+def _sample_touching(plane, rng, cfg) -> dict:
+    """A carrier triple, a conditioned anchor p on its circle, q well off it."""
+    base = sample_triple(rng, cfg.separation)
+    try:
+        circle = plane.join(*base)
+    except (NoBranch, ParallelInput):
+        return {"points": base}  # the check reports the failed carrier join
+    margin = _off_margin(cfg)
+    p = circle.point_at(_draw(rng, sample_proj_point, lambda x: _conditioned(plane, x)))
+    q = _draw(rng, _random_torus_point, lambda q: (
+        parallel(p, q, cfg.separation) == "none"
+        and plane.membership_residual(circle, q) >= margin
+        and _conditioned(plane, q.x)
+    ))
+    return {"points": base, "p": p, "q": q}
+
+
+def _sample_secant_claim(plane, rng, cfg) -> dict:
+    """The negative control: a third point r whose secant is claimed tangent."""
+    inputs = _sample_touching(plane, rng, cfg)
+    if "p" in inputs:
+        p, q = inputs["p"], inputs["q"]
+        r = _draw(rng, _random_torus_point, lambda r: (
+            parallel(p, r, cfg.separation) == "none"
+            and parallel(q, r, cfg.separation) == "none"
+        ))
+        inputs["claimed_points"] = [p, q, r]
+    return inputs
+
+
+def _check_touching(plane, inputs, cfg):
+    """The tangent (or claimed circle) must pass q and meet the carrier only at p."""
+    try:
+        circle = plane.join(*inputs["points"])
+    except (NoBranch, ParallelInput) as exc:
+        return math.inf, [f"carrier join failed: {exc}"]
+    p, q, claimed = inputs["p"], inputs["q"], inputs.get("claimed_points")
+    try:
+        tangent = plane.join(*claimed) if claimed else plane.touch(circle, p, q)
+    except PlaneGeometryError as exc:
+        return math.inf, [f"{'claim join' if claimed else 'touch'} failed: {exc}"]
+    far, sep = plane.tangency_separation(circle, tangent, p)
+    residual_q = plane.membership_residual(tangent, q)
+    reasons = []
+    if far:
+        reasons.append("intersection far from p remains")
+    if sep > plane.tangency_band:
+        reasons.append(f"tangency separation {sep:.3e} beyond band")
+    if residual_q > plane.tol:
+        reasons.append(f"q membership residual {residual_q:.3e}")
+    if not claimed:
+        count, details = plane.count_tangency_brackets(circle, p, q)
+        if count != 1:
+            reasons.append(f"pencil scan found {count} tangency brackets {details}")
+    return max(sep, residual_q), reasons
 
 
 def verify_touching(
     plane: PlaneModel,
     cfg: TrialConfig,
     negative_control: bool = False,
-    _claim_secant: bool = False,
 ) -> VerifyReport:
     """Axiom of Touching at trial scale.
 
@@ -307,110 +413,53 @@ def verify_touching(
     coordinates, which is conditioning, not geometry. The opt-in stress
     suite is the place for such trials.
 
-    The `_claim_secant` flag powers the negative control: instead of the
-    touch() result, a secant circle through p and q is claimed to be the
-    tangent, and the tangency assertions must catch it.
+    The negative control claims a secant circle through p, q and a third
+    point as the tangent, and the tangency assertions must catch it.
     """
-    off_margin = max(10.0 * cfg.separation, 1e-2)
-
-    def conditioned(x: ProjPoint) -> bool:
-        slope = _twist_slope(plane, x)
-        return _SLOPE_BOUNDS[0] <= slope <= _SLOPE_BOUNDS[1]
-
-    def trial(i, rng):
-        base = sample_triple(rng, cfg.separation)
-        try:
-            circle = plane.join(*base)
-        except (NoBranch, ParallelInput) as exc:
-            return math.inf, {
-                "points": [_ser_point(pt) for pt in base],
-                "reason": f"carrier join failed: {exc}",
-            }
-        while True:
-            x0 = sample_proj_point(rng)
-            if conditioned(x0):
-                break
-        p = circle.point_at(x0)
-        while True:
-            q = TorusPoint(sample_proj_point(rng), sample_proj_point(rng))
-            if parallel(p, q, cfg.separation) != "none":
-                continue
-            if plane.membership_residual(circle, q) < off_margin:
-                continue
-            if not conditioned(q.x):
-                continue
-            break
-        inputs = {
-            "points": [_ser_point(pt) for pt in base],
-            "p": _ser_point(p),
-            "q": _ser_point(q),
-        }
-        if _claim_secant:
-            while True:
-                r_extra = TorusPoint(sample_proj_point(rng), sample_proj_point(rng))
-                if parallel(p, r_extra, cfg.separation) != "none":
-                    continue
-                if parallel(q, r_extra, cfg.separation) != "none":
-                    continue
-                break
-            inputs["claimed_points"] = [
-                _ser_point(p), _ser_point(q), _ser_point(r_extra)
-            ]
-            try:
-                tangent = plane.join(p, q, r_extra)
-            except (NoBranch, ParallelInput) as exc:
-                return math.inf, {**inputs, "reason": f"claim join failed: {exc}"}
-        else:
-            try:
-                tangent = plane.touch(circle, p, q)
-            except (NotFound, PlaneGeometryError) as exc:
-                return math.inf, {**inputs, "reason": f"touch failed: {exc}"}
-        far, sep = plane.tangency_separation(circle, tangent, p)
-        residual_q = plane.membership_residual(tangent, q)
-        reasons = []
-        if far:
-            reasons.append("intersection far from p remains")
-        if sep > plane.tangency_band:
-            reasons.append(f"tangency separation {sep:.3e} beyond band")
-        if residual_q > plane.tol:
-            reasons.append(f"q membership residual {residual_q:.3e}")
-        if not _claim_secant:
-            count, details = plane.count_tangency_brackets(circle, p, q)
-            if count != 1:
-                reasons.append(
-                    f"pencil scan found {count} tangency brackets {details}"
-                )
-        if reasons:
-            return max(sep, residual_q), {**inputs, "reason": "; ".join(reasons)}
-        return max(sep, residual_q), None
-
     return _run_trials(
         "touching",
-        plane.describe(),
+        plane,
         cfg,
-        trial,
-        statistics={
+        _sample_secant_claim if negative_control else _sample_touching,
+        _check_touching,
+        {
             "tangency_band": plane.tangency_band,
-            "off_circle_margin": off_margin,
+            "off_circle_margin": _off_margin(cfg),
             "twist_slope_bounds": list(_SLOPE_BOUNDS),
         },
-        negative_control=negative_control,
-    )
-
-
-def control_touching(cfg: TrialConfig) -> VerifyReport:
-    """Negative control: secant circles claimed as tangents must be caught."""
-    plane = half_classical_plane(CircleHomeo.power(2.0))
-    return verify_touching(
-        plane,
-        cfg.with_trials(min(cfg.trials, 10)),
-        negative_control=True,
-        _claim_secant=True,
+        negative_control,
     )
 
 
 # ----------------------------------------------------------------------
 # automorphisms
+
+
+_PROBE = [(j + 0.5) / 16.0 for j in range(16)]
+
+
+def _check_automorphism(plane, inputs, cfg):
+    """Carrier points of the joined circle must map onto the re-joined image."""
+    triple, g = inputs["points"], inputs["group"]
+    try:
+        circle = plane.join(*triple)
+        image = plane.join(*(g.act(pt) for pt in triple))
+    except (NoBranch, ParallelInput) as exc:
+        return math.inf, [f"join failed: {exc}"]
+    residual = 0.0
+    for theta in _PROBE:
+        pt = circle.point_at(ProjPoint.from_chart(theta))
+        residual = max(residual, plane.membership_residual(image, g.act(pt)))
+    reasons = []
+    if residual > (cfg.tol if cfg.tol is not None else 1e-8):
+        reasons.append(f"image circle residual {residual:.3e}")
+    a = TorusPoint(triple[0].x, triple[1].y)
+    if parallel(g.act(triple[0]), g.act(a)) != PLUS:
+        reasons.append("(+)-parallelity not preserved")
+    b = TorusPoint(triple[1].x, triple[0].y)
+    if parallel(g.act(triple[0]), g.act(b)) != "minus":
+        reasons.append("(-)-parallelity not preserved")
+    return residual, reasons
 
 
 def verify_automorphism(
@@ -426,65 +475,46 @@ def verify_automorphism(
     on the re-joined circle. Parallel classes must also map to parallel
     classes of the same kind.
     """
-    threshold = cfg.tol if cfg.tol is not None else 1e-8
-    probe = [(j + 0.5) / 16.0 for j in range(16)]
-
-    def trial(i, rng):
-        triple = sample_triple(rng, cfg.separation)
-        inputs = {
-            "points": [_ser_point(pt) for pt in triple],
-            "group": group_literal(g),
-        }
-        try:
-            circle = plane.join(*triple)
-            image = plane.join(*(g.act(pt) for pt in triple))
-        except (NoBranch, ParallelInput) as exc:
-            return math.inf, {**inputs, "reason": f"join failed: {exc}"}
-        residual = 0.0
-        for theta in probe:
-            pt = circle.point_at(ProjPoint.from_chart(theta))
-            residual = max(residual, plane.membership_residual(image, g.act(pt)))
-        reasons = []
-        if residual > threshold:
-            reasons.append(f"image circle residual {residual:.3e}")
-        a = TorusPoint(triple[0].x, triple[1].y)
-        if parallel(g.act(triple[0]), g.act(a)) != PLUS:
-            reasons.append("(+)-parallelity not preserved")
-        b = TorusPoint(triple[1].x, triple[0].y)
-        if parallel(g.act(triple[0]), g.act(b)) != "minus":
-            reasons.append("(-)-parallelity not preserved")
-        if reasons:
-            return residual, {**inputs, "reason": "; ".join(reasons),
-                              "residual": residual}
-        return residual, None
-
     return _run_trials(
         "automorphism",
-        plane.describe(),
+        plane,
         cfg,
-        trial,
-        statistics={"group": group_literal(g), "threshold": threshold},
-        negative_control=negative_control,
+        lambda plane, rng, cfg: {**_sample_points(plane, rng, cfg), "group": g},
+        _check_automorphism,
+        {"group": group_literal(g), "threshold": cfg.tol if cfg.tol is not None else 1e-8},
+        negative_control,
+        keep_residual=True,
     )
-
-
-def control_automorphism(cfg: TrialConfig) -> VerifyReport:
-    """Negative control: the wrong-side kernel on a twisted plane."""
-    plane = half_classical_plane(CircleHomeo.power(2.0))
-    g = KernelMinusPSL(MobiusMap.affine(1.0, 1.0))
-    return verify_automorphism(plane, g, cfg.with_trials(min(cfg.trials, 40)),
-                               negative_control=True)
 
 
 # ----------------------------------------------------------------------
 # rigidity
 
 
+def _identity_deviation(m: MobiusMap) -> float:
+    eye = np.eye(2)
+    return float(min(np.max(np.abs(m.m - eye)), np.max(np.abs(m.m + eye))))
+
+
+def _check_rigidity(plane, inputs, cfg, shift: int = 0):
+    """Both coordinate maps fixing the triple must be the identity.
+
+    `shift` cyclically permutes the targets; the negative control uses 1.
+    """
+    p, q, r = inputs["points"]
+    xs, ys = (p.x, q.x, r.x), (p.y, q.y, r.y)
+    mu = mobius_from_three(*xs, *xs[shift:], *xs[:shift])
+    nu = mobius_from_three(*ys, *ys[shift:], *ys[:shift])
+    deviation = max(_identity_deviation(mu), _identity_deviation(nu))
+    if deviation > 1e-9:
+        return deviation, [f"non-identity solution, deviation {deviation:.3e}"]
+    return deviation, []
+
+
 def verify_rigidity(
     plane: PlaneModel,
     cfg: TrialConfig,
     negative_control: bool = False,
-    _permute_targets: bool = False,
 ) -> VerifyReport:
     """Class-preserving automorphisms fixing three points are the identity.
 
@@ -492,49 +522,18 @@ def verify_rigidity(
     triple are solved from the three-point constraints on each factor;
     both must come out as the identity. Only defined for the classical
     plane, where the class-preserving automorphisms are exactly the
-    coordinatewise Mobius pairs.
+    coordinatewise Mobius pairs. The negative control permutes the targets.
     """
     if plane.family != "classical":
         raise UnsupportedPlane("rigidity enumeration needs the classical plane")
-
-    def identity_deviation(m: MobiusMap) -> float:
-        eye = np.eye(2)
-        return float(min(np.max(np.abs(m.m - eye)), np.max(np.abs(m.m + eye))))
-
-    def trial(i, rng):
-        p, q, r = sample_triple(rng, cfg.separation)
-        xs = (p.x, q.x, r.x)
-        ys = (p.y, q.y, r.y)
-        tx = (xs[1], xs[2], xs[0]) if _permute_targets else xs
-        ty = (ys[1], ys[2], ys[0]) if _permute_targets else ys
-        mu = mobius_from_three(*xs, *tx)
-        nu = mobius_from_three(*ys, *ty)
-        deviation = max(identity_deviation(mu), identity_deviation(nu))
-        inputs = {"points": [_ser_point(pt) for pt in (p, q, r)]}
-        if deviation > 1e-9:
-            return deviation, {
-                **inputs,
-                "reason": f"non-identity solution, deviation {deviation:.3e}",
-            }
-        return deviation, None
-
     return _run_trials(
         "rigidity",
-        plane.describe(),
+        plane,
         cfg,
-        trial,
-        statistics={"form": "(+)-class-preserving corollary"},
-        negative_control=negative_control,
-    )
-
-
-def control_rigidity(cfg: TrialConfig) -> VerifyReport:
-    """Negative control: cyclically permuted targets must be caught."""
-    return verify_rigidity(
-        classical_plane(),
-        cfg.with_trials(min(cfg.trials, 20)),
-        negative_control=True,
-        _permute_targets=True,
+        _sample_points,
+        partial(_check_rigidity, shift=1 if negative_control else 0),
+        {"form": "(+)-class-preserving corollary"},
+        negative_control,
     )
 
 
@@ -553,6 +552,9 @@ _PHI_PARAM_SAMPLE = ((2.0, 3.0, 1.0), (1.5, 0.5, -1.0), (3.0, 1.25, 2.0))
 _PHI2_PARAM_SAMPLE = ((2.0, 3.0, 1.0), (1.5, 2.0, -1.0), (3.0, 0.5, 2.0))
 
 
+_PSL_FAMILIES = {"diag": DiagonalPSL, "kplus": KernelPlusPSL, "kminus": KernelMinusPSL}
+
+
 def family_sample(family_key: str):
     """Deterministic non-identity elements of one family.
 
@@ -560,12 +562,8 @@ def family_sample(family_key: str):
     the common fixed configuration is read off the whole sample, since a
     single element may fix more than the group does.
     """
-    if family_key == "diag":
-        return [DiagonalPSL(m) for m in _PSL_SAMPLE]
-    if family_key == "kplus":
-        return [KernelPlusPSL(m) for m in _PSL_SAMPLE]
-    if family_key == "kminus":
-        return [KernelMinusPSL(m) for m in _PSL_SAMPLE]
+    if family_key in _PSL_FAMILIES:
+        return [_PSL_FAMILIES[family_key](m) for m in _PSL_SAMPLE]
     if family_key.startswith("phi2:"):
         d = float(family_key.split(":")[1])
         return [PhiTwoFixed(d, a, b, c) for a, b, c in _PHI2_PARAM_SAMPLE]
@@ -577,12 +575,9 @@ def family_sample(family_key: str):
 
 
 def family_key_of(g) -> str:
-    if isinstance(g, DiagonalPSL):
-        return "diag"
-    if isinstance(g, KernelPlusPSL):
-        return "kplus"
-    if isinstance(g, KernelMinusPSL):
-        return "kminus"
+    for key, cls in _PSL_FAMILIES.items():
+        if isinstance(g, cls):
+            return key
     if isinstance(g, PhiStd):
         d = "inf" if math.isinf(g.d) else f"{g.d:g}"
         return f"phi:{d}"
@@ -593,27 +588,17 @@ def family_key_of(g) -> str:
 
 def _common_factor_fixed(elements, side_index: int, tol: float = 1e-7):
     """(fixes_all, common fixed coordinates) across a family sample."""
-    fixes_all = True
-    candidate_pts: list[ProjPoint] | None = None
     factors = [el.factor_homeos()[side_index] for el in elements]
-    for h in factors:
-        all_fixed, pts = fixed_coordinates(h)
-        if all_fixed:
-            continue
-        fixes_all = False
-        if candidate_pts is None:
-            candidate_pts = list(pts)
-        else:
-            candidate_pts = [
-                p for p in candidate_pts if any(chordal(p, q) <= tol for q in pts)
-            ]
-    if fixes_all:
+    scans = [pts for all_fixed, pts in map(fixed_coordinates, factors) if not all_fixed]
+    if not scans:
         return True, ()
-    survivors = []
-    for p in candidate_pts or ():
-        if all(chordal(h.apply(p), p) <= tol for h in factors):
-            survivors.append(p)
-    return False, tuple(survivors)
+    candidates = [
+        p for p in scans[0]
+        if all(any(chordal(p, q) <= tol for q in pts) for pts in scans[1:])
+    ]
+    return False, tuple(
+        p for p in candidates if all(chordal(h.apply(p), p) <= tol for h in factors)
+    )
 
 
 _EXPECTED_CONFIG = {
@@ -629,16 +614,12 @@ _EXPECTED_CONFIG = {
 }
 
 
-def _coord_set_matches(found, expected, tol: float = 1e-7) -> bool:
-    if expected == "all":
-        return found == "all"
-    if found == "all":
-        return False
-    if len(found) != len(expected):
-        return False
-    exp_pts = [ProjPoint.from_real(v) for v in expected]
-    return all(any(chordal(f, e) <= tol for e in exp_pts) for f in found) and all(
-        any(chordal(f, e) <= tol for f in found) for e in exp_pts
+def _same_set(found, expected, near) -> bool:
+    """Whether each found element is near an expected one, and vice versa."""
+    return (
+        len(found) == len(expected)
+        and all(any(near(f, e) for e in expected) for f in found)
+        and all(any(near(f, e) for f in found) for e in expected)
     )
 
 
@@ -646,7 +627,6 @@ def verify_fixed_configuration(
     family_key: str,
     cfg: TrialConfig,
     negative_control: bool = False,
-    _expect_key: str | None = None,
 ) -> VerifyReport:
     """Common fixed elements of a family sample match its classification.
 
@@ -654,35 +634,36 @@ def verify_fixed_configuration(
     scan covers the 512 x 512 torus grid plus the infinity cross, since
     the actions are componentwise); fixed points, fixed parallel classes
     and, for the diagonal family, the invariant diagonal circle are
-    compared against the case labels of the classification.
+    compared against the case labels of the classification. The negative
+    control compares a Phi family against the other Phi family's label, and
+    any other family against the Phi label.
     """
     elements = family_sample(family_key)
-    expect_key = _expect_key or family_key.split(":")[0]
+    expect_key = family_key.split(":")[0]
+    if negative_control:
+        expect_key = "phi2" if expect_key == "phi" else "phi"
     expected = _EXPECTED_CONFIG[expect_key]
     counterexamples = []
     t0 = time.perf_counter()
 
     fx_all, fx_pts = _common_factor_fixed(elements, 0)
     fy_all, fy_pts = _common_factor_fixed(elements, 1)
-    found_plus = "all" if fx_all else fx_pts
-    found_minus = "all" if fy_all else fy_pts
-
-    if not _coord_set_matches(found_plus, expected["plus"]):
-        counterexamples.append(
-            {
-                "reason": "fixed (+)-classes mismatch",
-                "found": "all" if fx_all else [p.value() for p in fx_pts],
-                "expected": "all" if expected["plus"] == "all" else expected["plus"],
-            }
-        )
-    if not _coord_set_matches(found_minus, expected["minus"]):
-        counterexamples.append(
-            {
-                "reason": "fixed (-)-classes mismatch",
-                "found": "all" if fy_all else [p.value() for p in fy_pts],
-                "expected": "all" if expected["minus"] == "all" else expected["minus"],
-            }
-        )
+    for sign, side, fixes_all, pts in (("+", "plus", fx_all, fx_pts),
+                                       ("-", "minus", fy_all, fy_pts)):
+        want = expected[side]
+        if want == "all" or fixes_all:
+            matches = want == "all" and fixes_all
+        else:
+            exp_pts = [ProjPoint.from_real(v) for v in want]
+            matches = _same_set(pts, exp_pts, lambda f, e: chordal(f, e) <= 1e-7)
+        if not matches:
+            counterexamples.append(
+                {
+                    "reason": f"fixed ({sign})-classes mismatch",
+                    "found": "all" if fixes_all else [p.value() for p in pts],
+                    "expected": want,
+                }
+            )
 
     # fixed points: products of commonly fixed factor coordinates
     if fx_all or fy_all:
@@ -690,16 +671,7 @@ def verify_fixed_configuration(
     else:
         found_points = [TorusPoint(x, y) for x in fx_pts for y in fy_pts]
     exp_points = [TorusPoint.from_reals(*xy) for xy in expected["points"]]
-
-    def near(f, e):
-        return chordal(f.x, e.x) <= 1e-7 and chordal(f.y, e.y) <= 1e-7
-
-    points_ok = (
-        len(found_points) == len(exp_points)
-        and all(any(near(f, e) for e in exp_points) for f in found_points)
-        and all(any(near(f, e) for f in found_points) for e in exp_points)
-    )
-    if not points_ok:
+    if not _same_set(found_points, exp_points, lambda f, e: torus_dist(f, e) <= 1e-7):
         counterexamples.append(
             {
                 "reason": "common fixed points mismatch",
@@ -757,15 +729,52 @@ def verify_fixed_configuration(
     )
 
 
-def control_fixed_configuration(cfg: TrialConfig) -> VerifyReport:
-    """Negative control: a family checked against the wrong case label."""
-    return verify_fixed_configuration(
-        "phi:2", cfg, negative_control=True, _expect_key="phi2"
-    )
-
-
 # ----------------------------------------------------------------------
 # derived planes
+
+
+_INF_BASE = TorusPoint.from_reals(math.inf, math.inf)
+
+
+def _sample_derived(plane, rng, cfg, base: TorusPoint) -> dict:
+    """Two derived points off the base cross, not equal to each other."""
+
+    def off_base(pt):
+        return (chordal(pt.x, base.x) >= cfg.separation
+                and chordal(pt.y, base.y) >= cfg.separation)
+
+    a = _draw(rng, _random_torus_point, off_base)
+    b = _draw(rng, _random_torus_point, lambda b: off_base(b) and parallel(a, b) != "both")
+    return {"a": a, "b": b, "base": base}
+
+
+def _check_derived(plane, inputs, cfg, shift_base: bool = False):
+    """The line through a and b must re-join identically with swapped points.
+
+    `shift_base` rejoins at a shifted base; the negative control sets it.
+    """
+    a, b, base = inputs["a"], inputs["b"], inputs["base"]
+    line = plane.derived_line_through(base, a, b)
+    rel = parallel(a, b)
+    if line.kind != "circle":
+        expected_kind = "plus-class" if rel == PLUS else "minus-class"
+        if line.kind != expected_kind:
+            return math.inf, ["parallel case misclassified"]
+        return 0.0, []
+    if rel != "none":
+        return math.inf, ["circle returned for parallel pair"]
+    if shift_base:
+        base = TorusPoint(
+            ProjPoint.from_chart(base.x.chart() + 0.11),
+            ProjPoint.from_chart(base.y.chart() + 0.23),
+        )
+    other = plane.derived_line_through(base, b, a)
+    if other.kind != "circle":
+        return math.inf, ["permuted rejoin changed kind"]
+    distance = homeo_sup_distance(line.circle.graph, other.circle.graph, cfg.grid)
+    if distance > plane.uniq_tol:
+        return distance, [f"permuted rejoin disagrees by {distance:.3e}"]
+    return distance, []
 
 
 def verify_derived_plane(
@@ -773,78 +782,22 @@ def verify_derived_plane(
     base: TorusPoint,
     cfg: TrialConfig,
     negative_control: bool = False,
-    _perturb_base: bool = False,
 ) -> VerifyReport:
     """Unique derived-plane lines through random point pairs.
 
     Per trial: two derived points off the base cross; the line through
     them must re-join identically under permuted arguments, and the
-    parallel-class cases must stay disjoint from the circle cases.
+    parallel-class cases must stay disjoint from the circle cases. The
+    negative control rejoins against a shifted base, which must disagree.
     """
-
-    def sample_derived_point(rng):
-        while True:
-            pt = TorusPoint(sample_proj_point(rng), sample_proj_point(rng))
-            if (
-                chordal(pt.x, base.x) >= cfg.separation
-                and chordal(pt.y, base.y) >= cfg.separation
-            ):
-                return pt
-
-    base2 = (
-        TorusPoint(
-            ProjPoint.from_chart(base.x.chart() + 0.11),
-            ProjPoint.from_chart(base.y.chart() + 0.23),
-        )
-        if _perturb_base
-        else base
-    )
-
-    def trial(i, rng):
-        a = sample_derived_point(rng)
-        while True:
-            b = sample_derived_point(rng)
-            if parallel(a, b) != "both":
-                break
-        inputs = {"a": _ser_point(a), "b": _ser_point(b), "base": _ser_point(base)}
-        line = plane.derived_line_through(base, a, b)
-        rel = parallel(a, b)
-        if line.kind != "circle":
-            expected_kind = "plus-class" if rel == PLUS else "minus-class"
-            if line.kind != expected_kind:
-                return math.inf, {**inputs, "reason": "parallel case misclassified"}
-            return 0.0, None
-        if rel != "none":
-            return math.inf, {**inputs, "reason": "circle returned for parallel pair"}
-        other = plane.derived_line_through(base2, b, a)
-        if other.kind != "circle":
-            return math.inf, {**inputs, "reason": "permuted rejoin changed kind"}
-        distance = homeo_sup_distance(line.circle.graph, other.circle.graph, cfg.grid)
-        if distance > plane.uniq_tol:
-            return distance, {
-                **inputs,
-                "reason": f"permuted rejoin disagrees by {distance:.3e}",
-            }
-        return distance, None
-
     return _run_trials(
         "derived-plane",
-        plane.describe(),
+        plane,
         cfg,
-        trial,
-        statistics={"base": [base.x.value(), base.y.value()]},
-        negative_control=negative_control,
-    )
-
-
-def control_derived_plane(cfg: TrialConfig) -> VerifyReport:
-    """Negative control: rejoin against a shifted base must disagree."""
-    return verify_derived_plane(
-        classical_plane(),
-        TorusPoint.from_reals(math.inf, math.inf),
-        cfg.with_trials(min(cfg.trials, 20)),
-        negative_control=True,
-        _perturb_base=True,
+        partial(_sample_derived, base=base),
+        partial(_check_derived, shift_base=negative_control),
+        {"base": [base.x.value(), base.y.value()]},
+        negative_control,
     )
 
 
@@ -857,9 +810,17 @@ def recheck_counterexample(
 ) -> bool:
     """Re-verify a counterexample in isolation at boosted scan resolution.
 
-    Returns True when the violation reproduces; sound reports only carry
-    counterexamples that do.
+    Runs the suite's check on the counterexample's inputs, under the
+    default TrialConfig, on a copy of the plane whose scan grid is
+    `resolution_factor` times finer. Returns True when the violation
+    reproduces; sound reports only carry counterexamples that do. The
+    check is the suite's sound one, so a negative control whose breakage
+    lies in its check (rigidity, derived-plane) does not reproduce.
     """
+    spec = SUITES.get(suite)
+    if spec is None or spec.check is None or ce.keys() <= _CE_FIELDS:
+        raise UnsupportedPlane(f"no trial inputs to recheck for suite {suite!r}")
+    inputs = {k: _deser(v) for k, v in ce.items() if k not in _CE_FIELDS}
     boosted = PlaneModel(
         plane.family,
         f=plane.f,
@@ -870,50 +831,7 @@ def recheck_counterexample(
         scan_grid=plane.scan_grid * resolution_factor,
         corrupt_twisted=plane.corrupt_twisted,
     )
-    if suite in ("joining", "joining-stress"):
-        pts = [_deser_point(obj) for obj in ce["points"]]
-        try:
-            circle = boosted.join(*pts)
-        except (NoBranch, ParallelInput):
-            return True
-        residual = max(boosted.membership_residual(circle, pt) for pt in pts)
-        return residual > boosted.tol or not boosted.circle_in_set(circle)
-    if suite == "touching":
-        pts = [_deser_point(obj) for obj in ce["points"]]
-        p = _deser_point(ce["p"])
-        q = _deser_point(ce["q"])
-        try:
-            circle = boosted.join(*pts)
-            if "claimed_points" in ce:
-                # replay of a claimed (non-touch) circle: the violation is
-                # that this specific circle is not tangent at p
-                claimed = boosted.join(
-                    *(_deser_point(obj) for obj in ce["claimed_points"])
-                )
-                far, sep = boosted.tangency_separation(circle, claimed, p)
-                return far or sep > boosted.tangency_band
-            tangent = boosted.touch(circle, p, q)
-        except (NoBranch, ParallelInput, NotFound, PlaneGeometryError):
-            return True
-        far, sep = boosted.tangency_separation(circle, tangent, p)
-        count, _ = boosted.count_tangency_brackets(circle, p, q)
-        return far or sep > boosted.tangency_band or count != 1
-    if suite == "automorphism":
-        pts = [_deser_point(obj) for obj in ce["points"]]
-        g = parse_group_literal(ce["group"])
-        try:
-            circle = boosted.join(*pts)
-            image = boosted.join(*(g.act(pt) for pt in pts))
-        except (NoBranch, ParallelInput):
-            return True
-        residual = max(
-            boosted.membership_residual(
-                image, g.act(circle.point_at(ProjPoint.from_chart((j + 0.5) / 16.0)))
-            )
-            for j in range(16)
-        )
-        return residual > 1e-8
-    raise UnsupportedPlane(f"no recheck routine for suite {suite!r}")
+    return bool(spec.check(boosted, inputs, TrialConfig())[1])
 
 
 # ----------------------------------------------------------------------
@@ -922,62 +840,84 @@ def recheck_counterexample(
 
 @dataclass(frozen=True)
 class SuiteSpec:
+    """How the CLI and callers reach one suite's entry point and control.
+
+    `run(plane, cfg, group)` calls the `verify_<suite>` function named
+    `entry` with `bind(plane, group)` as its leading arguments and
+    `options` as keywords. `control(cfg)` calls it with
+    `negative_control=True` on `control_args()`, the control's plane (and
+    group or base), with the trials capped at `control_trials`. `check` is
+    the trial check that `recheck_counterexample` replays.
+    """
+
     name: str
-    run: Callable
-    control: Callable[[TrialConfig], VerifyReport]
-    needs_group: bool = False
+    entry: str
+    bind: Callable
+    control_args: Callable[[], tuple]
+    control_trials: int | None = None
+    check: Callable | None = None
+    options: dict = field(default_factory=dict)
+
+    def run(self, plane, cfg: TrialConfig, group=None) -> VerifyReport:
+        # looked up at call time, so a wrapper installed on the module is used
+        return globals()[self.entry](*self.bind(plane, group), cfg, **self.options)
+
+    def control(self, cfg: TrialConfig) -> VerifyReport:
+        if self.control_trials is not None:
+            cfg = replace(cfg, trials=min(cfg.trials, self.control_trials))
+        return globals()[self.entry](*self.control_args(), cfg, negative_control=True)
 
 
-def _run_joining(plane, cfg, group=None):
-    return verify_joining(plane, cfg)
+def _plane_only(plane, group):
+    return (plane,)
 
 
-def _run_joining_stress(plane, cfg, group=None):
-    return verify_joining(plane, cfg, stress=True)
-
-
-def _run_touching(plane, cfg, group=None):
-    return verify_touching(plane, cfg)
-
-
-def _run_automorphism(plane, cfg, group=None):
+def _plane_and_group(plane, group):
     if group is None:
-        group = (
-            DiagonalPSL(MobiusMap([[2.0, 1.0], [1.0, 1.0]]))
-            if plane.family == "classical"
-            else KernelPlusPSL(MobiusMap([[2.0, 1.0], [1.0, 1.0]]))
-        )
-    return verify_automorphism(plane, group, cfg)
+        m = MobiusMap([[2.0, 1.0], [1.0, 1.0]])
+        group = DiagonalPSL(m) if plane.family == "classical" else KernelPlusPSL(m)
+    return plane, group
 
 
-def _run_rigidity(plane, cfg, group=None):
-    return verify_rigidity(plane, cfg)
-
-
-def _run_fixed_configuration(plane, cfg, group=None):
-    key = family_key_of(group) if group is not None else "diag"
-    return verify_fixed_configuration(key, cfg)
-
-
-def _run_derived_plane(plane, cfg, group=None):
-    return verify_derived_plane(plane, TorusPoint.from_reals(math.inf, math.inf), cfg)
-
+_JOINING = SuiteSpec(
+    "joining", "verify_joining", _plane_only,
+    # a plane whose twisted branch uses det > 0 members
+    lambda: (corrupted_half_classical(CircleHomeo.power(2.0)),), 60, _check_joining,
+)
 
 SUITES = {
-    "joining": SuiteSpec("joining", _run_joining, control_joining),
-    "joining-stress": SuiteSpec("joining-stress", _run_joining_stress, control_joining),
-    "touching": SuiteSpec("touching", _run_touching, control_touching),
+    "joining": _JOINING,
+    "joining-stress": replace(_JOINING, name="joining-stress", options={"stress": True}),
+    # secant circles claimed as tangents must be caught
+    "touching": SuiteSpec(
+        "touching", "verify_touching", _plane_only,
+        lambda: (half_classical_plane(CircleHomeo.power(2.0)),), 10,
+        _check_touching,
+    ),
+    # the wrong-side kernel on a twisted plane
     "automorphism": SuiteSpec(
-        "automorphism", _run_automorphism, control_automorphism, needs_group=True
+        "automorphism", "verify_automorphism", _plane_and_group,
+        lambda: (
+            half_classical_plane(CircleHomeo.power(2.0)),
+            KernelMinusPSL(MobiusMap.affine(1.0, 1.0)),
+        ),
+        40,
+        _check_automorphism,
     ),
-    "rigidity": SuiteSpec("rigidity", _run_rigidity, control_rigidity),
+    # cyclically permuted targets must be caught
+    "rigidity": SuiteSpec(
+        "rigidity", "verify_rigidity", _plane_only, lambda: (classical_plane(),), 20,
+        _check_rigidity,
+    ),
+    # a family checked against the wrong case label
     "fixed-configuration": SuiteSpec(
-        "fixed-configuration",
-        _run_fixed_configuration,
-        control_fixed_configuration,
-        needs_group=True,
+        "fixed-configuration", "verify_fixed_configuration",
+        lambda plane, group: (family_key_of(group) if group is not None else "diag",),
+        lambda: ("phi:2",),
     ),
+    # rejoin against a shifted base must disagree
     "derived-plane": SuiteSpec(
-        "derived-plane", _run_derived_plane, control_derived_plane
+        "derived-plane", "verify_derived_plane", lambda plane, group: (plane, _INF_BASE),
+        lambda: (classical_plane(), _INF_BASE), 20, _check_derived,
     ),
 }

@@ -30,8 +30,8 @@ from torus_planes import (
     torus_dist,
 )
 from torus_planes.verify import (
+    SUITES,
     TrialConfig,
-    control_automorphism,
     verify_automorphism,
     verify_fixed_configuration,
     verify_joining,
@@ -311,7 +311,10 @@ def test_criterion_8_determinism():
                 TrialConfig(seed=SEED, trials=50),
             ),
         ),
-        ("negative-control", lambda: control_automorphism(TrialConfig(seed=SEED, trials=20))),
+        (
+            "negative-control",
+            lambda: SUITES["automorphism"].control(TrialConfig(seed=SEED, trials=20)),
+        ),
     ]
     for label, runner in pairs:
         first = runner().canonical_json()

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from torus_planes.cli import main
 
@@ -30,6 +31,25 @@ class TestJoinCommand:
 
     def test_bad_point_exit_2(self):
         assert run(["join", "--plane", "classical", "0;0", "1,1", "2,2"]) == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["join", "nan,0", "1,1", "2,3"],
+        ["join", "abc,0", "1,1", "2,3"],
+        ["verify", "--grid", "1"],
+        ["verify", "--trials", "0"],
+        ["verify", "--trials", "-5"],
+        ["verify", "--tol", "-1"],
+    ],
+)
+def test_bad_input_exits_2_without_traceback(args, tmp_path, capsys):
+    if args[0] == "verify":
+        args = args + ["--out", str(tmp_path)]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestVerifyCommand:

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from torus_planes import (
+    Case3Element,
     CircleHomeo,
     ConfigError,
     DiagonalPSL,
@@ -24,7 +25,6 @@ from torus_planes import (
     homeo_sup_distance,
     induced_factor_action,
     parse_group_literal,
-    so2_times_l2_factor_model,
     torus_dist,
 )
 from torus_planes.groups import factor_fixed_sets
@@ -283,39 +283,39 @@ class TestDiagonalOrbits:
 
 class TestCase3:
     def test_identity_factors(self):
-        e = so2_times_l2_factor_model(0.0, (1.0, 0.0))
+        e = Case3Element(0.0, 1.0, 0.0)
         assert e.is_identity()
         plus, minus = e.factor_maps()
         assert plus.is_identity() and minus.is_identity()
 
     def test_rotation_group_law(self):
-        half_turn = so2_times_l2_factor_model(math.pi, (1.0, 0.0))
+        half_turn = Case3Element(math.pi, 1.0, 0.0)
         assert half_turn.compose(half_turn).is_identity(1e-12)
 
     def test_factorwise_composition_example(self):
-        left = so2_times_l2_factor_model(math.pi / 3, (2.0, 1.0))
-        right = so2_times_l2_factor_model(math.pi / 6, (1.0, -1.0))
+        left = Case3Element(math.pi / 3, 2.0, 1.0)
+        right = Case3Element(math.pi / 6, 1.0, -1.0)
         comp = left.compose(right)
         assert math.isclose(comp.angle, math.pi / 2, rel_tol=1e-12)
         assert math.isclose(comp.a, 2.0, rel_tol=1e-12)
         assert math.isclose(comp.b, -1.0, rel_tol=1e-12)
 
     def test_minus_factor_is_rotation(self):
-        e = so2_times_l2_factor_model(math.pi, (1.0, 0.0))
+        e = Case3Element(math.pi, 1.0, 0.0)
         rotated = e.minus_map.apply(P(0.0))
         # a half turn moves 0 to infinity (up to the pi/2 rounding of cos)
         assert chordal(rotated, ProjPoint.infinity()) < 1e-15
 
     def test_plus_factor_pins_infinity(self):
-        e = so2_times_l2_factor_model(0.7, (2.0, 5.0))
+        e = Case3Element(0.7, 2.0, 5.0)
         assert e.plus_map.apply(ProjPoint.infinity()).value() == INF
 
     def test_inverse(self):
-        e = so2_times_l2_factor_model(1.1, (2.0, -3.0))
+        e = Case3Element(1.1, 2.0, -3.0)
         assert e.compose(e.inverse()).is_identity(1e-12)
 
     def test_no_point_action(self):
-        e = so2_times_l2_factor_model(1.0, (2.0, 0.0))
+        e = Case3Element(1.0, 2.0, 0.0)
         assert not hasattr(e, "act")
 
 

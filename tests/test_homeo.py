@@ -13,8 +13,6 @@ from torus_planes import (
     PowerMap,
     ProjPoint,
     chordal,
-    homeo_apply,
-    homeo_inverse,
     homeo_sup_distance,
     load_spline_knots,
 )
@@ -27,21 +25,21 @@ INF = ProjPoint.infinity()
 
 class TestApply:
     def test_identity_chain(self):
-        assert homeo_apply(CircleHomeo.identity(), P(7.0)).value() == 7.0
+        assert CircleHomeo.identity().apply(P(7.0)).value() == 7.0
 
     def test_power_map_negative(self):
         assert math.isclose(
-            homeo_apply(CircleHomeo.power(3), P(-2.0)).value(), -8.0, rel_tol=1e-12
+            CircleHomeo.power(3).apply(P(-2.0)).value(), -8.0, rel_tol=1e-12
         )
 
     def test_chain_left_to_right(self):
         chain = CircleHomeo((PowerMap(2.0), MobiusMap([[1.0, 1.0], [0.0, 1.0]])))
-        assert math.isclose(homeo_apply(chain, P(3.0)).value(), 10.0, rel_tol=1e-12)
+        assert math.isclose(chain.apply(P(3.0)).value(), 10.0, rel_tol=1e-12)
 
     def test_power_fixes_endpoints(self):
         h = CircleHomeo.power(2.5)
-        assert homeo_apply(h, P(0.0)).value() == 0.0
-        assert homeo_apply(h, INF).value() == math.inf
+        assert h.apply(P(0.0)).value() == 0.0
+        assert h.apply(INF).value() == math.inf
 
     def test_power_requires_positive_exponent(self):
         with pytest.raises(ValueError):
@@ -52,16 +50,16 @@ class TestApply:
 
 class TestInverse:
     def test_identity(self):
-        assert homeo_inverse(CircleHomeo.identity()).is_identity()
+        assert CircleHomeo.identity().inverse().is_identity()
 
     def test_power_inverse_forced(self):
-        inv = homeo_inverse(CircleHomeo.power(2.0))
+        inv = CircleHomeo.power(2.0).inverse()
         assert isinstance(inv.atoms[0], PowerMap)
         assert inv.atoms[0].exponent == 0.5
 
     def test_round_trip_mixed_chain(self):
         h = CircleHomeo((MobiusMap([[2.0, 1.0], [1.0, 1.0]]), PowerMap(1.7)))
-        inv = homeo_inverse(h)
+        inv = h.inverse()
         grid = np.arange(100) / 100
         worst = 0.0
         for theta in grid:
@@ -72,7 +70,7 @@ class TestInverse:
     def test_orientation_preserved(self):
         h = CircleHomeo((PowerMap(2.0), MobiusMap([[0.0, 1.0], [1.0, 0.0]])))
         assert h.orientation == -1
-        assert homeo_inverse(h).orientation == -1
+        assert h.inverse().orientation == -1
 
 
 class TestSupDistance:

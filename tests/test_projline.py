@@ -11,7 +11,6 @@ from torus_planes import (
     MobiusMap,
     ProjPoint,
     chordal,
-    mobius_apply,
     mobius_fixed_points,
     mobius_from_three,
     mobius_two_pairs,
@@ -78,15 +77,15 @@ class TestProjPoint:
 
 class TestMobiusApply:
     def test_identity(self):
-        assert mobius_apply(MobiusMap.identity(), P(5.0)).value() == 5.0
+        assert MobiusMap.identity().apply(P(5.0)).value() == 5.0
 
     def test_zero_to_infinity(self):
         m = MobiusMap([[0.0, -1.0], [1.0, 0.0]])
-        assert mobius_apply(m, P(0.0)).value() == math.inf
+        assert m.apply(P(0.0)).value() == math.inf
 
     def test_direct_evaluation(self):
         m = MobiusMap([[2.0, 1.0], [1.0, 1.0]])
-        assert math.isclose(mobius_apply(m, P(1.0)).value(), 1.5, rel_tol=1e-15)
+        assert math.isclose(m.apply(P(1.0)).value(), 1.5, rel_tol=1e-15)
 
     def test_group_action_property(self):
         rng = rng_for(101)

@@ -6,10 +6,10 @@ import pytest
 from torus_planes import (
     CircleHomeo,
     MobiusMap,
+    SamplingExhausted,
     TorusPoint,
     UnsupportedPlane,
     classical_plane,
-    corrupted_half_classical,
     half_classical_plane,
     recheck_counterexample,
 )
@@ -17,12 +17,6 @@ from torus_planes.groups import DiagonalPSL, KernelPlusPSL
 from torus_planes.verify import (
     SUITES,
     TrialConfig,
-    control_automorphism,
-    control_derived_plane,
-    control_fixed_configuration,
-    control_joining,
-    control_rigidity,
-    control_touching,
     sample_triple,
     verify_automorphism,
     verify_derived_plane,
@@ -64,6 +58,15 @@ class TestSampling:
         assert CFG.rng_for(3).random() == CFG.rng_for(3).random()
         assert CFG.rng_for(3).random() != CFG.rng_for(4).random()
 
+    def test_unreachable_separation_fails_instead_of_hanging(self, classical):
+        # chordal distance is at most sqrt(2), so no second point is ever accepted
+        report = verify_joining(classical, TrialConfig(trials=2, separation=1.5))
+        assert not report.passed
+        assert [ce["trial"] for ce in report.counterexamples] == [0, 1]
+        assert all("sampling exhausted" in ce["reason"] for ce in report.counterexamples)
+        with pytest.raises(SamplingExhausted):
+            sample_triple(CFG.rng_for(0), 1.5)
+
 
 class TestSuitesPass:
     def test_joining(self, classical, half2):
@@ -103,34 +106,39 @@ class TestSuitesPass:
         assert verify_derived_plane(half2, base, TrialConfig(seed=42, trials=30)).passed
 
 
+def control(suite, cfg=CFG):
+    """A suite's negative control, run the way the CLI runs it."""
+    return SUITES[suite].control(cfg)
+
+
 class TestNegativeControls:
     def test_every_suite_has_a_control(self):
         for name, spec in SUITES.items():
             assert callable(spec.control), name
 
     def test_joining_control_fails(self):
-        report = control_joining(CFG)
+        report = control("joining")
         assert not report.passed and report.negative_control
         assert report.counterexamples
 
     def test_touching_control_fails(self):
-        report = control_touching(TrialConfig(seed=42, trials=8))
+        report = control("touching", TrialConfig(seed=42, trials=8))
         assert not report.passed and report.counterexamples
 
     def test_automorphism_control_fails(self):
-        report = control_automorphism(CFG)
+        report = control("automorphism")
         assert not report.passed and report.counterexamples
 
     def test_rigidity_control_fails(self):
-        report = control_rigidity(CFG)
+        report = control("rigidity")
         assert not report.passed
 
     def test_fixed_configuration_control_fails(self):
-        report = control_fixed_configuration(CFG)
+        report = control("fixed-configuration")
         assert not report.passed
 
     def test_derived_plane_control_fails(self):
-        report = control_derived_plane(CFG)
+        report = control("derived-plane")
         assert not report.passed
 
 
@@ -138,7 +146,7 @@ class TestReports:
     def test_fail_iff_counterexamples(self, classical):
         good = verify_joining(classical, TrialConfig(seed=42, trials=20))
         assert good.passed and not good.counterexamples
-        bad = control_joining(TrialConfig(seed=42, trials=20))
+        bad = control("joining", TrialConfig(seed=42, trials=20))
         assert not bad.passed and bad.counterexamples
 
     def test_payload_schema(self, classical):
@@ -173,27 +181,34 @@ class TestReports:
 
 
 class TestRecheck:
-    def test_joining_counterexamples_reverify(self):
-        plane = corrupted_half_classical(CircleHomeo.power(2))
-        report = verify_joining(plane, TrialConfig(seed=42, trials=20))
+    @pytest.mark.parametrize(
+        "suite, reproduces",
+        [
+            ("joining", True),
+            ("joining-stress", True),
+            ("touching", True),
+            ("automorphism", True),
+            # their breakage lies in the check, which recheck replays soundly
+            ("rigidity", False),
+            ("derived-plane", False),
+        ],
+    )
+    def test_control_counterexamples_recheck(self, suite, reproduces):
+        spec = SUITES[suite]
+        report = spec.control(TrialConfig(seed=42, trials=20))
+        plane = spec.control_args()[0]
         assert report.counterexamples
+        if suite == "touching":
+            assert "claimed_points" in report.counterexamples[0]
         for ce in report.counterexamples[:3]:
-            assert recheck_counterexample("joining", plane, ce, resolution_factor=10)
+            replayed = recheck_counterexample(suite, plane, ce, resolution_factor=10)
+            assert replayed is reproduces
 
-    def test_automorphism_counterexamples_reverify(self):
-        report = control_automorphism(TrialConfig(seed=42, trials=20))
-        plane = half_classical_plane(CircleHomeo.power(2))
-        assert report.counterexamples
+    def test_fixed_configuration_has_nothing_to_replay(self):
+        report = control("fixed-configuration")
         ce = report.counterexamples[0]
-        assert recheck_counterexample("automorphism", plane, ce, resolution_factor=10)
-
-    def test_touching_counterexamples_reverify(self):
-        plane = half_classical_plane(CircleHomeo.power(2))
-        report = control_touching(TrialConfig(seed=42, trials=4))
-        assert report.counterexamples
-        ce = report.counterexamples[0]
-        assert "claimed_points" in ce
-        assert recheck_counterexample("touching", plane, ce, resolution_factor=10)
+        with pytest.raises(UnsupportedPlane):
+            recheck_counterexample("fixed-configuration", classical_plane(), ce)
 
     def test_sound_reports_have_nothing_to_recheck(self, classical):
         report = verify_joining(classical, TrialConfig(seed=42, trials=30))
