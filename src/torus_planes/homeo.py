@@ -10,9 +10,10 @@ graph of one.
 
 Root finding against these maps is bisection in the angle chart on
 sign-change brackets collected from a grid scan; monotone pieces make the
-brackets reliable and nothing here needs a derivative. Tangential zeros
-(a graph touching without crossing) are caught by refining local minima
-of the scanned values.
+brackets reliable and nothing here needs a derivative. `bisect` evaluates
+the midpoints of several levels per call and returns what serial bisection
+returns. Tangential zeros (a graph touching without crossing) are caught
+by refining local minima of the scanned values.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import MonotonicityError
+from .errors import ConfigError, MonotonicityError
 from .projline import (
     MobiusMap,
     ProjPoint,
@@ -38,6 +39,9 @@ SCAN_GRID = 512
 #: chart-space width to which brackets are refined
 BISECT_TOL = 1e-11
 
+#: bisection steps whose midpoints `bisect` evaluates in one call
+BISECT_LEVELS = 4
+
 
 class PowerMap:
     """x -> sgn(x) |x|^p on the real chart; fixes 0 and infinity.
@@ -53,7 +57,7 @@ class PowerMap:
     def __init__(self, exponent: float):
         exponent = float(exponent)
         if not (exponent > 0.0) or not math.isfinite(exponent):
-            raise ValueError("PowerMap exponent must be positive and finite")
+            raise ConfigError("PowerMap exponent must be positive and finite")
         object.__setattr__(self, "exponent", exponent)
 
     def __setattr__(self, name, value):
@@ -219,7 +223,7 @@ class CircleHomeo:
     def sup_distance(self, other: "CircleHomeo", grid_size: int = 64) -> float:
         """Max chordal distance between images over a chart grid."""
         if grid_size < 3:
-            raise ValueError("grid_size must be at least 3")
+            raise ConfigError("grid_size must be at least 3")
         h = h_from_chart(np.arange(grid_size) / grid_size)
         return float(np.max(chordal_h(self.apply_h(h), other.apply_h(h))))
 
@@ -280,20 +284,41 @@ def load_spline_knots(path) -> MonotoneSpline:
 # chart-space zero finding
 
 
-def _refine_bracket(fn, lo: float, hi: float, flo: float, tol: float) -> float:
-    """Bisect a sign-change bracket of a scalar chart function."""
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = float(fn(mid))
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def bisect(fn, lo: float, hi: float, flo: float, *, atol: float = 0.0,
+           rtol: float = 0.0, cap: int = 200, geometric: bool = False):
+    """Bisect a sign-change bracket of an array-valued fn; (root, fn(root)).
+
+    Each step evaluates fn at the arithmetic (or geometric) midpoint of
+    [lo, hi] and stops there when the value is zero or not finite or when
+    hi - lo <= atol + rtol * hi; else the midpoint replaces lo when
+    (fn < 0) == (flo < 0), hi when not. Step `cap` + 1 only evaluates. One
+    call to fn takes the midpoints of BISECT_LEVELS steps, so the result is
+    serial bisection's exactly when fn gives an element the same bits in
+    every batch.
+    """
+    midpoint = (lambda a, b: np.sqrt(a * b)) if geometric else (lambda a, b: 0.5 * (a + b))
+    steps = cap + 1
+    while True:
+        depth = min(BISECT_LEVELS, steps)
+        n = 1 << depth
+        pts = np.empty(n + 1)
+        pts[0], pts[n] = lo, hi
+        for stride in (n >> k for k in range(depth)):  # coarsest level first
+            pts[stride // 2::stride] = midpoint(pts[0:n:stride], pts[stride::stride])
+        vals = np.asarray(fn(pts[1:n]), dtype=float).tolist()
+        pts = pts.tolist()
+        i, j = 0, n
+        for _ in range(depth):
+            k = (i + j) // 2
+            mid, fm = pts[k], vals[k - 1]
+            steps -= 1
+            if (steps == 0 or fm == 0.0 or not math.isfinite(fm)
+                    or hi - lo <= atol + rtol * hi):
+                return mid, fm
+            if (fm < 0.0) == (flo < 0.0):  # fm keeps flo's sign class
+                i, lo = k, mid
+            else:
+                j, hi = k, mid
 
 
 def _refine_minimum(fn, lo: float, hi: float, tol: float):
@@ -338,11 +363,11 @@ def wrapped_zeros(
     crossing = genuine & sign_flip
     zeros = []
 
-    def accept(root: float) -> None:
+    def accept(root: float, froot: float) -> None:
         # a bisected sign change can also be the wrap seam of the
         # difference (values jump across +-1/2 without vanishing); a
         # genuine zero is recognized by actually being small there
-        if abs(float(fn(root))) < 0.01:
+        if abs(froot) < 0.01:
             zeros.append(root % 1.0)
 
     for i in np.nonzero(crossing)[0]:
@@ -352,7 +377,7 @@ def wrapped_zeros(
         if flo == 0.0:
             zeros.append(lo)
             continue
-        accept(_refine_bracket(fn, lo, hi, flo, tol))
+        accept(*bisect(fn, lo, hi, flo, atol=tol))
     # steep cells: subdivide to separate genuine fast crossings from the
     # wrap-around seam, which keeps jumping +-1 however far we zoom
     for i in np.nonzero(sign_flip & ~genuine)[0]:
@@ -365,7 +390,7 @@ def wrapped_zeros(
             if (flo < 0.0) == (fhi < 0.0) and fhi != 0.0:
                 continue
             if abs(flo - fhi) < 0.5:
-                accept(_refine_bracket(fn, lo, hi, flo, tol))
+                accept(*bisect(fn, lo, hi, flo, atol=tol))
                 continue
             if depth >= 12:
                 continue

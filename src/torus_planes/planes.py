@@ -38,6 +38,7 @@ from .errors import (
 from .homeo import (
     SCAN_GRID,
     CircleHomeo,
+    bisect,
     graph_equation_zeros,
     homeo_sup_distance,
     load_spline_knots,
@@ -50,6 +51,7 @@ from .projline import (
     TwoPointFamily,
     chart_h,
     chordal,
+    fixed_point_roots,
     h_from_chart,
     mobius_fixed_points,
     mobius_from_three,
@@ -119,20 +121,10 @@ def _clamped_fixed_points(m: MobiusMap):
     classified elliptic. Returns None for genuinely elliptic or identity
     data, which tangency callers treat as non-certifiable.
     """
-    a, b = m.m[0, 0], m.m[0, 1]
-    c, d = m.m[1, 0], m.m[1, 1]
-    big_a, big_b, big_c = c, d - a, -b
-    disc = big_b * big_b - 4.0 * big_a * big_c
+    disc, *roots = fixed_point_roots(m)
     if disc < -1e-6:
         return None
-    root = math.sqrt(max(disc, 0.0))
-    sgn = 1.0 if big_b >= 0.0 else -1.0
-    qq = -0.5 * (big_b + sgn * root)
-    pts = []
-    if not (qq == 0.0 and big_a == 0.0):
-        pts.append(ProjPoint(qq, big_a))
-    if not (big_c == 0.0 and qq == 0.0):
-        pts.append(ProjPoint(big_c, qq))
+    pts = [ProjPoint(*root) for root in roots if root != (0.0, 0.0)]
     return pts or None
 
 
@@ -193,6 +185,12 @@ class PlaneModel:
     ):
         if family not in ("classical", "half-classical"):
             raise ConfigError(f"unknown plane family {family!r}")
+        for name, value in (("tol", tol), ("uniq_tol", uniq_tol),
+                            ("tangency_band", tangency_band)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
+        if scan_grid < 3:
+            raise ConfigError(f"scan_grid must be at least 3, got {scan_grid}")
         f = f if f is not None else CircleHomeo.identity()
         g = g if g is not None else CircleHomeo.identity()
         if family == "half-classical":
@@ -536,43 +534,29 @@ class PlaneModel:
         tau = (delta[:, 1] - delta[:, 0]) / (2.0 * probe["eps"])
         return tau, valid
 
-    def _tau_scalar(self, probe, t: float) -> float:
-        tau, _ = self._tau_values(probe, np.array([float(t)]))
-        return float(tau[0])
-
     _PENCIL_TS = np.logspace(-8.0, 8.0, 16 * 24 + 1)
 
     def _tau_brackets(self, probe):
-        """Sign-change brackets of the slope difference along the pencil."""
-        ts = self._PENCIL_TS
-        tau, valid = self._tau_values(probe, ts)
-        brackets = []
-        prev = None  # (t, tau) of the last valid sample
-        for i in range(len(ts)):
-            if not valid[i]:
-                continue
-            cur = (float(ts[i]), float(tau[i]))
-            if prev is not None:
-                if cur[1] == 0.0:
-                    brackets.append((prev[0], cur[0]))
-                elif prev[1] != 0.0 and (prev[1] < 0.0) != (cur[1] < 0.0):
-                    brackets.append((prev[0], cur[0]))
-            prev = cur
-        return brackets
+        """Sign-change brackets (t_lo, t_hi, tau at t_lo) along the pencil scan."""
+        tau, valid = self._tau_values(probe, self._PENCIL_TS)
+        ts, tau = self._PENCIL_TS[valid], tau[valid]
+        lo, hi = tau[:-1], tau[1:]
+        idx = np.nonzero((hi == 0.0) | ((lo != 0.0) & ((lo < 0.0) != (hi < 0.0))))[0]
+        return list(zip(ts[idx].tolist(), ts[idx + 1].tolist(), tau[idx].tolist()))
 
     def _scanned_tangency(self, branch: _PencilBranch, c: Circle, p: TorusPoint):
         """Tangency parameters located by the slope-difference scan.
 
         A sign change of the slope difference can also sit at a pole
-        (a degenerate member); those polish to a parameter where the
-        difference stays large and are discarded. Candidates are raw:
-        callers certify them through `_certified_candidate`.
+        (a degenerate member); its polish returns a parameter with a
+        difference that stays large, and it is discarded. Candidates are
+        raw: callers certify them through `_certified_candidate`.
         """
         probe = self._branch_probe(branch, c, p)
         params = []
-        for t_lo, t_hi in self._tau_brackets(probe):
-            t_star = self._polish_tangency(probe, t_lo, t_hi)
-            if abs(self._tau_scalar(probe, t_star)) < 0.05:
+        for bracket in self._tau_brackets(probe):
+            t_star, tau = self._polish_tangency(probe, *bracket)
+            if abs(tau) < 0.05:
                 params.append(t_star)
         return params
 
@@ -609,22 +593,16 @@ class PlaneModel:
             return math.sqrt(lo * hi)
         return t_center
 
-    def _polish_tangency(self, probe, t_lo: float, t_hi: float) -> float:
-        """Bisect a slope-difference sign change down to the tangency."""
-        lo, hi = t_lo, t_hi
-        tau_lo = self._tau_scalar(probe, lo)
+    def _polish_tangency(self, probe, t_lo: float, t_hi: float, tau_lo: float):
+        """Bisect a slope-difference sign change down to the tangency.
+
+        Geometric midpoints suit parameters spanning sixteen decades.
+        Returns (t, slope difference at t), with the scan's value at t_lo.
+        """
         if tau_lo == 0.0:
-            return lo
-        for _ in range(80):
-            mid = math.sqrt(lo * hi)
-            tau_mid = self._tau_scalar(probe, mid)
-            if tau_mid == 0.0 or (hi - lo) <= 1e-13 * hi:
-                return mid
-            if (tau_mid < 0.0) == (tau_lo < 0.0):
-                lo, tau_lo = mid, tau_mid
-            else:
-                hi = mid
-        return math.sqrt(lo * hi)
+            return t_lo, tau_lo
+        return bisect(lambda ts: self._tau_values(probe, ts)[0], t_lo, t_hi, tau_lo,
+                      rtol=1e-13, cap=80, geometric=True)
 
     # -- tangency measurement ------------------------------------------
 
@@ -653,28 +631,15 @@ class PlaneModel:
         n = 384  # even count keeps theta_p itself off the grid
         us = theta_p + np.linspace(-window, window, n)
         gv = np.asarray(g(us), dtype=float)
+        a, b = gv[:-1], gv[1:]
+        flip = np.isfinite(a) & np.isfinite(b) & ((a == 0.0) | ((a < 0.0) != (b < 0.0)))
         offsets = []
-        for i in range(n - 1):
-            a, b = gv[i], gv[i + 1]
-            if not (np.isfinite(a) and np.isfinite(b)):
-                continue
-            if a == 0.0 or (a < 0.0) != (b < 0.0):
-                lo, hi, fa = us[i], us[i + 1], a
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    fm = float(g(np.array([mid]))[0])
-                    if not math.isfinite(fm) or fm == 0.0:
-                        break
-                    if (fm < 0.0) == (fa < 0.0):
-                        lo, fa = mid, fm
-                    else:
-                        hi = mid
-                root = 0.5 * (lo + hi)
-                residual = float(g(np.array([root]))[0])
-                # exclude the wrap seam of the difference masquerading as
-                # a crossing; a genuine zero is small at the root
-                if math.isfinite(residual) and abs(residual) < 0.01:
-                    offsets.append(float(wrap_half(root - theta_p)))
+        for i in np.nonzero(flip)[0]:
+            root, residual = bisect(g, us[i], us[i + 1], a[i], cap=60)
+            # exclude the wrap seam of the difference masquerading as
+            # a crossing; a genuine zero is small at the root
+            if math.isfinite(residual) and abs(residual) < 0.01:
+                offsets.append(float(wrap_half(root - theta_p)))
         return offsets
 
     def _tangency_quality(self, c: Circle, d: Circle, p: TorusPoint):
@@ -832,7 +797,7 @@ def homeo_from_spec(spec: str) -> CircleHomeo:
     if spec.startswith("power:"):
         try:
             return CircleHomeo.power(float(spec[len("power:"):]))
-        except ValueError as exc:
+        except (ValueError, ConfigError) as exc:
             raise ConfigError(f"bad power spec {spec!r}: {exc}") from None
     if spec.startswith("spline:"):
         path = spec[len("spline:"):]
@@ -876,7 +841,10 @@ def parse_config_text(text: str) -> dict:
 def plane_from_config(cfg: dict) -> PlaneModel:
     """Build a plane from a configuration mapping."""
     family = cfg.get("family", "classical")
-    tol = float(cfg.get("tolerance", 1e-9))
+    try:
+        tol = float(cfg.get("tolerance", 1e-9))
+    except ValueError:
+        raise ConfigError(f"bad tolerance {cfg['tolerance']!r}") from None
     if family == "classical":
         return classical_plane(tol=tol)
     if family == "half-classical":

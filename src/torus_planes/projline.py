@@ -360,6 +360,21 @@ def mobius_two_pairs(
     return TwoPointFamily(x1, x2, y1, y2, tol=tol)
 
 
+def fixed_point_roots(m: MobiusMap):
+    """Discriminant and root pair of m's fixed-point quadratic.
+
+    Fixed directions [X : Y] solve A X^2 + B X Y + C Y^2 = 0 with A = c,
+    B = d - a, C = -b. Returns (disc, (q, A), (C, q)): the roots [q : A] and
+    [C : q] avoid cancellation, and a negative disc gives the double root.
+    """
+    (a, b), (c, d) = m.m.tolist()
+    big_a, big_b, big_c = c, d - a, -b
+    disc = big_b * big_b - 4.0 * big_a * big_c
+    sgn = 1.0 if big_b >= 0.0 else -1.0
+    q = -0.5 * (big_b + sgn * math.sqrt(max(disc, 0.0)))
+    return disc, (q, big_a), (big_c, q)
+
+
 def mobius_fixed_points(m: MobiusMap, disc_band: float = DISC_BAND):
     """Fixed points of a non-identity Mobius map: zero, one, or two.
 
@@ -368,24 +383,16 @@ def mobius_fixed_points(m: MobiusMap, disc_band: float = DISC_BAND):
     """
     if m.is_identity(tol=1e-9):
         raise IdentityMap("fixed points of the identity are everywhere")
-    a, b = m.m[0, 0], m.m[0, 1]
-    c, d = m.m[1, 0], m.m[1, 1]
-    # fixed direction [X : Y]: c X^2 + (d - a) X Y - b Y^2 = 0
-    A = c
-    B = d - a
-    C = -b
-    disc = B * B - 4.0 * A * C
+    disc, root1, root2 = fixed_point_roots(m)
     if disc < -disc_band:
         return []
     if disc <= disc_band:
         # parabolic: kernel of (m - (tr/2) I), using the larger row
+        (a, b), (c, d) = m.m.tolist()
         tau = 0.5 * (a + d)
         r0 = (a - tau, b)
         r1 = (c, d - tau)
         row = r0 if math.hypot(*r0) >= math.hypot(*r1) else r1
         return [ProjPoint(row[1], -row[0])]
-    root = math.sqrt(disc)
-    sgn = 1.0 if B >= 0.0 else -1.0
-    q = -0.5 * (B + sgn * root)
-    # homogeneous roots [q : A] and [C : q]; q != 0 because disc > band
-    return [ProjPoint(q, A), ProjPoint(C, q)]
+    # q != 0 because disc > band
+    return [ProjPoint(*root1), ProjPoint(*root2)]

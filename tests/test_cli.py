@@ -42,6 +42,9 @@ class TestJoinCommand:
         ["verify", "--trials", "0"],
         ["verify", "--trials", "-5"],
         ["verify", "--tol", "-1"],
+        ["join", "--tol", "-1", "0,0", "1,1", "2,3"],
+        ["join", "--tol", "nan", "0,0", "1,1", "2,3"],
+        ["plot", "--tol", "-1", "circle3:0,0:1,1:2,3"],
     ],
 )
 def test_bad_input_exits_2_without_traceback(args, tmp_path, capsys):

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torus_planes import (
     CircleHomeo,
+    ConfigError,
     MobiusMap,
     MonotoneSpline,
     MonotonicityError,
@@ -16,6 +17,7 @@ from torus_planes import (
     homeo_sup_distance,
     load_spline_knots,
 )
+from torus_planes.homeo import BISECT_LEVELS, bisect
 
 from helpers import random_pgl, rng_for
 
@@ -42,9 +44,9 @@ class TestApply:
         assert h.apply(INF).value() == math.inf
 
     def test_power_requires_positive_exponent(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             PowerMap(0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             PowerMap(-2.0)
 
 
@@ -91,7 +93,7 @@ class TestSupDistance:
         assert homeo_sup_distance(a, b, 64) == homeo_sup_distance(b, a, 64)
 
     def test_grid_size_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             homeo_sup_distance(CircleHomeo.identity(), CircleHomeo.identity(), 2)
 
 
@@ -189,3 +191,74 @@ class TestSpline:
         path.write_text("0 0\n1 2\n2 1\ninf inf\n", encoding="utf-8")
         with pytest.raises(MonotonicityError):
             load_spline_knots(path)
+
+
+# ----------------------------------------------------------------------
+# batched bisection against the serial loop
+
+
+def serial_bisect(fn, lo, hi, flo, atol=0.0, rtol=0.0, cap=200, geometric=False):
+    """Reference: one midpoint per call; returns (root, fn(root), calls)."""
+    for step in range(cap + 1):
+        mid = math.sqrt(lo * hi) if geometric else 0.5 * (lo + hi)
+        fm = float(fn(np.array([mid]))[0])
+        if (step == cap or fm == 0.0 or not math.isfinite(fm)
+                or hi - lo <= atol + rtol * hi):
+            return mid, fm, step + 1
+        if (fm < 0.0) == (flo < 0.0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+
+
+def _bisect_fn(kind, r):
+    """Elementwise test functions with a sign change, a zero run or a gap at r."""
+    if kind == "linear":
+        return lambda x: x - r
+    if kind == "cubic":
+        return lambda x: (x - r) * (x - r) * (x - r) - 1e-3 * (x - r)
+    if kind == "steps":  # exactly zero on [r, r + 1/4)
+        return lambda x: np.floor(4.0 * (x - r))
+    # not finite within 1e-6 of r, like the near-gap function at its pole
+    return lambda x: np.where(np.abs(x - r) < 1e-6, np.nan, x - r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["linear", "cubic", "steps", "gap"]),
+    geometric=st.booleans(),
+    lo=st.floats(1e-6, 1e3),
+    width=st.floats(1e-9, 1e3),
+    where=st.floats(-0.5, 1.5),
+    atol=st.sampled_from([0.0, 1e-11, 1e-6, 1e-2]),
+    rtol=st.sampled_from([0.0, 1e-13, 1e-5]),
+    cap=st.integers(0, 200),
+    lower_zero=st.booleans(),
+)
+@example(kind="linear", geometric=False, lo=1.0, width=1.0, where=0.25, atol=0.0,
+         rtol=0.0, cap=200, lower_zero=False)  # exact zero at a midpoint
+@example(kind="gap", geometric=False, lo=1.0, width=1.0, where=0.3, atol=0.0,
+         rtol=0.0, cap=60, lower_zero=False)  # non-finite value
+@example(kind="cubic", geometric=True, lo=1e-3, width=10.0, where=0.4, atol=0.0,
+         rtol=0.0, cap=7, lower_zero=False)  # iteration cap
+@example(kind="linear", geometric=False, lo=1.0, width=1.0, where=0.7, atol=0.0,
+         rtol=0.0, cap=60, lower_zero=True)  # lower value 0
+def test_bisect_matches_serial_bisection(kind, geometric, lo, width, where, atol,
+                                         rtol, cap, lower_zero):
+    hi = lo + width
+    fn = _bisect_fn(kind, lo + where * width)
+    flo = 0.0 if lower_zero else float(fn(np.array([lo]))[0])
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return fn(x)
+
+    root, froot = bisect(counted, lo, hi, flo, atol=atol, rtol=rtol, cap=cap,
+                         geometric=geometric)
+    want_root, want_froot, steps = serial_bisect(fn, lo, hi, flo, atol, rtol, cap,
+                                                 geometric)
+    assert root == want_root
+    assert froot == want_froot or (math.isnan(froot) and math.isnan(want_froot))
+    # each call covers the midpoints of BISECT_LEVELS steps
+    assert len(calls) == -(-steps // BISECT_LEVELS)

@@ -9,6 +9,7 @@ from torus_planes import (
     ConfigError,
     EqualCircles,
     MobiusMap,
+    MonotoneSpline,
     ParallelInput,
     PointOnBaseCross,
     PreconditionViolated,
@@ -25,6 +26,7 @@ from torus_planes import (
     plane_from_config,
     proj_matrix_equal,
 )
+from torus_planes import homeo
 from torus_planes.planes import TAG_CLASSICAL, TAG_PSL, TAG_TWISTED, parse_config_text
 
 from helpers import random_proj_point, random_triple, rng_for
@@ -328,8 +330,76 @@ class TestConfig:
             plane_from_config({"family": "projective"})
         with pytest.raises(ConfigError):
             parse_config_text("family half-classical")
+        with pytest.raises(ConfigError):
+            plane_from_config({"tolerance": "tiny"})
+
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": -1.0},
+        {"tol": math.nan},
+        {"uniq_tol": 0.0},
+        {"tangency_band": math.inf},
+        {"scan_grid": 2},
+    ])
+    def test_bad_tolerances_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            classical_plane(**kwargs)
 
     def test_twist_must_preserve_orientation(self):
         reversing = CircleHomeo.from_mobius(MobiusMap([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(ConfigError):
             half_classical_plane(reversing)
+
+
+# ----------------------------------------------------------------------
+# bisection evaluates many midpoints per call, so the functions it bisects
+# must give every element the same bits whichever batch it is evaluated in
+
+
+def _spline_plane(rng):
+    """A twelve-knot spline twist with chart slopes between 1/3 and 3."""
+    gx, gy = rng.uniform(0.5, 1.5, 12), rng.uniform(0.5, 1.5, 12)
+    tx = (np.cumsum(gx / gx.sum()) + rng.random()) % 1.0
+    ty = (np.cumsum(gy / gy.sum()) + rng.random()) % 1.0
+    knots = [(ProjPoint.from_chart(a), ProjPoint.from_chart(b)) for a, b in zip(tx, ty)]
+    return half_classical_plane(CircleHomeo((MonotoneSpline(knots),)))
+
+
+BATCH_PLANES = {
+    "classical": lambda rng: classical_plane(),
+    "power-2": lambda rng: parse_plane_spec("half:power:2"),
+    "power-1/3": lambda rng: parse_plane_spec("half:power:" + repr(1.0 / 3.0)),
+    "spline": _spline_plane,
+}
+
+
+def _assert_batch_invariant(fn, xs, sizes):
+    batch = np.asarray(fn(xs), dtype=float).tobytes()
+    for size in sizes:
+        chunks = [np.asarray(fn(xs[i:i + size]), dtype=float)
+                  for i in range(0, len(xs), size)]
+        assert np.concatenate(chunks).tobytes() == batch
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_PLANES))
+def test_bisected_functions_are_batch_invariant(name, monkeypatch):
+    rng = rng_for(901, sorted(BATCH_PLANES).index(name))
+    plane = BATCH_PLANES[name](rng)
+    captured = []
+    monkeypatch.setattr(homeo, "wrapped_zeros", lambda fn, **kwargs: captured.append(fn))
+    for _ in range(4):
+        c = plane.join(*random_triple(rng))
+        d = plane.join(*random_triple(rng))
+        p = c.point_at(random_proj_point(rng))
+        q = TorusPoint(random_proj_point(rng), random_proj_point(rng))
+        # the pencil slope difference over the scan grid and random parameters
+        ts = np.concatenate([plane._PENCIL_TS, 10.0 ** rng.uniform(-8.0, 8.0, 64)])
+        for branch in plane._pencil_branches(p, q):
+            probe = plane._branch_probe(branch, c, p)
+            _assert_batch_invariant(lambda t: plane._tau_values(probe, t)[0], ts, (1, 3, 15))
+        # the chart difference of two graphs, as graph_equation_zeros builds
+        # it; a single point takes BLAS's matrix-vector path in
+        # MobiusMap.apply_h and may round differently, so batches start at
+        # three points, the fewest `bisect` evaluates before a capped last step
+        homeo.graph_equation_zeros(c.graph, d.graph)
+        thetas = np.concatenate([np.arange(512) / 512, rng.uniform(0.0, 1.0 + 1 / 512, 64)])
+        _assert_batch_invariant(captured.pop(), thetas, (3, 7, 15))
