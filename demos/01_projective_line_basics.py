@@ -11,10 +11,10 @@ import math
 from torus_planes import (
     MobiusMap,
     ProjPoint,
+    TwoPointFamily,
     chordal,
     mobius_fixed_points,
     mobius_from_three,
-    mobius_two_pairs,
 )
 
 P = ProjPoint.from_real
@@ -40,10 +40,10 @@ for x in (0.0, 1.0, math.inf, 5.0):
     print(f"  {x:g} -> {solved.apply(P(x)).value():g}")
 
 print("\n== the two-point family ==")
-fam = mobius_two_pairs(P(0), P(1), INF, P(2))
+fam = TwoPointFamily(P(0), P(1), INF, P(2))
 print("all members send 0 -> 1 and inf -> 2; one parameter remains:")
 for t in (0.5, 1.0, 2.0):
-    member = fam.psl_member(t)
+    member = fam.member(t, 1)
     print(f"  t={t:g}: 1 -> {member.apply(P(1)).value():.6g}, det sign {member.orientation:+d}")
 
 print("\n== fixed points ==")

@@ -63,10 +63,10 @@ from .projline import (
     MobiusMap,
     ProjPoint,
     TorusPoint,
+    TwoPointFamily,
     chordal,
     mobius_fixed_points,
     mobius_from_three,
-    mobius_two_pairs,
     proj_matrix_equal,
     torus_dist,
 )

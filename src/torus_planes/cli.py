@@ -28,10 +28,9 @@ from .planes import (
     PLUS,
     ParallelClass,
     PlaneModel,
-    classical_plane,
     parse_config_text,
-    parse_plane_spec,
     plane_from_config,
+    plane_spec_config,
 )
 from .projline import ProjPoint, TorusPoint
 from .svgplot import render_svg
@@ -50,27 +49,24 @@ def _resolve_seed(value) -> int:
 
 
 def _resolve_plane(args) -> PlaneModel:
+    """The plane the flags describe, built by `plane_from_config`.
+
+    Config keys come from the config file, then from `--plane` (a compact
+    spec or a bare family name), then from `--f`, `--g` and `--tol`; a
+    later source overrides an earlier one key by key.
+    """
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         path = Path(args.config)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         cfg = parse_config_text(path.read_text(encoding="utf-8"))
-    if getattr(args, "plane", None):
-        if ":" in args.plane or args.plane == "classical":
-            if args.f is None and args.g is None:
-                return parse_plane_spec(args.plane)
-            cfg["family"] = "classical" if args.plane == "classical" else "half-classical"
-        else:
-            cfg["family"] = args.plane
-    if getattr(args, "f", None):
-        cfg["f"] = args.f
-    if getattr(args, "g", None):
-        cfg["g"] = args.g
-    if getattr(args, "tol", None) is not None:
-        cfg["tolerance"] = str(args.tol)
-    if not cfg:
-        return classical_plane()
+    if args.plane:
+        cfg.update(plane_spec_config(args.plane) if ":" in args.plane else {"family": args.plane})
+    tol = None if args.tol is None else str(args.tol)
+    for key, value in (("f", args.f), ("g", args.g), ("tolerance", tol)):
+        if value:
+            cfg[key] = value
     return plane_from_config(cfg)
 
 
@@ -216,7 +212,10 @@ def _parse_plot_object(token: str, plane: PlaneModel):
         if isinstance(g, Case3Element):
             raise ConfigError("the factor-action family has no point orbit to plot")
         start = _parse_torus_point(start_tok)
-        count = int(count_tok)
+        try:
+            count = int(count_tok)
+        except ValueError:
+            raise ConfigError(f"bad orbit length {count_tok!r} in {token!r}") from None
         orbit = [start]
         for _ in range(count):
             orbit.append(g.act(orbit[-1]))

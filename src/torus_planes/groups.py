@@ -25,17 +25,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, FamilyMismatch
+from .errors import ConfigError, FamilyMismatch, PreconditionViolated
 from .homeo import CircleHomeo, PowerMap, wrapped_zeros
 from .projline import (
     MobiusMap,
     ProjPoint,
     TorusPoint,
+    TwoPointFamily,
     chart_h,
     chordal,
     h_from_chart,
     mobius_fixed_points,
-    mobius_two_pairs,
     wrap_half,
 )
 from .planes import MINUS, PLUS, ParallelClass
@@ -310,7 +310,7 @@ def _classify_factor(h: CircleHomeo) -> str:
     return "L2-on-line"
 
 
-def fixed_coordinates(h: CircleHomeo, tol: float = 1e-9):
+def fixed_coordinates(h: CircleHomeo):
     """Fixed points of a circle map: (fixes_everything, points).
 
     Mobius chains use the exact eigenvector solver; anything else falls
@@ -331,14 +331,14 @@ def fixed_coordinates(h: CircleHomeo, tol: float = 1e-9):
         return wrap_half(chart_h(h.apply_h(hh)) - theta)
 
     inf = ProjPoint.infinity()
-    inf_fixed = chordal(h.apply(inf), inf) <= max(tol, 1e-9)
-    thetas = wrapped_zeros(delta, grid=512, tangent_band=max(tol, 1e-7))
+    inf_fixed = chordal(h.apply(inf), inf) <= 1e-9
+    thetas = wrapped_zeros(delta, grid=512, tangent_band=1e-7)
     pts = [inf] if inf_fixed else []
     for t in thetas:
         cand = ProjPoint.from_chart(t)
         if chordal(cand, inf) <= 1e-5:
             continue  # the infinity check above owns this neighbourhood
-        if chordal(h.apply(cand), cand) <= max(tol, 1e-8):
+        if chordal(h.apply(cand), cand) <= 1e-8:
             pts.append(cand)
     return False, tuple(pts)
 
@@ -364,10 +364,10 @@ def induced_factor_action(g, side: str):
     return h, report
 
 
-def factor_fixed_sets(g, tol: float = 1e-9):
+def factor_fixed_sets(g):
     """Fixed coordinates of both factor maps as (fixes_all, points) pairs."""
     hx, hy = g.factor_homeos()
-    return fixed_coordinates(hx, tol), fixed_coordinates(hy, tol)
+    return fixed_coordinates(hx), fixed_coordinates(hy)
 
 
 # ----------------------------------------------------------------------
@@ -444,12 +444,15 @@ def diagonal_transitivity_witness(src: TorusPoint, dst: TorusPoint) -> DiagonalP
     selects the orientation-preserving member, witnessing transitivity of
     the diagonal action off the diagonal.
     """
-    fam = mobius_two_pairs(src.x, dst.x, src.y, dst.y)
-    return DiagonalPSL(fam.psl_member(1.0))
+    fam = TwoPointFamily(src.x, dst.x, src.y, dst.y)
+    return DiagonalPSL(fam.member(1.0, 1))
 
 
 # ----------------------------------------------------------------------
 # group-element literals
+
+#: literal head of each PSL-parametrized family
+PSL_FAMILIES = {"diag": DiagonalPSL, "kplus": KernelPlusPSL, "kminus": KernelMinusPSL}
 
 
 def _parse_psl_entries(text: str) -> MobiusMap:
@@ -485,12 +488,10 @@ def parse_group_literal(literal: str):
     parts = literal.strip().split(":")
     try:
         head = parts[0]
-        if head in ("diag", "kplus", "kminus"):
+        if head in PSL_FAMILIES:
             if len(parts) != 3 or parts[1] != "psl":
                 raise ConfigError(f"malformed literal {literal!r}")
-            mu = _parse_psl_entries(parts[2])
-            cls = {"diag": DiagonalPSL, "kplus": KernelPlusPSL, "kminus": KernelMinusPSL}
-            return cls[head](mu)
+            return PSL_FAMILIES[head](_parse_psl_entries(parts[2]))
         if head == "phi":
             if len(parts) != 5:
                 raise ConfigError(f"malformed literal {literal!r}")
@@ -505,21 +506,17 @@ def parse_group_literal(literal: str):
             return Case3Element(*(float(p) for p in parts[1:]))
     except ConfigError:
         raise
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, PreconditionViolated) as exc:
         raise ConfigError(f"malformed literal {literal!r}: {exc}") from None
     raise ConfigError(f"unknown group family in literal {literal!r}")
 
 
 def group_literal(g) -> str:
     """Literal round-trip of a group element, for manifests and reports."""
-    if isinstance(g, (DiagonalPSL, KernelPlusPSL, KernelMinusPSL)):
-        head = {
-            DiagonalPSL: "diag",
-            KernelPlusPSL: "kplus",
-            KernelMinusPSL: "kminus",
-        }[type(g)]
-        entries = ",".join(f"{v:.12g}" for v in g.mu.m.ravel())
-        return f"{head}:psl:{entries}"
+    for head, cls in PSL_FAMILIES.items():
+        if type(g) is cls:
+            entries = ",".join(f"{v:.12g}" for v in g.mu.m.ravel())
+            return f"{head}:psl:{entries}"
     if isinstance(g, PhiStd):
         d = "inf" if math.isinf(g.d) else f"{g.d:.12g}"
         return f"phi:{d}:{g.a:.12g}:{g.b:.12g}:{g.c:.12g}"

@@ -214,12 +214,6 @@ class CircleHomeo:
                 return None
         return m
 
-    def is_identity(self, grid: int = 64, tol: float = 1e-12) -> bool:
-        m = self.as_mobius()
-        if m is not None:
-            return m.is_identity(tol=max(tol, 1e-12))
-        return self.sup_distance(CircleHomeo.identity(), grid) <= tol
-
     def sup_distance(self, other: "CircleHomeo", grid_size: int = 64) -> float:
         """Max chordal distance between images over a chart grid."""
         if grid_size < 3:
@@ -227,13 +221,13 @@ class CircleHomeo:
         h = h_from_chart(np.arange(grid_size) / grid_size)
         return float(np.max(chordal_h(self.apply_h(h), other.apply_h(h))))
 
-    def audit_monotone(self, grid: int = 256) -> None:
-        """Check images of an ordered grid stay cyclically (anti-)ordered.
+    def audit_monotone(self) -> None:
+        """Check images of a 256-point grid stay cyclically (anti-)ordered.
 
         Raises MonotonicityError on violation; a failed audit means the
         chain does not describe a circle homeomorphism.
         """
-        h = h_from_chart(np.arange(grid) / grid)
+        h = h_from_chart(np.arange(256) / 256)
         theta = chart_h(self.apply_h(h))
         steps = (np.diff(np.append(theta, theta[0])) % 1.0)
         if self.orientation == -1:
@@ -241,7 +235,7 @@ class CircleHomeo:
         winding = steps.sum()
         if np.any(steps <= 0.0) or abs(winding - 1.0) > 1e-6:
             raise MonotonicityError(
-                f"images of {grid} grid points are not cyclically ordered "
+                f"images of 256 grid points are not cyclically ordered "
                 f"(orientation {self.orientation:+d}, winding {winding:.6f})"
             )
 
@@ -262,21 +256,27 @@ def load_spline_knots(path) -> MonotoneSpline:
     and `#` comments are skipped. The pairs must describe a strictly
     monotone circle map or the file is rejected.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read knot file {path}: {exc}") from None
     knots = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            parts = stripped.split()
-            if len(parts) != 2:
-                raise MonotonicityError(f"{path}:{lineno}: expected `x y`")
-            try:
-                xv = float(parts[0])
-                yv = float(parts[1])
-            except ValueError as exc:
-                raise MonotonicityError(f"{path}:{lineno}: {exc}") from None
-            knots.append((ProjPoint.from_real(xv), ProjPoint.from_real(yv)))
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        parts = stripped.split()
+        if len(parts) != 2:
+            raise MonotonicityError(f"{path}:{lineno}: expected `x y`")
+        try:
+            xv = float(parts[0])
+            yv = float(parts[1])
+        except ValueError as exc:
+            raise MonotonicityError(f"{path}:{lineno}: {exc}") from None
+        if math.isnan(xv) or math.isnan(yv):
+            raise MonotonicityError(f"{path}:{lineno}: nan is not a point")
+        knots.append((ProjPoint.from_real(xv), ProjPoint.from_real(yv)))
     return MonotoneSpline(knots)
 
 
@@ -321,14 +321,14 @@ def bisect(fn, lo: float, hi: float, flo: float, *, atol: float = 0.0,
                 j, hi = k, mid
 
 
-def _refine_minimum(fn, lo: float, hi: float, tol: float):
-    """Golden-section minimum of |fn| over [lo, hi]."""
+def _refine_minimum(fn, lo: float, hi: float):
+    """Golden-section minimum of |fn| over [lo, hi], to BISECT_TOL."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = abs(float(fn(c))), abs(float(fn(d)))
-    while b - a > tol:
+    while b - a > BISECT_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -344,15 +344,14 @@ def _refine_minimum(fn, lo: float, hi: float, tol: float):
 def wrapped_zeros(
     fn,
     grid: int = SCAN_GRID,
-    tol: float = BISECT_TOL,
     tangent_band: float = 1e-7,
 ):
     """Zeros in [0, 1) of a chart-periodic function with values in [-1/2, 1/2).
 
     `fn` must accept scalar or array chart arguments and return wrapped
-    differences. Sign-change brackets from a grid scan are bisected;
-    grid-local minima of |fn| below `tangent_band` are refined as
-    tangential zeros. Jumps of magnitude >= 0.5 are treated as seam
+    differences. Sign-change brackets from a grid scan are bisected to
+    BISECT_TOL; grid-local minima of |fn| below `tangent_band` are refined
+    as tangential zeros. Jumps of magnitude >= 0.5 are treated as seam
     artifacts, not crossings.
     """
     theta = np.arange(grid) / grid
@@ -377,7 +376,7 @@ def wrapped_zeros(
         if flo == 0.0:
             zeros.append(lo)
             continue
-        accept(*bisect(fn, lo, hi, flo, atol=tol))
+        accept(*bisect(fn, lo, hi, flo, atol=BISECT_TOL))
     # steep cells: subdivide to separate genuine fast crossings from the
     # wrap-around seam, which keeps jumping +-1 however far we zoom
     for i in np.nonzero(sign_flip & ~genuine)[0]:
@@ -390,7 +389,7 @@ def wrapped_zeros(
             if (flo < 0.0) == (fhi < 0.0) and fhi != 0.0:
                 continue
             if abs(flo - fhi) < 0.5:
-                accept(*bisect(fn, lo, hi, flo, atol=tol))
+                accept(*bisect(fn, lo, hi, flo, atol=BISECT_TOL))
                 continue
             if depth >= 12:
                 continue
@@ -407,7 +406,7 @@ def wrapped_zeros(
             continue
         lo = theta[i] - 1.0 / grid
         hi = theta[i] + 1.0 / grid
-        t, fmin = _refine_minimum(fn, lo, hi, tol)
+        t, fmin = _refine_minimum(fn, lo, hi)
         if fmin < tangent_band:
             zeros.append(t % 1.0)
     # dedupe cyclically
@@ -426,7 +425,6 @@ def graph_equation_zeros(
     lhs: CircleHomeo,
     rhs: CircleHomeo,
     grid: int = SCAN_GRID,
-    tol: float = BISECT_TOL,
     tangent_band: float = 1e-7,
 ):
     """Chart positions where the graphs of two circle maps agree."""
@@ -435,4 +433,4 @@ def graph_equation_zeros(
         h = h_from_chart(theta)
         return wrap_half(chart_h(lhs.apply_h(h)) - chart_h(rhs.apply_h(h)))
 
-    return wrapped_zeros(delta, grid=grid, tol=tol, tangent_band=tangent_band)
+    return wrapped_zeros(delta, grid=grid, tangent_band=tangent_band)

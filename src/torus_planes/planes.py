@@ -159,6 +159,11 @@ class PlaneModel:
     across threads.
     """
 
+    #: sup distance below which two circles count as equal
+    uniq_tol = 1e-7
+    #: tangency separation below which two circles count as touching
+    tangency_band = 1e-6
+
     __slots__ = (
         "family",
         "f",
@@ -166,8 +171,6 @@ class PlaneModel:
         "f_inv",
         "g_inv",
         "tol",
-        "uniq_tol",
-        "tangency_band",
         "scan_grid",
         "corrupt_twisted",
     )
@@ -178,17 +181,13 @@ class PlaneModel:
         f: CircleHomeo | None = None,
         g: CircleHomeo | None = None,
         tol: float = 1e-9,
-        uniq_tol: float = 1e-7,
-        tangency_band: float = 1e-6,
         scan_grid: int = SCAN_GRID,
         corrupt_twisted: bool = False,
     ):
         if family not in ("classical", "half-classical"):
             raise ConfigError(f"unknown plane family {family!r}")
-        for name, value in (("tol", tol), ("uniq_tol", uniq_tol),
-                            ("tangency_band", tangency_band)):
-            if not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"{name} must be finite and positive, got {value}")
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise ConfigError(f"tol must be finite and positive, got {tol}")
         if scan_grid < 3:
             raise ConfigError(f"scan_grid must be at least 3, got {scan_grid}")
         f = f if f is not None else CircleHomeo.identity()
@@ -204,8 +203,6 @@ class PlaneModel:
         object.__setattr__(self, "f_inv", f.inverse())
         object.__setattr__(self, "g_inv", g.inverse())
         object.__setattr__(self, "tol", float(tol))
-        object.__setattr__(self, "uniq_tol", float(uniq_tol))
-        object.__setattr__(self, "tangency_band", float(tangency_band))
         object.__setattr__(self, "scan_grid", int(scan_grid))
         object.__setattr__(self, "corrupt_twisted", bool(corrupt_twisted))
 
@@ -762,27 +759,25 @@ class PlaneModel:
         return DerivedLine(kind="circle", circle=self.join(base, a, b))
 
 
-def classical_plane(tol: float = 1e-9, **kwargs) -> PlaneModel:
+def classical_plane(tol: float = 1e-9) -> PlaneModel:
     """The classical flat Minkowski plane: circles are all PGL(2, R) graphs."""
-    return PlaneModel("classical", tol=tol, **kwargs)
+    return PlaneModel("classical", tol=tol)
 
 
 def half_classical_plane(
-    f: CircleHomeo, g: CircleHomeo | None = None, tol: float = 1e-9, **kwargs
+    f: CircleHomeo, g: CircleHomeo | None = None, tol: float = 1e-9
 ) -> PlaneModel:
     """Half-classical plane M(f, g); the theorems' planes use g = id."""
-    return PlaneModel("half-classical", f=f, g=g, tol=tol, **kwargs)
+    return PlaneModel("half-classical", f=f, g=g, tol=tol)
 
 
-def corrupted_half_classical(
-    f: CircleHomeo, g: CircleHomeo | None = None, **kwargs
-) -> PlaneModel:
+def corrupted_half_classical(f: CircleHomeo) -> PlaneModel:
     """Negative-control fixture: the twisted branch hands out det > 0 members.
 
     Its joins return circles that miss the input points and fall outside
     the declared circle set, so the joining suite must fail on it.
     """
-    return PlaneModel("half-classical", f=f, g=g, corrupt_twisted=True, **kwargs)
+    return PlaneModel("half-classical", f=f, corrupt_twisted=True)
 
 
 # ----------------------------------------------------------------------
@@ -839,37 +834,48 @@ def parse_config_text(text: str) -> dict:
 
 
 def plane_from_config(cfg: dict) -> PlaneModel:
-    """Build a plane from a configuration mapping."""
+    """Build a plane from a configuration mapping.
+
+    Keys: `family` (default classical), `f` and `g` (twist-map specs,
+    default id; the classical plane takes no other) and `tolerance`.
+    """
     family = cfg.get("family", "classical")
     try:
         tol = float(cfg.get("tolerance", 1e-9))
     except ValueError:
         raise ConfigError(f"bad tolerance {cfg['tolerance']!r}") from None
-    if family == "classical":
-        return classical_plane(tol=tol)
-    if family == "half-classical":
-        f = homeo_from_spec(cfg.get("f", "id"))
-        g = homeo_from_spec(cfg.get("g", "id"))
-        return half_classical_plane(f, g, tol=tol)
-    raise ConfigError(f"unknown plane family {family!r}")
+    f = homeo_from_spec(cfg.get("f", "id"))
+    g = homeo_from_spec(cfg.get("g", "id"))
+    if family == "classical" and (f.atoms or g.atoms):
+        raise ConfigError("the classical plane has no twist maps: f and g must be id")
+    return PlaneModel(family, f, g, tol=tol)
+
+
+def plane_spec_config(spec: str) -> dict:
+    """The configuration keys a compact plane spec names.
+
+    `classical` names the family; `half:power:<p>[:<g-spec>]`,
+    `half:id[:<g-spec>]` and `half:spline:<path>` (the whole rest is the
+    path) name the half-classical family, f and, when given, g.
+    """
+    spec = spec.strip()
+    if spec == "classical":
+        return {"family": "classical"}
+    if spec.startswith("half:"):
+        rest = spec[len("half:"):]
+        if rest.startswith("spline:"):
+            return {"family": "half-classical", "f": rest}
+        parts = rest.split(":")
+        if parts[0] in ("power", "id", "identity"):
+            split = 2 if parts[0] == "power" else 1
+            cfg = {"family": "half-classical", "f": ":".join(parts[:split])}
+            g = ":".join(parts[split:])
+            if g:
+                cfg["g"] = g
+            return cfg
+    raise ConfigError(f"unknown plane spec {spec!r}")
 
 
 def parse_plane_spec(spec: str) -> PlaneModel:
     """Parse a compact plane spec: `classical` or `half:power:2[:g-spec]`."""
-    spec = spec.strip()
-    if spec == "classical":
-        return classical_plane()
-    if spec.startswith("half:"):
-        rest = spec[len("half:"):]
-        if rest.startswith("spline:"):
-            return half_classical_plane(homeo_from_spec(rest))
-        parts = rest.split(":")
-        if parts[0] in ("power", "id", "identity"):
-            if parts[0] == "power":
-                f = homeo_from_spec(":".join(parts[:2]))
-                g_spec = ":".join(parts[2:]) if len(parts) > 2 else "id"
-            else:
-                f = CircleHomeo.identity()
-                g_spec = ":".join(parts[1:]) if len(parts) > 1 else "id"
-            return half_classical_plane(f, homeo_from_spec(g_spec) if g_spec else None)
-    raise ConfigError(f"unknown plane spec {spec!r}")
+    return plane_from_config(plane_spec_config(spec))

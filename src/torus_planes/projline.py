@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import CoincidentPoints, IdentityMap
+from .errors import CoincidentPoints, IdentityMap, PreconditionViolated
 
 #: chordal tolerance below which two points count as equal
 EQUALITY_TOL = 1e-9
@@ -41,7 +41,7 @@ def normalize_h(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     n = np.hypot(h[0], h[1])
     if np.any(n == 0.0) or not np.all(np.isfinite(n)):
-        raise ValueError("homogeneous pair must be finite and nonzero")
+        raise PreconditionViolated("homogeneous pair must be finite and nonzero")
     scale = np.where(np.abs(n - 1.0) <= _NORM_SLACK, 1.0, n)
     out = h / scale
     flip = (out[1] < 0.0) | ((out[1] == 0.0) & (out[0] < 0.0))
@@ -85,7 +85,7 @@ class ProjPoint:
         h1 = float(h1)
         n = math.hypot(h0, h1)
         if n == 0.0 or not math.isfinite(n):
-            raise ValueError("homogeneous pair must be finite and nonzero")
+            raise PreconditionViolated("homogeneous pair must be finite and nonzero")
         if abs(n - 1.0) > _NORM_SLACK:
             h0 /= n
             h1 /= n
@@ -174,7 +174,7 @@ class MobiusMap:
         m = np.array(m, dtype=float).reshape(2, 2)
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         if not math.isfinite(det) or abs(det) < 1e-250:
-            raise ValueError("matrix is singular or non-finite")
+            raise PreconditionViolated("matrix is singular or non-finite")
         m = m / math.sqrt(abs(det))
         flat = np.abs(m).argmax()
         if m.flat[flat] < 0.0:
@@ -340,24 +340,12 @@ class TwoPointFamily:
     def member(self, t: float, orientation: int | None = None) -> MobiusMap:
         """The member at parameter t > 0, optionally of a chosen orientation."""
         if t <= 0.0:
-            raise ValueError("family parameter must be positive")
+            raise PreconditionViolated("family parameter must be positive")
         lam = t
         if orientation is not None and orientation != self.base_orientation:
             lam = -t
         mid = MobiusMap([[lam, 0.0], [0.0, 1.0]])
         return self.post.compose(mid).compose(self.pre)
-
-    def psl_member(self, t: float) -> MobiusMap:
-        """The det > 0 member at parameter t."""
-        return self.member(t, orientation=1)
-
-
-def mobius_two_pairs(
-    x1: ProjPoint, x2: ProjPoint, y1: ProjPoint, y2: ProjPoint,
-    tol: float = EQUALITY_TOL,
-) -> TwoPointFamily:
-    """One-parameter family of maps with x1 -> x2 and y1 -> y2."""
-    return TwoPointFamily(x1, x2, y1, y2, tol=tol)
 
 
 def fixed_point_roots(m: MobiusMap):
@@ -375,18 +363,18 @@ def fixed_point_roots(m: MobiusMap):
     return disc, (q, big_a), (big_c, q)
 
 
-def mobius_fixed_points(m: MobiusMap, disc_band: float = DISC_BAND):
+def mobius_fixed_points(m: MobiusMap):
     """Fixed points of a non-identity Mobius map: zero, one, or two.
 
     Solves the homogeneous eigenvector problem; |trace^2 - 4 det| below
-    the band classifies as parabolic with a single fixed point.
+    DISC_BAND classifies as parabolic with a single fixed point.
     """
     if m.is_identity(tol=1e-9):
         raise IdentityMap("fixed points of the identity are everywhere")
     disc, root1, root2 = fixed_point_roots(m)
-    if disc < -disc_band:
+    if disc < -DISC_BAND:
         return []
-    if disc <= disc_band:
+    if disc <= DISC_BAND:
         # parabolic: kernel of (m - (tr/2) I), using the larger row
         (a, b), (c, d) = m.m.tolist()
         tau = 0.5 * (a + d)
@@ -394,5 +382,5 @@ def mobius_fixed_points(m: MobiusMap, disc_band: float = DISC_BAND):
         r1 = (c, d - tau)
         row = r0 if math.hypot(*r0) >= math.hypot(*r1) else r1
         return [ProjPoint(row[1], -row[0])]
-    # q != 0 because disc > band
+    # q != 0 because disc > DISC_BAND
     return [ProjPoint(*root1), ProjPoint(*root2)]

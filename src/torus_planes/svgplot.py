@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
 from .planes import PLUS, Circle
 from .projline import chart_h, h_from_chart
 
@@ -107,6 +108,6 @@ def render_svg(objects, samples: int = 512) -> str:
                     f'fill="{color}" />'
                 )
         else:
-            raise ValueError(f"unknown plot object kind {kind!r}")
+            raise ConfigError(f"unknown plot object kind {kind!r}")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

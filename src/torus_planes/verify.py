@@ -42,6 +42,7 @@ from .errors import (
     UnsupportedPlane,
 )
 from .groups import (
+    PSL_FAMILIES,
     DiagonalPSL,
     KernelMinusPSL,
     KernelPlusPSL,
@@ -552,9 +553,6 @@ _PHI_PARAM_SAMPLE = ((2.0, 3.0, 1.0), (1.5, 0.5, -1.0), (3.0, 1.25, 2.0))
 _PHI2_PARAM_SAMPLE = ((2.0, 3.0, 1.0), (1.5, 2.0, -1.0), (3.0, 0.5, 2.0))
 
 
-_PSL_FAMILIES = {"diag": DiagonalPSL, "kplus": KernelPlusPSL, "kminus": KernelMinusPSL}
-
-
 def family_sample(family_key: str):
     """Deterministic non-identity elements of one family.
 
@@ -562,8 +560,8 @@ def family_sample(family_key: str):
     the common fixed configuration is read off the whole sample, since a
     single element may fix more than the group does.
     """
-    if family_key in _PSL_FAMILIES:
-        return [_PSL_FAMILIES[family_key](m) for m in _PSL_SAMPLE]
+    if family_key in PSL_FAMILIES:
+        return [PSL_FAMILIES[family_key](m) for m in _PSL_SAMPLE]
     if family_key.startswith("phi2:"):
         d = float(family_key.split(":")[1])
         return [PhiTwoFixed(d, a, b, c) for a, b, c in _PHI2_PARAM_SAMPLE]
@@ -575,18 +573,16 @@ def family_sample(family_key: str):
 
 
 def family_key_of(g) -> str:
-    for key, cls in _PSL_FAMILIES.items():
-        if isinstance(g, cls):
-            return key
-    if isinstance(g, PhiStd):
-        d = "inf" if math.isinf(g.d) else f"{g.d:g}"
-        return f"phi:{d}"
-    if isinstance(g, PhiTwoFixed):
-        return f"phi2:{g.d:g}"
+    """The `family_sample` key of g's family: the head of its literal, and d."""
+    head, *params = group_literal(g).split(":")
+    if head in PSL_FAMILIES:
+        return head
+    if head in ("phi", "phi2"):
+        return f"{head}:{params[0]}"
     raise UnsupportedPlane(f"no fixed-configuration family for {g!r}")
 
 
-def _common_factor_fixed(elements, side_index: int, tol: float = 1e-7):
+def _common_factor_fixed(elements, side_index: int):
     """(fixes_all, common fixed coordinates) across a family sample."""
     factors = [el.factor_homeos()[side_index] for el in elements]
     scans = [pts for all_fixed, pts in map(fixed_coordinates, factors) if not all_fixed]
@@ -594,10 +590,10 @@ def _common_factor_fixed(elements, side_index: int, tol: float = 1e-7):
         return True, ()
     candidates = [
         p for p in scans[0]
-        if all(any(chordal(p, q) <= tol for q in pts) for pts in scans[1:])
+        if all(any(chordal(p, q) <= 1e-7 for q in pts) for pts in scans[1:])
     ]
     return False, tuple(
-        p for p in candidates if all(chordal(h.apply(p), p) <= tol for h in factors)
+        p for p in candidates if all(chordal(h.apply(p), p) <= 1e-7 for h in factors)
     )
 
 
@@ -805,17 +801,15 @@ def verify_derived_plane(
 # counterexample recheck
 
 
-def recheck_counterexample(
-    suite: str, plane: PlaneModel, ce: dict, resolution_factor: int = 10
-) -> bool:
+def recheck_counterexample(suite: str, plane: PlaneModel, ce: dict) -> bool:
     """Re-verify a counterexample in isolation at boosted scan resolution.
 
     Runs the suite's check on the counterexample's inputs, under the
-    default TrialConfig, on a copy of the plane whose scan grid is
-    `resolution_factor` times finer. Returns True when the violation
-    reproduces; sound reports only carry counterexamples that do. The
-    check is the suite's sound one, so a negative control whose breakage
-    lies in its check (rigidity, derived-plane) does not reproduce.
+    default TrialConfig, on a copy of the plane whose scan grid is ten
+    times finer. Returns True when the violation reproduces; sound reports
+    only carry counterexamples that do. The check is the suite's sound
+    one, so a negative control whose breakage lies in its check (rigidity,
+    derived-plane) does not reproduce.
     """
     spec = SUITES.get(suite)
     if spec is None or spec.check is None or ce.keys() <= _CE_FIELDS:
@@ -826,9 +820,7 @@ def recheck_counterexample(
         f=plane.f,
         g=plane.g,
         tol=plane.tol,
-        uniq_tol=plane.uniq_tol,
-        tangency_band=plane.tangency_band,
-        scan_grid=plane.scan_grid * resolution_factor,
+        scan_grid=plane.scan_grid * 10,
         corrupt_twisted=plane.corrupt_twisted,
     )
     return bool(spec.check(boosted, inputs, TrialConfig())[1])

@@ -93,7 +93,7 @@ def test_criterion_2_touching_suite():
     for plane, report in ((classical, report_c), (half2, report_h)):
         for ce in report.counterexamples:
             assert "points" in ce and "p" in ce and "q" in ce
-            assert recheck_counterexample("touching", plane, ce, resolution_factor=10)
+            assert recheck_counterexample("touching", plane, ce)
     ok = report_c.passed and report_h.passed
     _report_line(
         2,

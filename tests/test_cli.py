@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from torus_planes.cli import main
+from torus_planes.cli import _resolve_plane, build_parser, main
 
 
 def run(args):
@@ -45,14 +45,41 @@ class TestJoinCommand:
         ["join", "--tol", "-1", "0,0", "1,1", "2,3"],
         ["join", "--tol", "nan", "0,0", "1,1", "2,3"],
         ["plot", "--tol", "-1", "circle3:0,0:1,1:2,3"],
+        ["join", "--plane", "classical", "--tol", "-1", "0,0", "1,1", "2,3"],
+        ["join", "--plane", "classical", "--f", "power:2", "0,0", "1,1", "2,3"],
+        ["join", "--plane", "half:spline:{tmp}/nan-knots.txt", "0,0", "1,1", "2,3"],
+        ["join", "--plane", "half:spline:{tmp}/missing.txt", "0,0", "1,1", "2,3"],
+        ["plot", "orbit:diag:psl:2,0,0,0.5:0,1:abc", "--out", "{tmp}/x.svg"],
     ],
 )
 def test_bad_input_exits_2_without_traceback(args, tmp_path, capsys):
+    (tmp_path / "nan-knots.txt").write_text("0 0\nnan 1\n1 2\n")
+    args = [a.replace("{tmp}", str(tmp_path)) for a in args]
     if args[0] == "verify":
         args = args + ["--out", str(tmp_path)]
     assert run(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags, described, tol",
+    [
+        (["--plane", "half:power:2", "--g", "power:3"],
+         "half-classical(f=power:2, g=power:3)[experimental-g]", 1e-9),
+        (["--plane", "half:power:2", "--tol", "0.5"], "half-classical(f=power:2, g=id)", 0.5),
+        # the spec overrides the file's f and keeps its tolerance
+        (["--config", "{tmp}/plane.cfg", "--plane", "half:power:2"],
+         "half-classical(f=power:2, g=id)", 1e-8),
+        (["--config", "{tmp}/plane.cfg", "--f", "power:3"], "half-classical(f=power:3, g=id)", 1e-8),
+    ],
+    ids=["spec-then-g", "spec-then-tol", "file-then-spec", "file-then-f"],
+)
+def test_plane_sources_merge_key_by_key(flags, described, tol, tmp_path):
+    (tmp_path / "plane.cfg").write_text("family = half-classical\nf = power:5\ntolerance = 1e-8\n")
+    flags = [f.replace("{tmp}", str(tmp_path)) for f in flags]
+    plane = _resolve_plane(build_parser().parse_args(["join", *flags, "0,0", "1,1", "2,3"]))
+    assert plane.describe() == described and plane.tol == tol
 
 
 class TestVerifyCommand:

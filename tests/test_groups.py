@@ -286,7 +286,7 @@ class TestCase3:
         e = Case3Element(0.0, 1.0, 0.0)
         assert e.is_identity()
         plus, minus = e.factor_maps()
-        assert plus.is_identity() and minus.is_identity()
+        assert plus.as_mobius().is_identity() and minus.as_mobius().is_identity()
 
     def test_rotation_group_law(self):
         half_turn = Case3Element(math.pi, 1.0, 0.0)

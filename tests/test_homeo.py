@@ -52,7 +52,7 @@ class TestApply:
 
 class TestInverse:
     def test_identity(self):
-        assert CircleHomeo.identity().inverse().is_identity()
+        assert CircleHomeo.identity().inverse().as_mobius().is_identity()
 
     def test_power_inverse_forced(self):
         inv = CircleHomeo.power(2.0).inverse()

@@ -11,6 +11,7 @@ from torus_planes import (
     MobiusMap,
     MonotoneSpline,
     ParallelInput,
+    PlaneModel,
     PointOnBaseCross,
     PreconditionViolated,
     ProjPoint,
@@ -332,17 +333,35 @@ class TestConfig:
             parse_config_text("family half-classical")
         with pytest.raises(ConfigError):
             plane_from_config({"tolerance": "tiny"})
+        with pytest.raises(ConfigError):
+            plane_from_config({"family": "classical", "f": "power:2"})
 
     @pytest.mark.parametrize("kwargs", [
         {"tol": -1.0},
         {"tol": math.nan},
-        {"uniq_tol": 0.0},
-        {"tangency_band": math.inf},
+        {"tol": math.inf},
+        {"tol": 0.0},
         {"scan_grid": 2},
     ])
     def test_bad_tolerances_rejected(self, kwargs):
         with pytest.raises(ConfigError):
-            classical_plane(**kwargs)
+            PlaneModel("classical", **kwargs)
+
+    @pytest.mark.parametrize("spec, described", [
+        ("classical", "classical"),
+        ("half:power:2", "half-classical(f=power:2, g=id)"),
+        ("half:power:" + repr(1.0 / 3.0), "half-classical(f=power:0.333333, g=id)"),
+        ("half:spline:{dir}/knots:12.txt", "half-classical(f=spline:12, g=id)"),
+    ], ids=["classical", "power-2", "power-1/3", "spline"])
+    def test_benchmark_spec_forms(self, spec, described, tmp_path):
+        # a colon in the knot path: the spline spec's whole rest is the path
+        tx = (np.arange(12) + 0.25) / 12
+        ty = (tx ** 1.5 + 0.1) % 1.0
+        (tmp_path / "knots:12.txt").write_text("".join(
+            f"{math.tan(math.pi * a)!r} {math.tan(math.pi * b)!r}\n" for a, b in zip(tx, ty)
+        ))
+        plane = parse_plane_spec(spec.replace("{dir}", str(tmp_path)))
+        assert plane.describe() == described and plane.tol == 1e-9
 
     def test_twist_must_preserve_orientation(self):
         reversing = CircleHomeo.from_mobius(MobiusMap([[0.0, 1.0], [1.0, 0.0]]))

@@ -9,11 +9,12 @@ from torus_planes import (
     CoincidentPoints,
     IdentityMap,
     MobiusMap,
+    PreconditionViolated,
     ProjPoint,
+    TwoPointFamily,
     chordal,
     mobius_fixed_points,
     mobius_from_three,
-    mobius_two_pairs,
     proj_matrix_equal,
 )
 from torus_planes.projline import chart_h, h_from_chart, normalize_h
@@ -37,7 +38,7 @@ class TestProjPoint:
         assert ProjPoint(-5.0, 0.0).h0 == 1.0
 
     def test_zero_pair_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PreconditionViolated):
             ProjPoint(0.0, 0.0)
 
     @given(
@@ -168,7 +169,7 @@ class TestFromThree:
 
 class TestTwoPairs:
     def test_scaling_family(self):
-        fam = mobius_two_pairs(P(0), P(0), INF, INF)
+        fam = TwoPointFamily(P(0), P(0), INF, INF)
         for t in (0.25, 1.0, 4.0):
             m = fam.member(t)
             assert chordal(m.apply(P(0)), P(0)) < 1e-14
@@ -178,7 +179,7 @@ class TestTwoPairs:
             assert math.isclose(m.apply(P(3)).value(), 3 * c, rel_tol=1e-12)
 
     def test_exchange_family(self):
-        fam = mobius_two_pairs(P(0), INF, INF, P(0))
+        fam = TwoPointFamily(P(0), INF, INF, P(0))
         for t in (0.5, 1.0, 2.0):
             m = fam.member(t)
             # x -> c / x for some c > 0
@@ -186,7 +187,7 @@ class TestTwoPairs:
             assert math.isclose(m.apply(P(2)).value(), c / 2, rel_tol=1e-12)
 
     def test_against_from_three_grid(self):
-        fam = mobius_two_pairs(P(0), P(1), INF, P(2))
+        fam = TwoPointFamily(P(0), P(1), INF, P(2))
         for t in np.geomspace(0.1, 10.0, 7):
             m = fam.member(t)
             assert chordal(m.apply(P(0)), P(1)) < 1e-12
@@ -199,9 +200,9 @@ class TestTwoPairs:
                 assert proj_matrix_equal(m, oracle, 1e-9)
 
     def test_selector_orientation(self):
-        fam = mobius_two_pairs(P(0), P(1), INF, P(2))
+        fam = TwoPointFamily(P(0), P(1), INF, P(2))
         for t in (0.3, 1.0, 5.0):
-            assert fam.psl_member(t).orientation == 1
+            assert fam.member(t, 1).orientation == 1
             assert fam.member(t, orientation=-1).orientation == -1
             m = fam.member(t, orientation=-1)
             assert chordal(m.apply(P(0)), P(1)) < 1e-12
@@ -209,9 +210,9 @@ class TestTwoPairs:
 
     def test_coincident_rejected(self):
         with pytest.raises(CoincidentPoints):
-            mobius_two_pairs(P(0), P(1), P(0), P(2))
+            TwoPointFamily(P(0), P(1), P(0), P(2))
         with pytest.raises(CoincidentPoints):
-            mobius_two_pairs(P(0), P(1), INF, P(1))
+            TwoPointFamily(P(0), P(1), INF, P(1))
 
 
 class TestFixedPoints:

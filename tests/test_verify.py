@@ -201,7 +201,7 @@ class TestRecheck:
         if suite == "touching":
             assert "claimed_points" in report.counterexamples[0]
         for ce in report.counterexamples[:3]:
-            replayed = recheck_counterexample(suite, plane, ce, resolution_factor=10)
+            replayed = recheck_counterexample(suite, plane, ce)
             assert replayed is reproduces
 
     def test_fixed_configuration_has_nothing_to_replay(self):
