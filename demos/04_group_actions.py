@@ -3,8 +3,8 @@
 Five parametrized families act on torus points: the two one-factor
 kernels, the diagonal action, and the affine families PhiStd /
 PhiTwoFixed. A sixth family (rotation x affine) is known only through
-its induced actions on the parallel-class sets, so it ships as a pair of
-factor maps with no point action.
+its induced actions on the parallel-class sets: like every family it has
+factor maps, `factor_homeos()`, but it has no point action.
 """
 
 import math
@@ -19,8 +19,6 @@ from torus_planes import (
     PhiStd,
     PhiTwoFixed,
     TorusPoint,
-    act,
-    compose,
     diagonal_transitivity_witness,
     half_classical_plane,
     induced_factor_action,
@@ -40,12 +38,12 @@ samples = [
 ]
 p = pt(4, 3)
 for g in samples:
-    image = act(g, p)
+    image = g.act(p)
     print(f"  {g!r} sends (4,3) to ({image.x.value():g}, {image.y.value():g})")
 
 print("\n== composition laws are closed-form in the parameters ==")
 g1, g2 = PhiTwoFixed(-1, 1, 2, 0), PhiTwoFixed(-1, 3, 1, 5)
-comp = compose(g1, g2)
+comp = g1.compose(g2)
 print(f"  {g1!r} after {g2!r}")
 print(f"  = {comp!r}  (checked pointwise against double application)")
 
@@ -54,7 +52,7 @@ for d in (0.0, -1.0, -2.0):
     g = PhiTwoFixed(d, 2, 3, 1)
     print(f"  PhiTwoFixed(d={d:g}) fixes (inf,inf) and (0,inf) for every parameter choice")
     for fixed in (pt(INF, INF), pt(0, INF)):
-        image = act(g, fixed)
+        image = g.act(fixed)
         assert image.x.value() == fixed.x.value() and image.y.value() == fixed.y.value()
 print("  PhiStd(d) fixes exactly (inf,inf); single elements may fix more,")
 print("  which is why the verification scans intersect over a family sample.")
@@ -74,7 +72,7 @@ for g, side in [
 print("\n== transitivity off the diagonal ==")
 src, dst = pt(0, 1), pt(2, -3)
 witness = diagonal_transitivity_witness(src, dst)
-image = act(witness, src)
+image = witness.act(src)
 print(f"  a det>0 diagonal element sends (0,1) to ({image.x.value():g}, {image.y.value():g})")
 
 print("\n== kernels against the twisted plane ==")
@@ -84,11 +82,11 @@ g_good = KernelPlusPSL(MobiusMap([[1, 1], [0, 1]]))
 g_bad = KernelMinusPSL(MobiusMap([[1, 1], [0, 1]]))
 for g, label in ((g_good, "kernel-plus"), (g_bad, "kernel-minus")):
     triple = [circle.point_at(TorusPoint.from_reals(v, 0).x) for v in (0.3, 1.7, -2.0)]
-    image = half.join(*(act(g, s) for s in triple))
+    image = half.join(*(g.act(s) for s in triple))
     from torus_planes import ProjPoint
 
     worst = max(
-        half.membership_residual(image, act(g, circle.point_at(ProjPoint.from_chart(t / 16))))
+        half.membership_residual(image, g.act(circle.point_at(ProjPoint.from_chart(t / 16))))
         for t in range(16)
     )
     verdict = "an automorphism" if worst < 1e-8 else f"NOT an automorphism (residual {worst:.1e})"
@@ -100,3 +98,6 @@ f = Case3Element(math.pi / 6, 1.0, -1.0)
 print(f"  {e!r} composed with {f!r}")
 print(f"  = {e.compose(f)!r}")
 print(f"  point action available: {hasattr(e, 'act')} (none is known)")
+for side in ("plus", "minus"):
+    _, report = induced_factor_action(e, side)
+    print(f"  induced action on the {side} side: {report.action_kind}")

@@ -13,7 +13,6 @@ from torus_planes import (
     MobiusMap,
     ParallelClass,
     TorusPoint,
-    act,
     classical_plane,
     render_svg,
 )
@@ -36,7 +35,7 @@ objects = [
 g = DiagonalPSL(MobiusMap([[2.0, 0.0], [0.0, 0.5]]))
 orbit = [pt(0.1, 1.0)]
 for _ in range(40):
-    orbit.append(act(g, orbit[-1]))
+    orbit.append(g.act(orbit[-1]))
 objects.append(("orbit", orbit))
 
 svg = render_svg(objects)

@@ -30,10 +30,7 @@ from .groups import (
     KernelPlusPSL,
     PhiStd,
     PhiTwoFixed,
-    act,
-    compose,
     diagonal_transitivity_witness,
-    factor_fixed_sets,
     fixed_coordinates,
     group_literal,
     induced_factor_action,

@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, ParallelInput, PlaneGeometryError
-from .groups import Case3Element, group_literal, parse_group_literal
+from .groups import group_literal, parse_group_literal, require_point_action
 from .planes import (
     MINUS,
     PLUS,
@@ -70,18 +70,6 @@ def _resolve_plane(args) -> PlaneModel:
     return plane_from_config(cfg)
 
 
-def _resolve_group(args):
-    literal = getattr(args, "group", None)
-    if literal is None:
-        return None
-    if literal in ("phi", "phi2"):
-        d = getattr(args, "d", None)
-        if d is None:
-            raise ConfigError(f"--group {literal} needs --d for the exponent")
-        return parse_group_literal(f"{literal}:{d}:2:3:1")
-    return parse_group_literal(literal)
-
-
 def _parse_real(token: str) -> float:
     token = token.strip().lower()
     if token in ("inf", "+inf", "oo"):
@@ -110,7 +98,7 @@ def _parse_torus_point(token: str) -> TorusPoint:
 
 def cmd_verify(args) -> int:
     plane = _resolve_plane(args)
-    group = _resolve_group(args)
+    group = parse_group_literal(args.group) if args.group else None
     suite_names = []
     for chunk in args.suite or ["joining"]:
         suite_names.extend(s.strip() for s in chunk.split(",") if s.strip())
@@ -208,14 +196,14 @@ def _parse_plot_object(token: str, plane: PlaneModel):
             literal, start_tok, count_tok = body.rsplit(":", 2)
         except ValueError:
             raise ConfigError(f"malformed orbit spec {token!r}") from None
-        g = parse_group_literal(literal)
-        if isinstance(g, Case3Element):
-            raise ConfigError("the factor-action family has no point orbit to plot")
+        g = require_point_action(parse_group_literal(literal))
         start = _parse_torus_point(start_tok)
         try:
             count = int(count_tok)
         except ValueError:
-            raise ConfigError(f"bad orbit length {count_tok!r} in {token!r}") from None
+            count = -1
+        if count < 0:
+            raise ConfigError(f"bad orbit length {count_tok!r} in {token!r}")
         orbit = [start]
         for _ in range(count):
             orbit.append(g.act(orbit[-1]))
@@ -316,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"suite name(s), comma-separable; known: {', '.join(sorted(SUITES))}",
     )
     p_verify.add_argument("--group", help="group-element literal (see groups module)")
-    p_verify.add_argument("--d", help="exponent shortcut for --group phi|phi2")
     p_verify.add_argument("--trials", type=int, default=200)
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--grid", type=int, default=64)

@@ -1,6 +1,7 @@
 """Parametrized automorphism families of toroidal circle planes.
 
-Five families act on torus points, all componentwise:
+Six families, each declared once by its class. Five act on torus points,
+all componentwise:
 
 * KernelPlusPSL(mu):  (x, y) -> (x, mu(y)),   fixing every vertical;
 * KernelMinusPSL(mu): (x, y) -> (mu(x), y),   fixing every horizontal;
@@ -12,12 +13,20 @@ Five families act on torus points, all componentwise:
 
 Affine formulas extend projectively, so infinity maps to infinity on each
 factor and the common fixed points of the Phi families are where the
-classification puts them. The sixth family of the classification has a
-known action only on the parallel-class sets, so it ships as a pair of
-factor maps (`Case3Element`), never as a point map.
+classification puts them. The sixth family of the classification,
+L2 x SO(2), has a known action only on the parallel-class sets, so
+`Case3Element` has factor maps and no point map.
 
-Composition laws are closed-form in the parameters; each is locked by a
-pointwise double-application oracle in the tests.
+Every element has `factor_homeos()` (the x- and y-factor circle maps),
+`compose`, `inverse` and `identity`. Composition laws are closed-form in
+the parameters; each is locked by a pointwise double-application oracle
+in the tests.
+
+A class declares its literal head, the numbers its literal carries, how
+many of them name the family rather than the element (d for the Phi
+families) and its fixed-configuration sample; `FAMILIES` maps heads to
+classes, and `parse_group_literal`, `group_literal`, `family_key_of` and
+`family_sample` read only those declarations.
 """
 
 from __future__ import annotations
@@ -25,7 +34,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, FamilyMismatch, PreconditionViolated
+from .errors import (
+    ConfigError,
+    FamilyMismatch,
+    PreconditionViolated,
+    UnsupportedPlane,
+)
 from .homeo import CircleHomeo, PowerMap, wrapped_zeros
 from .projline import (
     MobiusMap,
@@ -41,40 +55,83 @@ from .projline import (
 from .planes import MINUS, PLUS, ParallelClass
 
 
-def _require_psl(mu: MobiusMap) -> MobiusMap:
-    if mu.orientation != 1:
-        raise ConfigError("family requires a det > 0 (PSL) member")
-    return mu
+class _GroupElement:
+    """An immutable element of one family, declared by its class attributes.
 
-
-class _FactorwiseElement:
-    """Shared plumbing: immutable elements acting through factor_homeos()."""
+    `head` names the family in literals, written `head:` + `literal_form[0]`
+    + the numbers `params()` joined by `literal_form[1]`; `fields` names
+    those numbers, so its length is the literal's arity. The first
+    `key_arity` of them name the family itself, and `sample` holds the
+    remaining numbers of each fixed-configuration sample element.
+    """
 
     __slots__ = ()
+    head: str
+    family: str
+    fields: tuple
+    literal_form = ("", ":")
+    key_arity = 0
+    sample = ()
 
     def __setattr__(self, name, value):
         raise AttributeError("group elements are immutable")
+
+    @classmethod
+    def from_params(cls, *values):
+        return cls(*values)
+
+    def params(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.fields)
+
+
+class _PointElement(_GroupElement):
+    """A family acting on torus points, componentwise through factor_homeos()."""
+
+    __slots__ = ()
 
     def act(self, p: TorusPoint) -> TorusPoint:
         hx, hy = self.factor_homeos()
         return TorusPoint(hx.apply(p.x), hy.apply(p.y))
 
 
-class _MobiusFamilyElement(_FactorwiseElement):
+def require_point_action(g):
+    """g itself, when its family acts on torus points; ConfigError otherwise."""
+    if not isinstance(g, _PointElement):
+        raise ConfigError(f"{g!r} has no known action on torus points")
+    return g
+
+
+_TURN = 0.15 * math.pi  # the rotation MobiusMap.rotation(0.15)
+
+
+class _MobiusFamilyElement(_PointElement):
     """Shared plumbing for the three PSL-parametrized families."""
 
     __slots__ = ("mu",)
-    family: str
+    fields = ("m00", "m01", "m10", "m11")
+    literal_form = ("psl:", ",")
+    sample = (
+        (2.0, 1.0, 1.0, 1.0),
+        (1.0, 1.0, 0.0, 1.0),
+        (math.cos(_TURN), math.sin(_TURN), -math.sin(_TURN), math.cos(_TURN)),
+        (3.0, 0.0, 0.0, 1.0 / 3.0),
+    )
 
     def __init__(self, mu: MobiusMap):
-        object.__setattr__(self, "mu", _require_psl(mu))
+        if mu.orientation != 1:
+            raise ConfigError("family requires a det > 0 (PSL) member")
+        object.__setattr__(self, "mu", mu)
+
+    @classmethod
+    def from_params(cls, *entries):
+        return cls(MobiusMap(entries))
+
+    def params(self) -> tuple:
+        return tuple(self.mu.m.ravel())
 
     @classmethod
     def identity(cls):
         return cls(MobiusMap.identity())
-
-    def is_identity(self, tol: float = 1e-12) -> bool:
-        return self.mu.is_identity(tol)
 
     def compose(self, other):
         if type(other) is not type(self):
@@ -93,6 +150,7 @@ class _MobiusFamilyElement(_FactorwiseElement):
 class KernelPlusPSL(_MobiusFamilyElement):
     """PSL acting on the second factor only; every (+)-class is fixed."""
 
+    head = "kplus"
     family = "kernel-plus-psl"
 
     def factor_homeos(self):
@@ -102,6 +160,7 @@ class KernelPlusPSL(_MobiusFamilyElement):
 class KernelMinusPSL(_MobiusFamilyElement):
     """PSL acting on the first factor only; every (-)-class is fixed."""
 
+    head = "kminus"
     family = "kernel-minus-psl"
 
     def factor_homeos(self):
@@ -111,6 +170,7 @@ class KernelMinusPSL(_MobiusFamilyElement):
 class DiagonalPSL(_MobiusFamilyElement):
     """PSL acting identically on both factors; fixes the diagonal circle."""
 
+    head = "diag"
     family = "diagonal-psl"
 
     def factor_homeos(self):
@@ -118,39 +178,55 @@ class DiagonalPSL(_MobiusFamilyElement):
         return h, h
 
 
-class PhiStd(_FactorwiseElement):
+class _PhiElement(_PointElement):
+    """Shared plumbing for the two affine families with exponent d."""
+
+    __slots__ = ("d", "a", "b", "c")
+    fields = __slots__
+    key_arity = 1
+
+    def __init__(self, d: float, a: float, b: float, c: float):
+        for name, value in zip(self.fields, (d, a, b, c)):
+            object.__setattr__(self, name, float(value))
+
+    def _require_same_family(self, other) -> None:
+        if not (type(other) is type(self) and (
+            self.d == other.d or (math.isinf(self.d) and math.isinf(other.d))
+        )):
+            raise FamilyMismatch(
+                f"{type(self).__name__} elements must share the exponent d"
+            )
+
+    def __repr__(self):
+        d = "inf" if math.isinf(self.d) else f"{self.d:g}"
+        return (
+            f"{type(self).__name__}(d={d}, a={self.a:g}, b={self.b:g}, c={self.c:g})"
+        )
+
+
+class PhiStd(_PhiElement):
     """The affine family with one fixed point at (inf, inf).
 
     Finite exponent d couples the y-scale to the x-scale as a^d; d = inf
     decouples them into (x + b, a y + c).
     """
 
-    __slots__ = ("d", "a", "b", "c")
+    __slots__ = ()
+    head = "phi"
     family = "phi-std"
+    sample = ((2.0, 3.0, 1.0), (1.5, 0.5, -1.0), (3.0, 1.25, 2.0))
 
     def __init__(self, d: float, a: float, b: float, c: float):
         if not (a > 0.0):
             raise ConfigError("PhiStd requires a > 0")
-        object.__setattr__(self, "d", float(d))
-        object.__setattr__(self, "a", float(a))
-        object.__setattr__(self, "b", float(b))
-        object.__setattr__(self, "c", float(c))
+        super().__init__(d, a, b, c)
 
     @classmethod
     def identity(cls, d: float):
         return cls(d, 1.0, 0.0, 0.0)
 
-    def is_identity(self, tol: float = 1e-12) -> bool:
-        return abs(self.a - 1.0) <= tol and abs(self.b) <= tol and abs(self.c) <= tol
-
-    def _same_family(self, other) -> bool:
-        return isinstance(other, PhiStd) and (
-            self.d == other.d or (math.isinf(self.d) and math.isinf(other.d))
-        )
-
     def compose(self, other: "PhiStd") -> "PhiStd":
-        if not self._same_family(other):
-            raise FamilyMismatch("PhiStd elements must share the exponent d")
+        self._require_same_family(other)
         if math.isinf(self.d):
             return PhiStd(
                 self.d,
@@ -183,48 +259,32 @@ class PhiStd(_FactorwiseElement):
             CircleHomeo.from_mobius(MobiusMap.affine(self.a ** self.d, self.c)),
         )
 
-    def __repr__(self):
-        d = "inf" if math.isinf(self.d) else f"{self.d:g}"
-        return f"PhiStd(d={d}, a={self.a:g}, b={self.b:g}, c={self.c:g})"
 
-
-class PhiTwoFixed(_FactorwiseElement):
+class PhiTwoFixed(_PhiElement):
     """The family with the two fixed parallel points (inf, inf) and (0, inf).
 
     For d = 0 the action is (a x, b y + c); for d < 0 the first factor
     twists through the power map, (a sgn(x) |x|^b, b^d y + c).
     """
 
-    __slots__ = ("d", "a", "b", "c")
+    __slots__ = ()
+    head = "phi2"
     family = "phi-two-fixed"
+    sample = ((2.0, 3.0, 1.0), (1.5, 2.0, -1.0), (3.0, 0.5, 2.0))
 
     def __init__(self, d: float, a: float, b: float, c: float):
         if d > 0.0 or math.isinf(d):
             raise ConfigError("PhiTwoFixed requires d <= 0, finite")
         if not (a > 0.0 and b > 0.0):
             raise ConfigError("PhiTwoFixed requires a > 0 and b > 0")
-        object.__setattr__(self, "d", float(d))
-        object.__setattr__(self, "a", float(a))
-        object.__setattr__(self, "b", float(b))
-        object.__setattr__(self, "c", float(c))
+        super().__init__(d, a, b, c)
 
     @classmethod
     def identity(cls, d: float):
         return cls(d, 1.0, 1.0, 0.0)
 
-    def is_identity(self, tol: float = 1e-12) -> bool:
-        return (
-            abs(self.a - 1.0) <= tol
-            and abs(self.b - 1.0) <= tol
-            and abs(self.c) <= tol
-        )
-
-    def _same_family(self, other) -> bool:
-        return isinstance(other, PhiTwoFixed) and self.d == other.d
-
     def compose(self, other: "PhiTwoFixed") -> "PhiTwoFixed":
-        if not self._same_family(other):
-            raise FamilyMismatch("PhiTwoFixed elements must share the exponent d")
+        self._require_same_family(other)
         if self.d == 0.0:
             return PhiTwoFixed(
                 self.d,
@@ -260,25 +320,63 @@ class PhiTwoFixed(_FactorwiseElement):
         hy = CircleHomeo.from_mobius(MobiusMap.affine(self.b ** self.d, self.c))
         return hx, hy
 
-    def __repr__(self):
+
+class Case3Element(_GroupElement):
+    """One element of the L2 x SO(2) family, known by its factor maps only.
+
+    No toroidal circle plane with this automorphism type is known, and no
+    point-set action is on record, so the element has the affine map it
+    induces on (+)-classes (the fixed class pinned at infinity) and the
+    rotation it induces on (-)-classes, never a torus map.
+    """
+
+    __slots__ = ("angle", "a", "b")
+    fields = __slots__
+    head = "case3"
+    family = "case3-factor"
+
+    def __init__(self, angle: float, a: float, b: float):
+        if not (a > 0.0):
+            raise ConfigError("the affine factor requires a > 0")
+        object.__setattr__(self, "angle", float(angle) % (2.0 * math.pi))
+        object.__setattr__(self, "a", float(a))
+        object.__setattr__(self, "b", float(b))
+
+    @classmethod
+    def identity(cls):
+        return cls(0.0, 1.0, 0.0)
+
+    def factor_homeos(self):
         return (
-            f"PhiTwoFixed(d={self.d:g}, a={self.a:g}, b={self.b:g}, c={self.c:g})"
+            CircleHomeo.from_mobius(MobiusMap.affine(self.a, self.b)),
+            CircleHomeo.from_mobius(MobiusMap.rotation(self.angle / (2.0 * math.pi))),
         )
 
+    def compose(self, other: "Case3Element") -> "Case3Element":
+        if not isinstance(other, Case3Element):
+            raise FamilyMismatch("cannot compose across families")
+        return Case3Element(
+            self.angle + other.angle,
+            self.a * other.a,
+            self.a * other.b + self.b,
+        )
 
-def act(g, p: TorusPoint) -> TorusPoint:
-    """Apply a group element to a torus point."""
-    return g.act(p)
+    def inverse(self) -> "Case3Element":
+        return Case3Element(-self.angle, 1.0 / self.a, -self.b / self.a)
+
+    def is_identity(self, tol: float = 1e-12) -> bool:
+        ang = min(self.angle, 2.0 * math.pi - self.angle)
+        return ang <= tol and abs(self.a - 1.0) <= tol and abs(self.b) <= tol
+
+    def __repr__(self):
+        return f"Case3Element(angle={self.angle:g}, a={self.a:g}, b={self.b:g})"
 
 
-def compose(g1, g2):
-    """Closed-form composite with act(compose(g1, g2), p) = g1(g2(p))."""
-    try:
-        return g1.compose(g2)
-    except FamilyMismatch:
-        raise
-    except AttributeError:
-        raise FamilyMismatch("not a group element") from None
+#: literal head -> family class
+FAMILIES = {
+    cls.head: cls
+    for cls in (DiagonalPSL, KernelPlusPSL, KernelMinusPSL, PhiStd, PhiTwoFixed, Case3Element)
+}
 
 
 # ----------------------------------------------------------------------
@@ -364,75 +462,6 @@ def induced_factor_action(g, side: str):
     return h, report
 
 
-def factor_fixed_sets(g):
-    """Fixed coordinates of both factor maps as (fixes_all, points) pairs."""
-    hx, hy = g.factor_homeos()
-    return fixed_coordinates(hx), fixed_coordinates(hy)
-
-
-# ----------------------------------------------------------------------
-# the factor-action-only family L2 x SO(2)
-
-
-class Case3Element:
-    """One element of the L2 x SO(2) family, shipped as factor maps only.
-
-    No toroidal circle plane with this automorphism type is known, and no
-    point-set action is on record, so the element exposes the rotation it
-    induces on (-)-classes and the affine map on (+)-classes (the fixed
-    class pinned at infinity), never a torus map.
-    """
-
-    __slots__ = ("angle", "a", "b")
-    family = "case3-factor"
-
-    def __init__(self, angle: float, a: float, b: float):
-        if not (a > 0.0):
-            raise ConfigError("the affine factor requires a > 0")
-        object.__setattr__(self, "angle", float(angle) % (2.0 * math.pi))
-        object.__setattr__(self, "a", float(a))
-        object.__setattr__(self, "b", float(b))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("group elements are immutable")
-
-    @classmethod
-    def identity(cls):
-        return cls(0.0, 1.0, 0.0)
-
-    @property
-    def plus_map(self) -> CircleHomeo:
-        return CircleHomeo.from_mobius(MobiusMap.affine(self.a, self.b))
-
-    @property
-    def minus_map(self) -> CircleHomeo:
-        return CircleHomeo.from_mobius(
-            MobiusMap.rotation(self.angle / (2.0 * math.pi))
-        )
-
-    def factor_maps(self):
-        return self.plus_map, self.minus_map
-
-    def compose(self, other: "Case3Element") -> "Case3Element":
-        if not isinstance(other, Case3Element):
-            raise FamilyMismatch("cannot compose across families")
-        return Case3Element(
-            self.angle + other.angle,
-            self.a * other.a,
-            self.a * other.b + self.b,
-        )
-
-    def inverse(self) -> "Case3Element":
-        return Case3Element(-self.angle, 1.0 / self.a, -self.b / self.a)
-
-    def is_identity(self, tol: float = 1e-12) -> bool:
-        ang = min(self.angle, 2.0 * math.pi - self.angle)
-        return ang <= tol and abs(self.a - 1.0) <= tol and abs(self.b) <= tol
-
-    def __repr__(self):
-        return f"Case3Element(angle={self.angle:g}, a={self.a:g}, b={self.b:g})"
-
-
 # ----------------------------------------------------------------------
 # transitivity witnesses
 
@@ -449,33 +478,27 @@ def diagonal_transitivity_witness(src: TorusPoint, dst: TorusPoint) -> DiagonalP
 
 
 # ----------------------------------------------------------------------
-# group-element literals
-
-#: literal head of each PSL-parametrized family
-PSL_FAMILIES = {"diag": DiagonalPSL, "kplus": KernelPlusPSL, "kminus": KernelMinusPSL}
+# group-element literals and family keys
 
 
-def _parse_psl_entries(text: str) -> MobiusMap:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ConfigError("expected four comma-separated matrix entries")
+def _split(text: str):
+    """(family class, the text after its head) of a literal or family key."""
+    head, _, body = text.strip().partition(":")
+    cls = FAMILIES.get(head)
+    if cls is None:
+        raise ConfigError(f"unknown group family in literal {text!r}")
+    return cls, body
+
+
+def _numbers(cls, tokens, text: str) -> list:
+    """The numbers of a literal's tokens; the exponent d may be written `oo`."""
     try:
-        a, b, c, d = (float(p) for p in parts)
+        return [
+            math.inf if name == "d" and tok.strip() == "oo" else float(tok)
+            for name, tok in zip(cls.fields, tokens)
+        ]
     except ValueError as exc:
-        raise ConfigError(f"bad matrix entry: {exc}") from None
-    m = MobiusMap([[a, b], [c, d]])
-    if m.orientation != 1:
-        raise ConfigError("psl literal requires det > 0")
-    return m
-
-
-def _parse_d(text: str) -> float:
-    if text.strip() in ("inf", "+inf", "oo"):
-        return math.inf
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"bad exponent {text!r}: {exc}") from None
+        raise ConfigError(f"malformed literal {text!r}: {exc}") from None
 
 
 def parse_group_literal(literal: str):
@@ -485,43 +508,44 @@ def parse_group_literal(literal: str):
     `kminus:psl:<entries>`, `phi:<d>:<a>:<b>:<c>`, `phi2:<d>:<a>:<b>:<c>`,
     `case3:<angle>:<a>:<b>`.
     """
-    parts = literal.strip().split(":")
+    cls, body = _split(literal)
+    tag, sep = cls.literal_form
+    tokens = body[len(tag):].split(sep) if body.startswith(tag) else ()
+    if len(tokens) != len(cls.fields):
+        raise ConfigError(f"malformed literal {literal!r}")
     try:
-        head = parts[0]
-        if head in PSL_FAMILIES:
-            if len(parts) != 3 or parts[1] != "psl":
-                raise ConfigError(f"malformed literal {literal!r}")
-            return PSL_FAMILIES[head](_parse_psl_entries(parts[2]))
-        if head == "phi":
-            if len(parts) != 5:
-                raise ConfigError(f"malformed literal {literal!r}")
-            return PhiStd(_parse_d(parts[1]), *(float(p) for p in parts[2:]))
-        if head == "phi2":
-            if len(parts) != 5:
-                raise ConfigError(f"malformed literal {literal!r}")
-            return PhiTwoFixed(_parse_d(parts[1]), *(float(p) for p in parts[2:]))
-        if head == "case3":
-            if len(parts) != 4:
-                raise ConfigError(f"malformed literal {literal!r}")
-            return Case3Element(*(float(p) for p in parts[1:]))
-    except ConfigError:
-        raise
-    except (ValueError, IndexError, PreconditionViolated) as exc:
+        return cls.from_params(*_numbers(cls, tokens, literal))
+    except PreconditionViolated as exc:
         raise ConfigError(f"malformed literal {literal!r}: {exc}") from None
-    raise ConfigError(f"unknown group family in literal {literal!r}")
 
 
 def group_literal(g) -> str:
     """Literal round-trip of a group element, for manifests and reports."""
-    for head, cls in PSL_FAMILIES.items():
-        if type(g) is cls:
-            entries = ",".join(f"{v:.12g}" for v in g.mu.m.ravel())
-            return f"{head}:psl:{entries}"
-    if isinstance(g, PhiStd):
-        d = "inf" if math.isinf(g.d) else f"{g.d:.12g}"
-        return f"phi:{d}:{g.a:.12g}:{g.b:.12g}:{g.c:.12g}"
-    if isinstance(g, PhiTwoFixed):
-        return f"phi2:{g.d:.12g}:{g.a:.12g}:{g.b:.12g}:{g.c:.12g}"
-    if isinstance(g, Case3Element):
-        return f"case3:{g.angle:.12g}:{g.a:.12g}:{g.b:.12g}"
-    raise ConfigError(f"not a group element: {g!r}")
+    cls = type(g)
+    if FAMILIES.get(getattr(cls, "head", None)) is not cls:
+        raise ConfigError(f"not a group element: {g!r}")
+    tag, sep = cls.literal_form
+    return f"{cls.head}:{tag}" + sep.join(f"{v:.12g}" for v in g.params())
+
+
+def family_key_of(g) -> str:
+    """The `family_sample` key of g's family: its literal head, and d."""
+    head, *values = group_literal(g).split(":")
+    return ":".join([head, *values[: type(g).key_arity]])
+
+
+def family_sample(key: str):
+    """Deterministic non-identity elements of the family a key names.
+
+    The generic parameters (a, b, c) = (2, 3, 1) lead each Phi sample;
+    the common fixed configuration is read off the whole sample, since a
+    single element may fix more than the group does.
+    """
+    cls, body = _split(key)
+    tokens = body.split(":") if body else []
+    if len(tokens) != cls.key_arity:
+        raise ConfigError(f"malformed family key {key!r}")
+    if not cls.sample:
+        raise UnsupportedPlane(f"no fixed-configuration sample for family {key!r}")
+    lead = _numbers(cls, tokens, key)
+    return [cls.from_params(*lead, *params) for params in cls.sample]

@@ -214,13 +214,6 @@ class CircleHomeo:
                 return None
         return m
 
-    def sup_distance(self, other: "CircleHomeo", grid_size: int = 64) -> float:
-        """Max chordal distance between images over a chart grid."""
-        if grid_size < 3:
-            raise ConfigError("grid_size must be at least 3")
-        h = h_from_chart(np.arange(grid_size) / grid_size)
-        return float(np.max(chordal_h(self.apply_h(h), other.apply_h(h))))
-
     def audit_monotone(self) -> None:
         """Check images of a 256-point grid stay cyclically (anti-)ordered.
 
@@ -246,7 +239,11 @@ class CircleHomeo:
 
 
 def homeo_sup_distance(h1: CircleHomeo, h2: CircleHomeo, grid_size: int) -> float:
-    return h1.sup_distance(h2, grid_size)
+    """Max chordal distance between images over a chart grid."""
+    if grid_size < 3:
+        raise ConfigError("grid_size must be at least 3")
+    h = h_from_chart(np.arange(grid_size) / grid_size)
+    return float(np.max(chordal_h(h1.apply_h(h), h2.apply_h(h))))
 
 
 def load_spline_knots(path) -> MonotoneSpline:

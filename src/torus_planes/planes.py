@@ -330,13 +330,10 @@ class PlaneModel:
         return pts
 
     def _intersection_points(self, c1: Circle, c2: Circle) -> list[ProjPoint]:
-        m1 = c1.graph.as_mobius()
-        m2 = c2.graph.as_mobius()
-        if m1 is not None and m2 is not None:
-            return self._mobius_equation_roots(m1, m2)
-        if c1.tag == TAG_TWISTED and c2.tag == TAG_TWISTED:
-            roots_u = self._mobius_equation_roots(c1.mobius, c2.mobius)
-            return [self.f_inv.apply(u) for u in roots_u]
+        pair = self._comparable_mobius_pair(c1, c2)
+        if pair is not None:
+            m1, m2, back = pair
+            return [back(u) for u in self._mobius_equation_roots(m1, m2)]
         thetas = graph_equation_zeros(
             c1.graph,
             c2.graph,

@@ -28,6 +28,7 @@ _PALETTE = (
 )
 
 _CANVAS = 512
+_SAMPLES = 512  # chart samples per circle
 
 
 def _fmt(v: float) -> str:
@@ -39,8 +40,8 @@ def _to_canvas(theta_x: float, theta_y: float) -> tuple[float, float]:
     return theta_x * _CANVAS, (1.0 - theta_y) * _CANVAS
 
 
-def _circle_segments(circle: Circle, samples: int):
-    thetas = np.arange(samples + 1) / samples
+def _circle_segments(circle: Circle):
+    thetas = np.arange(_SAMPLES + 1) / _SAMPLES
     h = h_from_chart(thetas % 1.0)
     tx = thetas  # monotone lift along the x-axis
     ty = chart_h(circle.graph.apply_h(h))
@@ -67,14 +68,12 @@ def _polyline(points, color: str) -> str:
     )
 
 
-def render_svg(objects, samples: int = 512) -> str:
+def render_svg(objects) -> str:
     """Render (kind, payload) pairs to an SVG document string.
 
     Kinds: ("circle", Circle), ("pclass", ParallelClass),
     ("orbit", list[TorusPoint]).
     """
-    if samples < 512:
-        samples = 512
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_CANVAS}" '
         f'height="{_CANVAS}" viewBox="0 0 {_CANVAS} {_CANVAS}">',
@@ -84,7 +83,7 @@ def render_svg(objects, samples: int = 512) -> str:
     for index, (kind, payload) in enumerate(objects):
         color = _PALETTE[index % len(_PALETTE)]
         if kind == "circle":
-            for segment in _circle_segments(payload, samples):
+            for segment in _circle_segments(payload):
                 parts.append(_polyline(segment, color))
         elif kind == "pclass":
             coord = payload.coordinate.chart()

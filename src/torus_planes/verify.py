@@ -42,15 +42,15 @@ from .errors import (
     UnsupportedPlane,
 )
 from .groups import (
-    PSL_FAMILIES,
     DiagonalPSL,
     KernelMinusPSL,
     KernelPlusPSL,
-    PhiStd,
-    PhiTwoFixed,
+    family_key_of,
+    family_sample,
     fixed_coordinates,
     group_literal,
     parse_group_literal,
+    require_point_action,
 )
 from .homeo import CircleHomeo, homeo_sup_distance
 from .planes import (
@@ -474,8 +474,10 @@ def verify_automorphism(
     Per trial: join a random triple, push the triple through g, join the
     images, then require the g-images of 16 further carrier points to lie
     on the re-joined circle. Parallel classes must also map to parallel
-    classes of the same kind.
+    classes of the same kind. A g without a point action (`Case3Element`)
+    is a ConfigError.
     """
+    require_point_action(g)
     return _run_trials(
         "automorphism",
         plane,
@@ -542,46 +544,6 @@ def verify_rigidity(
 # fixed configurations
 
 
-_PSL_SAMPLE = (
-    MobiusMap([[2.0, 1.0], [1.0, 1.0]]),
-    MobiusMap([[1.0, 1.0], [0.0, 1.0]]),
-    MobiusMap.rotation(0.15),
-    MobiusMap([[3.0, 0.0], [0.0, 1.0 / 3.0]]),
-)
-
-_PHI_PARAM_SAMPLE = ((2.0, 3.0, 1.0), (1.5, 0.5, -1.0), (3.0, 1.25, 2.0))
-_PHI2_PARAM_SAMPLE = ((2.0, 3.0, 1.0), (1.5, 2.0, -1.0), (3.0, 0.5, 2.0))
-
-
-def family_sample(family_key: str):
-    """Deterministic non-identity elements of one family.
-
-    The generic parameters (a, b, c) = (2, 3, 1) lead each Phi sample;
-    the common fixed configuration is read off the whole sample, since a
-    single element may fix more than the group does.
-    """
-    if family_key in PSL_FAMILIES:
-        return [PSL_FAMILIES[family_key](m) for m in _PSL_SAMPLE]
-    if family_key.startswith("phi2:"):
-        d = float(family_key.split(":")[1])
-        return [PhiTwoFixed(d, a, b, c) for a, b, c in _PHI2_PARAM_SAMPLE]
-    if family_key.startswith("phi:"):
-        text = family_key.split(":")[1]
-        d = math.inf if text == "inf" else float(text)
-        return [PhiStd(d, a, b, c) for a, b, c in _PHI_PARAM_SAMPLE]
-    raise UnsupportedPlane(f"unknown family key {family_key!r}")
-
-
-def family_key_of(g) -> str:
-    """The `family_sample` key of g's family: the head of its literal, and d."""
-    head, *params = group_literal(g).split(":")
-    if head in PSL_FAMILIES:
-        return head
-    if head in ("phi", "phi2"):
-        return f"{head}:{params[0]}"
-    raise UnsupportedPlane(f"no fixed-configuration family for {g!r}")
-
-
 def _common_factor_fixed(elements, side_index: int):
     """(fixes_all, common fixed coordinates) across a family sample."""
     factors = [el.factor_homeos()[side_index] for el in elements]
@@ -635,7 +597,7 @@ def verify_fixed_configuration(
     any other family against the Phi label.
     """
     elements = family_sample(family_key)
-    expect_key = family_key.split(":")[0]
+    expect_key = type(elements[0]).head
     if negative_control:
         expect_key = "phi2" if expect_key == "phi" else "phi"
     expected = _EXPECTED_CONFIG[expect_key]

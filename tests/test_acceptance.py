@@ -19,10 +19,8 @@ from torus_planes import (
     PhiTwoFixed,
     ProjPoint,
     TorusPoint,
-    act,
     chordal,
     classical_plane,
-    compose,
     diagonal_transitivity_witness,
     half_classical_plane,
     homeo_sup_distance,
@@ -164,7 +162,7 @@ def test_criterion_4_diagonal_action_realized():
             continue
         witness = diagonal_transitivity_witness(src, dst)
         assert witness.mu.orientation == 1
-        assert torus_dist(act(witness, src), dst) < 1e-9
+        assert torus_dist(witness.act(src), dst) < 1e-9
         witnesses += 1
 
     _report_line(
@@ -191,10 +189,10 @@ def test_criterion_5_fixed_configurations():
     for d in (0.0, -1.0, -2.0):
         g = PhiTwoFixed(d, 2.0, 3.0, 1.0)
         for fixed in (pt(INF, INF), pt(0, INF)):
-            assert torus_dist(act(g, fixed), fixed) < 1e-12
+            assert torus_dist(g.act(fixed), fixed) < 1e-12
     for d in (math.inf, 0.0, 1.0, 2.0):
         g = PhiStd(d, 2.0, 3.0, 1.0)
-        assert torus_dist(act(g, pt(INF, INF)), pt(INF, INF)) < 1e-12
+        assert torus_dist(g.act(pt(INF, INF)), pt(INF, INF)) < 1e-12
     _report_line(5, "fixed configurations, 512-grid scans", True, "; ".join(details))
 
 
@@ -210,7 +208,7 @@ def _recover_params(family, d, g1, g2):
     """Parameters of g1 . g2 recovered purely from double application."""
 
     def image(x, y):
-        return act(g1, act(g2, pt(x, y)))
+        return g1.act(g2.act(pt(x, y)))
 
     x0 = image(0.0, 0.0)
     x1 = image(1.0, 1.0)
@@ -255,13 +253,13 @@ def test_criterion_6_group_laws():
     for family in ("kplus", "kminus", "diag", "phi", "phi2"):
         for _ in range(20):
             a, b, c = (random_member(family) for _ in range(3))
-            left = compose(compose(a, b), c)
-            right = compose(a, compose(b, c))
+            left = a.compose(b).compose(c)
+            right = a.compose(b.compose(c))
             inv = a.inverse()
             for p in probes:
-                worst = max(worst, torus_dist(act(left, p), act(right, p)))
-                worst = max(worst, torus_dist(act(compose(a, b), p), act(a, act(b, p))))
-                worst = max(worst, torus_dist(act(compose(a, inv), p), p))
+                worst = max(worst, torus_dist(left.act(p), right.act(p)))
+                worst = max(worst, torus_dist(a.compose(b).act(p), a.act(b.act(p))))
+                worst = max(worst, torus_dist(a.compose(inv).act(p), p))
     assert worst < 1e-10
 
     # composition laws match the double-application oracle in parameters
@@ -271,7 +269,7 @@ def test_criterion_6_group_laws():
             for _ in range(10):
                 g1 = _phi_like_sample(rng, family, d)
                 g2 = _phi_like_sample(rng, family, d)
-                comp = compose(g1, g2)
+                comp = g1.compose(g2)
                 rec = _recover_params(family, d, g1, g2)
                 for got, expect in zip(rec, (comp.a, comp.b, comp.c)):
                     param_worst = max(

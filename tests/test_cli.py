@@ -50,6 +50,9 @@ class TestJoinCommand:
         ["join", "--plane", "half:spline:{tmp}/nan-knots.txt", "0,0", "1,1", "2,3"],
         ["join", "--plane", "half:spline:{tmp}/missing.txt", "0,0", "1,1", "2,3"],
         ["plot", "orbit:diag:psl:2,0,0,0.5:0,1:abc", "--out", "{tmp}/x.svg"],
+        ["plot", "orbit:diag:psl:2,0,0,0.5:0,1:-3", "--out", "{tmp}/x.svg"],
+        # the factor-only family has no point action to check
+        ["verify", "--plane", "classical", "--suite", "automorphism", "--group", "case3:0.3:2:1"],
     ],
 )
 def test_bad_input_exits_2_without_traceback(args, tmp_path, capsys):

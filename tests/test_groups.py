@@ -15,10 +15,8 @@ from torus_planes import (
     PhiTwoFixed,
     ProjPoint,
     TorusPoint,
-    act,
     chordal,
     classical_plane,
-    compose,
     diagonal_transitivity_witness,
     group_literal,
     half_classical_plane,
@@ -27,7 +25,7 @@ from torus_planes import (
     parse_group_literal,
     torus_dist,
 )
-from torus_planes.groups import factor_fixed_sets
+from torus_planes.groups import family_key_of, family_sample, fixed_coordinates
 
 from helpers import random_proj_point, random_psl, random_triple, rng_for
 
@@ -63,7 +61,7 @@ FAMILIES = ("kplus", "kminus", "diag", "phi", "phi-inf", "phi2", "phi2-zero")
 
 class TestAct:
     def test_phi_two_fixed_formula(self):
-        out = act(PhiTwoFixed(-1, 1, 2, 0), pt(4, 3))
+        out = PhiTwoFixed(-1, 1, 2, 0).act(pt(4, 3))
         assert math.isclose(out.x.value(), 16.0, rel_tol=1e-12)
         assert math.isclose(out.y.value(), 1.5, rel_tol=1e-12)
 
@@ -72,30 +70,30 @@ class TestAct:
         for _ in range(20):
             g = _random_element("phi2", rng)
             for fixed in (pt(INF, INF), pt(0, INF)):
-                image = act(g, fixed)
+                image = g.act(fixed)
                 assert torus_dist(image, fixed) < 1e-12
 
     def test_phi_std_infinite_exponent(self):
         g = PhiStd(math.inf, 2.0, 3.0, 1.0)
-        out = act(g, pt(4, 5))
+        out = g.act(pt(4, 5))
         assert math.isclose(out.x.value(), 7.0, rel_tol=1e-12)
         assert math.isclose(out.y.value(), 11.0, rel_tol=1e-12)
-        assert torus_dist(act(g, pt(INF, INF)), pt(INF, INF)) < 1e-12
+        assert torus_dist(g.act(pt(INF, INF)), pt(INF, INF)) < 1e-12
 
     def test_diagonal_fixes_diagonal_setwise(self):
         rng = rng_for(402)
         for _ in range(20):
             g = DiagonalPSL(random_psl(rng))
             x = random_proj_point(rng)
-            image = act(g, TorusPoint(x, x))
+            image = g.act(TorusPoint(x, x))
             assert chordal(image.x, image.y) < 1e-12
 
     def test_kernel_sides(self):
         mu = MobiusMap([[2.0, 1.0], [1.0, 1.0]])
         p = pt(3, 4)
-        up = act(KernelPlusPSL(mu), p)
+        up = KernelPlusPSL(mu).act(p)
         assert up.x.value() == 3.0 and up.y.value() != 4.0
-        um = act(KernelMinusPSL(mu), p)
+        um = KernelMinusPSL(mu).act(p)
         assert um.y.value() == 4.0 and um.x.value() != 3.0
 
     def test_psl_families_require_positive_det(self):
@@ -109,42 +107,42 @@ class TestCompose:
         for family in FAMILIES:
             g = _random_element(family, rng)
             e = type(g).identity(g.d) if isinstance(g, (PhiStd, PhiTwoFixed)) else type(g).identity()
-            assert compose(e, g).__class__ is g.__class__
+            assert e.compose(g).__class__ is g.__class__
             p = pt(0.7, -1.3)
-            assert torus_dist(act(compose(e, g), p), act(g, p)) < 1e-12
-            assert torus_dist(act(compose(g, e), p), act(g, p)) < 1e-12
+            assert torus_dist(e.compose(g).act(p), g.act(p)) < 1e-12
+            assert torus_dist(g.compose(e).act(p), g.act(p)) < 1e-12
 
     def test_phi_std_example_with_pointwise_oracle(self):
-        comp = compose(PhiStd(2, 2, 0, 0), PhiStd(2, 1, 1, 0))
+        comp = PhiStd(2, 2, 0, 0).compose(PhiStd(2, 1, 1, 0))
         assert (comp.a, comp.b, comp.c) == (2.0, 2.0, 0.0)
         rng = rng_for(404)
         for _ in range(20):
             p = pt(rng.normal(), rng.normal())
-            direct = act(PhiStd(2, 2, 0, 0), act(PhiStd(2, 1, 1, 0), p))
-            assert torus_dist(act(comp, p), direct) < 1e-12
+            direct = PhiStd(2, 2, 0, 0).act(PhiStd(2, 1, 1, 0).act(p))
+            assert torus_dist(comp.act(p), direct) < 1e-12
 
     def test_phi_two_fixed_example_with_pointwise_oracle(self):
         # frozen from the double-application oracle: applying (3,1,5) then
         # (1,2,0) sends x to 9 sgn(x) x^2 and y to y/2 + 2.5
         g1 = PhiTwoFixed(-1, 1, 2, 0)
         g2 = PhiTwoFixed(-1, 3, 1, 5)
-        comp = compose(g1, g2)
+        comp = g1.compose(g2)
         assert (comp.a, comp.b, comp.c) == (9.0, 2.0, 2.5)
         rng = rng_for(405)
         for _ in range(20):
             p = pt(rng.normal() or 0.5, rng.normal())
-            direct = act(g1, act(g2, p))
-            assert torus_dist(act(comp, p), direct) < 1e-12
+            direct = g1.act(g2.act(p))
+            assert torus_dist(comp.act(p), direct) < 1e-12
 
     def test_family_mismatch(self):
         with pytest.raises(FamilyMismatch):
-            compose(PhiStd(2, 1, 0, 0), PhiStd(3, 1, 0, 0))
+            PhiStd(2, 1, 0, 0).compose(PhiStd(3, 1, 0, 0))
         with pytest.raises(FamilyMismatch):
-            compose(PhiTwoFixed(0, 1, 1, 0), PhiTwoFixed(-1, 1, 1, 0))
+            PhiTwoFixed(0, 1, 1, 0).compose(PhiTwoFixed(-1, 1, 1, 0))
         with pytest.raises(FamilyMismatch):
-            compose(KernelPlusPSL.identity(), KernelMinusPSL.identity())
+            KernelPlusPSL.identity().compose(KernelMinusPSL.identity())
         with pytest.raises(FamilyMismatch):
-            compose(PhiStd(2, 1, 0, 0), 3.0)
+            PhiStd(2, 1, 0, 0).compose(3.0)
 
     def test_group_laws_all_families(self):
         rng = rng_for(406)
@@ -152,13 +150,13 @@ class TestCompose:
         for family in FAMILIES:
             for _ in range(20):
                 a, b, c = (_random_element(family, rng) for _ in range(3))
-                ab_c = compose(compose(a, b), c)
-                a_bc = compose(a, compose(b, c))
+                ab_c = a.compose(b).compose(c)
+                a_bc = a.compose(b.compose(c))
                 inv = a.inverse()
                 for p in probes:
-                    assert torus_dist(act(ab_c, p), a_bc and act(a_bc, p)) < 1e-10
-                    assert torus_dist(act(compose(a, b), p), act(a, act(b, p))) < 1e-10
-                    assert torus_dist(act(compose(a, inv), p), p) < 1e-10
+                    assert torus_dist(ab_c.act(p), a_bc and a_bc.act(p)) < 1e-10
+                    assert torus_dist(a.compose(b).act(p), a.act(b.act(p))) < 1e-10
+                    assert torus_dist(a.compose(inv).act(p), p) < 1e-10
 
 
 class TestInducedActions:
@@ -190,7 +188,7 @@ class TestInducedActions:
     def test_phi2_power_factor_fixed_set(self):
         # 2 sgn(x)|x|^3 fixes 0, infinity, and +-(1/2)^(1/2)
         g = PhiTwoFixed(-1, 2, 3, 1)
-        (fx_all, fx_pts), (fy_all, fy_pts) = factor_fixed_sets(g)
+        (fx_all, fx_pts), (fy_all, fy_pts) = map(fixed_coordinates, g.factor_homeos())
         assert not fx_all and not fy_all
         values = sorted(p.value() for p in fx_pts)
         root = math.sqrt(0.5)
@@ -208,11 +206,11 @@ class TestAutomorphismBehaviour:
         rng = rng_for(407)
         for _ in range(30):
             circle = plane.join(*random_triple(rng))
-            image = plane.join(*(act(g, circle.point_at(ProjPoint.from_chart(t)))
+            image = plane.join(*(g.act(circle.point_at(ProjPoint.from_chart(t)))
                                  for t in (0.1, 0.45, 0.8)))
             worst = max(
                 plane.membership_residual(
-                    image, act(g, circle.point_at(ProjPoint.from_chart((j + 0.5) / 16)))
+                    image, g.act(circle.point_at(ProjPoint.from_chart((j + 0.5) / 16)))
                 )
                 for j in range(16)
             )
@@ -225,11 +223,11 @@ class TestAutomorphismBehaviour:
         broken = 0
         for _ in range(40):
             circle = plane.join(*random_triple(rng))
-            image = plane.join(*(act(g, circle.point_at(ProjPoint.from_chart(t)))
+            image = plane.join(*(g.act(circle.point_at(ProjPoint.from_chart(t)))
                                  for t in (0.1, 0.45, 0.8)))
             worst = max(
                 plane.membership_residual(
-                    image, act(g, circle.point_at(ProjPoint.from_chart((j + 0.5) / 16)))
+                    image, g.act(circle.point_at(ProjPoint.from_chart((j + 0.5) / 16)))
                 )
                 for j in range(16)
             )
@@ -245,11 +243,11 @@ class TestAutomorphismBehaviour:
         rng = rng_for(409)
         for _ in range(20):
             circle = plane.join(*random_triple(rng))
-            image = plane.join(*(act(g, circle.point_at(ProjPoint.from_chart(t)))
+            image = plane.join(*(g.act(circle.point_at(ProjPoint.from_chart(t)))
                                  for t in (0.1, 0.45, 0.8)))
             worst = max(
                 plane.membership_residual(
-                    image, act(g, circle.point_at(ProjPoint.from_chart((j + 0.5) / 16)))
+                    image, g.act(circle.point_at(ProjPoint.from_chart((j + 0.5) / 16)))
                 )
                 for j in range(16)
             )
@@ -266,7 +264,7 @@ class TestDiagonalOrbits:
                 continue
             witness = diagonal_transitivity_witness(src, dst)
             assert witness.mu.orientation == 1
-            assert torus_dist(act(witness, src), dst) < 1e-9
+            assert torus_dist(witness.act(src), dst) < 1e-9
 
     def test_two_point_stabilizer_orbit_rays(self):
         # elements fixing (0,0) and (inf,inf) diagonally are the scalings;
@@ -274,7 +272,7 @@ class TestDiagonalOrbits:
         start = pt(1.0, 3.0)
         for t in (0.3, 0.9, 2.7):
             g = DiagonalPSL(MobiusMap.scaling(t))
-            image = act(g, start)
+            image = g.act(start)
             assert math.isclose(
                 image.y.value() / image.x.value(), 3.0, rel_tol=1e-12
             )
@@ -285,7 +283,7 @@ class TestCase3:
     def test_identity_factors(self):
         e = Case3Element(0.0, 1.0, 0.0)
         assert e.is_identity()
-        plus, minus = e.factor_maps()
+        plus, minus = e.factor_homeos()
         assert plus.as_mobius().is_identity() and minus.as_mobius().is_identity()
 
     def test_rotation_group_law(self):
@@ -302,13 +300,13 @@ class TestCase3:
 
     def test_minus_factor_is_rotation(self):
         e = Case3Element(math.pi, 1.0, 0.0)
-        rotated = e.minus_map.apply(P(0.0))
+        rotated = e.factor_homeos()[1].apply(P(0.0))
         # a half turn moves 0 to infinity (up to the pi/2 rounding of cos)
         assert chordal(rotated, ProjPoint.infinity()) < 1e-15
 
     def test_plus_factor_pins_infinity(self):
         e = Case3Element(0.7, 2.0, 5.0)
-        assert e.plus_map.apply(ProjPoint.infinity()).value() == INF
+        assert e.factor_homeos()[0].apply(ProjPoint.infinity()).value() == INF
 
     def test_inverse(self):
         e = Case3Element(1.1, 2.0, -3.0)
@@ -317,6 +315,11 @@ class TestCase3:
     def test_no_point_action(self):
         e = Case3Element(1.0, 2.0, 0.0)
         assert not hasattr(e, "act")
+
+    @pytest.mark.parametrize("side, kind", [("plus", "L2-on-line"), ("minus", "SO2-on-circle")])
+    def test_induced_factor_actions(self, side, kind):
+        _, report = induced_factor_action(Case3Element(0.3, 2, 1), side)
+        assert report.action_kind == kind
 
 
 class TestLiterals:
@@ -339,7 +342,7 @@ class TestLiterals:
         assert type(again) is type(g)
         if hasattr(g, "act"):
             p = pt(0.37, -1.21)
-            assert torus_dist(act(g, p), act(again, p)) < 1e-12
+            assert torus_dist(g.act(p), again.act(p)) < 1e-12
 
     def test_bad_literals(self):
         for literal in [
@@ -353,6 +356,17 @@ class TestLiterals:
             with pytest.raises(ConfigError):
                 parse_group_literal(literal)
 
+    @pytest.mark.parametrize("key", ["phi:abc", "phi2:x"])
+    def test_bad_family_keys(self, key):
+        with pytest.raises(ConfigError):
+            family_sample(key)
+
+    @pytest.mark.parametrize(
+        "key", ["diag", "kplus", "kminus", "phi:2", "phi:inf", "phi:-0.5", "phi2:0", "phi2:-2.5"]
+    )
+    def test_family_key_round_trip(self, key):
+        assert {family_key_of(g) for g in family_sample(key)} == {key}
+
 
 def test_classical_plane_diagonal_automorphisms():
     plane = classical_plane()
@@ -361,16 +375,16 @@ def test_classical_plane_diagonal_automorphisms():
     identity_circle = plane.mobius_circle(MobiusMap.identity())
     for _ in range(20):
         circle = plane.join(*random_triple(rng))
-        image = plane.join(*(act(g, circle.point_at(ProjPoint.from_chart(t)))
+        image = plane.join(*(g.act(circle.point_at(ProjPoint.from_chart(t)))
                              for t in (0.2, 0.5, 0.9)))
         worst = max(
             plane.membership_residual(
-                image, act(g, circle.point_at(ProjPoint.from_chart((j + 0.5) / 16)))
+                image, g.act(circle.point_at(ProjPoint.from_chart((j + 0.5) / 16)))
             )
             for j in range(16)
         )
         assert worst < 1e-8
     # the diagonal circle is setwise invariant
-    image = plane.join(*(act(g, identity_circle.point_at(ProjPoint.from_chart(t)))
+    image = plane.join(*(g.act(identity_circle.point_at(ProjPoint.from_chart(t)))
                          for t in (0.15, 0.5, 0.85)))
     assert homeo_sup_distance(image.graph, identity_circle.graph, 64) < 1e-9
