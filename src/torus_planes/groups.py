@@ -40,17 +40,14 @@ from .errors import (
     PreconditionViolated,
     UnsupportedPlane,
 )
-from .homeo import CircleHomeo, PowerMap, wrapped_zeros
+from .homeo import CircleHomeo, PowerMap, graph_equation_zeros
 from .projline import (
     MobiusMap,
     ProjPoint,
     TorusPoint,
     TwoPointFamily,
-    chart_h,
     chordal,
-    h_from_chart,
     mobius_fixed_points,
-    wrap_half,
 )
 from .planes import MINUS, PLUS, ParallelClass
 
@@ -412,25 +409,20 @@ def fixed_coordinates(h: CircleHomeo):
     """Fixed points of a circle map: (fixes_everything, points).
 
     Mobius chains use the exact eigenvector solver; anything else falls
-    back to a 512-point chart scan with bisection and tangential-minimum
-    refinement. The point at infinity is checked explicitly (the chart
-    cannot represent it exactly), and scan artifacts converging to it are
-    absorbed: a map contracting toward infinity leaves a visible chordal
-    residual at any nearby finite point.
+    back to the graph equation h = id, a 512-point scan with bisection and
+    tangential-minimum refinement. The point at infinity is checked
+    explicitly (the chart cannot represent it exactly), and scan roots
+    converging to it are absorbed: a map contracting toward infinity
+    leaves a visible chordal residual at any nearby finite point.
     """
     m = h.as_mobius()
     if m is not None:
         if m.is_identity(1e-12):
             return True, ()
         return False, tuple(mobius_fixed_points(m))
-
-    def delta(theta):
-        hh = h_from_chart(theta)
-        return wrap_half(chart_h(h.apply_h(hh)) - theta)
-
     inf = ProjPoint.infinity()
     inf_fixed = chordal(h.apply(inf), inf) <= 1e-9
-    thetas = wrapped_zeros(delta, grid=512, tangent_band=1e-7)
+    thetas = graph_equation_zeros(h, CircleHomeo.identity(), grid=512, tangent_band=1e-7)
     pts = [inf] if inf_fixed else []
     for t in thetas:
         cand = ProjPoint.from_chart(t)
@@ -491,14 +483,19 @@ def _split(text: str):
 
 
 def _numbers(cls, tokens, text: str) -> list:
-    """The numbers of a literal's tokens; the exponent d may be written `oo`."""
+    """The numbers of a literal's tokens: finite, except d = inf (or `oo`)."""
     try:
-        return [
+        values = [
             math.inf if name == "d" and tok.strip() == "oo" else float(tok)
             for name, tok in zip(cls.fields, tokens)
         ]
     except ValueError as exc:
         raise ConfigError(f"malformed literal {text!r}: {exc}") from None
+    for name, value in zip(cls.fields, values):
+        if not (math.isfinite(value) or (name == "d" and value == math.inf)):
+            allowed = "finite or inf" if name == "d" else "finite"
+            raise ConfigError(f"malformed literal {text!r}: {name} must be {allowed}")
+    return values
 
 
 def parse_group_literal(literal: str):

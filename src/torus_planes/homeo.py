@@ -8,12 +8,16 @@ twists loaded from knot files). A CircleHomeo is a chain of such atoms
 and Mobius maps, evaluated left to right; a circle of the torus is the
 graph of one.
 
-Root finding against these maps is bisection in the angle chart on
-sign-change brackets collected from a grid scan; monotone pieces make the
-brackets reliable and nothing here needs a derivative. `bisect` evaluates
-the midpoints of several levels per call and returns what serial bisection
-returns. Tangential zeros (a graph touching without crossing) are caught
-by refining local minima of the scanned values.
+Two graphs meet where their maps agree. Every atom also has a lifted
+action, `lift_h`, that moves homogeneous pairs continuously without the
+canonical sign flip, so along the lifted chart (sin pi theta, cos pi theta)
+the determinant s(theta) of the two images is a continuous function of
+period 1 that vanishes exactly where the graphs meet; it equals
++-sin(pi * chart difference). Root finding is bisection of its sign
+changes on a grid scan, with no seam to filter and no derivative;
+`bisect` evaluates the midpoints of several levels per call and returns
+what serial bisection returns. Tangential zeros (graphs touching without
+crossing) are caught by refining local minima of |s|.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from .projline import (
     chart_h,
     chordal_h,
     h_from_chart,
+    lift_chart,
     normalize_h,
-    wrap_half,
 )
 
 #: default scan resolution for bracket collection
@@ -71,9 +75,11 @@ class PowerMap:
         )
 
     def apply_h(self, h: np.ndarray) -> np.ndarray:
+        return normalize_h(self.lift_h(h))
+
+    def lift_h(self, h: np.ndarray) -> np.ndarray:
         h = np.asarray(h, dtype=float)
-        out = np.sign(h) * np.abs(h) ** self.exponent
-        return normalize_h(out)
+        return np.sign(h) * np.abs(h) ** self.exponent
 
     def inverse(self) -> "PowerMap":
         return PowerMap(1.0 / self.exponent)
@@ -136,6 +142,17 @@ class MonotoneSpline:
     def apply_h(self, h: np.ndarray) -> np.ndarray:
         return h_from_chart(self._eval_chart(chart_h(h)))
 
+    def lift_h(self, h: np.ndarray) -> np.ndarray:
+        """The lifted table on the double cover x = atan2(h0, h1) / pi.
+
+        F(x) = interp(x - k) + k with k = floor(x - tx[0]) turns a full
+        turn of x into a full turn of F, so the image pair is continuous
+        wherever the input pair is.
+        """
+        x = np.arctan2(h[0], h[1]) / math.pi
+        k = np.floor(x - self._tx[0])
+        return lift_chart(np.interp(x - k, self._tx, self._ty) + k)
+
     def inverse(self) -> "MonotoneSpline":
         return MonotoneSpline([(y, x) for x, y in self.knots])
 
@@ -195,6 +212,13 @@ class CircleHomeo:
             h = atom.apply_h(h)
         return h
 
+    def lift_h(self, h: np.ndarray) -> np.ndarray:
+        """Unit-norm images of pairs (2, ...), never sign-flipped: continuous in h."""
+        for atom in self.atoms:
+            h = atom.lift_h(h)
+            h = h / np.hypot(h[0], h[1])
+        return h
+
     def compose(self, first: "CircleHomeo") -> "CircleHomeo":
         """self after first."""
         return CircleHomeo(first.atoms + self.atoms)
@@ -217,14 +241,16 @@ class CircleHomeo:
     def audit_monotone(self) -> None:
         """Check images of a 256-point grid stay cyclically (anti-)ordered.
 
-        Raises MonotonicityError on violation; a failed audit means the
-        chain does not describe a circle homeomorphism.
+        Each step between consecutive lifted images is the signed angle
+        atan2(-det, dot) in chart units, so images that round to the same
+        chart value still advance. Raises MonotonicityError on violation;
+        a failed audit means the chain does not describe a circle
+        homeomorphism.
         """
-        h = h_from_chart(np.arange(256) / 256)
-        theta = chart_h(self.apply_h(h))
-        steps = (np.diff(np.append(theta, theta[0])) % 1.0)
-        if self.orientation == -1:
-            steps = (-steps) % 1.0
+        a = self.lift_h(lift_chart(np.arange(256) / 256))
+        b = np.concatenate([a[:, 1:], -a[:, :1]], axis=1)  # the lift of theta = 1
+        det = a[0] * b[1] - a[1] * b[0]
+        steps = self.orientation * np.arctan2(-det, a[0] * b[0] + a[1] * b[1]) / math.pi
         winding = steps.sum()
         if np.any(steps <= 0.0) or abs(winding - 1.0) > 1e-6:
             raise MonotonicityError(
@@ -341,59 +367,26 @@ def _refine_minimum(fn, lo: float, hi: float):
 def wrapped_zeros(
     fn,
     grid: int = SCAN_GRID,
-    tangent_band: float = 1e-7,
+    tangent_band: float = 0.0,
 ):
-    """Zeros in [0, 1) of a chart-periodic function with values in [-1/2, 1/2).
+    """Zeros in [0, 1) of a continuous function of period 1.
 
-    `fn` must accept scalar or array chart arguments and return wrapped
-    differences. Sign-change brackets from a grid scan are bisected to
-    BISECT_TOL; grid-local minima of |fn| below `tangent_band` are refined
-    as tangential zeros. Jumps of magnitude >= 0.5 are treated as seam
-    artifacts, not crossings.
+    `fn` must accept scalar or array chart arguments. Sign changes between
+    neighbouring points of a grid scan are bisected to BISECT_TOL;
+    grid-local minima of |fn| below `tangent_band` that are not next to a
+    sign change are refined as tangential zeros.
     """
     theta = np.arange(grid) / grid
     vals = np.asarray(fn(theta), dtype=float)
-    nxt = np.roll(vals, -1)
-    genuine = np.abs(nxt - vals) < 0.5
-    sign_flip = (vals == 0.0) | (np.sign(vals) != np.sign(nxt))
-    crossing = genuine & sign_flip
+    crossing = (vals == 0.0) | (np.sign(vals) != np.sign(np.roll(vals, -1)))
     zeros = []
-
-    def accept(root: float, froot: float) -> None:
-        # a bisected sign change can also be the wrap seam of the
-        # difference (values jump across +-1/2 without vanishing); a
-        # genuine zero is recognized by actually being small there
-        if abs(froot) < 0.01:
-            zeros.append(root % 1.0)
-
     for i in np.nonzero(crossing)[0]:
-        lo = theta[i]
-        hi = theta[i] + 1.0 / grid
-        flo = vals[i]
+        lo, flo = theta[i], vals[i]
         if flo == 0.0:
             zeros.append(lo)
             continue
-        accept(*bisect(fn, lo, hi, flo, atol=BISECT_TOL))
-    # steep cells: subdivide to separate genuine fast crossings from the
-    # wrap-around seam, which keeps jumping +-1 however far we zoom
-    for i in np.nonzero(sign_flip & ~genuine)[0]:
-        stack = [(theta[i], theta[i] + 1.0 / grid, vals[i], nxt[i], 0)]
-        while stack:
-            lo, hi, flo, fhi, depth = stack.pop()
-            if flo == 0.0:
-                zeros.append(lo % 1.0)
-                continue
-            if (flo < 0.0) == (fhi < 0.0) and fhi != 0.0:
-                continue
-            if abs(flo - fhi) < 0.5:
-                accept(*bisect(fn, lo, hi, flo, atol=BISECT_TOL))
-                continue
-            if depth >= 12:
-                continue
-            mid = 0.5 * (lo + hi)
-            fmid = float(fn(mid))
-            stack.append((lo, mid, flo, fmid, depth + 1))
-            stack.append((mid, hi, fmid, fhi, depth + 1))
+        root, _ = bisect(fn, lo, lo + 1.0 / grid, flo, atol=BISECT_TOL)
+        zeros.append(root % 1.0)
     # tangential zeros: local minima of |fn| below the band, away from crossings
     mag = np.abs(vals)
     local_min = (mag <= np.roll(mag, 1)) & (mag <= np.roll(mag, -1))
@@ -418,16 +411,32 @@ def wrapped_zeros(
     return out
 
 
+def crossing_function(lhs: CircleHomeo, rhs: CircleHomeo):
+    """s(theta) = det(lhs lifted, rhs lifted) along the lifted chart.
+
+    Continuous with period 1 (both lifts are antiperiodic), zero exactly
+    where the graphs of lhs and rhs meet, and equal to
+    +-sin(pi * (lhs chart - rhs chart)).
+    """
+
+    def s(theta):
+        h = lift_chart(theta)
+        a, b = lhs.lift_h(h), rhs.lift_h(h)
+        return a[0] * b[1] - a[1] * b[0]
+
+    return s
+
+
 def graph_equation_zeros(
     lhs: CircleHomeo,
     rhs: CircleHomeo,
     grid: int = SCAN_GRID,
     tangent_band: float = 1e-7,
 ):
-    """Chart positions where the graphs of two circle maps agree."""
+    """Chart positions where the graphs of two circle maps agree.
 
-    def delta(theta):
-        h = h_from_chart(theta)
-        return wrap_half(chart_h(lhs.apply_h(h)) - chart_h(rhs.apply_h(h)))
-
-    return wrapped_zeros(delta, grid=grid, tangent_band=tangent_band)
+    The zeros of the crossing function; `tangent_band` is a chart distance,
+    so a tangential zero is a local minimum with |s| < sin(pi * band).
+    """
+    return wrapped_zeros(crossing_function(lhs, rhs), grid=grid,
+                         tangent_band=math.sin(math.pi * tangent_band))

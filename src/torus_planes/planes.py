@@ -39,6 +39,7 @@ from .homeo import (
     SCAN_GRID,
     CircleHomeo,
     bisect,
+    crossing_function,
     graph_equation_zeros,
     homeo_sup_distance,
     load_spline_knots,
@@ -600,26 +601,22 @@ class PlaneModel:
 
     # -- tangency measurement ------------------------------------------
 
-    def _scan_delta(self, c1: Circle, c2: Circle, thetas) -> np.ndarray:
-        h = h_from_chart(np.asarray(thetas, dtype=float) % 1.0)
-        return wrap_half(chart_h(c1.graph.apply_h(h)) - chart_h(c2.graph.apply_h(h)))
-
     def _resolve_near_gap(self, c: Circle, d: Circle, p: TorusPoint):
         """Signed chart offsets of all crossings near p, p's own zero removed.
 
-        Both circles pass through p, so the chart-difference function has
-        a known zero there; dividing it out leaves every other crossing
-        (including the tangency contact itself) as a simple zero that
-        stays solvable arbitrarily close to p. Returns a list of offsets,
-        empty when no crossing lies within the search window.
+        Both circles pass through p, so their crossing function has a known
+        zero there; dividing it by sin(pi (theta - theta_p)) leaves every
+        other crossing (including the tangency contact itself) as a simple
+        zero that stays solvable arbitrarily close to p. Returns a list of
+        offsets, empty when no crossing lies within the search window.
         """
         theta_p = p.x.chart()
+        s = crossing_function(c.graph, d.graph)
 
         def g(theta):
             theta = np.asarray(theta, dtype=float)
-            dv = self._scan_delta(c, d, theta)
-            dn = wrap_half(theta - theta_p)
-            return dv / np.where(np.abs(dn) < 1e-12, np.nan, dn)
+            dn = np.sin(math.pi * (theta - theta_p))
+            return s(theta) / np.where(np.abs(dn) < 1e-12, np.nan, dn)
 
         window = 0.04
         n = 384  # even count keeps theta_p itself off the grid
@@ -630,10 +627,8 @@ class PlaneModel:
         offsets = []
         for i in np.nonzero(flip)[0]:
             root, residual = bisect(g, us[i], us[i + 1], a[i], cap=60)
-            # exclude the wrap seam of the difference masquerading as
-            # a crossing; a genuine zero is small at the root
-            if math.isfinite(residual) and abs(residual) < 0.01:
-                offsets.append(float(wrap_half(root - theta_p)))
+            if math.isfinite(residual):  # not converged onto theta_p itself
+                offsets.append(root - theta_p)
         return offsets
 
     def _tangency_quality(self, c: Circle, d: Circle, p: TorusPoint):
@@ -641,8 +636,8 @@ class PlaneModel:
 
         Mobius-comparable pairs use the quadratic; its root splitting has
         a sqrt(eps)-times-conditioning floor, so marginal readings are
-        re-measured on the actual graphs: a full hardened chart scan for
-        crossings away from p combined with the factored near-p solver
+        re-measured on the actual graphs: a scan of their crossing function
+        for crossings away from p combined with the factored near-p solver
         for the pair merging at p.
         """
         base_pair = self._comparable_mobius_pair(c, d)
@@ -662,16 +657,17 @@ class PlaneModel:
         zeros = graph_equation_zeros(
             c.graph, d.graph, grid=self.scan_grid, tangent_band=0.0
         )
+        s = crossing_function(c.graph, d.graph)
         far = []
         for z in zeros:
             off = abs(float(wrap_half(z - theta_p)))
             if off <= 0.03:
                 continue
             # a resolvable transversal crossing climbs well out of the
-            # rounding floor nearby; a noise-sign flip inside a chordal
-            # squeeze does not and proves nothing
+            # rounding floor nearby (a chart difference of 1e-5); a
+            # noise-sign flip inside a chordal squeeze does not
             window = z + np.linspace(-0.01, 0.01, 128)
-            if float(np.max(np.abs(self._scan_delta(c, d, window)))) > 1e-5:
+            if float(np.max(np.abs(s(window)))) > math.sin(math.pi * 1e-5):
                 far.append(off)
         if far:
             return True, max(far)

@@ -52,13 +52,20 @@ def normalize_h(h: np.ndarray) -> np.ndarray:
 def chart_h(h: np.ndarray) -> np.ndarray:
     """Angle chart of homogeneous pairs: theta in [0, 1), infinity at 0.5."""
     h = np.asarray(h, dtype=float)
-    return (np.arctan2(h[0], h[1]) / math.pi) % 1.0
+    theta = (np.arctan2(h[0], h[1]) / math.pi) % 1.0
+    # a tiny negative angle rounds up to 1.0 under % 1.0; it is chart 0
+    return np.where(theta < 1.0, theta, 0.0)
+
+
+def lift_chart(theta) -> np.ndarray:
+    """Unit pairs (sin pi theta, cos pi theta): continuous, with no sign flip."""
+    alpha = np.asarray(theta, dtype=float) * math.pi
+    return np.stack([np.sin(alpha), np.cos(alpha)])
 
 
 def h_from_chart(theta) -> np.ndarray:
     """Inverse of the angle chart, returns canonical pairs of shape (2, ...)."""
-    alpha = np.asarray(theta, dtype=float) * math.pi
-    return normalize_h(np.stack([np.sin(alpha), np.cos(alpha)]))
+    return normalize_h(lift_chart(theta))
 
 
 def chordal_h(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -120,7 +127,8 @@ class ProjPoint:
         return self.h0 / self.h1
 
     def chart(self) -> float:
-        return (math.atan2(self.h0, self.h1) / math.pi) % 1.0
+        theta = (math.atan2(self.h0, self.h1) / math.pi) % 1.0
+        return theta if theta < 1.0 else 0.0  # see chart_h
 
     def __repr__(self):
         if self.h1 == 0.0:
@@ -240,6 +248,11 @@ class MobiusMap:
         """Vectorized action on homogeneous pairs of shape (2, ...)."""
         h = np.asarray(h, dtype=float)
         return normalize_h(np.tensordot(self.m, h, axes=(1, 0)))
+
+    def lift_h(self, h: np.ndarray) -> np.ndarray:
+        """The linear action on pairs (2, ...), unscaled; elementwise, so batch-invariant."""
+        (a, b), (c, d) = self.m.tolist()
+        return np.stack([a * h[0] + b * h[1], c * h[0] + d * h[1]])
 
     def __repr__(self):
         a, b, c, d = self.m.ravel()

@@ -53,6 +53,7 @@ class TestJoinCommand:
         ["plot", "orbit:diag:psl:2,0,0,0.5:0,1:-3", "--out", "{tmp}/x.svg"],
         # the factor-only family has no point action to check
         ["verify", "--plane", "classical", "--suite", "automorphism", "--group", "case3:0.3:2:1"],
+        ["verify", "--suite", "automorphism", "--group", "phi:nan:1:1:1"],
     ],
 )
 def test_bad_input_exits_2_without_traceback(args, tmp_path, capsys):

@@ -352,6 +352,11 @@ class TestLiterals:
             "phi2:1:2:3:1",  # d must be <= 0
             "spin:1:2:3",
             "case3:a:b:c",
+            # non-finite numbers; only the exponent d may be inf
+            "case3:inf:1:1",
+            "phi:nan:1:1:1",
+            "phi:2:inf:3:1",
+            "phi:-inf:2:3:1",
         ]:
             with pytest.raises(ConfigError):
                 parse_group_literal(literal)

@@ -16,6 +16,7 @@ from torus_planes import (
     chordal,
     homeo_sup_distance,
     load_spline_knots,
+    parse_plane_spec,
 )
 from torus_planes.homeo import BISECT_LEVELS, bisect
 
@@ -140,6 +141,28 @@ def test_monotonicity_audit_random_chains(exponent, seed):
     rng = rng_for(203, seed % 1000)
     chain = CircleHomeo((random_pgl(rng), PowerMap(exponent), random_pgl(rng)))
     chain.audit_monotone()  # must not raise for genuine homeomorphisms
+
+
+@pytest.mark.parametrize("exponent", [9.0, 20.0, 50.0, 0.02])
+def test_audit_accepts_steep_powers(exponent):
+    # near 0 and infinity consecutive images share a chart value in floating
+    # point; their lifted pairs still advance
+    CircleHomeo.power(exponent).audit_monotone()
+    parse_plane_spec(f"half:power:{exponent!r}")
+
+
+class _ClaimsPreserving(CircleHomeo):
+    """A chain that declares orientation +1 whatever its atoms do."""
+
+    __slots__ = ()
+    orientation = 1
+
+
+def test_audit_rejects_reversed_images():
+    reversing = (MobiusMap([[-1.0, 0.0], [0.0, 1.0]]), PowerMap(3.0))
+    CircleHomeo(reversing).audit_monotone()  # declared -1: anti-ordered is right
+    with pytest.raises(MonotonicityError):
+        _ClaimsPreserving(reversing).audit_monotone()
 
 
 class TestSpline:

@@ -26,9 +26,11 @@ from torus_planes import (
     parse_plane_spec,
     plane_from_config,
     proj_matrix_equal,
+    torus_dist,
 )
 from torus_planes import homeo
 from torus_planes.planes import TAG_CLASSICAL, TAG_PSL, TAG_TWISTED, parse_config_text
+from torus_planes.projline import chart_h, h_from_chart, wrap_half
 
 from helpers import random_proj_point, random_triple, rng_for
 
@@ -415,10 +417,122 @@ def test_bisected_functions_are_batch_invariant(name, monkeypatch):
         for branch in plane._pencil_branches(p, q):
             probe = plane._branch_probe(branch, c, p)
             _assert_batch_invariant(lambda t: plane._tau_values(probe, t)[0], ts, (1, 3, 15))
-        # the chart difference of two graphs, as graph_equation_zeros builds
-        # it; a single point takes BLAS's matrix-vector path in
-        # MobiusMap.apply_h and may round differently, so batches start at
-        # three points, the fewest `bisect` evaluates before a capped last step
+        # the crossing function of two graphs, as graph_equation_zeros builds
+        # it; every lifted atom acts elementwise, so single points agree too
         homeo.graph_equation_zeros(c.graph, d.graph)
         thetas = np.concatenate([np.arange(512) / 512, rng.uniform(0.0, 1.0 + 1 / 512, 64)])
-        _assert_batch_invariant(captured.pop(), thetas, (3, 7, 15))
+        _assert_batch_invariant(captured.pop(), thetas, (1, 3, 7, 15))
+
+
+# ----------------------------------------------------------------------
+# the chart-scan intersection route against the chart-difference scan
+
+
+def chart_difference_zeros(lhs, rhs, grid=512, tangent_band=1e-7):
+    """Reference: graph meetings as zeros of the wrapped chart difference.
+
+    The difference jumps by 1 where one chart wraps, so a sign change is a
+    crossing only where neighbouring values are close; steep cells are
+    subdivided one point at a time to tell a fast crossing from the wrap,
+    and a bisected root is kept only where the difference is small.
+    """
+
+    def fn(theta):
+        h = h_from_chart(theta)
+        return wrap_half(chart_h(lhs.apply_h(h)) - chart_h(rhs.apply_h(h)))
+
+    theta = np.arange(grid) / grid
+    vals = np.asarray(fn(theta), dtype=float)
+    nxt = np.roll(vals, -1)
+    genuine = np.abs(nxt - vals) < 0.5
+    sign_flip = (vals == 0.0) | (np.sign(vals) != np.sign(nxt))
+    crossing = genuine & sign_flip
+    zeros = []
+
+    def accept(root, froot):
+        if abs(froot) < 0.01:
+            zeros.append(root % 1.0)
+
+    cells = [(theta[i], theta[i] + 1.0 / grid, vals[i], nxt[i], 0)
+             for i in np.nonzero(sign_flip)[0]]
+    while cells:
+        lo, hi, flo, fhi, depth = cells.pop()
+        if flo == 0.0:
+            zeros.append(lo % 1.0)
+        elif (flo < 0.0) == (fhi < 0.0) and fhi != 0.0:
+            continue
+        elif abs(flo - fhi) < 0.5:
+            accept(*homeo.bisect(fn, lo, hi, flo, atol=homeo.BISECT_TOL))
+        elif depth < 12:
+            mid = 0.5 * (lo + hi)
+            fmid = float(fn(mid))
+            cells += [(lo, mid, flo, fmid, depth + 1), (mid, hi, fmid, fhi, depth + 1)]
+    mag = np.abs(vals)
+    local_min = (mag <= np.roll(mag, 1)) & (mag <= np.roll(mag, -1))
+    for i in np.nonzero(local_min & (mag < tangent_band))[0]:
+        if not (crossing[i] or crossing[(i - 1) % grid]):
+            t, fmin = homeo._refine_minimum(fn, theta[i] - 1.0 / grid, theta[i] + 1.0 / grid)
+            if fmin < tangent_band:
+                zeros.append(t % 1.0)
+    return sorted(zeros)
+
+
+def _cyclic_gap(a, b):
+    d = abs(a - b) % 1.0
+    return min(d, 1.0 - d)
+
+
+def _mixed_route_pair(plane, rng):
+    """Circles c1, c2 of opposite branches sharing two drawn points a and b."""
+    while True:
+        c1 = plane.join(*random_triple(rng))
+        ta, tb = rng.random(2)
+        a = c1.point_at(ProjPoint.from_chart(ta))
+        b = c1.point_at(ProjPoint.from_chart(tb))
+        r = TorusPoint(random_proj_point(rng), random_proj_point(rng))
+        if (_cyclic_gap(ta, tb) < 0.05 or chordal(a.y, b.y) < 0.05
+                or parallel(a, r, 1e-2) != "none" or parallel(b, r, 1e-2) != "none"
+                or plane.membership_residual(c1, r) < 1e-2):
+            continue
+        c2 = plane.join(a, b, r)
+        if (c1.tag == TAG_TWISTED) != (c2.tag == TAG_TWISTED):
+            return c1, c2, (a, b)
+
+
+@pytest.mark.parametrize("name", ["power-2", "power-1/3", "spline"])
+def test_crossing_scan_finds_every_chart_difference_zero(name):
+    rng = rng_for(902, sorted(BATCH_PLANES).index(name))
+    plane = BATCH_PLANES[name](rng)
+    for _ in range(24):
+        c1, c2, shared = _mixed_route_pair(plane, rng)
+        band = plane.tangency_band
+        zeros = homeo.graph_equation_zeros(c1.graph, c2.graph, tangent_band=band)
+        for z in chart_difference_zeros(c1.graph, c2.graph, tangent_band=band):
+            assert min(_cyclic_gap(z, y) for y in zeros) <= 1e-9
+        pts = plane.circle_intersect(c1, c2)
+        assert len(pts) == 2
+        assert all(min(torus_dist(p, s) for p in pts) <= 1e-6 for s in shared)
+
+
+def test_chart_scan_keeps_a_crossing_next_to_a_steep_cell():
+    # a mixed-route pair on half:power:2 (drawn by the benchmark's chart-scan
+    # input generator, seed 4) whose crossing at x-chart 0.437 the
+    # chart-difference scan lost
+    plane = parse_plane_spec("half:power:2")
+
+    def point(x, y):
+        return TorusPoint(ProjPoint(*x), ProjPoint(*y))
+
+    c1 = plane.join(
+        point((0.9981732775780828, 0.06041612308835787), (0.6035731687350776, 0.797307613147584)),
+        point((-0.3374252221219421, 0.9413523354599796), (-0.04706143701768552, 0.9988919967373001)),
+        point((-0.9975280539448904, 0.0702693503095038), (0.9959512713828045, 0.08989474417881908)),
+    )
+    a = point((0.9806805948913793, 0.19561587564277702), (0.35288934962873764, 0.9356650612898862))
+    b = point((0.22816769828107758, 0.9736218472595586), (0.017304977111494587, 0.9998502576722029))
+    r = point((0.976162471323742, 0.21704107809150935), (-0.06637414947742788, 0.9977948046974128))
+    c2 = plane.join(a, b, r)
+    assert len(chart_difference_zeros(c1.graph, c2.graph, tangent_band=plane.tangency_band)) == 1
+    pts = plane.circle_intersect(c1, c2)
+    assert len(pts) == 2
+    assert all(min(torus_dist(p, s) for p in pts) <= 1e-6 for s in (a, b))

@@ -76,6 +76,17 @@ class TestProjPoint:
         assert np.allclose(chart_h(h_from_chart(np.array([0.1, 0.7]))), [0.1, 0.7])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1e-12, 0.0, exclude_max=True), st.floats(0.5, 2.0))
+def test_chart_stays_below_one(h0, h1):
+    # a tiny negative angle rounds to 1.0 under % 1.0; the chart is [0, 1)
+    p = ProjPoint(h0, h1)
+    assert 0.0 <= p.chart() < 1.0
+    theta = chart_h(np.array([[h0, p.h0], [h1, p.h1]]))
+    assert np.all((theta >= 0.0) & (theta < 1.0))
+    assert theta[1] == p.chart()
+
+
 class TestMobiusApply:
     def test_identity(self):
         assert MobiusMap.identity().apply(P(5.0)).value() == 5.0
