@@ -2,10 +2,10 @@
 
 Given a circle c, a point p on it and a point q off it, exactly one
 circle through p and q meets c only at p. The circles through p and q
-form a one-parameter pencil per branch; tangency is the double root of a
-fixed-point discriminant (closed form for Mobius data) and, as an
-independent oracle, the unique sign change of the graph-slope difference
-at p along the pencil.
+form a one-parameter pencil lam P + Q per branch; where a member meets c
+is a determinant linear in lam, so tangency at p fixes one lam per
+branch. The count of certified tangent members over all branches must
+be one.
 """
 
 import math
@@ -31,7 +31,7 @@ print(f"  mobius {d.mobius.m.round(6).tolist()}  (the map 2x/(2-x))")
 points = plane.circle_intersect(ident, d)
 print(f"  meets the diagonal at: {[(p.x.value(), p.y.value()) for p in points]}")
 count, detail = plane.count_tangency_brackets(ident, pt(0, 0), pt(1, 2))
-print(f"  pencil scan: {count} tangency bracket(s) {detail}")
+print(f"  certified tangent members: {count} {detail}")
 
 d2 = plane.touch(ident, pt(INF, INF), pt(0, 1))
 print("\ntangent at (inf,inf) through (0,1):")
@@ -48,6 +48,6 @@ count, detail = half.count_tangency_brackets(carrier, p, q)
 print(f"carrier branch: {carrier.tag}")
 print(f"tangent branch: {tangent.tag}")
 print(f"separation at the touch point: {sep:.2e} (band {half.tangency_band:g})")
-print(f"pencil scan: {count} bracket(s) {detail}")
+print(f"certified tangent members: {count} {detail}")
 print("the tangent keeps the carrier's orientation: an orientation-reversing")
 print("graph always crosses an orientation-preserving one at least twice.")

@@ -10,10 +10,11 @@ graphs:
 
 The orientation dichotomy splits the circle set exactly, so joining
 resolves its branch from the sign of a determinant, never from a
-tolerance. Touching is a numeric search over the pencil of circles
-through two points with a declared tangency band; for pure-Mobius
-configurations the tangency parameter also has a closed form through the
-fixed-point discriminant.
+tolerance. Touching solves one linear equation per branch of the pencil
+of circles through two points: the members are lam P + Q, so where a
+member's graph meets c is a determinant linear in lam, and tangency at
+the anchor point fixes lam. Each candidate is then certified against a
+declared tangency band.
 """
 
 from __future__ import annotations
@@ -50,10 +51,9 @@ from .projline import (
     ProjPoint,
     TorusPoint,
     TwoPointFamily,
-    chart_h,
     chordal,
     fixed_point_roots,
-    h_from_chart,
+    lift_chart,
     mobius_fixed_points,
     mobius_from_three,
     wrap_half,
@@ -69,6 +69,12 @@ TAG_TWISTED = "half-classical-twisted"
 # x -> -x: fixes 0 and infinity, reverses orientation; used by the
 # deliberately corrupted twist branch of negative-control planes
 _NEG = MobiusMap([[-1.0, 0.0], [0.0, 1.0]])
+
+# five-point central difference: chart steps and their weights
+_STENCIL_STEPS = np.array([-2.0, -1.0, 1.0, 2.0])
+_STENCIL_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0])
+# v^T _PERP . a = det(a, v)
+_PERP = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -271,7 +277,8 @@ class PlaneModel:
         planes try the orientation-preserving branch first and fall back
         to the twisted branch; exactly one succeeds because the twists
         preserve cyclic order. NoBranch reports a genuine failure of the
-        candidate circle set, not a numerical crash.
+        candidate circle set, not a numerical crash; a steep twist that
+        maps the points within tolerance of each other is one.
         """
         for a, b in ((p, q), (p, r), (q, r)):
             if parallel(a, b, self.tol) != "none":
@@ -282,6 +289,8 @@ class PlaneModel:
         if mu.orientation == 1:
             return Circle(CircleHomeo.from_mobius(mu), TAG_PSL, mu)
         nu = self._twist_branch_solution(p, q, r)
+        if nu is None:
+            raise NoBranch("the twisted branch's images coincide within tolerance")
         if self.corrupt_twisted:
             # deliberate corruption: hand back a det > 0 "member"
             return self._twisted_circle(nu.compose(_NEG))
@@ -291,19 +300,25 @@ class PlaneModel:
             "neither branch matches: orientation dichotomy failed for this plane"
         )
 
-    def _twist_branch_solution(self, p, q, r) -> MobiusMap:
+    def _twist_branch_solution(self, p, q, r) -> MobiusMap | None:
+        """The twisted branch's nu; None when the twisted images coincide."""
         f, g = self.f, self.g
-        return mobius_from_three(
-            f.apply(p.x), f.apply(q.x), f.apply(r.x),
-            g.apply(p.y), g.apply(q.y), g.apply(r.y),
-            tol=self.tol,
-        )
+        try:
+            return mobius_from_three(
+                f.apply(p.x), f.apply(q.x), f.apply(r.x),
+                g.apply(p.y), g.apply(q.y), g.apply(r.y),
+                tol=self.tol,
+            )
+        except CoincidentPoints:
+            return None
 
     def join_branches(self, p: TorusPoint, q: TorusPoint, r: TorusPoint):
         """Candidate maps of both branches with their validity flags.
 
         Used by uniqueness sweeps: in a sound half-classical plane exactly
-        one branch is valid for every admissible triple.
+        one branch is valid for every admissible triple. Where the twisted
+        images coincide within tolerance, the twisted branch is invalid
+        and its map is None.
         """
         mu = mobius_from_three(p.x, q.x, r.x, p.y, q.y, r.y, tol=self.tol)
         if self.family == "classical":
@@ -311,7 +326,7 @@ class PlaneModel:
         nu = self._twist_branch_solution(p, q, r)
         return {
             "psl": (mu, mu.orientation == 1),
-            "twisted": (nu, nu.orientation == -1),
+            "twisted": (nu, nu is not None and nu.orientation == -1),
         }
 
     # -- intersection ------------------------------------------------------
@@ -365,11 +380,13 @@ class PlaneModel:
     def touch(self, c: Circle, p: TorusPoint, q: TorusPoint) -> Circle:
         """The circle through p and q meeting c only at p.
 
-        Preconditions: p on c, q off c, p and q non-parallel. Scans the
-        pencil of circles through p and q for the member tangent to c;
-        Mobius-only branches use the discriminant root in closed form.
-        Raises NotFound when no tangent member is located, which callers
-        should treat as an axiom-of-touching counterexample candidate.
+        Preconditions: p on c, q off c, p and q non-parallel. Each branch of
+        the pencil of circles through p and q holds at most one member
+        tangent to c at p, the root of a linear equation; c's own branch is
+        tried first, and the first member certified within the tangency
+        band is returned. Raises NotFound when no branch has one, which
+        callers should treat as an axiom-of-touching counterexample
+        candidate.
         """
         if not self.contains(c, p):
             raise PreconditionViolated("p must lie on the circle")
@@ -378,51 +395,37 @@ class PlaneModel:
         if parallel(p, q, self.tol) != "none":
             raise PreconditionViolated("p and q must be non-parallel")
         branches = self._pencil_branches(p, q)
-        # closed-form branches first; the validated tangent is unique, so
-        # the first hit short-circuits the slower scanned branch
-        branches.sort(
-            key=lambda br: self._branch_base_mobius(br, c) is None
-        )
+        if c.tag == TAG_TWISTED:
+            branches.reverse()  # c's own branch first
         for branch in branches:
-            for t in self._branch_tangency_params(branch, c, p):
-                _, d, far, sep = self._certified_candidate(branch, c, p, t)
-                if not far and sep <= self.tangency_band:
-                    return d
+            d, sep = self._certified_candidate(branch, c, p)
+            if sep <= self.tangency_band:
+                return d
         raise NotFound("no tangent pencil member located")
 
-    def _certified_candidate(self, branch: _PencilBranch, c: Circle,
-                             p: TorusPoint, t_star: float):
-        """Measure a tangency candidate, refining marginal ones on the gap.
+    def _certified_candidate(self, branch: _PencilBranch, c: Circle, p: TorusPoint):
+        """(member, separation) of the branch's tangency candidate.
 
-        The slope scan and ill-conditioned closed forms can land close to
-        but not on the tangency; when the measured separation is marginal,
-        one more bisection on the signed secondary gap recovers it.
+        The separation is infinite when the branch has no admissible
+        parameter or its member meets c away from p.
         """
+        t_star = self._tangency_parameter(branch, c, p)
+        if t_star is None:
+            return None, math.inf
         d = branch.circle(t_star)
         far, sep = self._tangency_quality(c, d, p)
-        if not far and self.tangency_band < sep < 1e-3:
-            refined = self._gap_refine(branch, c, p, t_star)
-            d2 = branch.circle(refined)
-            far2, sep2 = self._tangency_quality(c, d2, p)
-            if not far2 and sep2 < sep:
-                return refined, d2, far2, sep2
-        return t_star, d, far, sep
+        return d, (math.inf if far else sep)
 
     def _pencil_branches(self, p: TorusPoint, q: TorusPoint):
         """The branch parametrizations of circles through p and q."""
         fam_xy = TwoPointFamily(p.x, p.y, q.x, q.y, tol=self.tol)
 
         def mobius_branch(name: str, sign: int, tag: str) -> _PencilBranch:
-            return _PencilBranch(
-                name=name,
-                family=fam_xy,
-                sign=sign,
-                circle=lambda t: Circle(
-                    CircleHomeo.from_mobius(fam_xy.member(t, sign)),
-                    tag,
-                    fam_xy.member(t, sign),
-                ),
-            )
+            def circle(t: float) -> Circle:
+                m = fam_xy.member(t, sign)
+                return Circle(CircleHomeo.from_mobius(m), tag, m)
+
+            return _PencilBranch(name=name, family=fam_xy, sign=sign, circle=circle)
 
         if self.family == "classical":
             return [
@@ -445,159 +448,41 @@ class PlaneModel:
         )
         return [mobius_branch("psl", 1, TAG_PSL), twisted]
 
-    def _branch_base_mobius(self, branch: _PencilBranch, c: Circle) -> MobiusMap | None:
-        """c expressed as a Mobius map in branch coordinates, when possible."""
-        if branch.name in ("pgl-positive", "pgl-negative", "psl"):
-            return c.graph.as_mobius()
-        if branch.name == "twisted" and c.tag == TAG_TWISTED:
-            return c.mobius
-        return None
+    def _tangency_parameter(self, branch: _PencilBranch, c: Circle,
+                            p: TorusPoint) -> float | None:
+        """The parameter of the branch member tangent to c at p, if any.
 
-    def _branch_tangency_params(self, branch, c: Circle, p: TorusPoint):
-        base = self._branch_base_mobius(branch, c)
-        if base is not None:
-            return self._closed_form_tangency(branch, base)
-        return self._scanned_tangency(branch, c, p)
-
-    def _closed_form_tangency(self, branch: _PencilBranch, base: MobiusMap):
-        """Tangency parameters from the fixed-point discriminant root.
-
-        Members at family parameter lam have trace lam*U00 + U11 and
-        determinant lam*det(U), so the discriminant is quadratic in lam;
-        the shared anchor point forces it to be a perfect square, and its
-        double root is the tangency.
+        Members are M(lam) = lam P + Q, with P = post E11 pre and
+        Q = post E22 pre. With A the lifted c side (c, or g . c on the
+        twisted branch) and B the lifted member side (x, or f(x)),
+        phi(lam, x) = lam det(A, P B) + det(A, Q B) vanishes at p for every
+        lam, and tangency at p is d phi / dx = 0 there: linear in lam, so
+        lam* = -d det(A, Q B) / d det(A, P B). Both derivatives come from
+        one five-point central difference in the chart; the three-point
+        one's truncation error is too large next to steep maps. P and Q
+        have rank one: det(A, P B) = (pre row 0 . B) det(A, post column 0),
+        with det(A, v) = v^T PERP A. Returns |lam*| when its sign gives the
+        branch's orientation, else None.
         """
-        fam = branch.family
-        u = fam.pre.m @ base.inverse().m @ fam.post.m
-        det_u = float(fam.pre.orientation * base.orientation * fam.post.orientation)
-        alpha = u[0, 0] * u[0, 0]
-        beta = 2.0 * u[0, 0] * u[1, 1] - 4.0 * det_u
-        gamma = u[1, 1] * u[1, 1]
-        lam_eff_sign = 1 if fam.base_orientation == branch.sign else -1
-        if alpha < 1e-26:
-            if abs(beta) < 1e-26:
-                return []
-            roots = [-gamma / beta]
+        x = lift_chart(p.x.chart() + 1e-5 * _STENCIL_STEPS)
+        if branch.name != "twisted":
+            a, b = c.graph.lift_h(x), x
+        elif c.tag == TAG_TWISTED:  # g . c is nu . f, so A is nu of B
+            b = self.f.lift_h(x)
+            a = c.mobius.lift_h(b)
         else:
-            roots = [-beta / (2.0 * alpha)]
-        out = []
-        for lam in roots:
-            if lam * lam_eff_sign > 0.0:
-                out.append(abs(lam))
-        return out
-
-    def _branch_probe(self, branch: _PencilBranch, c: Circle, p: TorusPoint):
-        """Precomputed data for the slope-difference scan along a branch.
-
-        Tangency at p means the member's graph and c touch to first order
-        there, so the chart-slope difference at p, measured by a symmetric
-        difference quotient, crosses zero exactly at the tangency
-        parameter. Twisted members are compared in twist coordinates,
-        g(c(x)) against nu(f(x)), which has the same zero set.
-        """
-        eps = 1e-5
-        theta_p = p.x.chart()
-        thetas = np.array([theta_p - eps, theta_p + eps])
-        x_probe = h_from_chart(thetas)
-        if branch.name == "twisted":
-            u_probe = self.f.apply_h(x_probe)
-            c_side = chart_h(self.g.apply_h(c.graph.apply_h(x_probe)))
-        else:
-            u_probe = x_probe
-            c_side = chart_h(c.graph.apply_h(x_probe))
+            a, b = self.g.lift_h(c.graph.lift_h(x)), self.f.lift_h(x)
         fam = branch.family
-        e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
-        e22 = np.array([[0.0, 0.0], [0.0, 1.0]])
-        return {
-            "eps": eps,
-            "c_side": c_side,
-            "u": u_probe,
-            "p_mat": fam.post.m @ e11 @ fam.pre.m,
-            "q_mat": fam.post.m @ e22 @ fam.pre.m,
-            "lam_sign": 1.0 if fam.base_orientation == branch.sign else -1.0,
-        }
-
-    @staticmethod
-    def _tau_values(probe, ts: np.ndarray):
-        """Slope-difference samples over branch parameters; (tau, valid)."""
-        lam = probe["lam_sign"] * np.asarray(ts, dtype=float)
-        w = lam[:, None, None] * probe["p_mat"] + probe["q_mat"]
-        img = np.einsum("kij,jn->kin", w, probe["u"])
-        member_side = (np.arctan2(img[:, 0, :], img[:, 1, :]) / math.pi) % 1.0
-        delta = wrap_half(probe["c_side"][None, :] - member_side)
-        valid = np.all(np.abs(delta) < 0.1, axis=1)
-        tau = (delta[:, 1] - delta[:, 0]) / (2.0 * probe["eps"])
-        return tau, valid
-
-    _PENCIL_TS = np.logspace(-8.0, 8.0, 16 * 24 + 1)
-
-    def _tau_brackets(self, probe):
-        """Sign-change brackets (t_lo, t_hi, tau at t_lo) along the pencil scan."""
-        tau, valid = self._tau_values(probe, self._PENCIL_TS)
-        ts, tau = self._PENCIL_TS[valid], tau[valid]
-        lo, hi = tau[:-1], tau[1:]
-        idx = np.nonzero((hi == 0.0) | ((lo != 0.0) & ((lo < 0.0) != (hi < 0.0))))[0]
-        return list(zip(ts[idx].tolist(), ts[idx + 1].tolist(), tau[idx].tolist()))
-
-    def _scanned_tangency(self, branch: _PencilBranch, c: Circle, p: TorusPoint):
-        """Tangency parameters located by the slope-difference scan.
-
-        A sign change of the slope difference can also sit at a pole
-        (a degenerate member); its polish returns a parameter with a
-        difference that stays large, and it is discarded. Candidates are
-        raw: callers certify them through `_certified_candidate`.
-        """
-        probe = self._branch_probe(branch, c, p)
-        params = []
-        for bracket in self._tau_brackets(probe):
-            t_star, tau = self._polish_tangency(probe, *bracket)
-            if abs(tau) < 0.05:
-                params.append(t_star)
-        return params
-
-    def _gap_refine(self, branch: _PencilBranch, c: Circle, p: TorusPoint,
-                    t_center: float) -> float:
-        """Re-bisect a near-tangency on the signed secondary-gap offset."""
-
-        def sigma(t: float):
-            offsets = self._resolve_near_gap(c, branch.circle(t), p)
-            if not offsets:
-                return None
-            return min(offsets, key=abs)
-
-        for widen in (1e-5, 1e-3):
-            lo, hi = t_center * (1.0 - widen), t_center * (1.0 + widen)
-            s_lo, s_hi = sigma(lo), sigma(hi)
-            if s_lo is None or s_hi is None:
-                continue
-            if s_lo == 0.0:
-                return lo
-            if s_hi == 0.0:
-                return hi
-            if (s_lo < 0.0) == (s_hi < 0.0):
-                continue
-            for _ in range(60):
-                mid = math.sqrt(lo * hi)
-                s_mid = sigma(mid)
-                if s_mid is None or s_mid == 0.0 or (hi - lo) <= 1e-15 * hi:
-                    return mid
-                if (s_mid < 0.0) == (s_lo < 0.0):
-                    lo, s_lo = mid, s_mid
-                else:
-                    hi = mid
-            return math.sqrt(lo * hi)
-        return t_center
-
-    def _polish_tangency(self, probe, t_lo: float, t_hi: float, tau_lo: float):
-        """Bisect a slope-difference sign change down to the tangency.
-
-        Geometric midpoints suit parameters spanning sixteen decades.
-        Returns (t, slope difference at t), with the scan's value at t_lo.
-        """
-        if tau_lo == 0.0:
-            return t_lo, tau_lo
-        return bisect(lambda ts: self._tau_values(probe, ts)[0], t_lo, t_hi, tau_lo,
-                      rtol=1e-13, cap=80, geometric=True)
+        # rows det(A, P B) and det(A, Q B) at the stencil points
+        along = (fam.pre.m @ b) * (fam.post.m.T @ _PERP @ a)
+        slope_p, slope_q = (along @ _STENCIL_WEIGHTS).tolist()
+        if slope_p == 0.0:
+            return None
+        lam = -slope_q / slope_p
+        lam_sign = 1.0 if fam.base_orientation == branch.sign else -1.0
+        if not (math.isfinite(lam) and lam * lam_sign > 0.0):
+            return None
+        return abs(lam)
 
     # -- tangency measurement ------------------------------------------
 
@@ -693,32 +578,22 @@ class PlaneModel:
         return None
 
     def count_tangency_brackets(self, c: Circle, p: TorusPoint, q: TorusPoint):
-        """Full pencil scan: pencil members genuinely tangent to c at p.
+        """Pencil members certified tangent to c at p, over every branch.
 
-        This is the oracle behind touching uniqueness: a sound plane shows
-        exactly one validated tangency across all branches for admissible
-        (c, p, q). Slope-difference sign changes locate candidates (a
-        route independent of the closed-form discriminant used by touch);
-        each candidate is then polished and kept only when it meets c
-        solely at p, since a slope-matched member of the other branch can
-        still cross c a second time elsewhere. Candidates are accepted at
-        ten times the tangency band: the counter locates tangency regions,
-        while touch() certifies the returned circle at the band itself.
-        Returns (count, per-branch detail list).
+        The oracle behind touching uniqueness: a sound plane shows exactly
+        one certified tangency across all branches for admissible (c, p, q).
+        Unlike touch() it does not stop at the first hit: every branch's
+        candidate is measured, since a member of the other branch could
+        still be tangent too. Candidates are accepted at ten times the
+        tangency band: the counter locates tangencies, while touch()
+        certifies the returned circle at the band itself. Returns (count,
+        [(branch name, count), ...]).
         """
         details = []
-        total = 0
         for branch in self._pencil_branches(p, q):
-            roots = []
-            for t_star in self._scanned_tangency(branch, c, p):
-                if any(abs(t_star - r) <= 1e-6 * max(t_star, r) for r in roots):
-                    continue
-                t_star, _, far, sep = self._certified_candidate(branch, c, p, t_star)
-                if not far and sep <= 10.0 * self.tangency_band:
-                    roots.append(t_star)
-            total += len(roots)
-            details.append((branch.name, len(roots)))
-        return total, details
+            _, sep = self._certified_candidate(branch, c, p)
+            details.append((branch.name, int(sep <= 10.0 * self.tangency_band)))
+        return sum(n for _, n in details), details
 
     def tangency_separation(self, c: Circle, d: Circle, p: TorusPoint):
         """(has_far_intersections, worst separation from p) for two circles.

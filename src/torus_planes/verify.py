@@ -392,7 +392,7 @@ def _check_touching(plane, inputs, cfg):
     if not claimed:
         count, details = plane.count_tangency_brackets(circle, p, q)
         if count != 1:
-            reasons.append(f"pencil scan found {count} tangency brackets {details}")
+            reasons.append(f"pencil holds {count} certified tangents {details}")
     return max(sep, residual_q), reasons
 
 
@@ -405,14 +405,13 @@ def verify_touching(
 
     Per trial: a circle c, a point p on it and a point q off it are
     sampled; touch() must produce a circle through p and q meeting c only
-    at p (within the tangency band), and the full pencil scan must hold
-    exactly one validated tangency.
+    at p (within the tangency band), and count_tangency_brackets must
+    certify exactly one tangent member over all branches of the pencil.
 
     Sampling keeps the anchors away from the twist's critical points
     (chart slope of f outside the bounds): there the tangency exists but
     its double root lives beyond double-precision resolution in torus
-    coordinates, which is conditioning, not geometry. The opt-in stress
-    suite is the place for such trials.
+    coordinates, which is conditioning, not geometry.
 
     The negative control claims a secant circle through p, q and a third
     point as the tangent, and the tangency assertions must catch it.

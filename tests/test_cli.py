@@ -100,6 +100,15 @@ class TestVerifyCommand:
         assert payload["pass"] is False and payload["negative_control"] is True
         assert "manifest" in payload
 
+    def test_steep_twist_joining_runs_every_trial(self, tmp_path):
+        # x^6 collapses the twisted images of trial 57 within the tolerance
+        code = run([
+            "verify", "--plane", "half:power:6", "--suite", "joining",
+            "--trials", "200", "--seed", "1", "--out", str(tmp_path),
+        ])
+        assert code in (0, 1)
+        assert json.loads((tmp_path / "joining-seed1.json").read_text())["trials"] == 200
+
     def test_negative_group_exits_1(self, tmp_path):
         code = run([
             "verify", "--plane", "half:power:2", "--suite", "automorphism",

@@ -31,6 +31,7 @@ from torus_planes import (
 from torus_planes import homeo
 from torus_planes.planes import TAG_CLASSICAL, TAG_PSL, TAG_TWISTED, parse_config_text
 from torus_planes.projline import chart_h, h_from_chart, wrap_half
+from torus_planes.verify import TrialConfig, _sample_touching
 
 from helpers import random_proj_point, random_triple, rng_for
 
@@ -256,10 +257,16 @@ class TestTouch:
             done += 1
 
     def test_touch_stays_in_circle_set(self, half2):
+        # the carrier -sgn(x) x^2 is twisted, so on neither branch is its
+        # side of the tangency equation a Mobius map in x
         circle = half2.join(pt(0, 0), pt(1, -1), pt(INF, INF))
         p = circle.point_at(P(2.0))
-        d = half2.touch(circle, p, pt(1, 5))
-        assert half2.circle_in_set(d)
+        q = pt(1, 5)
+        d = half2.touch(circle, p, q)
+        assert half2.circle_in_set(d) and d.tag == TAG_TWISTED
+        far, sep = half2.tangency_separation(circle, d, p)
+        assert not far and sep <= half2.tangency_band
+        assert half2.count_tangency_brackets(circle, p, q) == (1, [("psl", 0), ("twisted", 1)])
 
 
 class TestDerived:
@@ -412,11 +419,12 @@ def test_bisected_functions_are_batch_invariant(name, monkeypatch):
         d = plane.join(*random_triple(rng))
         p = c.point_at(random_proj_point(rng))
         q = TorusPoint(random_proj_point(rng), random_proj_point(rng))
-        # the pencil slope difference over the scan grid and random parameters
-        ts = np.concatenate([plane._PENCIL_TS, 10.0 ** rng.uniform(-8.0, 8.0, 64)])
+        # the reference pencil slope difference over its scan grid and
+        # random parameters
+        ts = np.concatenate([PENCIL_TS, 10.0 ** rng.uniform(-8.0, 8.0, 64)])
         for branch in plane._pencil_branches(p, q):
-            probe = plane._branch_probe(branch, c, p)
-            _assert_batch_invariant(lambda t: plane._tau_values(probe, t)[0], ts, (1, 3, 15))
+            probe = pencil_probe(plane, branch, c, p)
+            _assert_batch_invariant(lambda t: slope_differences(probe, t)[0], ts, (1, 3, 15))
         # the crossing function of two graphs, as graph_equation_zeros builds
         # it; every lifted atom acts elementwise, so single points agree too
         homeo.graph_equation_zeros(c.graph, d.graph)
@@ -536,3 +544,94 @@ def test_chart_scan_keeps_a_crossing_next_to_a_steep_cell():
     pts = plane.circle_intersect(c1, c2)
     assert len(pts) == 2
     assert all(min(torus_dist(p, s) for p in pts) <= 1e-6 for s in (a, b))
+
+
+# ----------------------------------------------------------------------
+# the pencil tangency against the slope-difference scan
+
+
+PENCIL_TS = np.logspace(-8.0, 8.0, 16 * 24 + 1)
+
+
+def pencil_probe(plane, branch, c, p):
+    """Reference data for the slope-difference scan along a pencil branch.
+
+    Tangency at p means the member's graph and c touch to first order
+    there, so the chart-slope difference at p, a symmetric difference
+    quotient, crosses zero at the tangency parameter. Twisted members are
+    compared in twist coordinates, g(c(x)) against nu(f(x)), which has the
+    same zero set.
+    """
+    eps = 1e-5
+    x_probe = h_from_chart(p.x.chart() + np.array([-eps, eps]))
+    if branch.name == "twisted":
+        u_probe = plane.f.apply_h(x_probe)
+        c_side = chart_h(plane.g.apply_h(c.graph.apply_h(x_probe)))
+    else:
+        u_probe = x_probe
+        c_side = chart_h(c.graph.apply_h(x_probe))
+    fam = branch.family
+    return {
+        "eps": eps,
+        "c_side": c_side,
+        "u": u_probe,
+        "p_mat": fam.post.m @ np.diag([1.0, 0.0]) @ fam.pre.m,
+        "q_mat": fam.post.m @ np.diag([0.0, 1.0]) @ fam.pre.m,
+        "lam_sign": 1.0 if fam.base_orientation == branch.sign else -1.0,
+    }
+
+
+def slope_differences(probe, ts):
+    """Slope-difference samples over branch parameters; (tau, valid)."""
+    lam = probe["lam_sign"] * np.asarray(ts, dtype=float)
+    w = lam[:, None, None] * probe["p_mat"] + probe["q_mat"]
+    img = np.einsum("kij,jn->kin", w, probe["u"])
+    member_side = (np.arctan2(img[:, 0, :], img[:, 1, :]) / math.pi) % 1.0
+    delta = wrap_half(probe["c_side"][None, :] - member_side)
+    valid = np.all(np.abs(delta) < 0.1, axis=1)
+    return (delta[:, 1] - delta[:, 0]) / (2.0 * probe["eps"]), valid
+
+
+def scanned_tangency_counts(plane, c, p, q):
+    """Reference: per-branch counts of certified tangents the slope scan finds.
+
+    Sign changes of the slope difference over PENCIL_TS are bisected on
+    geometric midpoints, as parameters span sixteen decades. A change at a
+    pole (a degenerate member) keeps a large difference and is dropped;
+    the rest are certified at ten times the band, like
+    `count_tangency_brackets`.
+    """
+    details = []
+    for branch in plane._pencil_branches(p, q):
+        probe = pencil_probe(plane, branch, c, p)
+        tau, valid = slope_differences(probe, PENCIL_TS)
+        ts, tau = PENCIL_TS[valid], tau[valid]
+        lo, hi = tau[:-1], tau[1:]
+        roots = []
+        for i in np.nonzero((hi == 0.0) | ((lo != 0.0) & ((lo < 0.0) != (hi < 0.0))))[0]:
+            t_star, t_tau = ts[i], tau[i]
+            if t_tau != 0.0:
+                t_star, t_tau = homeo.bisect(lambda t: slope_differences(probe, t)[0],
+                                             ts[i], ts[i + 1], t_tau,
+                                             rtol=1e-13, cap=80, geometric=True)
+            if abs(t_tau) >= 0.05 or any(abs(t_star - r) <= 1e-6 * max(t_star, r)
+                                         for r in roots):
+                continue
+            far, sep = plane.tangency_separation(c, branch.circle(t_star), p)
+            if not far and sep <= 10.0 * plane.tangency_band:
+                roots.append(t_star)
+        details.append((branch.name, len(roots)))
+    return details
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_PLANES))
+def test_pencil_tangency_matches_the_slope_scan(name):
+    rng = rng_for(903, sorted(BATCH_PLANES).index(name))
+    plane = BATCH_PLANES[name](rng)
+    cfg = TrialConfig(seed=903, trials=200)
+    for i in range(cfg.trials):
+        inputs = _sample_touching(plane, cfg.rng_for(i), cfg)
+        c = plane.join(*inputs["points"])
+        count, details = plane.count_tangency_brackets(c, inputs["p"], inputs["q"])
+        assert details == scanned_tangency_counts(plane, c, inputs["p"], inputs["q"]), i
+        assert count == 1, i

@@ -11,6 +11,7 @@ from torus_planes import (
     UnsupportedPlane,
     classical_plane,
     half_classical_plane,
+    parse_plane_spec,
     recheck_counterexample,
 )
 from torus_planes.groups import DiagonalPSL, KernelPlusPSL
@@ -72,6 +73,21 @@ class TestSuitesPass:
     def test_joining(self, classical, half2):
         assert verify_joining(classical, CFG).passed
         assert verify_joining(half2, CFG).passed
+
+    def test_collapsed_twisted_images_fail_the_join(self):
+        # x^9 maps distinct points of some triples within the tolerance;
+        # a trial that needs the twisted branch then fails its join
+        plane = parse_plane_spec("half:power:9")
+        cfg = TrialConfig(seed=1, trials=200)
+        report = verify_joining(plane, cfg)
+        collapsed = []
+        for i in range(cfg.trials):
+            branches = plane.join_branches(*sample_triple(cfg.rng_for(i), cfg.separation))
+            if not branches["psl"][1] and branches["twisted"][0] is None:
+                collapsed.append(i)
+        assert collapsed
+        assert [ce["trial"] for ce in report.counterexamples] == collapsed
+        assert all(ce["reason"].startswith("join failed") for ce in report.counterexamples)
 
     def test_joining_stress_reports_conditioning(self, classical):
         report = verify_joining(classical, TrialConfig(seed=42, trials=30), stress=True)
