@@ -397,10 +397,8 @@ class PlaneModel:
             raise PreconditionViolated("q must not lie on the circle")
         if parallel(p, q, self.tol) != "none":
             raise PreconditionViolated("p and q must be non-parallel")
-        branches = self._pencil_branches(p, q)
-        if c.tag == TAG_TWISTED:
-            branches.reverse()  # c's own branch first
-        for branch in branches:
+        # c's own branch first
+        for branch in self._pencil_branches(p, q, reverse=c.tag == TAG_TWISTED):
             d, sep = self._certified_candidate(branch, c, p)
             if sep <= self.tangency_band:
                 return self._representative_through(d, c, p, q)
@@ -441,37 +439,53 @@ class PlaneModel:
         far, sep = self._tangency_quality(c, d, p)
         return d, (math.inf if far else sep)
 
-    def _pencil_branches(self, p: TorusPoint, q: TorusPoint):
-        """The branch parametrizations of circles through p and q."""
-        fam_xy = TwoPointFamily(p.x, p.y, q.x, q.y, tol=self.tol)
+    def _pencil_branches(self, p: TorusPoint, q: TorusPoint, reverse: bool = False):
+        """The branch parametrizations of circles through p and q, in order.
 
-        def mobius_branch(name: str, sign: int, tag: str) -> _PencilBranch:
+        A lazy iterator: each branch's TwoPointFamily (for the twisted
+        branch, with the twist images of p and q) is built only when the
+        iteration reaches it, so a caller that stops at the first branch
+        pays for that one alone. `reverse` yields the branches backwards.
+        """
+
+        def mobius_branch(fam: TwoPointFamily, name: str, sign: int,
+                          tag: str) -> _PencilBranch:
             def circle(t: float) -> Circle:
-                m = fam_xy.member(t, sign)
+                m = fam.member(t, sign)
                 return Circle(CircleHomeo.from_mobius(m), tag, m)
 
-            return _PencilBranch(name=name, family=fam_xy, sign=sign, circle=circle)
+            return _PencilBranch(name=name, family=fam, sign=sign, circle=circle)
+
+        def family_xy() -> TwoPointFamily:
+            return TwoPointFamily(p.x, p.y, q.x, q.y, tol=self.tol)
+
+        def twisted_branch() -> _PencilBranch:
+            fam_uv = TwoPointFamily(
+                self.f.apply(p.x),
+                self.g.apply(p.y),
+                self.f.apply(q.x),
+                self.g.apply(q.y),
+                tol=self.tol,
+            )
+            twisted_sign = 1 if self.corrupt_twisted else -1
+            return _PencilBranch(
+                name="twisted",
+                family=fam_uv,
+                sign=twisted_sign,
+                circle=lambda t: self._twisted_circle(fam_uv.member(t, twisted_sign)),
+            )
 
         if self.family == "classical":
-            return [
-                mobius_branch("pgl-positive", 1, TAG_CLASSICAL),
-                mobius_branch("pgl-negative", -1, TAG_CLASSICAL),
+            fam_xy = family_xy()  # both branches share it
+            makers = [
+                lambda: mobius_branch(fam_xy, "pgl-positive", 1, TAG_CLASSICAL),
+                lambda: mobius_branch(fam_xy, "pgl-negative", -1, TAG_CLASSICAL),
             ]
-        fam_uv = TwoPointFamily(
-            self.f.apply(p.x),
-            self.g.apply(p.y),
-            self.f.apply(q.x),
-            self.g.apply(q.y),
-            tol=self.tol,
-        )
-        twisted_sign = 1 if self.corrupt_twisted else -1
-        twisted = _PencilBranch(
-            name="twisted",
-            family=fam_uv,
-            sign=twisted_sign,
-            circle=lambda t: self._twisted_circle(fam_uv.member(t, twisted_sign)),
-        )
-        return [mobius_branch("psl", 1, TAG_PSL), twisted]
+        else:
+            makers = [lambda: mobius_branch(family_xy(), "psl", 1, TAG_PSL), twisted_branch]
+        if reverse:
+            makers.reverse()
+        return (make() for make in makers)
 
     def _tangency_parameter(self, branch: _PencilBranch, c: Circle,
                             p: TorusPoint) -> float | None:

@@ -1,11 +1,15 @@
 """Deterministic SVG rendering of torus objects in the unit-square chart.
 
 The torus is drawn as [0, 1)^2 in the angle chart (0 at 0, infinity at
-0.5 on each axis). Circles are sampled along the x-chart and split into
-polyline segments wherever either coordinate jumps across the chart seam,
-so graphs winding around the torus never draw seam-crossing artifacts.
-Output is byte-deterministic for fixed inputs: fixed float formatting,
-fixed palette, no timestamps.
+0.5 on each axis). A circle is sampled at the 513 dyadic charts k / 512,
+k = 0..512, the last wrapping back to chart 0; its y samples are the
+chart of its graph at those points. The samples are split into polyline
+segments wherever either coordinate jumps by more than half a turn, so
+graphs winding around the torus never draw seam-crossing artifacts, and
+a segment of one point is dropped. Canvas x coordinates are the exact
+integers k, so their text and the sample points are built once at
+import. Output is byte-deterministic for fixed inputs: fixed float
+formatting, fixed palette, no timestamps.
 """
 
 from __future__ import annotations
@@ -40,39 +44,40 @@ def _to_canvas(theta_x: float, theta_y: float) -> tuple[float, float]:
     return theta_x * _CANVAS, (1.0 - theta_y) * _CANVAS
 
 
-def _circle_segments(circle: Circle):
-    thetas = np.arange(_SAMPLES + 1) / _SAMPLES
-    h = h_from_chart(thetas % 1.0)
-    tx = thetas  # monotone lift along the x-axis
-    ty = chart_h(circle.graph.apply_h(h))
-    segments = []
-    current = [(tx[0] % 1.0, ty[0])]
-    for i in range(1, len(tx)):
-        x0, y0 = tx[i - 1] % 1.0, ty[i - 1]
-        x1, y1 = tx[i] % 1.0, ty[i]
-        if abs(x1 - x0) > 0.5 or abs(y1 - y0) > 0.5:
-            segments.append(current)
-            current = []
-        current.append((x1, y1))
-    segments.append(current)
-    return [s for s in segments if len(s) >= 2]
+# the circle samples, shared by every circle: charts k / _SAMPLES with the
+# last wrapped to 0, their homogeneous pairs, the x seam jump, and one
+# "x,%.6f" template per sample whose x text is the exact integer k
+_X = (np.arange(_SAMPLES + 1) / _SAMPLES) % 1.0
+_X_JUMP = np.abs(np.diff(_X)) > 0.5
+_H = h_from_chart(_X)
+_H.setflags(write=False)
+_POINT_TEMPLATES = tuple(f"{_fmt(x)},%.6f" for x in (_X * _CANVAS).tolist())
 
 
-def _polyline(points, color: str) -> str:
-    coords = " ".join(
-        f"{_fmt(px)},{_fmt(py)}" for px, py in (_to_canvas(x, y) for x, y in points)
-    )
-    return (
-        f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-        f'points="{coords}" />'
-    )
+def _circle_polylines(circle: Circle, color: str) -> list[str]:
+    """One <polyline> per seam-free segment of at least two samples."""
+    ty = chart_h(circle.graph.apply_h(_H))
+    py = ((1.0 - ty) * _CANVAS).tolist()
+    cuts = np.flatnonzero(_X_JUMP | (np.abs(np.diff(ty)) > 0.5)) + 1
+    bounds = [0, *cuts.tolist(), len(py)]
+    head = f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="'
+    return [
+        head + " ".join(_POINT_TEMPLATES[a:b]) % tuple(py[a:b]) + '" />'
+        for a, b in zip(bounds, bounds[1:])
+        if b - a >= 2
+    ]
 
 
 def render_svg(objects) -> str:
     """Render (kind, payload) pairs to an SVG document string.
 
     Kinds: ("circle", Circle), ("pclass", ParallelClass),
-    ("orbit", list[TorusPoint]).
+    ("orbit", list[TorusPoint]). Object i is drawn in palette colour
+    i mod 7. A circle becomes one polyline per seam-free run of its 513
+    chart samples (see the module docstring), with exact integer x
+    coordinates; a parallel class becomes a line and an orbit a dot per
+    point. Every number is written with six decimals, so the same
+    objects always give the same bytes.
     """
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_CANVAS}" '
@@ -83,8 +88,7 @@ def render_svg(objects) -> str:
     for index, (kind, payload) in enumerate(objects):
         color = _PALETTE[index % len(_PALETTE)]
         if kind == "circle":
-            for segment in _circle_segments(payload):
-                parts.append(_polyline(segment, color))
+            parts += _circle_polylines(payload, color)
         elif kind == "pclass":
             coord = payload.coordinate.chart()
             if payload.kind == PLUS:

@@ -4,7 +4,17 @@ import math
 
 import numpy as np
 
-from torus_planes import MobiusMap, ProjPoint, TorusPoint, chordal
+from torus_planes import (
+    CircleHomeo,
+    MobiusMap,
+    MonotoneSpline,
+    ProjPoint,
+    TorusPoint,
+    chordal,
+    classical_plane,
+    half_classical_plane,
+    parse_plane_spec,
+)
 
 
 def rng_for(seed, trial=0):
@@ -28,6 +38,24 @@ def random_triple(rng, separation=1e-3):
     xs = random_separated_points(rng, 3, separation)
     ys = random_separated_points(rng, 3, separation)
     return [TorusPoint(x, y) for x, y in zip(xs, ys)]
+
+
+def spline_plane(rng):
+    """A twelve-knot spline twist with chart slopes between 1/3 and 3."""
+    gx, gy = rng.uniform(0.5, 1.5, 12), rng.uniform(0.5, 1.5, 12)
+    tx = (np.cumsum(gx / gx.sum()) + rng.random()) % 1.0
+    ty = (np.cumsum(gy / gy.sum()) + rng.random()) % 1.0
+    knots = [(ProjPoint.from_chart(a), ProjPoint.from_chart(b)) for a, b in zip(tx, ty)]
+    return half_classical_plane(CircleHomeo((MonotoneSpline(knots),)))
+
+
+# the four benchmark planes, the spline one drawn from the rng
+SEEDED_PLANES = {
+    "classical": lambda rng: classical_plane(),
+    "power-2": lambda rng: parse_plane_spec("half:power:2"),
+    "power-1/3": lambda rng: parse_plane_spec("half:power:" + repr(1.0 / 3.0)),
+    "spline": spline_plane,
+}
 
 
 def random_psl(rng) -> MobiusMap:

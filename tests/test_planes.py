@@ -9,7 +9,6 @@ from torus_planes import (
     ConfigError,
     EqualCircles,
     MobiusMap,
-    MonotoneSpline,
     ParallelInput,
     PlaneModel,
     PointOnBaseCross,
@@ -33,7 +32,7 @@ from torus_planes.planes import TAG_CLASSICAL, TAG_PSL, TAG_TWISTED, parse_confi
 from torus_planes.projline import chart_h, h_from_chart, wrap_half
 from torus_planes.verify import TrialConfig, _sample_touching
 
-from helpers import random_proj_point, random_triple, rng_for
+from helpers import SEEDED_PLANES, random_proj_point, random_triple, rng_for
 
 P = ProjPoint.from_real
 pt = TorusPoint.from_reals
@@ -399,23 +398,6 @@ class TestConfig:
 # must give every element the same bits whichever batch it is evaluated in
 
 
-def _spline_plane(rng):
-    """A twelve-knot spline twist with chart slopes between 1/3 and 3."""
-    gx, gy = rng.uniform(0.5, 1.5, 12), rng.uniform(0.5, 1.5, 12)
-    tx = (np.cumsum(gx / gx.sum()) + rng.random()) % 1.0
-    ty = (np.cumsum(gy / gy.sum()) + rng.random()) % 1.0
-    knots = [(ProjPoint.from_chart(a), ProjPoint.from_chart(b)) for a, b in zip(tx, ty)]
-    return half_classical_plane(CircleHomeo((MonotoneSpline(knots),)))
-
-
-BATCH_PLANES = {
-    "classical": lambda rng: classical_plane(),
-    "power-2": lambda rng: parse_plane_spec("half:power:2"),
-    "power-1/3": lambda rng: parse_plane_spec("half:power:" + repr(1.0 / 3.0)),
-    "spline": _spline_plane,
-}
-
-
 def _assert_batch_invariant(fn, xs, sizes):
     batch = np.asarray(fn(xs), dtype=float).tobytes()
     for size in sizes:
@@ -424,10 +406,10 @@ def _assert_batch_invariant(fn, xs, sizes):
         assert np.concatenate(chunks).tobytes() == batch
 
 
-@pytest.mark.parametrize("name", sorted(BATCH_PLANES))
+@pytest.mark.parametrize("name", sorted(SEEDED_PLANES))
 def test_bisected_functions_are_batch_invariant(name, monkeypatch):
-    rng = rng_for(901, sorted(BATCH_PLANES).index(name))
-    plane = BATCH_PLANES[name](rng)
+    rng = rng_for(901, sorted(SEEDED_PLANES).index(name))
+    plane = SEEDED_PLANES[name](rng)
     captured = []
     monkeypatch.setattr(homeo, "wrapped_zeros", lambda fn, **kwargs: captured.append(fn))
     for _ in range(4):
@@ -525,8 +507,8 @@ def _mixed_route_pair(plane, rng):
 
 @pytest.mark.parametrize("name", ["power-2", "power-1/3", "spline"])
 def test_crossing_scan_finds_every_chart_difference_zero(name):
-    rng = rng_for(902, sorted(BATCH_PLANES).index(name))
-    plane = BATCH_PLANES[name](rng)
+    rng = rng_for(902, sorted(SEEDED_PLANES).index(name))
+    plane = SEEDED_PLANES[name](rng)
     for _ in range(24):
         c1, c2, shared = _mixed_route_pair(plane, rng)
         band = plane.tangency_band
@@ -640,10 +622,10 @@ def scanned_tangency_counts(plane, c, p, q):
     return details
 
 
-@pytest.mark.parametrize("name", sorted(BATCH_PLANES))
+@pytest.mark.parametrize("name", sorted(SEEDED_PLANES))
 def test_pencil_tangency_matches_the_slope_scan(name):
-    rng = rng_for(903, sorted(BATCH_PLANES).index(name))
-    plane = BATCH_PLANES[name](rng)
+    rng = rng_for(903, sorted(SEEDED_PLANES).index(name))
+    plane = SEEDED_PLANES[name](rng)
     cfg = TrialConfig(seed=903, trials=200)
     for i in range(cfg.trials):
         inputs = _sample_touching(plane, cfg.rng_for(i), cfg)
