@@ -165,7 +165,8 @@ def cmd_join(args) -> int:
     except ParallelInput as exc:
         raise ConfigError(f"parallel input points: {exc}") from None
     residuals = [plane.membership_residual(circle, p) for p in points]
-    entries = ", ".join(f"{v:.12g}" for v in circle.mobius.m.ravel())
+    m = circle.mobius
+    entries = ", ".join(f"{v:.12g}" for v in (m.a, m.b, m.c, m.d))
     print(f"branch: {circle.tag}")
     print(f"orientation: {circle.mobius.orientation:+d}")
     print(f"mobius parameter: [{entries}]")

@@ -124,7 +124,7 @@ class _MobiusFamilyElement(_PointElement):
         return cls(MobiusMap(entries))
 
     def params(self) -> tuple:
-        return tuple(self.mu.m.ravel())
+        return (self.mu.a, self.mu.b, self.mu.c, self.mu.d)
 
     @classmethod
     def identity(cls):
@@ -395,10 +395,9 @@ def _classify_factor(h: CircleHomeo) -> str:
     if m is not None:
         if m.is_identity(1e-12):
             return "trivial"
-        mat = m.m
-        if abs(mat[0, 0] - mat[1, 1]) <= 1e-12 and abs(mat[0, 1] + mat[1, 0]) <= 1e-12:
+        if abs(m.a - m.d) <= 1e-12 and abs(m.b + m.c) <= 1e-12:
             return "SO2-on-circle"
-        if abs(mat[1, 0]) <= 1e-12:
+        if abs(m.c) <= 1e-12:
             return "L2-on-line"
         return "PSL-on-circle"
     # power-map chains are affine conjugated by the power chart

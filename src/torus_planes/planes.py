@@ -73,8 +73,6 @@ _NEG = MobiusMap([[-1.0, 0.0], [0.0, 1.0]])
 # five-point central difference: chart steps and their weights
 _STENCIL_STEPS = np.array([-2.0, -1.0, 1.0, 2.0])
 _STENCIL_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0])
-# v^T _PERP . a = det(a, v)
-_PERP = np.array([[0.0, -1.0], [1.0, 0.0]])
 # rescaled copies of a tangent member tried for q: on the measured misses,
 # 20-70% of the copies contain q
 _REPRESENTATIVES = 16
@@ -418,8 +416,10 @@ class PlaneModel:
         if self.contains(d, q):
             return d
         rebuild = self._twisted_circle if d.tag == TAG_TWISTED else self.mobius_circle
+        m = d.mobius
         for k in range(1, _REPRESENTATIVES + 1):
-            e = rebuild(MobiusMap(d.mobius.m * (1.0 + k * 2.0**-26)))
+            s = 1.0 + k * 2.0**-26
+            e = rebuild(MobiusMap((m.a * s, m.b * s, m.c * s, m.d * s)))
             if self.contains(e, q):
                 far, sep = self._tangency_quality(c, e, p)
                 if not far and sep <= self.tangency_band:
@@ -499,9 +499,9 @@ class PlaneModel:
         lam* = -d det(A, Q B) / d det(A, P B). Both derivatives come from
         one five-point central difference in the chart; the three-point
         one's truncation error is too large next to steep maps. P and Q
-        have rank one: det(A, P B) = (pre row 0 . B) det(A, post column 0),
-        with det(A, v) = v^T PERP A. Returns |lam*| when its sign gives the
-        branch's orientation, else None.
+        have rank one: det(A, P B) = (pre row 0 . B) det(A, post column 0).
+        Returns |lam*| when its sign gives the branch's orientation, else
+        None.
         """
         x = lift_chart(p.x.chart() + 1e-5 * _STENCIL_STEPS)
         if branch.name != "twisted":
@@ -510,7 +510,8 @@ class PlaneModel:
             a, b = self.g.lift_h(c.graph.lift_h(x)), self.f.lift_h(x)
         fam = branch.family
         # rows det(A, P B) and det(A, Q B) at the stencil points
-        along = (fam.pre.m @ b) * (fam.post.m.T @ _PERP @ a)
+        u = fam.post
+        along = fam.pre.lift_h(b) * np.stack([a[0] * u.c - a[1] * u.a, a[0] * u.d - a[1] * u.b])
         slope_p, slope_q = (along @ _STENCIL_WEIGHTS).tolist()
         if slope_p == 0.0:
             return None

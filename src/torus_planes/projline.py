@@ -15,6 +15,9 @@ Conventions:
 * Mobius matrices are normalized to |det| = 1 and sign-canonicalized by
   making the entry of largest magnitude positive. Orientation is the sign
   of the determinant: +1 exactly for PSL(2,R) members, -1 otherwise.
+* A Mobius map is stored as four Python floats. Products and the action
+  use the entry formula (a x + b y, ...), elementwise on arrays, so a
+  point's image has the same bits alone and in any batch.
 """
 
 from __future__ import annotations
@@ -171,33 +174,45 @@ def torus_dist(p: TorusPoint, q: TorusPoint) -> float:
 class MobiusMap:
     """A fractional-linear map of RP^1: a 2x2 real matrix up to scale.
 
-    The stored matrix has |det| = 1 and its largest-magnitude entry
-    positive, so projective equality is entrywise comparison. The
-    orientation attribute is sign(det), exact in {+1, -1}.
+    Built from a nested 2x2, a flat (a, b, c, d) or an ndarray, and stored
+    as the floats a, b, c, d of [[a, b], [c, d]] with |det| = 1 and the
+    largest-magnitude entry positive, so projective equality is entrywise
+    comparison; the read-only `m` builds the array. The orientation
+    attribute is sign(det), exact in {+1, -1}.
     """
 
-    __slots__ = ("m", "orientation")
+    __slots__ = ("a", "b", "c", "d", "orientation")
 
     def __init__(self, m):
-        m = np.array(m, dtype=float).reshape(2, 2)
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        if type(m) is tuple and len(m) == 4:  # flat, without numpy
+            a, b, c, d = m
+        else:
+            a, b, c, d = np.array(m, dtype=float).reshape(4).tolist()
+        det = a * d - b * c
         if not math.isfinite(det) or abs(det) < 1e-250:
             raise PreconditionViolated("matrix is singular or non-finite")
-        m = m / math.sqrt(abs(det))
-        flat = np.abs(m).argmax()
-        if m.flat[flat] < 0.0:
-            m = -m
-        object.__setattr__(self, "m", m + 0.0)
+        r = math.sqrt(abs(det))
+        a, b, c, d = a / r, b / r, c / r, d / r
+        if max((a, b, c, d), key=abs) < 0.0:  # the first largest, as argmax
+            a, b, c, d = -a, -b, -c, -d
+        object.__setattr__(self, "a", a + 0.0)
+        object.__setattr__(self, "b", b + 0.0)
+        object.__setattr__(self, "c", c + 0.0)
+        object.__setattr__(self, "d", d + 0.0)
         object.__setattr__(self, "orientation", 1 if det > 0.0 else -1)
 
     def __setattr__(self, name, value):
         raise AttributeError("MobiusMap is immutable")
 
+    @property
+    def m(self) -> np.ndarray:
+        return np.array([[self.a, self.b], [self.c, self.d]])
+
     # -- constructors -------------------------------------------------
 
     @classmethod
     def identity(cls) -> "MobiusMap":
-        return cls([[1.0, 0.0], [0.0, 1.0]])
+        return cls((1.0, 0.0, 0.0, 1.0))
 
     @classmethod
     def affine(cls, a: float, b: float) -> "MobiusMap":
@@ -219,50 +234,43 @@ class MobiusMap:
 
     def compose(self, other: "MobiusMap") -> "MobiusMap":
         """self after other: (self . other)(x) = self(other(x))."""
-        return MobiusMap(self.m @ other.m)
+        a, b, c, d = self.a, self.b, self.c, self.d
+        e, f, g, h = other.a, other.b, other.c, other.d
+        return MobiusMap((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
 
     def inverse(self) -> "MobiusMap":
-        a, b, c, d = self.m[0, 0], self.m[0, 1], self.m[1, 0], self.m[1, 1]
-        return MobiusMap([[d, -b], [-c, a]])
+        return MobiusMap((self.d, -self.b, -self.c, self.a))
 
     def is_identity(self, tol: float = 1e-12) -> bool:
-        if self.orientation != 1:
-            return False
-        m = self.m
         return (
-            abs(m[0, 1]) <= tol
-            and abs(m[1, 0]) <= tol
-            and abs(m[0, 0] - m[1, 1]) <= tol
+            self.orientation == 1
+            and abs(self.b) <= tol
+            and abs(self.c) <= tol
+            and abs(self.a - self.d) <= tol
         )
 
     # -- action -------------------------------------------------------
 
     def apply(self, p: ProjPoint) -> ProjPoint:
-        m = self.m
-        return ProjPoint(
-            m[0, 0] * p.h0 + m[0, 1] * p.h1,
-            m[1, 0] * p.h0 + m[1, 1] * p.h1,
-        )
+        return ProjPoint(self.a * p.h0 + self.b * p.h1, self.c * p.h0 + self.d * p.h1)
 
     def apply_h(self, h: np.ndarray) -> np.ndarray:
         """Vectorized action on homogeneous pairs of shape (2, ...)."""
-        h = np.asarray(h, dtype=float)
-        return normalize_h(np.tensordot(self.m, h, axes=(1, 0)))
+        return normalize_h(self.lift_h(h))
 
     def lift_h(self, h: np.ndarray) -> np.ndarray:
         """The linear action on pairs (2, ...), unscaled; elementwise, so batch-invariant."""
-        (a, b), (c, d) = self.m.tolist()
-        return np.stack([a * h[0] + b * h[1], c * h[0] + d * h[1]])
+        h = np.asarray(h, dtype=float)
+        return np.array([self.a * h[0] + self.b * h[1], self.c * h[0] + self.d * h[1]])
 
     def __repr__(self):
-        a, b, c, d = self.m.ravel()
-        return f"MobiusMap([[{a:.6g}, {b:.6g}], [{c:.6g}, {d:.6g}]])"
+        return f"MobiusMap([[{self.a:.6g}, {self.b:.6g}], [{self.c:.6g}, {self.d:.6g}]])"
 
 
 def proj_matrix_equal(m1: MobiusMap, m2: MobiusMap, tol: float = 1e-10) -> bool:
     """Projective equality of two maps via their canonical matrices."""
-    d_minus = np.max(np.abs(m1.m - m2.m))
-    d_plus = np.max(np.abs(m1.m + m2.m))
+    d_minus = max(abs(m1.a - m2.a), abs(m1.b - m2.b), abs(m1.c - m2.c), abs(m1.d - m2.d))
+    d_plus = max(abs(m1.a + m2.a), abs(m1.b + m2.b), abs(m1.c + m2.c), abs(m1.d + m2.d))
     return min(d_minus, d_plus) <= tol
 
 
@@ -279,7 +287,7 @@ def _frame_map(p0: ProjPoint, p1: ProjPoint, p2: ProjPoint, tol: float) -> Mobiu
     lam = (p0.h0 * p2.h1 - p2.h0 * p0.h1) / det
     if abs(mu) <= tol or abs(lam) <= tol:
         raise CoincidentPoints("third point coincides with an anchor")
-    return MobiusMap([[mu * p0.h0, lam * p1.h0], [mu * p0.h1, lam * p1.h1]])
+    return MobiusMap((mu * p0.h0, lam * p1.h0, mu * p0.h1, lam * p1.h1))
 
 
 def mobius_from_three(
@@ -357,8 +365,10 @@ class TwoPointFamily:
         lam = t
         if orientation is not None and orientation != self.base_orientation:
             lam = -t
-        mid = MobiusMap([[lam, 0.0], [0.0, 1.0]])
-        return self.post.compose(mid).compose(self.pre)
+        u, v = self.post, self.pre  # post . diag(lam, 1) . pre, no rounded middle factor
+        a, c = u.a * lam, u.c * lam
+        return MobiusMap((a * v.a + u.b * v.c, a * v.b + u.b * v.d,
+                          c * v.a + u.d * v.c, c * v.b + u.d * v.d))
 
 
 def fixed_point_roots(m: MobiusMap):
@@ -368,7 +378,7 @@ def fixed_point_roots(m: MobiusMap):
     B = d - a, C = -b. Returns (disc, (q, A), (C, q)): the roots [q : A] and
     [C : q] avoid cancellation, and a negative disc gives the double root.
     """
-    (a, b), (c, d) = m.m.tolist()
+    a, b, c, d = m.a, m.b, m.c, m.d
     big_a, big_b, big_c = c, d - a, -b
     disc = big_b * big_b - 4.0 * big_a * big_c
     sgn = 1.0 if big_b >= 0.0 else -1.0
@@ -389,7 +399,7 @@ def mobius_fixed_points(m: MobiusMap):
         return []
     if disc <= DISC_BAND:
         # parabolic: kernel of (m - (tr/2) I), using the larger row
-        (a, b), (c, d) = m.m.tolist()
+        a, b, c, d = m.a, m.b, m.c, m.d
         tau = 0.5 * (a + d)
         r0 = (a - tau, b)
         r1 = (c, d - tau)

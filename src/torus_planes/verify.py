@@ -494,8 +494,8 @@ def verify_automorphism(
 
 
 def _identity_deviation(m: MobiusMap) -> float:
-    eye = np.eye(2)
-    return float(min(np.max(np.abs(m.m - eye)), np.max(np.abs(m.m + eye))))
+    return min(max(abs(m.a - 1.0), abs(m.b), abs(m.c), abs(m.d - 1.0)),
+               max(abs(m.a + 1.0), abs(m.b), abs(m.c), abs(m.d + 1.0)))
 
 
 def _check_rigidity(plane, inputs, cfg, shift: int = 0):

@@ -66,6 +66,13 @@ def random_psl(rng) -> MobiusMap:
             return MobiusMap(m)
 
 
+def assert_columns_match_batch(fn, h):
+    """fn of each single column of h (2, n) has the bits of its column in fn(h)."""
+    batch = fn(h)
+    for k in range(h.shape[1]):
+        assert fn(h[:, k]).tobytes() == batch[:, k].tobytes()
+
+
 def random_pgl(rng) -> MobiusMap:
     while True:
         m = rng.normal(size=(2, 2))

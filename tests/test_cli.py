@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +131,22 @@ class TestVerifyCommand:
         ])
         assert code == 2
         assert "unknown suite" in capsys.readouterr().err
+
+    def test_underflowing_power_exits_2_quietly(self, tmp_path):
+        # x^1e300 sends every lifted grid pair but the axes to (0, 0); run in
+        # a process, so that a RuntimeWarning printed to stderr would show
+        src = Path(__file__).resolve().parent.parent / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "torus_planes.cli", "verify", "--suite", "joining",
+             "--plane", "half:power:1e300", "--out", str(tmp_path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert result.returncode == 2
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "cyclically ordered" in lines[0]
 
     def test_config_file_plane(self, tmp_path):
         config = tmp_path / "plane.cfg"

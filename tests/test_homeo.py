@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from torus_planes import (
 )
 from torus_planes.homeo import BISECT_LEVELS, bisect
 
-from helpers import random_pgl, rng_for
+from helpers import assert_columns_match_batch, random_pgl, rng_for, spline_plane
 
 P = ProjPoint.from_real
 INF = ProjPoint.infinity()
@@ -143,12 +144,30 @@ def test_monotonicity_audit_random_chains(exponent, seed):
     chain.audit_monotone()  # must not raise for genuine homeomorphisms
 
 
-@pytest.mark.parametrize("exponent", [9.0, 20.0, 50.0, 0.02])
+@pytest.mark.parametrize("exponent", [9.0, 20.0, 50.0, 0.02, 0.002])
 def test_audit_accepts_steep_powers(exponent):
     # near 0 and infinity consecutive images share a chart value in floating
     # point; their lifted pairs still advance
     CircleHomeo.power(exponent).audit_monotone()
     parse_plane_spec(f"half:power:{exponent!r}")
+
+
+def test_audit_rejects_underflowing_power():
+    # every lifted pair but the axes underflows to (0, 0); 0/0 steps must not pass
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MonotonicityError, match="cyclically ordered"):
+            parse_plane_spec("half:power:1e300")
+
+
+@pytest.mark.parametrize("exponent", [0.3, 2.0, 7.0])
+def test_chain_action_is_batch_invariant(exponent):
+    rng = rng_for(207, int(exponent * 10))
+    for _ in range(2):
+        chain = CircleHomeo((random_pgl(rng), PowerMap(exponent), random_pgl(rng)))
+        h = rng.normal(size=(2, 512))
+        assert_columns_match_batch(chain.apply_h, h)
+        assert_columns_match_batch(chain.lift_h, h)
 
 
 class _ClaimsPreserving(CircleHomeo):
@@ -193,6 +212,21 @@ class TestSpline:
     def test_rejects_duplicate_x(self):
         with pytest.raises(MonotonicityError):
             MonotoneSpline(self._knots([(0, 0), (0, 1), (2, 2)]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scalar_apply_matches_eval_chart(self, seed):
+        # apply looks one point up on Python floats; apply_h uses _eval_chart
+        rng = rng_for(208, seed)
+        spline = spline_plane(rng).f.atoms[0]
+        for s in (spline, spline.inverse()):
+            knots = [x for x, _ in s.knots]
+            near = [math.nextafter(x.chart(), d) for x in knots for d in (-1.0, 2.0)]
+            points = [ProjPoint.from_chart(t) for t in near + rng.random(500).tolist()]
+            points += knots + [P(0.0), INF, ProjPoint(-1e-18, 1.0)]
+            want = s._eval_chart(np.array([p.chart() for p in points])).tolist()
+            for p, theta in zip(points, want):
+                q, r = s.apply(p), ProjPoint.from_chart(theta)
+                assert (q.h0, q.h1) == (r.h0, r.h1)
 
     def test_knot_file_round_trip(self, tmp_path):
         path = tmp_path / "twist.knots"

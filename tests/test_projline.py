@@ -19,7 +19,13 @@ from torus_planes import (
 )
 from torus_planes.projline import chart_h, h_from_chart, normalize_h
 
-from helpers import cross_ratio_to_standard, random_pgl, random_proj_point, rng_for
+from helpers import (
+    assert_columns_match_batch,
+    cross_ratio_to_standard,
+    random_pgl,
+    random_proj_point,
+    rng_for,
+)
 
 P = ProjPoint.from_real
 INF = ProjPoint.infinity()
@@ -119,6 +125,60 @@ class TestMobiusApply:
         assert m.is_identity()
         assert abs(abs(np.linalg.det(m.m)) - 1.0) < 1e-14
         assert m.m.flat[np.abs(m.m).argmax()] > 0.0
+
+
+def reference_entries(m):
+    """The canonical entries as the numpy constructor computed them."""
+    m = np.array(m, dtype=float).reshape(2, 2)
+    m = m / math.sqrt(abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]))
+    if m.flat[np.abs(m).argmax()] < 0.0:
+        m = -m
+    return tuple((m + 0.0).ravel().tolist())
+
+
+class TestMobiusContract:
+    # ties of largest magnitude: the first in row-major order sets the sign;
+    # negative zeros fold to +0.0
+    EDGES = [(0.0, -1.0, 1.0, 0.0), (0.0, 1.0, -1.0, 0.0), (-1.0, 1.0, -1.0, -1.0),
+             (2.0, 0.0, 0.0, -2.0), (-3.0, 0.0, -0.0, 1.0), (2.0, -0.0, -0.0, 1.0)]
+
+    def test_inputs_agree_with_the_numpy_construction(self):
+        rng = rng_for(105)
+        rows = [tuple(r) for r in rng.normal(size=(200, 4)).tolist()] + self.EDGES
+        for a, b, c, d in rows:
+            maps = [MobiusMap([[a, b], [c, d]]), MobiusMap((a, b, c, d)),
+                    MobiusMap([a, b, c, d]), MobiusMap(np.array([[a, b], [c, d]]))]
+            want = [v.hex() for v in reference_entries([a, b, c, d])]
+            for m in maps:
+                assert [v.hex() for v in (m.a, m.b, m.c, m.d)] == want
+                assert all(type(v) is float for v in (m.a, m.b, m.c, m.d))
+                assert m.orientation == (1 if a * d - b * c > 0.0 else -1)
+                assert m.m.tolist() == [[m.a, m.b], [m.c, m.d]]
+
+    def test_immutable(self):
+        m = MobiusMap.rotation(0.3)
+        for name in ("a", "b", "c", "d", "orientation", "m"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, 1.0)
+
+    @pytest.mark.parametrize("entries", [
+        (1.0, 1.0, 1.0, 1.0), (0.0, 0.0, 0.0, 0.0), (1e-130, 0.0, 0.0, 1e-130),
+        (math.nan, 0.0, 0.0, 1.0), (math.inf, 0.0, 0.0, 1.0), (1e200, 1e200, -1e200, 1e200),
+    ])
+    def test_singular_or_non_finite_rejected(self, entries):
+        a, b, c, d = entries
+        for m in ((a, b, c, d), [[a, b], [c, d]], np.array(entries)):
+            with pytest.raises(PreconditionViolated):
+                MobiusMap(m)
+
+
+def test_mobius_action_is_batch_invariant():
+    rng = rng_for(106)
+    for _ in range(6):
+        m = random_pgl(rng)
+        h = rng.normal(size=(2, 512)) * 10.0 ** rng.uniform(-3.0, 3.0, 512)
+        assert_columns_match_batch(m.apply_h, h)
+        assert_columns_match_batch(m.lift_h, h)
 
 
 class TestFromThree:
