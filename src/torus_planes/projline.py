@@ -185,7 +185,7 @@ class MobiusMap:
 
     def __init__(self, m):
         if type(m) is tuple and len(m) == 4:  # flat, without numpy
-            a, b, c, d = m
+            a, b, c, d = float(m[0]), float(m[1]), float(m[2]), float(m[3])
         else:
             a, b, c, d = np.array(m, dtype=float).reshape(4).tolist()
         det = a * d - b * c
@@ -362,13 +362,15 @@ class TwoPointFamily:
         """The member at parameter t > 0, optionally of a chosen orientation."""
         if t <= 0.0:
             raise PreconditionViolated("family parameter must be positive")
-        lam = t
-        if orientation is not None and orientation != self.base_orientation:
-            lam = -t
+        want = self.base_orientation if orientation is None else orientation
+        lam = t if want == self.base_orientation else -t
         u, v = self.post, self.pre  # post . diag(lam, 1) . pre, no rounded middle factor
         a, c = u.a * lam, u.c * lam
-        return MobiusMap((a * v.a + u.b * v.c, a * v.b + u.b * v.d,
-                          c * v.a + u.d * v.c, c * v.b + u.d * v.d))
+        m = MobiusMap((a * v.a + u.b * v.c, a * v.b + u.b * v.d,
+                       c * v.a + u.d * v.c, c * v.b + u.d * v.d))
+        if m.orientation != want:  # t past ~1e15 either way: rank one in floats
+            raise PreconditionViolated("family member is singular in floating point")
+        return m
 
 
 def fixed_point_roots(m: MobiusMap):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -267,9 +268,14 @@ class TestTouch:
         assert not far and sep <= half2.tangency_band
         assert half2.count_tangency_brackets(circle, p, q) == (1, [("psl", 0), ("twisted", 1)])
 
-    @pytest.mark.parametrize(
-        "spec, seed, trial", [("half:power:6", 42, 13), ("half:power:" + repr(1 / 3), 13, 8)]
-    )
+    @pytest.mark.parametrize("spec, seed, trial", [
+        ("half:power:6", 42, 13), ("half:power:" + repr(1 / 3), 13, 8),
+        # tangents with entries of 3,600-47,000 whose stored matrices miss q
+        # by 2.5e-9-7.8e-9; 16 plain rescaled copies rescue none of the first
+        # two, nor, at the rounding of the numpy core, the last three
+        ("half:power:2", 14, 169), ("classical", 44, 164), ("classical", 308, 142),
+        ("half:power:" + repr(1 / 3), 260, 169), ("classical", 444, 35),
+    ])
     def test_touch_contains_q_where_the_tangent_is_steep(self, spec, seed, trial):
         # the tangent's chart slope at q is ~1e7, so the rounding of its
         # stored matrix alone can miss q by more than tol (1.3e-9 on the
@@ -282,6 +288,21 @@ class TestTouch:
         assert plane.membership_residual(d, q) <= plane.tol
         far, sep = plane.tangency_separation(circle, d, p)
         assert not far and sep <= plane.tangency_band
+
+    def test_a_member_that_cannot_be_built_is_no_candidate(self, half2):
+        circle = half2.join(pt(0, 0), pt(1, 1), pt(2, 3))
+        p, q = circle.point_at(P(0.5)), pt(-1, 4)
+
+        calls = []
+
+        def singular(t):
+            calls.append(t)
+            raise PreconditionViolated("family member is singular in floating point")
+
+        for branch in half2._pencil_branches(p, q):
+            broken = dataclasses.replace(branch, circle=singular)
+            assert half2._certified_candidate(broken, circle, p) == (None, math.inf)
+        assert calls  # some branch had a parameter to build
 
 
 class TestDerived:

@@ -147,7 +147,9 @@ class TestMobiusContract:
         rows = [tuple(r) for r in rng.normal(size=(200, 4)).tolist()] + self.EDGES
         for a, b, c, d in rows:
             maps = [MobiusMap([[a, b], [c, d]]), MobiusMap((a, b, c, d)),
-                    MobiusMap([a, b, c, d]), MobiusMap(np.array([[a, b], [c, d]]))]
+                    MobiusMap([a, b, c, d]), MobiusMap(np.array([[a, b], [c, d]])),
+                    MobiusMap(tuple(np.float64(v) for v in (a, b, c, d))),
+                    MobiusMap(tuple(repr(v) for v in (a, b, c, d)))]
             want = [v.hex() for v in reference_entries([a, b, c, d])]
             for m in maps:
                 assert [v.hex() for v in (m.a, m.b, m.c, m.d)] == want
@@ -278,6 +280,27 @@ class TestTwoPairs:
             m = fam.member(t, orientation=-1)
             assert chordal(m.apply(P(0)), P(1)) < 1e-12
             assert chordal(m.apply(INF), P(2)) < 1e-12
+
+    def test_member_of_a_numpy_parameter_stores_floats(self):
+        m = TwoPointFamily(P(0), P(1), INF, P(2)).member(np.float64(3.0))
+        assert all(type(v) is float for v in (m.a, m.b, m.c, m.d))
+
+    def test_far_members_have_the_chosen_orientation_or_raise(self):
+        # past ~1e15 either way the product post . diag(t, 1) . pre is rank
+        # one in floats; its determinant is rounding noise of either sign
+        rng = rng_for(107)
+        raised = 0
+        for _ in range(100):
+            x = rng.normal(size=4)
+            fam = TwoPointFamily(P(x[0]), P(x[1]), P(x[2]), P(x[3]))
+            for t in (1e-20, 1e-8, 1e8, 1e17, 1e200):
+                for sign in (1, -1):
+                    try:
+                        assert fam.member(t, sign).orientation == sign
+                    except PreconditionViolated:
+                        assert t not in (1e-8, 1e8)
+                        raised += 1
+        assert raised > 0
 
     def test_coincident_rejected(self):
         with pytest.raises(CoincidentPoints):
