@@ -8,13 +8,14 @@ twists loaded from knot files). A CircleHomeo is a chain of such atoms
 and Mobius maps, evaluated left to right; a circle of the torus is the
 graph of one.
 
-Two graphs meet where their maps agree. Every atom also has a lifted
-action, `lift_h`, that moves homogeneous pairs continuously without the
-canonical sign flip, so along the lifted chart (sin pi theta, cos pi theta)
-the determinant s(theta) of the two images is a continuous function of
-period 1 that vanishes exactly where the graphs meet; it equals
-+-sin(pi * chart difference). Root finding is bisection of its sign
-changes on a grid scan, with no seam to filter and no derivative;
+Every atom has a lifted action, `lift_h`, that moves homogeneous pairs
+continuously without the canonical sign flip. Circles are compared on the
+lift: `homeo_sup_distance` is the largest chordal distance between two
+chains' lifted images of a cached grid. Along the lifted chart
+(sin pi theta, cos pi theta) the determinant s(theta) of two images is a
+continuous function of period 1 that vanishes exactly where the graphs
+meet; it equals +-sin(pi * chart difference). Root finding is bisection of
+its sign changes on a grid scan, with no seam to filter and no derivative;
 `bisect` evaluates the midpoints of several levels per call and returns
 what serial bisection returns. Tangential zeros (graphs touching without
 crossing) are caught by refining local minima of |s|.
@@ -24,10 +25,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, MonotonicityError
+from .errors import ConfigError, MonotonicityError, PreconditionViolated
 from .projline import (
     MobiusMap,
     ProjPoint,
@@ -273,12 +275,26 @@ class CircleHomeo:
         return "CircleHomeo[" + " -> ".join(repr(a) for a in self.atoms) + "]"
 
 
+@lru_cache(maxsize=8)
+def _lifted_grid(grid_size: int) -> np.ndarray:
+    grid = lift_chart(np.arange(grid_size) / grid_size)
+    grid.flags.writeable = False  # one array shared by every call
+    return grid
+
+
 def homeo_sup_distance(h1: CircleHomeo, h2: CircleHomeo, grid_size: int) -> float:
-    """Max chordal distance between images over a chart grid."""
+    """Max chordal distance between the lifted images of the grid j / grid_size.
+
+    Either sign of an image counts; a non-finite one raises PreconditionViolated.
+    """
     if grid_size < 3:
         raise ConfigError("grid_size must be at least 3")
-    h = h_from_chart(np.arange(grid_size) / grid_size)
-    return float(np.max(chordal_h(h1.apply_h(h), h2.apply_h(h))))
+    grid = _lifted_grid(grid_size)
+    with np.errstate(all="ignore"):  # a non-finite image is caught below
+        distance = float(np.max(chordal_h(h1.lift_h(grid), h2.lift_h(grid))))
+    if not math.isfinite(distance):
+        raise PreconditionViolated("homogeneous pair must be finite and nonzero")
+    return distance
 
 
 def load_spline_knots(path) -> MonotoneSpline:

@@ -72,7 +72,7 @@ def h_from_chart(theta) -> np.ndarray:
 
 
 def chordal_h(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Chordal distance between canonical representatives, broadcasting."""
+    """Chordal distance between unit representatives of either sign, broadcasting."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     d_minus = np.hypot(a[0] - b[0], a[1] - b[1])
@@ -184,10 +184,13 @@ class MobiusMap:
     __slots__ = ("a", "b", "c", "d", "orientation")
 
     def __init__(self, m):
-        if type(m) is tuple and len(m) == 4:  # flat, without numpy
-            a, b, c, d = float(m[0]), float(m[1]), float(m[2]), float(m[3])
-        else:
-            a, b, c, d = np.array(m, dtype=float).reshape(4).tolist()
+        try:
+            if type(m) is tuple and len(m) == 4:  # flat, without numpy
+                a, b, c, d = float(m[0]), float(m[1]), float(m[2]), float(m[3])
+            else:
+                a, b, c, d = np.array(m, dtype=float).reshape(4).tolist()
+        except (TypeError, ValueError) as exc:
+            raise PreconditionViolated(f"matrix needs four real entries: {exc}") from None
         det = a * d - b * c
         if not math.isfinite(det) or abs(det) < 1e-250:
             raise PreconditionViolated("matrix is singular or non-finite")

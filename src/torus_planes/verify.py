@@ -435,7 +435,7 @@ def verify_touching(
 # automorphisms
 
 
-_PROBE = [(j + 0.5) / 16.0 for j in range(16)]
+_HALF_STEP = CircleHomeo.from_mobius(MobiusMap.rotation(1.0 / 32.0))  # j/16 -> (j + 1/2)/16
 
 
 def _check_automorphism(plane, inputs, cfg):
@@ -446,10 +446,9 @@ def _check_automorphism(plane, inputs, cfg):
         image = plane.join(*(g.act(pt) for pt in triple))
     except (NoBranch, ParallelInput) as exc:
         return math.inf, [f"join failed: {exc}"]
-    residual = 0.0
-    for theta in _PROBE:
-        pt = circle.point_at(ProjPoint.from_chart(theta))
-        residual = max(residual, plane.membership_residual(image, g.act(pt)))
+    hx, hy = g.factor_homeos()  # g(x, c(x)) lies on the image iff image . hx = hy . c
+    residual = homeo_sup_distance(image.graph.compose(hx).compose(_HALF_STEP),
+                                  hy.compose(circle.graph).compose(_HALF_STEP), 16)
     reasons = []
     if residual > (cfg.tol if cfg.tol is not None else 1e-8):
         reasons.append(f"image circle residual {residual:.3e}")
@@ -470,11 +469,11 @@ def verify_automorphism(
 ) -> VerifyReport:
     """Circles map to circles under g, checked through re-joined images.
 
-    Per trial: join a random triple, push the triple through g, join the
-    images, then require the g-images of 16 further carrier points to lie
-    on the re-joined circle. Parallel classes must also map to parallel
-    classes of the same kind. A g without a point action (`Case3Element`)
-    is a ConfigError.
+    Per trial: join a random triple c, push it through g and join the images;
+    g must carry c's points at the 16 abscissae (j + 1/2) / 16 onto the image:
+    one sup distance between the chains image . hx and hy . c, for g's factor
+    maps (hx, hy). Parallel classes must map to parallel classes of the same
+    kind. A g without a point action (`Case3Element`) is a ConfigError.
     """
     require_point_action(g)
     return _run_trials(

@@ -13,15 +13,24 @@ from torus_planes import (
     MonotoneSpline,
     MonotonicityError,
     PowerMap,
+    PreconditionViolated,
     ProjPoint,
     chordal,
     homeo_sup_distance,
     load_spline_knots,
     parse_plane_spec,
 )
-from torus_planes.homeo import BISECT_LEVELS, bisect
+from torus_planes.homeo import BISECT_LEVELS, _lifted_grid, bisect
+from torus_planes.projline import chordal_h, h_from_chart
 
-from helpers import assert_columns_match_batch, random_pgl, rng_for, spline_plane
+from helpers import (
+    SEEDED_PLANES,
+    assert_columns_match_batch,
+    random_pgl,
+    random_triple,
+    rng_for,
+    spline_plane,
+)
 
 P = ProjPoint.from_real
 INF = ProjPoint.infinity()
@@ -97,6 +106,41 @@ class TestSupDistance:
     def test_grid_size_validated(self):
         with pytest.raises(ConfigError):
             homeo_sup_distance(CircleHomeo.identity(), CircleHomeo.identity(), 2)
+
+    def test_cached_grid_is_read_only(self):
+        grid = _lifted_grid(64)
+        assert _lifted_grid(64) is grid
+        with pytest.raises(ValueError):
+            grid[0, 0] = 1.0
+
+    def test_non_finite_image_raises(self):
+        # PowerMap(3000) underflows every pair off the axes to (0, 0); a nan
+        # distance would pass every `>` threshold
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionViolated):
+                homeo_sup_distance(CircleHomeo((PowerMap(3000.0),)), CircleHomeo(), 64)
+
+
+def reference_sup_distance(h1, h2, grid_size):
+    """The canonical-chart sup distance: normalize_h after every atom."""
+    h = h_from_chart(np.arange(grid_size) / grid_size)
+    return float(np.max(chordal_h(h1.apply_h(h), h2.apply_h(h))))
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_PLANES))
+def test_sup_distance_matches_the_canonical_reference(name):
+    rng = rng_for(211)
+    plane = SEEDED_PLANES[name](rng)
+    pairs = []
+    for _ in range(12):
+        p, q, r = random_triple(rng)
+        circle = plane.join(p, q, r)
+        pairs.append((circle.graph, plane.join(r, p, q).graph))  # a rejoin pair
+        pairs.append((circle.graph, plane.join(*random_triple(rng)).graph))
+    for a, b in pairs:
+        for n in (3, 16, 64):
+            assert abs(homeo_sup_distance(a, b, n) - reference_sup_distance(a, b, n)) <= 1e-13
 
 
 class TestComposition:

@@ -173,6 +173,13 @@ class TestMobiusContract:
             with pytest.raises(PreconditionViolated):
                 MobiusMap(m)
 
+    @pytest.mark.parametrize("m", [
+        [1, 2, 3], "abcd", [[1, 2], [3]], ("a", "b", "c", "d"), None,
+    ], ids=repr)
+    def test_malformed_input_rejected(self, m):
+        with pytest.raises(PreconditionViolated):
+            MobiusMap(m)
+
 
 def test_mobius_action_is_batch_invariant():
     rng = rng_for(106)

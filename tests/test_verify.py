@@ -6,6 +6,9 @@ import pytest
 from torus_planes import (
     CircleHomeo,
     MobiusMap,
+    NoBranch,
+    ParallelInput,
+    ProjPoint,
     SamplingExhausted,
     TorusPoint,
     UnsupportedPlane,
@@ -14,10 +17,11 @@ from torus_planes import (
     parse_plane_spec,
     recheck_counterexample,
 )
-from torus_planes.groups import DiagonalPSL, KernelPlusPSL
+from torus_planes.groups import DiagonalPSL, KernelPlusPSL, parse_group_literal
 from torus_planes.verify import (
     SUITES,
     TrialConfig,
+    _check_automorphism,
     sample_triple,
     verify_automorphism,
     verify_derived_plane,
@@ -26,6 +30,8 @@ from torus_planes.verify import (
     verify_rigidity,
     verify_touching,
 )
+
+from helpers import SEEDED_PLANES, random_triple, rng_for
 
 CFG = TrialConfig(seed=42, trials=60)
 pt = TorusPoint.from_reals
@@ -229,3 +235,40 @@ class TestRecheck:
     def test_sound_reports_have_nothing_to_recheck(self, classical):
         report = verify_joining(classical, TrialConfig(seed=42, trials=30))
         assert report.counterexamples == []
+
+
+# the group literals of the benchmark's cli-verify workload
+BENCHMARK_GROUPS = ("phi:2:3:1:1", "phi2:-1:2:3:1", "diag:psl:2,1,1,1", "kplus:psl:1,1,0,1")
+
+
+def probe_residual(plane, circle, image, g):
+    """The scalar reference: g-images of 16 carrier points against the image."""
+    residual = 0.0
+    for j in range(16):
+        carrier = circle.point_at(ProjPoint.from_chart((j + 0.5) / 16.0))
+        residual = max(residual, plane.membership_residual(image, g.act(carrier)))
+    return residual
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_PLANES))
+def test_automorphism_residual_matches_the_probe_loop(name):
+    rng = rng_for(213)
+    plane = SEEDED_PLANES[name](rng)
+    outcomes = set()
+    for literal in (None, *BENCHMARK_GROUPS):
+        group = None if literal is None else parse_group_literal(literal)
+        _, g = SUITES["automorphism"].bind(plane, group)
+        for _ in range(8):
+            triple = random_triple(rng)
+            residual, _ = _check_automorphism(plane, {"points": triple, "group": g}, CFG)
+            try:
+                circle = plane.join(*triple)
+                image = plane.join(*(g.act(p) for p in triple))
+            except (NoBranch, ParallelInput):
+                assert residual == math.inf
+                continue
+            want = probe_residual(plane, circle, image, g)
+            assert abs(residual - want) <= 1e-12
+            assert (residual > 1e-8) == (want > 1e-8)
+            outcomes.add(want > 1e-8)
+    assert outcomes == {False, True}  # both sides of the threshold are covered
