@@ -41,10 +41,15 @@ for x in (0.0, 1.0, math.inf, 5.0):
 
 print("\n== the two-point family ==")
 fam = TwoPointFamily(P(0), P(1), INF, P(2))
-print("all members send 0 -> 1 and inf -> 2; one parameter remains:")
+print("all members send 0 -> 1 and inf -> 2; one parameter remains.")
+print("in the frame Xp = 0, Xq = inf, Yp = 1, Yq = 2, with det(X, h) = X0 h1 - X1 h0,")
+print("member lam is h -> lam det(Xp, h) Yq + det(Xq, h) Yp; det(Xp, Xp) and")
+print("det(Xq, Xq) are exactly 0, so the anchors land on their targets exactly.")
+print("the sign of lam sets the orientation; member(t, +1) takes the lam = +-t with det > 0:")
 for t in (0.5, 1.0, 2.0):
     member = fam.member(t, 1)
-    print(f"  t={t:g}: 1 -> {member.apply(P(1)).value():.6g}, det sign {member.orientation:+d}")
+    print(f"  t={t:g}: 0 -> {member.apply(P(0)).value():g}, inf -> {member.apply(INF).value():g},"
+          f" 1 -> {member.apply(P(1)).value():.6g}, det sign {member.orientation:+d}")
 
 print("\n== fixed points ==")
 for label, matrix in [

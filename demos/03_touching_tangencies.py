@@ -2,10 +2,11 @@
 
 Given a circle c, a point p on it and a point q off it, exactly one
 circle through p and q meets c only at p. The circles through p and q
-form a one-parameter pencil lam P + Q per branch; where a member meets c
-is a determinant linear in lam, so tangency at p fixes one lam per
-branch. The count of certified tangent members over all branches must
-be one.
+form a one-parameter pencil per branch, lam det(Xp, h) Yq + det(Xq, h) Yp
+in the frame of their sources X and targets Y, so every member holds p
+and q exactly; where a member meets c is a determinant linear in lam,
+so tangency at p fixes one lam per branch. The count of certified
+tangent members over all branches must be one.
 """
 
 import math

@@ -11,10 +11,11 @@ graphs:
 The orientation dichotomy splits the circle set exactly, so joining
 resolves its branch from the sign of a determinant, never from a
 tolerance. Touching solves one linear equation per branch of the pencil
-of circles through two points: the members are lam P + Q, so where a
-member's graph meets c is a determinant linear in lam, and tangency at
-the anchor point fixes lam. Each candidate is then certified against a
-declared tangency band.
+of circles through two points p and q: in the frame of their sources X
+and targets Y the members are lam det(Xp, h) Yq + det(Xq, h) Yp, which
+hold p and q exactly, so where a member's graph meets c is a
+determinant linear in lam, and tangency at p fixes lam. Each candidate
+is then certified against a declared tangency band.
 """
 
 from __future__ import annotations
@@ -123,11 +124,14 @@ def _clamped_fixed_points(m: MobiusMap):
     Tangency checks compare circles that share a point, so the fixed-point
     discriminant of their quotient map is nonnegative up to rounding; a
     slightly negative value is clamped to the double root instead of being
-    classified elliptic. Returns None for genuinely elliptic or identity
-    data, which tangency callers treat as non-certifiable.
+    classified elliptic. Slightly means above -1e-6, or within 16 eps of
+    the terms B^2 and 4AC that cancel in it: a steep pair's quotient has
+    entries of ~1e4, and its discriminant is rounded to ~1e-6. Returns None
+    for genuinely elliptic or identity data, which tangency callers treat
+    as non-certifiable.
     """
     disc, *roots = fixed_point_roots(m)
-    if disc < -1e-6:
+    if disc < -max(1e-6, 2.0**-48 * ((m.d - m.a) ** 2 + 4.0 * abs(m.b * m.c))):
         return None
     pts = [ProjPoint(*root) for root in roots if root != (0.0, 0.0)]
     return pts or None
@@ -382,9 +386,10 @@ class PlaneModel:
         the pencil of circles through p and q holds at most one member
         tangent to c at p, the root of a linear equation; c's own branch is
         tried first, and the first member certified within the tangency
-        band is returned, as a float copy whose graph contains q. Raises
-        NotFound when no branch has one, which callers should treat as an
-        axiom-of-touching counterexample candidate.
+        band is returned. Its graph holds p and q by construction (see
+        TwoPointFamily). Raises NotFound when no branch has one, which
+        callers should treat as an axiom-of-touching counterexample
+        candidate.
         """
         if not self.contains(c, p):
             raise PreconditionViolated("p must lie on the circle")
@@ -396,42 +401,8 @@ class PlaneModel:
         for branch in self._pencil_branches(p, q, reverse=c.tag == TAG_TWISTED):
             d, sep = self._certified_candidate(branch, c, p)
             if sep <= self.tangency_band:
-                return self._representative_through(d, c, p, q)
+                return d
         raise NotFound("no tangent pencil member located")
-
-    def _representative_through(self, d: Circle, c: Circle, p: TorusPoint,
-                                q: TorusPoint) -> Circle:
-        """d, or a float copy of the same member whose graph contains q.
-
-        Where d is steep at q, the rounding of its stored matrix moves the
-        graph there by about eps times the slope: 1.3e-9 against tol 1e-9
-        at a chart slope of 1e7 on `half:power:1/3`. 32 rescaled copies
-        round differently; in each, a rank-one term that keeps p's image
-        turns q's onto its target through one row (the rows in turn), so
-        they scatter around q, not around d's miss. The first that contains
-        q and is still certified tangent at p is taken; d when none is.
-        """
-        if self.contains(d, q):
-            return d
-        rebuild = self._twisted_circle if d.tag == TAG_TWISTED else self.mobius_circle
-        m, (u, v, w) = d.mobius, (q.x, p.x, q.y)  # as the stored matrix sees them
-        if d.tag == TAG_TWISTED:
-            u, v, w = self.f.apply(u), self.f.apply(v), self.g.apply(w)
-        det, w = u.h0 * v.h1 - u.h1 * v.h0, (w.h0, w.h1)
-        r = (v.h1 / det, -v.h0 / det)  # a row plus e r moves u's image by e and v's by 0
-        for k in range(32):  # one holds q on 30 of 35 measured misses
-            x = [e * (1.0 + k * 2.0**-26) for e in (m.a, m.b, m.c, m.d)]
-            y = [x[i] * u.h0 + x[i + 1] * u.h1 for i in (0, 2)]
-            i = k % 2 if abs(w[1 - k % 2]) > 2.0**-10 else 1 - k % 2  # the row to move
-            fix = y[1 - i] * w[i] / w[1 - i] - y[i]
-            x[2 * i:2 * i + 2] = x[2 * i] + fix * r[0], x[2 * i + 1] + fix * r[1]
-            n = MobiusMap(tuple(x))
-            e = rebuild(n) if n.orientation == m.orientation else d
-            if self.contains(e, q):
-                far, sep = self._tangency_quality(c, e, p)
-                if not far and sep <= self.tangency_band:
-                    return e
-        return d
 
     def _certified_candidate(self, branch: _PencilBranch, c: Circle, p: TorusPoint):
         """(member, separation) of the branch's tangency candidate.
@@ -501,17 +472,17 @@ class PlaneModel:
                             p: TorusPoint) -> float | None:
         """The parameter of the branch member tangent to c at p, if any.
 
-        Members are M(lam) = lam P + Q, with P = post E11 pre and
-        Q = post E22 pre. With A the lifted c side (c, or g . c on the
-        twisted branch) and B the lifted member side (x, or f(x)),
-        phi(lam, x) = lam det(A, P B) + det(A, Q B) vanishes at p for every
-        lam, and tangency at p is d phi / dx = 0 there: linear in lam, so
-        lam* = -d det(A, Q B) / d det(A, P B). Both derivatives come from
-        one five-point central difference in the chart; the three-point
-        one's truncation error is too large next to steep maps. P and Q
-        have rank one: det(A, P B) = (pre row 0 . B) det(A, post column 0).
-        Returns |lam*| when its sign gives the branch's orientation, else
-        None.
+        Members are M(lam) h = lam det(Xp, h) Yq + det(Xq, h) Yp in the
+        family's frame (TwoPointFamily). With A the lifted c side (c, or
+        g . c on the twisted branch) and B the lifted member side (x, or
+        f(x)), phi(lam, x) = det(A, M(lam) B)
+        = lam det(A, Yq) det(Xp, B) + det(A, Yp) det(Xq, B) vanishes at p
+        for every lam, and tangency at p is d phi / dx = 0 there: linear in
+        lam, so lam* = -d[det(A, Yp) det(Xq, B)] / d[det(A, Yq) det(Xp, B)].
+        Both derivatives come from one five-point central difference in
+        the chart; the three-point one's truncation error is too large next
+        to steep maps. Returns |lam*| when its sign gives the branch's
+        orientation, else None.
         """
         x = lift_chart(p.x.chart() + 1e-5 * _STENCIL_STEPS)
         if branch.name != "twisted":
@@ -519,9 +490,10 @@ class PlaneModel:
         else:
             a, b = self.g.lift_h(c.graph.lift_h(x)), self.f.lift_h(x)
         fam = branch.family
-        # rows det(A, P B) and det(A, Q B) at the stencil points
-        u = fam.post
-        along = fam.pre.lift_h(b) * np.stack([a[0] * u.c - a[1] * u.a, a[0] * u.d - a[1] * u.b])
+        xp, xq, yp, yq = fam.xp, fam.xq, fam.yp, fam.yq
+        # rows det(A, Yq) det(Xp, B) and det(A, Yp) det(Xq, B) at the stencil points
+        along = np.stack([(a[0] * yq.h1 - a[1] * yq.h0) * (xp.h0 * b[1] - xp.h1 * b[0]),
+                          (a[0] * yp.h1 - a[1] * yp.h0) * (xq.h0 * b[1] - xq.h1 * b[0])])
         slope_p, slope_q = (along @ _STENCIL_WEIGHTS).tolist()
         if slope_p == 0.0:
             return None

@@ -193,7 +193,14 @@ class MobiusMap:
             raise PreconditionViolated(f"matrix needs four real entries: {exc}") from None
         det = a * d - b * c
         if not math.isfinite(det) or abs(det) < 1e-250:
-            raise PreconditionViolated("matrix is singular or non-finite")
+            # past ~1e154 the products overflow and below ~1e-125 they fall
+            # under the floor: measure again with the largest entry scaled to 1
+            s = max(abs(a), abs(b), abs(c), abs(d))
+            if 0.0 < s < math.inf:
+                a, b, c, d = a / s, b / s, c / s, d / s
+                det = a * d - b * c
+            if not math.isfinite(det) or abs(det) < 1e-250:
+                raise PreconditionViolated("matrix is singular or non-finite")
         r = math.sqrt(abs(det))
         a, b, c, d = a / r, b / r, c / r, d / r
         if max((a, b, c, d), key=abs) < 0.0:  # the first largest, as argmax
@@ -316,31 +323,52 @@ def mobius_from_three(
     return fy.compose(fx.inverse())
 
 
-_THIRD_POINT_CANDIDATES = tuple(
-    ProjPoint.from_chart(k / 8.0) for k in range(8)
-)
+class FrameMember(MobiusMap):
+    """The member lam det(Xp, h) Yq + det(Xq, h) Yp of a TwoPointFamily.
 
+    a, b, c, d hold the summed matrix, for the algebra and the orientation;
+    `apply` and `lift_h` evaluate the two terms unsummed. det(Xq, Xq) is
+    exactly 0 in floats, so Xq's image is a multiple of Yq, and Xp's of
+    Yp, however steep the member is.
+    """
 
-def _pick_third_point(anchors) -> ProjPoint:
-    """Deterministically pick a fixed point well separated from the anchors."""
-    best, best_sep = None, -1.0
-    for cand in _THIRD_POINT_CANDIDATES:
-        sep = min(chordal(cand, a) for a in anchors)
-        if sep > best_sep:
-            best, best_sep = cand, sep
-    return best
+    __slots__ = ("lam", "xp", "xq", "yp", "yq")
+
+    def __init__(self, lam: float, xp: ProjPoint, xq: ProjPoint, yp: ProjPoint,
+                 yq: ProjPoint):
+        s0, s1 = lam * yq.h0, lam * yq.h1
+        super().__init__((yp.h0 * -xq.h1 - s0 * xp.h1, s0 * xp.h0 + yp.h0 * xq.h0,
+                          yp.h1 * -xq.h1 - s1 * xp.h1, s1 * xp.h0 + yp.h1 * xq.h0))
+        for name, value in zip(self.__slots__, (lam, xp, xq, yp, yq)):
+            object.__setattr__(self, name, value)
+
+    def apply(self, p: ProjPoint) -> ProjPoint:
+        xp, xq, yp, yq = self.xp, self.xq, self.yp, self.yq
+        dp = self.lam * (xp.h0 * p.h1 - xp.h1 * p.h0)
+        dq = xq.h0 * p.h1 - xq.h1 * p.h0
+        return ProjPoint(dp * yq.h0 + dq * yp.h0, dp * yq.h1 + dq * yp.h1)
+
+    def lift_h(self, h: np.ndarray) -> np.ndarray:
+        h = np.asarray(h, dtype=float)
+        xp, xq, yp, yq = self.xp, self.xq, self.yp, self.yq
+        dp = self.lam * (xp.h0 * h[1] - xp.h1 * h[0])
+        dq = xq.h0 * h[1] - xq.h1 * h[0]
+        return np.array([dp * yq.h0 + dq * yp.h0, dp * yq.h1 + dq * yp.h1])
 
 
 class TwoPointFamily:
     """The one-parameter family of Mobius maps sending x1 -> x2, y1 -> y2.
 
-    Members are m(t) = C . scale(sigma t) . A for t in (0, inf), where A
-    moves (x1, y1) to (0, infinity) and C moves (0, infinity) to (x2, y2).
-    All members with sigma = +1 share one orientation; flipping sigma
-    flips it, which is how the selector picks a member of either sign.
+    In frame form, with det(X, h) = X0 h1 - X1 h0, sources Xp = x1, Xq = y1
+    and targets Yp = x2, Yq = y2, member lam != 0 is the FrameMember
+    M(lam) h = lam det(Xp, h) Yq + det(Xq, h) Yp. Its determinant is
+    lam det(Yq, Yp) det(Xp, Xq), so the sign of lam sets the orientation:
+    `base_orientation` = sign(det(Xp, Xq) det(Yq, Yp)) for lam > 0, and
+    flipping the sign flips it, which is how the selector picks a member
+    of either sign.
     """
 
-    __slots__ = ("pre", "post", "base_orientation")
+    __slots__ = ("xp", "xq", "yp", "yq", "base_orientation")
 
     def __init__(self, x1: ProjPoint, x2: ProjPoint, y1: ProjPoint, y2: ProjPoint,
                  tol: float = EQUALITY_TOL):
@@ -348,15 +376,9 @@ class TwoPointFamily:
             raise CoincidentPoints("source points coincide")
         if chordal(x2, y2) <= tol:
             raise CoincidentPoints("target points coincide")
-        w_src = _pick_third_point((x1, y1))
-        w_dst = _pick_third_point((x2, y2))
-        self_pre = _frame_map(y1, x1, w_src, tol).inverse()
-        self_post = _frame_map(y2, x2, w_dst, tol)
-        object.__setattr__(self, "pre", self_pre)
-        object.__setattr__(self, "post", self_post)
-        object.__setattr__(
-            self, "base_orientation", self_pre.orientation * self_post.orientation
-        )
+        sign = (x1.h0 * y1.h1 - x1.h1 * y1.h0) * (y2.h0 * x2.h1 - y2.h1 * x2.h0)
+        for name, value in zip(self.__slots__, (x1, y1, x2, y2, 1 if sign > 0.0 else -1)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("TwoPointFamily is immutable")
@@ -366,11 +388,8 @@ class TwoPointFamily:
         if t <= 0.0:
             raise PreconditionViolated("family parameter must be positive")
         want = self.base_orientation if orientation is None else orientation
-        lam = t if want == self.base_orientation else -t
-        u, v = self.post, self.pre  # post . diag(lam, 1) . pre, no rounded middle factor
-        a, c = u.a * lam, u.c * lam
-        m = MobiusMap((a * v.a + u.b * v.c, a * v.b + u.b * v.d,
-                       c * v.a + u.d * v.c, c * v.b + u.d * v.d))
+        lam = float(t) if want == self.base_orientation else -float(t)
+        m = FrameMember(lam, self.xp, self.xq, self.yp, self.yq)
         if m.orientation != want:  # t past ~1e15 either way: rank one in floats
             raise PreconditionViolated("family member is singular in floating point")
         return m

@@ -264,7 +264,8 @@ class TestDiagonalOrbits:
                 continue
             witness = diagonal_transitivity_witness(src, dst)
             assert witness.mu.orientation == 1
-            assert torus_dist(witness.act(src), dst) < 1e-9
+            # the frame member maps both anchors up to one product's rounding
+            assert torus_dist(witness.act(src), dst) <= 1e-15
 
     def test_two_point_stabilizer_orbit_rays(self):
         # elements fixing (0,0) and (inf,inf) diagonally are the scalings;

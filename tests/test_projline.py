@@ -24,6 +24,7 @@ from helpers import (
     cross_ratio_to_standard,
     random_pgl,
     random_proj_point,
+    random_separated_points,
     rng_for,
 )
 
@@ -164,14 +165,29 @@ class TestMobiusContract:
                 setattr(m, name, 1.0)
 
     @pytest.mark.parametrize("entries", [
-        (1.0, 1.0, 1.0, 1.0), (0.0, 0.0, 0.0, 0.0), (1e-130, 0.0, 0.0, 1e-130),
-        (math.nan, 0.0, 0.0, 1.0), (math.inf, 0.0, 0.0, 1.0), (1e200, 1e200, -1e200, 1e200),
+        (1.0, 1.0, 1.0, 1.0), (0.0, 0.0, 0.0, 0.0), (1e-130, 0.0, 1e-130, 0.0),
+        (math.nan, 0.0, 0.0, 1.0), (math.inf, 0.0, 0.0, 1.0), (1e200, 1e200, 1e200, 1e200),
     ])
     def test_singular_or_non_finite_rejected(self, entries):
         a, b, c, d = entries
         for m in ((a, b, c, d), [[a, b], [c, d]], np.array(entries)):
             with pytest.raises(PreconditionViolated):
                 MobiusMap(m)
+
+    @pytest.mark.parametrize("entries, scaled", [
+        ((2e200, 1e200, 1e200, 1e200), (2.0, 1.0, 1.0, 1.0)),
+        ((1e200, 1e200, -1e200, 1e200), (1.0, 1.0, -1.0, 1.0)),
+        ((1e-130, 0.0, 0.0, 1e-130), (1.0, 0.0, 0.0, 1.0)),
+    ])
+    def test_regular_maps_at_extreme_scales_accepted(self, entries, scaled):
+        # a * d - b * c overflows, or falls below the floor, at this scale;
+        # the map is still the one of the scaled entries
+        a, b, c, d = entries
+        want = MobiusMap(scaled)
+        for m in ((a, b, c, d), [[a, b], [c, d]], np.array(entries)):
+            got = MobiusMap(m)
+            assert proj_matrix_equal(got, want, 1e-15)
+            assert got.orientation == want.orientation
 
     @pytest.mark.parametrize("m", [
         [1, 2, 3], "abcd", [[1, 2], [3]], ("a", "b", "c", "d"), None,
@@ -308,6 +324,22 @@ class TestTwoPairs:
                         assert t not in (1e-8, 1e8)
                         raised += 1
         assert raised > 0
+
+    def test_frame_members_map_both_anchors_exactly(self):
+        # the member's action keeps its two terms apart, so each anchor's
+        # image is its target up to the rounding of one product
+        rng = rng_for(108)
+        for _ in range(100):
+            (x1, y1), (x2, y2) = random_separated_points(rng, 2), random_separated_points(rng, 2)
+            fam = TwoPointFamily(x1, x2, y1, y2)
+            for t in (1e-8, 1.0, 1e8):
+                for sign in (1, -1):
+                    m = fam.member(t, sign)
+                    assert m.orientation == sign
+                    for src, dst in ((x1, x2), (y1, y2)):
+                        assert chordal(m.apply(src), dst) <= 1e-15
+                        lifted = m.lift_h(np.array([src.h0, src.h1]))
+                        assert chordal(ProjPoint(*lifted), dst) <= 1e-15
 
     def test_coincident_rejected(self):
         with pytest.raises(CoincidentPoints):
