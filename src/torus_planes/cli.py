@@ -5,7 +5,9 @@ dispatches to library calls, and maps outcomes to exit codes:
 
 * 0: everything passed (and every negative control failed, as required);
 * 1: a suite failed or a negative control unexpectedly passed;
-* 2: configuration errors (bad flags, unknown suites, unparseable input).
+* 2: configuration errors (bad flags, unknown suites, unparseable input,
+  a seed that is not a non-negative integer, an output path that cannot
+  be written).
 
 The run manifest (config path, plane, suites, seed, output directory) is
 echoed verbatim into every report for reproducibility. `TORUS_PLANES_SEED`
@@ -43,9 +45,12 @@ def _resolve_seed(value) -> int:
     if value is not None:
         return int(value)
     env = os.environ.get("TORUS_PLANES_SEED")
-    if env is not None:
+    if env is None:
+        return DEFAULT_SEED
+    try:
         return int(env)
-    return DEFAULT_SEED
+    except ValueError:
+        raise ConfigError(f"TORUS_PLANES_SEED is not an integer: {env!r}") from None
 
 
 def _resolve_plane(args) -> PlaneModel:
@@ -58,9 +63,11 @@ def _resolve_plane(args) -> PlaneModel:
     cfg = {}
     if args.config:
         path = Path(args.config)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
-        cfg = parse_config_text(path.read_text(encoding="utf-8"))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        cfg = parse_config_text(text)
     if args.plane:
         cfg.update(plane_spec_config(args.plane) if ":" in args.plane else {"family": args.plane})
     tol = None if args.tol is None else str(args.tol)
@@ -343,10 +350,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 2
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PlaneGeometryError as exc:
+    except (PlaneGeometryError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,8 +8,10 @@ twists loaded from knot files). A CircleHomeo is a chain of such atoms
 and Mobius maps, evaluated left to right; a circle of the torus is the
 graph of one.
 
-Every atom has a lifted action, `lift_h`, that moves homogeneous pairs
-continuously without the canonical sign flip. Circles are compared on the
+Every atom has one array action, the lifted `lift_h`, that moves
+homogeneous pairs continuously without the canonical sign flip.
+`CircleHomeo.apply_h` canonicalizes once, after the whole chain, for
+callers that want canonical pairs (plotting). Circles are compared on the
 lift: `homeo_sup_distance` is the largest chordal distance between two
 chains' lifted images of a cached grid. Along the lifted chart
 (sin pi theta, cos pi theta) the determinant s(theta) of two images is a
@@ -33,9 +35,7 @@ from .errors import ConfigError, MonotonicityError, PreconditionViolated
 from .projline import (
     MobiusMap,
     ProjPoint,
-    chart_h,
     chordal_h,
-    h_from_chart,
     lift_chart,
     normalize_h,
 )
@@ -76,9 +76,6 @@ class PowerMap:
             math.copysign(abs(p.h0) ** e, p.h0) if p.h0 != 0.0 else 0.0,
             math.copysign(abs(p.h1) ** e, p.h1) if p.h1 != 0.0 else 0.0,
         )
-
-    def apply_h(self, h: np.ndarray) -> np.ndarray:
-        return normalize_h(self.lift_h(h))
 
     def lift_h(self, h: np.ndarray) -> np.ndarray:
         h = np.asarray(h, dtype=float)
@@ -133,24 +130,14 @@ class MonotoneSpline:
     def __setattr__(self, name, value):
         raise AttributeError("MonotoneSpline is immutable")
 
-    def _eval_chart(self, theta: np.ndarray) -> np.ndarray:
-        tx, ty = self._tx, self._ty
-        t = (np.asarray(theta, dtype=float) - tx[0]) % 1.0 + tx[0]
-        j = np.clip(np.searchsorted(tx, t, side="right") - 1, 0, len(tx) - 2)
-        s = (t - tx[j]) / (tx[j + 1] - tx[j])
-        return (ty[j] + s * (ty[j + 1] - ty[j])) % 1.0
-
     def apply(self, p: ProjPoint) -> ProjPoint:
-        # _eval_chart line for line on Python floats, bit for bit the same:
-        # one point sent through numpy costs ~50 us
+        # the chart table lookup on Python floats: one point sent through
+        # numpy costs ~50 us
         tx, ty = self._tx_list, self._ty_list
         t = (p.chart() - tx[0]) % 1.0 + tx[0]
         j = min(max(bisect_right(tx, t) - 1, 0), len(tx) - 2)
         s = (t - tx[j]) / (tx[j + 1] - tx[j])
         return ProjPoint.from_chart((ty[j] + s * (ty[j + 1] - ty[j])) % 1.0)
-
-    def apply_h(self, h: np.ndarray) -> np.ndarray:
-        return h_from_chart(self._eval_chart(chart_h(h)))
 
     def lift_h(self, h: np.ndarray) -> np.ndarray:
         """The lifted table on the double cover x = atan2(h0, h1) / pi.
@@ -217,10 +204,12 @@ class CircleHomeo:
         return p
 
     def apply_h(self, h: np.ndarray) -> np.ndarray:
-        h = normalize_h(h)
-        for atom in self.atoms:
-            h = atom.apply_h(h)
-        return h
+        """Canonical images of pairs (2, ...): the lift, canonicalized once.
+
+        Raises PreconditionViolated when an image is not finite and nonzero.
+        """
+        with np.errstate(all="ignore"):  # a 0/0 or overflowing lift is caught below
+            return normalize_h(self.lift_h(h))
 
     def lift_h(self, h: np.ndarray) -> np.ndarray:
         """Unit-norm images of pairs (2, ...), never sign-flipped: continuous in h."""

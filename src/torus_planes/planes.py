@@ -417,7 +417,7 @@ class PlaneModel:
             d = None
         if d is None:
             return None, math.inf
-        far, sep = self._tangency_quality(c, d, p)
+        far, sep = self.tangency_separation(c, d, p)
         return d, (math.inf if far else sep)
 
     def _pencil_branches(self, p: TorusPoint, q: TorusPoint, reverse: bool = False):
@@ -535,14 +535,15 @@ class PlaneModel:
                 offsets.append(root - theta_p)
         return offsets
 
-    def _tangency_quality(self, c: Circle, d: Circle, p: TorusPoint):
-        """(has_far_intersections, worst separation from p) for c against d.
+    def tangency_separation(self, c: Circle, d: Circle, p: TorusPoint):
+        """(has_far_intersections, worst separation from p) for two circles.
 
-        Mobius-comparable pairs use the quadratic; its root splitting has
-        a sqrt(eps)-times-conditioning floor, so marginal readings are
-        re-measured on the actual graphs: a scan of their crossing function
-        for crossings away from p combined with the factored near-p solver
-        for the pair merging at p.
+        A genuine touch at p shows no far intersections and a separation
+        below the tangency band. Mobius-comparable pairs use the quadratic;
+        its root splitting has a sqrt(eps)-times-conditioning floor, so
+        marginal readings are re-measured on the actual graphs: a scan of
+        their crossing function for crossings away from p combined with the
+        factored near-p solver for the pair merging at p.
         """
         base_pair = self._comparable_mobius_pair(c, d)
         if base_pair is not None:
@@ -613,14 +614,6 @@ class PlaneModel:
             _, sep = self._certified_candidate(branch, c, p)
             details.append((branch.name, int(sep <= 10.0 * self.tangency_band)))
         return sum(n for _, n in details), details
-
-    def tangency_separation(self, c: Circle, d: Circle, p: TorusPoint):
-        """(has_far_intersections, worst separation from p) for two circles.
-
-        The public face of the tangency check: a genuine touch at p shows
-        no far intersections and a separation below the tangency band.
-        """
-        return self._tangency_quality(c, d, p)
 
     # -- derived planes --------------------------------------------------
 

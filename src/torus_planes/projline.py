@@ -264,10 +264,6 @@ class MobiusMap:
     def apply(self, p: ProjPoint) -> ProjPoint:
         return ProjPoint(self.a * p.h0 + self.b * p.h1, self.c * p.h0 + self.d * p.h1)
 
-    def apply_h(self, h: np.ndarray) -> np.ndarray:
-        """Vectorized action on homogeneous pairs of shape (2, ...)."""
-        return normalize_h(self.lift_h(h))
-
     def lift_h(self, h: np.ndarray) -> np.ndarray:
         """The linear action on pairs (2, ...), unscaled; elementwise, so batch-invariant."""
         h = np.asarray(h, dtype=float)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -84,10 +85,10 @@ class TrialConfig:
     tol: float | None = None
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError(f"trials must be at least 1, got {self.trials}")
-        if self.grid < 3:
-            raise ConfigError(f"grid must be at least 3, got {self.grid}")
+        for name, least in (("seed", 0), ("trials", 1), ("grid", 3)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
         for name in ("separation", "tol"):
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):

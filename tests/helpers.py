@@ -15,6 +15,7 @@ from torus_planes import (
     half_classical_plane,
     parse_plane_spec,
 )
+from torus_planes.projline import chart_h, h_from_chart, normalize_h
 
 
 def rng_for(seed, trial=0):
@@ -71,6 +72,30 @@ def assert_columns_match_batch(fn, h):
     batch = fn(h)
     for k in range(h.shape[1]):
         assert fn(h[:, k]).tobytes() == batch[:, k].tobytes()
+
+
+def spline_eval_chart(spline, theta):
+    """The spline's chart table looked up on arrays: scalar `apply`'s formula, bit for bit."""
+    tx, ty = spline._tx, spline._ty
+    t = (np.asarray(theta, dtype=float) - tx[0]) % 1.0 + tx[0]
+    j = np.clip(np.searchsorted(tx, t, side="right") - 1, 0, len(tx) - 2)
+    s = (t - tx[j]) / (tx[j + 1] - tx[j])
+    return (ty[j] + s * (ty[j + 1] - ty[j])) % 1.0
+
+
+def canonical_chain_action(chain, h):
+    """Reference chain action on pairs (2, ...): normalize_h after every atom.
+
+    Independent of the lifted path under test for splines, which are
+    evaluated through the canonical chart with `spline_eval_chart`.
+    """
+    h = normalize_h(h)
+    for atom in chain.atoms:
+        if isinstance(atom, MonotoneSpline):
+            h = h_from_chart(spline_eval_chart(atom, chart_h(h)))
+        else:
+            h = normalize_h(atom.lift_h(h))
+    return h
 
 
 def random_pgl(rng) -> MobiusMap:

@@ -58,14 +58,30 @@ class TestJoinCommand:
         # the factor-only family has no point action to check
         ["verify", "--plane", "classical", "--suite", "automorphism", "--group", "case3:0.3:2:1"],
         ["verify", "--suite", "automorphism", "--group", "phi:nan:1:1:1"],
+        ["verify", "--seed", "-5"],
+        ["verify", "--out", "{tmp}/file.txt"],
+        ["plot", "circle3:0,0:1,1:2,3", "--out", "{tmp}"],
+        ["report-index", "{tmp}", "--out", "{tmp}/missing/index.json"],
+        ["join", "--config", "{tmp}/latin1.cfg", "0,0", "1,1", "2,3"],
+        ["join", "--config", "{tmp}/missing.cfg", "0,0", "1,1", "2,3"],
     ],
 )
 def test_bad_input_exits_2_without_traceback(args, tmp_path, capsys):
     (tmp_path / "nan-knots.txt").write_text("0 0\nnan 1\n1 2\n")
+    (tmp_path / "file.txt").write_text("not a directory\n")
+    (tmp_path / "latin1.cfg").write_bytes(b"family = classical\n# caf\xe9\n")
     args = [a.replace("{tmp}", str(tmp_path)) for a in args]
-    if args[0] == "verify":
+    if args[0] == "verify" and "--out" not in args:
         args = args + ["--out", str(tmp_path)]
     assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("env", ["abc", "-1", ""])
+def test_bad_seed_env_exits_2_without_traceback(env, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("TORUS_PLANES_SEED", env)
+    assert run(["verify", "--trials", "1", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
 

@@ -33,7 +33,13 @@ from torus_planes.planes import TAG_CLASSICAL, TAG_PSL, TAG_TWISTED, parse_confi
 from torus_planes.projline import chart_h, h_from_chart, wrap_half
 from torus_planes.verify import TrialConfig, _sample_touching
 
-from helpers import SEEDED_PLANES, random_proj_point, random_triple, rng_for
+from helpers import (
+    SEEDED_PLANES,
+    canonical_chain_action,
+    random_proj_point,
+    random_triple,
+    rng_for,
+)
 
 P = ProjPoint.from_real
 pt = TorusPoint.from_reals
@@ -475,7 +481,8 @@ def chart_difference_zeros(lhs, rhs, grid=512, tangent_band=1e-7):
 
     def fn(theta):
         h = h_from_chart(theta)
-        return wrap_half(chart_h(lhs.apply_h(h)) - chart_h(rhs.apply_h(h)))
+        return wrap_half(chart_h(canonical_chain_action(lhs, h))
+                         - chart_h(canonical_chain_action(rhs, h)))
 
     theta = np.arange(grid) / grid
     vals = np.asarray(fn(theta), dtype=float)
@@ -593,11 +600,13 @@ def pencil_probe(plane, branch, c, p):
     eps = 1e-5
     x_probe = h_from_chart(p.x.chart() + np.array([-eps, eps]))
     if branch.name == "twisted":
-        u_probe = plane.f.apply_h(x_probe)
-        c_side = chart_h(plane.g.apply_h(c.graph.apply_h(x_probe)))
+        u_probe = canonical_chain_action(plane.f, x_probe)
+        c_side = chart_h(
+            canonical_chain_action(plane.g, canonical_chain_action(c.graph, x_probe))
+        )
     else:
         u_probe = x_probe
-        c_side = chart_h(c.graph.apply_h(x_probe))
+        c_side = chart_h(canonical_chain_action(c.graph, x_probe))
     fam = branch.family
     return {
         "eps": eps,

@@ -8,7 +8,7 @@ from torus_planes.planes import TAG_TWISTED
 from torus_planes.projline import chart_h, h_from_chart
 from torus_planes.svgplot import _CANVAS, _PALETTE, _SAMPLES
 
-from helpers import SEEDED_PLANES, random_triple, rng_for
+from helpers import SEEDED_PLANES, canonical_chain_action, random_triple, rng_for
 
 
 # ----------------------------------------------------------------------
@@ -19,7 +19,7 @@ def reference_segments(circle):
     thetas = np.arange(_SAMPLES + 1) / _SAMPLES
     h = h_from_chart(thetas % 1.0)
     tx = thetas  # monotone lift along the x-axis
-    ty = chart_h(circle.graph.apply_h(h))
+    ty = chart_h(canonical_chain_action(circle.graph, h))
     segments = []
     current = [(tx[0] % 1.0, ty[0])]
     for i in range(1, len(tx)):
@@ -71,7 +71,8 @@ def point_counts(svg):
 
 def _y_crosses_seam(circle):
     """True when the graph's chart y jumps between two neighbouring samples."""
-    ty = chart_h(circle.graph.apply_h(h_from_chart(np.arange(_SAMPLES) / _SAMPLES)))
+    h = h_from_chart(np.arange(_SAMPLES) / _SAMPLES)
+    ty = chart_h(canonical_chain_action(circle.graph, h))
     return bool(np.any(np.abs(np.diff(ty)) > 0.5))
 
 

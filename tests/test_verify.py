@@ -5,6 +5,7 @@ import pytest
 
 from torus_planes import (
     CircleHomeo,
+    ConfigError,
     MobiusMap,
     NoBranch,
     ParallelInput,
@@ -195,6 +196,15 @@ class TestReports:
         a = verify_joining(classical, TrialConfig(seed=1, trials=20)).canonical_json()
         b = verify_joining(classical, TrialConfig(seed=2, trials=20)).canonical_json()
         assert a != b
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", -1), ("seed", 1.5), ("seed", "7"), ("seed", None),
+         ("trials", 2.5), ("trials", "5"), ("grid", 10.5)],
+    )
+    def test_counts_must_be_integers_in_range(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrialConfig(**{field: value})
 
     def test_monotone_tolerance(self, classical):
         tight = verify_joining(classical, TrialConfig(seed=42, trials=50, tol=1e-9))
