@@ -3,7 +3,9 @@
 Each torus factor is RP^1 in homogeneous coordinates, so infinity is an
 ordinary point and never needs a special case. This script walks the
 basic toolkit: evaluating maps, solving the three-point problem, the
-two-point family, and fixed-point classification.
+two-point family, and fixed-point classification. Maps through point
+pairs have one frame form: the two-point family's members, and the
+three-point solution as the member that the third pair picks.
 """
 
 import math
@@ -34,7 +36,9 @@ print(f"orientation (sign of det): {m.orientation:+d}")
 
 print("\n== the three-point problem ==")
 solved = mobius_from_three(P(0), P(1), INF, P(1), P(2), P(3))
-print("the unique map with 0->1, 1->2, inf->3:")
+print("the unique map with 0->1, 1->2, inf->3: with det(X, h) = X0 h1 - X1 h0, it is")
+print("the frame member h -> lam det(0, h) 2 + det(1, h) 1, which sends 0 -> 1 and")
+print("1 -> 2 for every lam != 0; inf -> 3 fixes lam:")
 print(f"  matrix {solved.m.round(6).tolist()}")
 for x in (0.0, 1.0, math.inf, 5.0):
     print(f"  {x:g} -> {solved.apply(P(x)).value():g}")

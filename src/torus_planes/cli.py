@@ -115,12 +115,7 @@ def cmd_verify(args) -> int:
                 f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}"
             )
     seed = _resolve_seed(args.seed)
-    cfg = TrialConfig(
-        seed=seed,
-        trials=args.trials,
-        grid=args.grid,
-        tol=args.tol,
-    )
+    cfg = TrialConfig(seed=seed, trials=args.trials, tol=args.tol)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -314,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--group", help="group-element literal (see groups module)")
     p_verify.add_argument("--trials", type=int, default=200)
     p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--grid", type=int, default=64)
     p_verify.add_argument("--out", default="reports")
     p_verify.set_defaults(func=cmd_verify)
 

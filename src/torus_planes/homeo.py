@@ -26,6 +26,7 @@ crossing) are caught by refining local minima of |s|.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from functools import lru_cache
 
@@ -276,8 +277,8 @@ def homeo_sup_distance(h1: CircleHomeo, h2: CircleHomeo, grid_size: int) -> floa
 
     Either sign of an image counts; a non-finite one raises PreconditionViolated.
     """
-    if grid_size < 3:
-        raise ConfigError("grid_size must be at least 3")
+    if not (isinstance(grid_size, numbers.Integral) and grid_size >= 3):
+        raise ConfigError(f"grid_size must be an integer of at least 3, got {grid_size!r}")
     grid = _lifted_grid(grid_size)
     with np.errstate(all="ignore"):  # a non-finite image is caught below
         distance = float(np.max(chordal_h(h1.lift_h(grid), h2.lift_h(grid))))

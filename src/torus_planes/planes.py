@@ -21,6 +21,7 @@ is then certified against a declared tangency band.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -195,10 +196,10 @@ class PlaneModel:
     ):
         if family not in ("classical", "half-classical"):
             raise ConfigError(f"unknown plane family {family!r}")
-        if not (math.isfinite(tol) and tol > 0.0):
-            raise ConfigError(f"tol must be finite and positive, got {tol}")
-        if scan_grid < 3:
-            raise ConfigError(f"scan_grid must be at least 3, got {scan_grid}")
+        if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0.0):
+            raise ConfigError(f"tol must be finite and positive, got {tol!r}")
+        if not (isinstance(scan_grid, numbers.Integral) and scan_grid >= 3):
+            raise ConfigError(f"scan_grid must be an integer of at least 3, got {scan_grid!r}")
         f = f if f is not None else CircleHomeo.identity()
         g = g if g is not None else CircleHomeo.identity()
         if family == "half-classical":

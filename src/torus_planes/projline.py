@@ -18,6 +18,9 @@ Conventions:
 * A Mobius map is stored as four Python floats. Products and the action
   use the entry formula (a x + b y, ...), elementwise on arrays, so a
   point's image has the same bits alone and in any batch.
+* Maps through point pairs have one frame form, lam det(Xp, h) Yq +
+  det(Xq, h) Yp: the members of a TwoPointFamily, and the three-point
+  solver as the member whose lam the third pair fixes.
 """
 
 from __future__ import annotations
@@ -280,20 +283,16 @@ def proj_matrix_equal(m1: MobiusMap, m2: MobiusMap, tol: float = 1e-10) -> bool:
     return min(d_minus, d_plus) <= tol
 
 
-def _frame_map(p0: ProjPoint, p1: ProjPoint, p2: ProjPoint, tol: float) -> MobiusMap:
-    """The map sending (infinity, 0, 1) to (p0, p1, p2).
+def _frame_entries(lam: float, xp: ProjPoint, xq: ProjPoint, yp: ProjPoint,
+                   yq: ProjPoint) -> tuple:
+    """Summed entries (a, b, c, d) of h -> lam det(Xp, h) Yq + det(Xq, h) Yp."""
+    s0, s1 = lam * yq.h0, lam * yq.h1
+    return (yp.h0 * -xq.h1 - s0 * xp.h1, s0 * xp.h0 + yp.h0 * xq.h0,
+            yp.h1 * -xq.h1 - s1 * xp.h1, s1 * xp.h0 + yp.h1 * xq.h0)
 
-    Columns are scaled representatives of p0 and p1; the scales solve a
-    2x2 linear system so the third frame point lands on p2.
-    """
-    det = p0.h0 * p1.h1 - p1.h0 * p0.h1
-    if abs(det) <= tol:
-        raise CoincidentPoints("first two points coincide")
-    mu = (p2.h0 * p1.h1 - p1.h0 * p2.h1) / det
-    lam = (p0.h0 * p2.h1 - p2.h0 * p0.h1) / det
-    if abs(mu) <= tol or abs(lam) <= tol:
-        raise CoincidentPoints("third point coincides with an anchor")
-    return MobiusMap((mu * p0.h0, lam * p1.h0, mu * p0.h1, lam * p1.h1))
+
+def _det(p: ProjPoint, q: ProjPoint) -> float:
+    return p.h0 * q.h1 - p.h1 * q.h0
 
 
 def mobius_from_three(
@@ -307,16 +306,17 @@ def mobius_from_three(
 ) -> MobiusMap:
     """The unique Mobius map sending x1, x2, x3 to y1, y2, y3.
 
-    Raises CoincidentPoints when either triple has a pair within the
-    equality tolerance.
+    It is the frame member lam det(x1, h) y2 + det(x2, h) y1, which sends
+    x1 -> y1 and x2 -> y2 for every lam != 0, with lam fixed by the third
+    pair; on equal triples lam = -1 and the map is the identity, exactly.
+    Raises CoincidentPoints when either triple has a pair within `tol`.
     """
     for triple in ((x1, x2, x3), (y1, y2, y3)):
         a, b, c = triple
         if chordal(a, b) <= tol or chordal(a, c) <= tol or chordal(b, c) <= tol:
             raise CoincidentPoints("triple points must be pairwise distinct")
-    fx = _frame_map(x1, x2, x3, tol)
-    fy = _frame_map(y1, y2, y3, tol)
-    return fy.compose(fx.inverse())
+    lam = -(_det(x2, x3) * _det(y3, y1)) / (_det(x1, x3) * _det(y3, y2))
+    return MobiusMap(_frame_entries(lam, x1, x2, y1, y2))
 
 
 class FrameMember(MobiusMap):
@@ -332,9 +332,7 @@ class FrameMember(MobiusMap):
 
     def __init__(self, lam: float, xp: ProjPoint, xq: ProjPoint, yp: ProjPoint,
                  yq: ProjPoint):
-        s0, s1 = lam * yq.h0, lam * yq.h1
-        super().__init__((yp.h0 * -xq.h1 - s0 * xp.h1, s0 * xp.h0 + yp.h0 * xq.h0,
-                          yp.h1 * -xq.h1 - s1 * xp.h1, s1 * xp.h0 + yp.h1 * xq.h0))
+        super().__init__(_frame_entries(lam, xp, xq, yp, yq))
         for name, value in zip(self.__slots__, (lam, xp, xq, yp, yq)):
             object.__setattr__(self, name, value)
 
@@ -372,7 +370,7 @@ class TwoPointFamily:
             raise CoincidentPoints("source points coincide")
         if chordal(x2, y2) <= tol:
             raise CoincidentPoints("target points coincide")
-        sign = (x1.h0 * y1.h1 - x1.h1 * y1.h0) * (y2.h0 * x2.h1 - y2.h1 * x2.h0)
+        sign = _det(x1, y1) * _det(y2, x2)
         for name, value in zip(self.__slots__, (x1, y1, x2, y2, 1 if sign > 0.0 else -1)):
             object.__setattr__(self, name, value)
 

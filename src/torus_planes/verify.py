@@ -72,6 +72,8 @@ from .projline import (
 )
 
 SCHEMA = "torus-planes/verify-report/v1"
+#: grid of the sup distance by which a permuted rejoin must agree
+REJOIN_GRID = 64
 
 
 @dataclass(frozen=True)
@@ -80,19 +82,20 @@ class TrialConfig:
 
     seed: int = 42
     trials: int = 200
-    grid: int = 64
     separation: float = 1e-3
     tol: float | None = None
 
     def __post_init__(self):
-        for name, least in (("seed", 0), ("trials", 1), ("grid", 3)):
+        for name, least in (("seed", 0), ("trials", 1)):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < least:
                 raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
         for name in ("separation", "tol"):
             value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and positive, got {value}")
+            if value is None and name == "tol":
+                continue
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value!r}")
 
     def rng_for(self, trial: int) -> np.random.Generator:
         return np.random.default_rng((int(self.seed), int(trial)))
@@ -286,7 +289,7 @@ def _check_joining(plane, inputs, cfg):
         reasons.append(f"branch uniqueness violated ({valid} branches valid)")
     if plane.family == "classical":
         again = plane.join(r, p, q)
-        agreement = homeo_sup_distance(circle.graph, again.graph, cfg.grid)
+        agreement = homeo_sup_distance(circle.graph, again.graph, REJOIN_GRID)
         if agreement > plane.uniq_tol:
             reasons.append(f"permuted rejoin disagrees by {agreement:.3e}")
     return residual, reasons
@@ -728,7 +731,7 @@ def _check_derived(plane, inputs, cfg, shift_base: bool = False):
     other = plane.derived_line_through(base, b, a)
     if other.kind != "circle":
         return math.inf, ["permuted rejoin changed kind"]
-    distance = homeo_sup_distance(line.circle.graph, other.circle.graph, cfg.grid)
+    distance = homeo_sup_distance(line.circle.graph, other.circle.graph, REJOIN_GRID)
     if distance > plane.uniq_tol:
         return distance, [f"permuted rejoin disagrees by {distance:.3e}"]
     return distance, []

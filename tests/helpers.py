@@ -110,6 +110,22 @@ def random_pgl(rng) -> MobiusMap:
 # independent cross-ratio oracle on the extended real line
 
 
+def composed_frame_from_three(x1, x2, x3, y1, y2, y3) -> MobiusMap:
+    """Reference three-point solver: two frame maps composed through (inf, 0, 1).
+
+    The frame map of (p0, p1, p2) sends (inf, 0, 1) to them; its columns are
+    representatives of p0 and p1 scaled so that 1 lands on p2.
+    """
+
+    def frame(p0, p1, p2):
+        det = p0.h0 * p1.h1 - p1.h0 * p0.h1
+        mu = (p2.h0 * p1.h1 - p1.h0 * p2.h1) / det
+        lam = (p0.h0 * p2.h1 - p2.h0 * p0.h1) / det
+        return MobiusMap((mu * p0.h0, lam * p1.h0, mu * p0.h1, lam * p1.h1))
+
+    return frame(y1, y2, y3).compose(frame(x1, x2, x3).inverse())
+
+
 def cross_ratio_to_standard(x1, x2, x3):
     """The elementary chart map sending (x1, x2, x3) to (0, 1, inf).
 

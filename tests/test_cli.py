@@ -42,7 +42,6 @@ class TestJoinCommand:
     [
         ["join", "nan,0", "1,1", "2,3"],
         ["join", "abc,0", "1,1", "2,3"],
-        ["verify", "--grid", "1"],
         ["verify", "--trials", "0"],
         ["verify", "--trials", "-5"],
         ["verify", "--tol", "-1"],
@@ -76,6 +75,12 @@ def test_bad_input_exits_2_without_traceback(args, tmp_path, capsys):
     assert run(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_grid_flag_is_gone(tmp_path, capsys):
+    assert run(["verify", "--grid", "64", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--grid" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("env", ["abc", "-1", ""])

@@ -108,6 +108,9 @@ class TestSupDistance:
     def test_grid_size_validated(self):
         with pytest.raises(ConfigError):
             homeo_sup_distance(CircleHomeo.identity(), CircleHomeo.identity(), 2)
+        # a fractional size would lift the non-uniform grid arange(3.5) / 3.5
+        with pytest.raises(ConfigError, match="grid_size"):
+            homeo_sup_distance(CircleHomeo.identity(), CircleHomeo.identity(), 3.5)
 
     def test_cached_grid_is_read_only(self):
         grid = _lifted_grid(64)

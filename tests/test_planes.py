@@ -402,9 +402,12 @@ class TestConfig:
         {"tol": math.inf},
         {"tol": 0.0},
         {"scan_grid": 2},
+        {"tol": "x"},
+        {"scan_grid": "x"},
+        {"scan_grid": 10.5},
     ])
     def test_bad_tolerances_rejected(self, kwargs):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
             PlaneModel("classical", **kwargs)
 
     @pytest.mark.parametrize("spec, described", [

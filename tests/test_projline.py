@@ -21,6 +21,7 @@ from torus_planes.projline import chart_h, h_from_chart, normalize_h
 
 from helpers import (
     assert_columns_match_batch,
+    composed_frame_from_three,
     cross_ratio_to_standard,
     random_pgl,
     random_proj_point,
@@ -242,6 +243,18 @@ class TestFromThree:
             m = mobius_from_three(*xs, *ys)
             for x, y in zip(xs, ys):
                 assert chordal(m.apply(x), y) < 1e-10
+            # projective agreement with the composed-frame construction,
+            # relative to the largest entry (entries reach the hundreds)
+            ref = composed_frame_from_three(*xs, *ys)
+            scale = max(abs(ref.a), abs(ref.b), abs(ref.c), abs(ref.d))
+            assert proj_matrix_equal(m, ref, 1e-12 * scale)
+
+    def test_equal_triples_give_exact_identity(self):
+        rng = rng_for(105)
+        for _ in range(300):
+            xs = random_separated_points(rng, 3)
+            m = mobius_from_three(*xs, *xs)
+            assert (m.b, m.c, m.orientation) == (0.0, 0.0, 1) and m.a == m.d
 
     def test_uniqueness_projective(self):
         rng = rng_for(104)

@@ -200,7 +200,8 @@ class TestReports:
     @pytest.mark.parametrize(
         "field, value",
         [("seed", -1), ("seed", 1.5), ("seed", "7"), ("seed", None),
-         ("trials", 2.5), ("trials", "5"), ("grid", 10.5)],
+         ("trials", 2.5), ("trials", "5"), ("separation", "x"), ("separation", None),
+         ("tol", "x"), ("tol", [1])],
     )
     def test_counts_must_be_integers_in_range(self, field, value):
         with pytest.raises(ConfigError, match=field):
