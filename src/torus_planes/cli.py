@@ -241,7 +241,7 @@ def cmd_report_index(args) -> int:
             payload = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError):
             continue
-        if not isinstance(payload, dict) or "suite" not in payload:
+        if not isinstance(payload, dict) or not isinstance(payload.get("suite"), str):
             continue
         entries.append(
             {

@@ -10,12 +10,16 @@ graphs:
 
 The orientation dichotomy splits the circle set exactly, so joining
 resolves its branch from the sign of a determinant, never from a
-tolerance. Touching solves one linear equation per branch of the pencil
-of circles through two points p and q: in the frame of their sources X
-and targets Y the members are lam det(Xp, h) Yq + det(Xq, h) Yp, which
-hold p and q exactly, so where a member's graph meets c is a
-determinant linear in lam, and tangency at p fixes lam. Each candidate
-is then certified against a declared tangency band.
+tolerance. It settles touching too: circles of different branches have
+opposite orientations, so their graphs cross twice, and circles of one
+branch are Mobius maps in shared coordinates (x to y, or f(x) to g(y)).
+There, with c's map A, u = p's coordinate, e = (-u1, u0) and det(a, b)
+= a0 b1 - a1 b0, the pencil lam det(Xp, h) Yq + det(Xq, h) Yp through p
+and q (sources X, targets Y) holds the member tangent to c at p for
+lam* = -[det(Xq, e) det(Au, Yp) + det(Xq, u) det(Ae, Yp)] / [det(u, e)
+det(Au, Yq)], and a circle D through p meets c again at phi2 u - phi1 e,
+with phi1 = det(Au, De) + det(Ae, Du) and phi2 = det(Ae, De); no chart
+scan is needed.
 """
 
 from __future__ import annotations
@@ -37,12 +41,11 @@ from .errors import (
     ParallelInput,
     PointOnBaseCross,
     PreconditionViolated,
+    UnsupportedPlane,
 )
 from .homeo import (
     SCAN_GRID,
     CircleHomeo,
-    bisect,
-    crossing_function,
     graph_equation_zeros,
     homeo_sup_distance,
     load_spline_knots,
@@ -54,11 +57,8 @@ from .projline import (
     TorusPoint,
     TwoPointFamily,
     chordal,
-    fixed_point_roots,
-    lift_chart,
     mobius_fixed_points,
     mobius_from_three,
-    wrap_half,
 )
 
 PLUS = "plus"
@@ -71,10 +71,6 @@ TAG_TWISTED = "half-classical-twisted"
 # x -> -x: fixes 0 and infinity, reverses orientation; used by the
 # deliberately corrupted twist branch of negative-control planes
 _NEG = MobiusMap([[-1.0, 0.0], [0.0, 1.0]])
-
-# five-point central difference: chart steps and their weights
-_STENCIL_STEPS = np.array([-2.0, -1.0, 1.0, 2.0])
-_STENCIL_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -119,23 +115,19 @@ class DerivedLine:
     circle: Circle | None = None
 
 
-def _clamped_fixed_points(m: MobiusMap):
-    """Fixed points of a map known to have at least one, clamping rounding.
+def _pair(x: ProjPoint) -> tuple:
+    return x.h0, x.h1
 
-    Tangency checks compare circles that share a point, so the fixed-point
-    discriminant of their quotient map is nonnegative up to rounding; a
-    slightly negative value is clamped to the double root instead of being
-    classified elliptic. Slightly means above -1e-6, or within 16 eps of
-    the terms B^2 and 4AC that cancel in it: a steep pair's quotient has
-    entries of ~1e4, and its discriminant is rounded to ~1e-6. Returns None
-    for genuinely elliptic or identity data, which tangency callers treat
-    as non-certifiable.
-    """
-    disc, *roots = fixed_point_roots(m)
-    if disc < -max(1e-6, 2.0**-48 * ((m.d - m.a) ** 2 + 4.0 * abs(m.b * m.c))):
-        return None
-    pts = [ProjPoint(*root) for root in roots if root != (0.0, 0.0)]
-    return pts or None
+
+def _det(a, b) -> float:
+    """det(a, b) = a0 b1 - a1 b0 of two homogeneous pairs."""
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def _images(m: MobiusMap, u):
+    """m's linear action (`lift_h`) on the pair u and on e = (-u1, u0)."""
+    (mu0, me0), (mu1, me1) = m.lift_h(np.array([[u[0], -u[1]], [u[1], u[0]]])).tolist()
+    return (mu0, mu1), (me0, me1)
 
 
 def parallel(p: TorusPoint, q: TorusPoint, tol: float = EQUALITY_TOL) -> str:
@@ -383,14 +375,14 @@ class PlaneModel:
     def touch(self, c: Circle, p: TorusPoint, q: TorusPoint) -> Circle:
         """The circle through p and q meeting c only at p.
 
-        Preconditions: p on c, q off c, p and q non-parallel. Each branch of
-        the pencil of circles through p and q holds at most one member
-        tangent to c at p, the root of a linear equation; c's own branch is
-        tried first, and the first member certified within the tangency
-        band is returned. Its graph holds p and q by construction (see
-        TwoPointFamily). Raises NotFound when no branch has one, which
-        callers should treat as an axiom-of-touching counterexample
-        candidate.
+        Preconditions: p on c, q off c, p and q non-parallel. Only c's own
+        branch of the pencil of circles through p and q can hold a member
+        tangent to c at p, as the other reverses c's orientation, and it
+        holds at most one, at the closed-form lam* of `_tangency_parameter`.
+        It is tried first, and the first member whose `tangency_separation`
+        is within the tangency band is returned. Its graph holds p and q by
+        construction (see TwoPointFamily). Raises NotFound when no branch
+        has one, an axiom-of-touching counterexample candidate.
         """
         if not self.contains(c, p):
             raise PreconditionViolated("p must lie on the circle")
@@ -411,7 +403,7 @@ class PlaneModel:
         The separation is infinite when the branch has no admissible (and
         buildable) parameter or its member meets c away from p.
         """
-        t_star = self._tangency_parameter(branch, c, p)
+        t_star = self._tangency_parameter(branch, c)
         try:
             d = branch.circle(t_star) if t_star is not None else None
         except PreconditionViolated:
@@ -469,36 +461,37 @@ class PlaneModel:
             makers.reverse()
         return (make() for make in makers)
 
-    def _tangency_parameter(self, branch: _PencilBranch, c: Circle,
-                            p: TorusPoint) -> float | None:
-        """The parameter of the branch member tangent to c at p, if any.
+    def _shared_coordinates(self, c: Circle, twisted: bool):
+        """(c's Mobius map, map back to x) in coordinates shared with a side.
 
-        Members are M(lam) h = lam det(Xp, h) Yq + det(Xq, h) Yp in the
-        family's frame (TwoPointFamily). With A the lifted c side (c, or
-        g . c on the twisted branch) and B the lifted member side (x, or
-        f(x)), phi(lam, x) = det(A, M(lam) B)
-        = lam det(A, Yq) det(Xp, B) + det(A, Yp) det(Xq, B) vanishes at p
-        for every lam, and tangency at p is d phi / dx = 0 there: linear in
-        lam, so lam* = -d[det(A, Yp) det(Xq, B)] / d[det(A, Yq) det(Xp, B)].
-        Both derivatives come from one five-point central difference in
-        the chart; the three-point one's truncation error is too large next
-        to steep maps. Returns |lam*| when its sign gives the branch's
-        orientation, else None.
+        x to y when neither side is twisted, f(x) to g(y) when both are;
+        None across branches.
         """
-        x = lift_chart(p.x.chart() + 1e-5 * _STENCIL_STEPS)
-        if branch.name != "twisted":
-            a, b = c.graph.lift_h(x), x
-        else:
-            a, b = self.g.lift_h(c.graph.lift_h(x)), self.f.lift_h(x)
-        fam = branch.family
-        xp, xq, yp, yq = fam.xp, fam.xq, fam.yp, fam.yq
-        # rows det(A, Yq) det(Xp, B) and det(A, Yp) det(Xq, B) at the stencil points
-        along = np.stack([(a[0] * yq.h1 - a[1] * yq.h0) * (xp.h0 * b[1] - xp.h1 * b[0]),
-                          (a[0] * yp.h1 - a[1] * yp.h0) * (xq.h0 * b[1] - xq.h1 * b[0])])
-        slope_p, slope_q = (along @ _STENCIL_WEIGHTS).tolist()
-        if slope_p == 0.0:
+        if (c.tag == TAG_TWISTED) != twisted:
             return None
-        lam = -slope_q / slope_p
+        return c.mobius, (self.f_inv.apply if twisted else lambda u: u)
+
+    def _tangency_parameter(self, branch: _PencilBranch, c: Circle) -> float | None:
+        """|lam*| of the branch member tangent to c at p, or None.
+
+        In the coordinates the branch shares with c (c's map A), members
+        M(lam) h = lam det(Xp, h) Yq + det(Xq, h) Yp meet c where
+        det(A h, M(lam) h) vanishes. At h = u + t e (u = Xp, e = (-u1, u0))
+        its t-coefficient is linear in lam and zero at lam* = -[det(Xq, e)
+        det(Au, Yp) + det(Xq, u) det(Ae, Yp)] / [det(u, e) det(Au, Yq)].
+        None across branches, whose opposite orientations cross twice, and
+        when lam*'s sign does not give the branch's orientation.
+        """
+        shared = self._shared_coordinates(c, branch.name == "twisted")
+        if shared is None:
+            return None
+        fam = branch.family
+        u, xq, yp, yq = _pair(fam.xp), _pair(fam.xq), _pair(fam.yp), _pair(fam.yq)
+        e = (-u[1], u[0])
+        au, ae = _images(shared[0], u)
+        den = _det(u, e) * _det(au, yq)
+        num = _det(xq, e) * _det(au, yp) + _det(xq, u) * _det(ae, yp)
+        lam = -num / den if den != 0.0 else math.nan
         lam_sign = 1.0 if fam.base_orientation == branch.sign else -1.0
         if not (math.isfinite(lam) and lam * lam_sign > 0.0):
             return None
@@ -506,88 +499,35 @@ class PlaneModel:
 
     # -- tangency measurement ------------------------------------------
 
-    def _resolve_near_gap(self, c: Circle, d: Circle, p: TorusPoint):
-        """Signed chart offsets of all crossings near p, p's own zero removed.
-
-        Both circles pass through p, so their crossing function has a known
-        zero there; dividing it by sin(pi (theta - theta_p)) leaves every
-        other crossing (including the tangency contact itself) as a simple
-        zero that stays solvable arbitrarily close to p. Returns a list of
-        offsets, empty when no crossing lies within the search window.
-        """
-        theta_p = p.x.chart()
-        s = crossing_function(c.graph, d.graph)
-
-        def g(theta):
-            theta = np.asarray(theta, dtype=float)
-            dn = np.sin(math.pi * (theta - theta_p))
-            return s(theta) / np.where(np.abs(dn) < 1e-12, np.nan, dn)
-
-        window = 0.04
-        n = 384  # even count keeps theta_p itself off the grid
-        us = theta_p + np.linspace(-window, window, n)
-        gv = np.asarray(g(us), dtype=float)
-        a, b = gv[:-1], gv[1:]
-        flip = np.isfinite(a) & np.isfinite(b) & ((a == 0.0) | ((a < 0.0) != (b < 0.0)))
-        offsets = []
-        for i in np.nonzero(flip)[0]:
-            root, residual = bisect(g, us[i], us[i + 1], a[i], cap=60)
-            if math.isfinite(residual):  # not converged onto theta_p itself
-                offsets.append(root - theta_p)
-        return offsets
-
     def tangency_separation(self, c: Circle, d: Circle, p: TorusPoint):
         """(has_far_intersections, worst separation from p) for two circles.
 
         A genuine touch at p shows no far intersections and a separation
-        below the tangency band. Mobius-comparable pairs use the quadratic;
-        its root splitting has a sqrt(eps)-times-conditioning floor, so
-        marginal readings are re-measured on the actual graphs: a scan of
-        their crossing function for crossings away from p combined with the
-        factored near-p solver for the pair merging at p.
+        below the tangency band. In shared coordinates c and d are Mobius
+        maps A and D through u = p.x there; with e = (-u1, u0),
+        det(A h, D h) at h = s u + t e is t (s phi1 + t phi2), where
+        phi1 = det(Au, De) + det(Ae, Du) and phi2 = det(Ae, De), so the
+        other common point is phi2 u - phi1 e, measured from p in x. Equal
+        circles (phi1 = phi2 = 0) and circles of different branches, whose
+        opposite orientations cross twice, are far; different branches of
+        one orientation (a corrupted plane) raise UnsupportedPlane.
         """
-        base_pair = self._comparable_mobius_pair(c, d)
-        if base_pair is not None:
-            m1, m2, back = base_pair
-            roots = _clamped_fixed_points(m1.inverse().compose(m2))
-            if roots is None:
+        twisted = d.tag == TAG_TWISTED
+        shared = self._shared_coordinates(c, twisted)
+        if shared is None:
+            if c.mobius.orientation != d.mobius.orientation:
                 return True, math.inf
-            pts = [back(u) for u in roots]
-            sep = max(chordal(x, p.x) for x in pts)
-            if sep <= self.tangency_band or sep >= 1e-4:
-                return False, sep
-        theta_p = p.x.chart()
-        # crossings only: near a shared pole two graphs get chordally close
-        # without meeting, and counting such dips would fabricate far
-        # intersections for a genuinely tangent pair
-        zeros = graph_equation_zeros(
-            c.graph, d.graph, grid=self.scan_grid, tangent_band=0.0
-        )
-        s = crossing_function(c.graph, d.graph)
-        far = []
-        for z in zeros:
-            off = abs(float(wrap_half(z - theta_p)))
-            if off <= 0.03:
-                continue
-            # a resolvable transversal crossing climbs well out of the
-            # rounding floor nearby (a chart difference of 1e-5); a
-            # noise-sign flip inside a chordal squeeze does not
-            window = z + np.linspace(-0.01, 0.01, 128)
-            if float(np.max(np.abs(s(window)))) > math.sin(math.pi * 1e-5):
-                far.append(off)
-        if far:
-            return True, max(far)
-        offsets = self._resolve_near_gap(c, d, p)
-        if not offsets:
-            if base_pair is not None:
-                # the quadratic saw a near-merged pair and the graphs show
-                # no resolvable crossing: certified at the scan floor
-                return False, 0.0
-            # no crossing structure near p at all: same-orientation graphs
-            # can only meet once by touching, so this cannot be certified
+            raise UnsupportedPlane("circles of different branches keep one orientation")
+        a, back = shared
+        u = _pair(self.f.apply(p.x) if twisted else p.x)
+        e = (-u[1], u[0])
+        (au, ae), (du, de) = _images(a, u), _images(d.mobius, u)
+        phi1 = _det(au, de) + _det(ae, du)
+        phi2 = _det(ae, de)
+        if phi1 == 0.0 and phi2 == 0.0:
             return True, math.inf
-        worst_off = max(offsets, key=abs)
-        return False, chordal(ProjPoint.from_chart(theta_p + worst_off), p.x)
+        other = ProjPoint(phi2 * u[0] - phi1 * e[0], phi2 * u[1] - phi1 * e[1])
+        return False, chordal(back(other), p.x)
 
     def _comparable_mobius_pair(self, c: Circle, d: Circle):
         """Reduce both circles to Mobius maps in one coordinate, if possible."""
@@ -604,11 +544,12 @@ class PlaneModel:
         The oracle behind touching uniqueness: a sound plane shows exactly
         one certified tangency across all branches for admissible (c, p, q).
         Unlike touch() it does not stop at the first hit: every branch's
-        candidate is measured, since a member of the other branch could
-        still be tangent too. Candidates are accepted at ten times the
-        tangency band: the counter locates tangencies, while touch()
-        certifies the returned circle at the band itself. Returns (count,
-        [(branch name, count), ...]).
+        candidate, at lam* in the coordinates it shares with c, is
+        measured by the closed-form separation; a branch across from c's
+        has none, as its members reverse c's orientation. Candidates are
+        accepted at ten times the tangency band: the counter locates
+        tangencies, while touch() certifies the returned circle at the band
+        itself. Returns (count, [(branch name, count), ...]).
         """
         details = []
         for branch in self._pencil_branches(p, q):

@@ -389,39 +389,28 @@ class TwoPointFamily:
         return m
 
 
-def fixed_point_roots(m: MobiusMap):
-    """Discriminant and root pair of m's fixed-point quadratic.
-
-    Fixed directions [X : Y] solve A X^2 + B X Y + C Y^2 = 0 with A = c,
-    B = d - a, C = -b. Returns (disc, (q, A), (C, q)): the roots [q : A] and
-    [C : q] avoid cancellation, and a negative disc gives the double root.
-    """
-    a, b, c, d = m.a, m.b, m.c, m.d
-    big_a, big_b, big_c = c, d - a, -b
-    disc = big_b * big_b - 4.0 * big_a * big_c
-    sgn = 1.0 if big_b >= 0.0 else -1.0
-    q = -0.5 * (big_b + sgn * math.sqrt(max(disc, 0.0)))
-    return disc, (q, big_a), (big_c, q)
-
-
 def mobius_fixed_points(m: MobiusMap):
     """Fixed points of a non-identity Mobius map: zero, one, or two.
 
-    Solves the homogeneous eigenvector problem; |trace^2 - 4 det| below
-    DISC_BAND classifies as parabolic with a single fixed point.
+    Fixed directions [X : Y] solve A X^2 + B X Y + C Y^2 = 0 with A = c,
+    B = d - a, C = -b; the roots [q : A] and [C : q] avoid cancellation.
+    |trace^2 - 4 det| below DISC_BAND classifies as parabolic with a single
+    fixed point.
     """
     if m.is_identity(tol=1e-9):
         raise IdentityMap("fixed points of the identity are everywhere")
-    disc, root1, root2 = fixed_point_roots(m)
+    a, b, c, d = m.a, m.b, m.c, m.d
+    big_a, big_b, big_c = c, d - a, -b
+    disc = big_b * big_b - 4.0 * big_a * big_c
     if disc < -DISC_BAND:
         return []
     if disc <= DISC_BAND:
         # parabolic: kernel of (m - (tr/2) I), using the larger row
-        a, b, c, d = m.a, m.b, m.c, m.d
         tau = 0.5 * (a + d)
         r0 = (a - tau, b)
         r1 = (c, d - tau)
         row = r0 if math.hypot(*r0) >= math.hypot(*r1) else r1
         return [ProjPoint(row[1], -row[0])]
     # q != 0 because disc > DISC_BAND
-    return [ProjPoint(*root1), ProjPoint(*root2)]
+    q = -0.5 * (big_b + (1.0 if big_b >= 0.0 else -1.0) * math.sqrt(disc))
+    return [ProjPoint(q, big_a), ProjPoint(big_c, q)]

@@ -15,7 +15,8 @@ from torus_planes import (
     half_classical_plane,
     parse_plane_spec,
 )
-from torus_planes.projline import chart_h, h_from_chart, normalize_h
+from torus_planes.homeo import bisect, crossing_function, graph_equation_zeros
+from torus_planes.projline import chart_h, h_from_chart, normalize_h, wrap_half
 
 
 def rng_for(seed, trial=0):
@@ -157,3 +158,72 @@ def cross_ratio_to_standard(x1, x2, x3):
         return ratio((x - x1) * (x2 - x3), (x - x3) * (x2 - x1))
 
     return s
+
+
+# ----------------------------------------------------------------------
+# tangency read on the graphs, by chart scan
+
+
+def _near_gap_offsets(c, d, p):
+    """Signed chart offsets of all crossings near p, p's own zero removed.
+
+    Both circles pass through p, so their crossing function has a known
+    zero there; dividing it by sin(pi (theta - theta_p)) leaves every
+    other crossing (including the tangency contact itself) as a simple
+    zero that stays solvable arbitrarily close to p. Returns a list of
+    offsets, empty when no crossing lies within the search window.
+    """
+    theta_p = p.x.chart()
+    s = crossing_function(c.graph, d.graph)
+
+    def g(theta):
+        theta = np.asarray(theta, dtype=float)
+        dn = np.sin(math.pi * (theta - theta_p))
+        return s(theta) / np.where(np.abs(dn) < 1e-12, np.nan, dn)
+
+    window = 0.04
+    n = 384  # even count keeps theta_p itself off the grid
+    us = theta_p + np.linspace(-window, window, n)
+    gv = np.asarray(g(us), dtype=float)
+    a, b = gv[:-1], gv[1:]
+    flip = np.isfinite(a) & np.isfinite(b) & ((a == 0.0) | ((a < 0.0) != (b < 0.0)))
+    offsets = []
+    for i in np.nonzero(flip)[0]:
+        root, residual = bisect(g, us[i], us[i + 1], a[i], cap=60)
+        if math.isfinite(residual):  # not converged onto theta_p itself
+            offsets.append(root - theta_p)
+    return offsets
+
+
+def graph_tangency_separation(plane, c, d, p):
+    """Reference (far, separation) of two circles through p, read on their graphs.
+
+    Independent of the shared-coordinate formula under test: a scan of the
+    crossing function for crossings away from p combined with the factored
+    near-p solver for the pair merging at p. Reads 0.0 when no crossing is
+    found near p.
+    """
+    theta_p = p.x.chart()
+    # crossings only: near a shared pole two graphs get chordally close
+    # without meeting, and counting such dips would fabricate far
+    # intersections for a genuinely tangent pair
+    zeros = graph_equation_zeros(c.graph, d.graph, grid=plane.scan_grid, tangent_band=0.0)
+    s = crossing_function(c.graph, d.graph)
+    far = []
+    for z in zeros:
+        off = abs(float(wrap_half(z - theta_p)))
+        if off <= 0.03:
+            continue
+        # a resolvable transversal crossing climbs well out of the
+        # rounding floor nearby (a chart difference of 1e-5); a
+        # noise-sign flip inside a chordal squeeze does not
+        window = z + np.linspace(-0.01, 0.01, 128)
+        if float(np.max(np.abs(s(window)))) > math.sin(math.pi * 1e-5):
+            far.append(off)
+    if far:
+        return True, max(far)
+    offsets = _near_gap_offsets(c, d, p)
+    if not offsets:
+        return False, 0.0
+    worst_off = max(offsets, key=abs)
+    return False, chordal(ProjPoint.from_chart(theta_p + worst_off), p.x)

@@ -266,3 +266,13 @@ class TestReportIndex:
 
     def test_missing_directory_exit_2(self, tmp_path):
         assert run(["report-index", str(tmp_path / "nope")]) == 2
+
+    @pytest.mark.parametrize("suite", [5, None, [1]])
+    def test_non_string_suite_skipped(self, tmp_path, suite):
+        # an uncaught TypeError from sorting mixed suites would fail the run
+        (tmp_path / "bad.json").write_text(json.dumps({"suite": suite, "pass": False}))
+        (tmp_path / "good.json").write_text(json.dumps({"suite": "joining", "pass": False}))
+        assert run(["report-index", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "index.json").read_text())
+        assert [e["file"] for e in payload["reports"]] == ["good.json"]
+        assert payload["failing_suites"] == ["joining"]

@@ -16,6 +16,7 @@ from torus_planes import (
     PreconditionViolated,
     ProjPoint,
     TorusPoint,
+    UnsupportedPlane,
     chordal,
     classical_plane,
     corrupted_half_classical,
@@ -31,11 +32,12 @@ from torus_planes import (
 from torus_planes import homeo
 from torus_planes.planes import TAG_CLASSICAL, TAG_PSL, TAG_TWISTED, parse_config_text
 from torus_planes.projline import chart_h, h_from_chart, wrap_half
-from torus_planes.verify import TrialConfig, _sample_touching
+from torus_planes.verify import TrialConfig, _sample_secant_claim, _sample_touching
 
 from helpers import (
     SEEDED_PLANES,
     canonical_chain_action,
+    graph_tangency_separation,
     random_proj_point,
     random_triple,
     rng_for,
@@ -213,6 +215,38 @@ class TestIntersect:
             assert half2.membership_residual(c2, point) < 1e-8
 
 
+THIRD = "half:power:" + repr(1 / 3)
+
+STEEP_TANGENTS = [
+    ("half:power:6", 42, 13), (THIRD, 13, 8),
+    # tangents with entries of 3,600-47,000 whose summed matrices miss q
+    # by 2.5e-9-7.8e-9
+    ("half:power:2", 14, 169), ("classical", 44, 164), ("classical", 308, 142),
+    (THIRD, 260, 169), ("classical", 444, 35),
+    # twisted tangents with entries of 12,800-35,100 whose summed
+    # matrices miss q by 2.5e-9-8.7e-8, and (176, 153), whose tangent
+    # osculates c so closely (phi2 ~ 1.6e-5) that its other common point
+    # is the worst conditioned here
+    (THIRD, 82, 148), (THIRD, 143, 84), (THIRD, 176, 153), (THIRD, 332, 111),
+    (THIRD, 444, 35), (THIRD, 460, 136),
+    # the tangent against c has a quotient map with entries of ~4e4,
+    # whose fixed-point discriminant rounds to -1.9e-6
+    (THIRD, 128, 87),
+    # a five-point stencil's tangency parameter left the other common
+    # point 2.0e-6 from p
+    ("half:power:2", 6, 110),
+]
+
+
+def steep_touch(spec, seed, trial):
+    """(plane, carrier, p, q, touch's result) for a touching-suite trial."""
+    plane = parse_plane_spec(spec)
+    cfg = TrialConfig(seed=seed, trials=trial + 1)
+    inputs = _sample_touching(plane, cfg.rng_for(trial), cfg)
+    circle, p, q = plane.join(*inputs["points"]), inputs["p"], inputs["q"]
+    return plane, circle, p, q, plane.touch(circle, p, q)
+
+
 class TestTouch:
     def test_classical_example_frozen(self, classical):
         # tangent to the identity circle at (0,0) through (1,2):
@@ -274,35 +308,81 @@ class TestTouch:
         assert not far and sep <= half2.tangency_band
         assert half2.count_tangency_brackets(circle, p, q) == (1, [("psl", 0), ("twisted", 1)])
 
-    @pytest.mark.parametrize("spec, seed, trial", [
-        ("half:power:6", 42, 13), ("half:power:" + repr(1 / 3), 13, 8),
-        # tangents with entries of 3,600-47,000 whose summed matrices miss q
-        # by 2.5e-9-7.8e-9
-        ("half:power:2", 14, 169), ("classical", 44, 164), ("classical", 308, 142),
-        ("half:power:" + repr(1 / 3), 260, 169), ("classical", 444, 35),
-        # twisted tangents with entries of 12,800-35,100 whose summed
-        # matrices miss q by 2.5e-9-8.7e-8, and (176, 153), where the
-        # quadratic's root split of the tangent was read at 1.2e-4, past
-        # the 1e-4 cut below which the graphs are re-measured
-        ("half:power:" + repr(1 / 3), 82, 148), ("half:power:" + repr(1 / 3), 143, 84),
-        ("half:power:" + repr(1 / 3), 176, 153), ("half:power:" + repr(1 / 3), 332, 111),
-        ("half:power:" + repr(1 / 3), 444, 35), ("half:power:" + repr(1 / 3), 460, 136),
-        # the tangent against c has a quotient map with entries of ~4e4,
-        # whose fixed-point discriminant rounds to -1.9e-6
-        ("half:power:" + repr(1 / 3), 128, 87),
-    ])
+    @pytest.mark.parametrize("spec, seed, trial", STEEP_TANGENTS)
     def test_touch_contains_q_where_the_tangent_is_steep(self, spec, seed, trial):
         # the tangent's chart slope at q is ~1e7, so a summed matrix's
         # rounding alone can miss q by more than tol (1.3e-9 on the second
         # input); the frame member's action holds q exactly
-        plane = parse_plane_spec(spec)
-        cfg = TrialConfig(seed=seed, trials=trial + 1)
-        inputs = _sample_touching(plane, cfg.rng_for(trial), cfg)
-        circle, p, q = plane.join(*inputs["points"]), inputs["p"], inputs["q"]
-        d = plane.touch(circle, p, q)
+        plane, circle, p, q, d = steep_touch(spec, seed, trial)
         assert plane.membership_residual(d, q) <= plane.tol
         far, sep = plane.tangency_separation(circle, d, p)
         assert not far and sep <= plane.tangency_band
+
+    @pytest.mark.parametrize("spec, seed, trial", STEEP_TANGENTS)
+    def test_separation_matches_a_50_digit_oracle(self, spec, seed, trial, monkeypatch):
+        # phi1, phi2 and the other common point recomputed at 50 digits
+        # from the same floats: c's entries and the member's frame
+        mp = pytest.importorskip("mpmath")
+        monkeypatch.setattr(mp.mp, "dps", 50)
+        plane, circle, p, q, d = steep_touch(spec, seed, trial)
+        m, n = circle.mobius, d.mobius
+        data = [mp.mpf(v) for v in (m.a, m.b, m.c, m.d, n.lam, n.xp.h0, n.xp.h1,
+                                    n.xq.h0, n.xq.h1, n.yp.h0, n.yp.h1, n.yq.h0, n.yq.h1)]
+
+        def phis(a, b, c, dd, lam, u0, u1, xq0, xq1, yp0, yp1, yq0, yq1, sub):
+            # phi1 and phi2; with sub = add on the absolute values, the sums
+            # of magnitudes that bound their rounding in floats
+            def det(s, t):
+                return sub(s[0] * t[1], s[1] * t[0])
+
+            def c_side(h):
+                return (a * h[0] + b * h[1], c * h[0] + dd * h[1])
+
+            def member(h):
+                dp, dq = lam * det((u0, u1), h), det((xq0, xq1), h)
+                return (dp * yq0 + dq * yp0, dp * yq1 + dq * yp1)
+
+            u, e = (u0, u1), (sub(0, u1), u0)
+            return (det(c_side(u), member(e)) + det(c_side(e), member(u)),
+                    det(c_side(e), member(e)))
+
+        def back(h):
+            if d.tag != TAG_TWISTED:
+                return h
+            power = mp.mpf(plane.f_inv.atoms[0].exponent)
+            return [mp.sign(v) * abs(v) ** power for v in h]
+
+        def chordal_mp(g, h):
+            g = [v / mp.sqrt(g[0] ** 2 + g[1] ** 2) for v in g]
+            h = [v / mp.sqrt(h[0] ** 2 + h[1] ** 2) for v in h]
+            return min(mp.sqrt((g[0] - s * h[0]) ** 2 + (g[1] - s * h[1]) ** 2) for s in (1, -1))
+
+        phi1, phi2 = phis(*data, sub=lambda s, t: s - t)
+        u0, u1 = data[5], data[6]
+        x = (mp.mpf(p.x.h0), mp.mpf(p.x.h1))
+        oracle = chordal_mp(back((phi2 * u0 + phi1 * u1, phi2 * u1 - phi1 * u0)), x)
+        far, sep = plane.tangency_separation(circle, d, p)
+        assert not far
+        assert oracle <= 1e-9
+        # the float reading differs by its own rounding, at most 8 eps of the
+        # magnitudes summed in phi1 and phi2 relative to phi2, through the
+        # chordal slope of the map back to x; 1e-12 where that is smaller
+        abs1, abs2 = phis(*map(abs, data), sub=lambda s, t: s + t)
+        tiny = mp.mpf(10) ** -30
+        slope = chordal_mp(back((u0 - tiny * u1, u1 + tiny * u0)), back((u0, u1))) / tiny
+        rounding = 8 * 2.0**-52 * slope * (abs1 + abs(phi1 / phi2) * abs2) / abs(phi2)
+        assert abs(sep - oracle) <= 1e-12 + rounding
+
+    def test_separation_across_branches(self, half2):
+        # opposite orientations cross twice; only a corrupted plane pairs
+        # branches of one orientation
+        psl = half2.mobius_circle(MobiusMap.identity())
+        twisted = half2.join(pt(0, 0), pt(1, -1), pt(INF, INF))
+        assert half2.tangency_separation(psl, twisted, pt(0, 0)) == (True, math.inf)
+        bad = corrupted_half_classical(CircleHomeo.power(2))
+        twisted = bad.join(pt(0, 0), pt(1, -1), pt(INF, INF))
+        with pytest.raises(UnsupportedPlane):
+            bad.tangency_separation(bad.mobius_circle(MobiusMap.identity()), twisted, pt(0, 0))
 
     def test_a_member_that_cannot_be_built_is_no_candidate(self, half2):
         circle = half2.join(pt(0, 0), pt(1, 1), pt(2, 3))
@@ -674,3 +754,24 @@ def test_pencil_tangency_matches_the_slope_scan(name):
         c = plane.join(*inputs["points"])
         _, details = plane.count_tangency_brackets(c, inputs["p"], inputs["q"])
         assert details == scanned_tangency_counts(plane, c, inputs["p"], inputs["q"]), i
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_PLANES))
+def test_touch_certified_on_the_graphs_too(name):
+    # the closed-form separation and the chart reading on the graphs agree:
+    # both certify every tangent touch returns and reject every secant
+    rng = rng_for(77, sorted(SEEDED_PLANES).index(name))
+    plane = SEEDED_PLANES[name](rng)
+    cfg = TrialConfig(seed=77, trials=60)
+    readings = (plane.tangency_separation,
+                lambda c, d, p: graph_tangency_separation(plane, c, d, p))
+    for i in range(cfg.trials):
+        inputs = _sample_secant_claim(plane, cfg.rng_for(i), cfg)
+        c, p = plane.join(*inputs["points"]), inputs["p"]
+        tangent = plane.touch(c, p, inputs["q"])
+        secant = plane.join(*inputs["claimed_points"])
+        for reading in readings:
+            far, sep = reading(c, tangent, p)
+            assert not far and sep <= plane.tangency_band, (i, reading)
+            far, sep = reading(c, secant, p)
+            assert far or sep > plane.tangency_band, (i, reading)
