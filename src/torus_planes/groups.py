@@ -175,6 +175,14 @@ class DiagonalPSL(_MobiusFamilyElement):
         return h, h
 
 
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent; PreconditionViolated where a float cannot hold it."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        raise PreconditionViolated(f"{base:g} ** {exponent:g} overflows") from None
+
+
 class _PhiElement(_PointElement):
     """Shared plumbing for the two affine families with exponent d."""
 
@@ -235,14 +243,14 @@ class PhiStd(_PhiElement):
             self.d,
             self.a * other.a,
             self.a * other.b + self.b,
-            (self.a ** self.d) * other.c + self.c,
+            _power(self.a, self.d) * other.c + self.c,
         )
 
     def inverse(self) -> "PhiStd":
         if math.isinf(self.d):
             return PhiStd(self.d, 1.0 / self.a, -self.b, -self.c / self.a)
         return PhiStd(
-            self.d, 1.0 / self.a, -self.b / self.a, -self.c * self.a ** (-self.d)
+            self.d, 1.0 / self.a, -self.b / self.a, -self.c * _power(self.a, -self.d)
         )
 
     def factor_homeos(self):
@@ -253,7 +261,7 @@ class PhiStd(_PhiElement):
             )
         return (
             CircleHomeo.from_mobius(MobiusMap.affine(self.a, self.b)),
-            CircleHomeo.from_mobius(MobiusMap.affine(self.a ** self.d, self.c)),
+            CircleHomeo.from_mobius(MobiusMap.affine(_power(self.a, self.d), self.c)),
         )
 
 
@@ -291,9 +299,9 @@ class PhiTwoFixed(_PhiElement):
             )
         return PhiTwoFixed(
             self.d,
-            self.a * other.a ** self.b,
+            self.a * _power(other.a, self.b),
             self.b * other.b,
-            (self.b ** self.d) * other.c + self.c,
+            _power(self.b, self.d) * other.c + self.c,
         )
 
     def inverse(self) -> "PhiTwoFixed":
@@ -301,9 +309,9 @@ class PhiTwoFixed(_PhiElement):
             return PhiTwoFixed(self.d, 1.0 / self.a, 1.0 / self.b, -self.c / self.b)
         return PhiTwoFixed(
             self.d,
-            self.a ** (-1.0 / self.b),
+            _power(self.a, -1.0 / self.b),
             1.0 / self.b,
-            -self.c * self.b ** (-self.d),
+            -self.c * _power(self.b, -self.d),
         )
 
     def factor_homeos(self):
@@ -314,7 +322,7 @@ class PhiTwoFixed(_PhiElement):
                 CircleHomeo.from_mobius(MobiusMap.affine(self.b, self.c)),
             )
         hx = CircleHomeo((PowerMap(self.b), MobiusMap.scaling(self.a)))
-        hy = CircleHomeo.from_mobius(MobiusMap.affine(self.b ** self.d, self.c))
+        hy = CircleHomeo.from_mobius(MobiusMap.affine(_power(self.b, self.d), self.c))
         return hx, hy
 
 
@@ -408,8 +416,8 @@ def fixed_coordinates(h: CircleHomeo):
     """Fixed points of a circle map: (fixes_everything, points).
 
     Mobius chains use the exact eigenvector solver; anything else falls
-    back to the graph equation h = id, a 512-point scan with bisection and
-    tangential-minimum refinement. The point at infinity is checked
+    back to the graph equation h = id, a 512-point scan with bisection of
+    its crossings (every fixed point of a power chain). Infinity is checked
     explicitly (the chart cannot represent it exactly), and scan roots
     converging to it are absorbed: a map contracting toward infinity
     leaves a visible chordal residual at any nearby finite point.
@@ -421,7 +429,7 @@ def fixed_coordinates(h: CircleHomeo):
         return False, tuple(mobius_fixed_points(m))
     inf = ProjPoint.infinity()
     inf_fixed = chordal(h.apply(inf), inf) <= 1e-9
-    thetas = graph_equation_zeros(h, CircleHomeo.identity(), grid=512, tangent_band=1e-7)
+    thetas = graph_equation_zeros(h, CircleHomeo.identity())
     pts = [inf] if inf_fixed else []
     for t in thetas:
         cand = ProjPoint.from_chart(t)

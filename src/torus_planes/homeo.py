@@ -19,8 +19,8 @@ continuous function of period 1 that vanishes exactly where the graphs
 meet; it equals +-sin(pi * chart difference). Root finding is bisection of
 its sign changes on a grid scan, with no seam to filter and no derivative;
 `bisect` evaluates the midpoints of several levels per call and returns
-what serial bisection returns. Tangential zeros (graphs touching without
-crossing) are caught by refining local minima of |s|.
+what serial bisection returns. Only crossings are found; the graphs
+scanned here never touch without crossing (see `graph_equation_zeros`).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .projline import (
     normalize_h,
 )
 
-#: default scan resolution for bracket collection
+#: grid points of the bracket scan
 SCAN_GRID = 512
 
 #: chart-space width to which brackets are refined
@@ -49,6 +49,9 @@ BISECT_TOL = 1e-11
 
 #: bisection steps whose midpoints `bisect` evaluates in one call
 BISECT_LEVELS = 4
+
+#: evaluations after which `bisect` stops, for brackets too wide in floats
+_BISECT_STEPS = 201
 
 
 class PowerMap:
@@ -322,27 +325,24 @@ def load_spline_knots(path) -> MonotoneSpline:
 # chart-space zero finding
 
 
-def bisect(fn, lo: float, hi: float, flo: float, *, atol: float = 0.0,
-           rtol: float = 0.0, cap: int = 200, geometric: bool = False):
+def bisect(fn, lo: float, hi: float, flo: float):
     """Bisect a sign-change bracket of an array-valued fn; (root, fn(root)).
 
-    Each step evaluates fn at the arithmetic (or geometric) midpoint of
-    [lo, hi] and stops there when the value is zero or not finite or when
-    hi - lo <= atol + rtol * hi; else the midpoint replaces lo when
-    (fn < 0) == (flo < 0), hi when not. Step `cap` + 1 only evaluates. One
-    call to fn takes the midpoints of BISECT_LEVELS steps, so the result is
-    serial bisection's exactly when fn gives an element the same bits in
-    every batch.
+    Each step evaluates fn at the midpoint of [lo, hi] and stops there when
+    the value is zero or not finite, when hi - lo <= BISECT_TOL (28 steps
+    from a 1/512 bracket) or at step _BISECT_STEPS; else the midpoint
+    replaces lo when (fn < 0) == (flo < 0), hi when not. One call to fn
+    takes the midpoints of BISECT_LEVELS steps, so the result is serial
+    bisection's exactly when fn gives an element the same bits in every batch.
     """
-    midpoint = (lambda a, b: np.sqrt(a * b)) if geometric else (lambda a, b: 0.5 * (a + b))
-    steps = cap + 1
+    steps = _BISECT_STEPS
     while True:
         depth = min(BISECT_LEVELS, steps)
         n = 1 << depth
         pts = np.empty(n + 1)
         pts[0], pts[n] = lo, hi
         for stride in (n >> k for k in range(depth)):  # coarsest level first
-            pts[stride // 2::stride] = midpoint(pts[0:n:stride], pts[stride::stride])
+            pts[stride // 2::stride] = 0.5 * (pts[0:n:stride] + pts[stride::stride])
         vals = np.asarray(fn(pts[1:n]), dtype=float).tolist()
         pts = pts.tolist()
         i, j = 0, n
@@ -350,8 +350,7 @@ def bisect(fn, lo: float, hi: float, flo: float, *, atol: float = 0.0,
             k = (i + j) // 2
             mid, fm = pts[k], vals[k - 1]
             steps -= 1
-            if (steps == 0 or fm == 0.0 or not math.isfinite(fm)
-                    or hi - lo <= atol + rtol * hi):
+            if steps == 0 or fm == 0.0 or not math.isfinite(fm) or hi - lo <= BISECT_TOL:
                 return mid, fm
             if (fm < 0.0) == (flo < 0.0):  # fm keeps flo's sign class
                 i, lo = k, mid
@@ -359,39 +358,15 @@ def bisect(fn, lo: float, hi: float, flo: float, *, atol: float = 0.0,
                 j, hi = k, mid
 
 
-def _refine_minimum(fn, lo: float, hi: float):
-    """Golden-section minimum of |fn| over [lo, hi], to BISECT_TOL."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = abs(float(fn(c))), abs(float(fn(d)))
-    while b - a > BISECT_TOL:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = abs(float(fn(c)))
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = abs(float(fn(d)))
-    t = c if fc < fd else d
-    return t, min(fc, fd)
+def wrapped_zeros(fn):
+    """Crossing zeros in [0, 1) of a continuous function of period 1.
 
-
-def wrapped_zeros(
-    fn,
-    grid: int = SCAN_GRID,
-    tangent_band: float = 0.0,
-):
-    """Zeros in [0, 1) of a continuous function of period 1.
-
-    `fn` must accept scalar or array chart arguments. Sign changes between
-    neighbouring points of a grid scan are bisected to BISECT_TOL;
-    grid-local minima of |fn| below `tangent_band` that are not next to a
-    sign change are refined as tangential zeros.
+    `fn` must accept array chart arguments. Sign changes between
+    neighbouring points of a SCAN_GRID scan are bisected to BISECT_TOL. A
+    zero where fn touches 0 without changing sign is not found; the
+    functions scanned here cross at every zero (see `graph_equation_zeros`).
     """
-    theta = np.arange(grid) / grid
+    theta = np.arange(SCAN_GRID) / SCAN_GRID
     vals = np.asarray(fn(theta), dtype=float)
     crossing = (vals == 0.0) | (np.sign(vals) != np.sign(np.roll(vals, -1)))
     zeros = []
@@ -400,20 +375,8 @@ def wrapped_zeros(
         if flo == 0.0:
             zeros.append(lo)
             continue
-        root, _ = bisect(fn, lo, lo + 1.0 / grid, flo, atol=BISECT_TOL)
+        root, _ = bisect(fn, lo, lo + 1.0 / SCAN_GRID, flo)
         zeros.append(root % 1.0)
-    # tangential zeros: local minima of |fn| below the band, away from crossings
-    mag = np.abs(vals)
-    local_min = (mag <= np.roll(mag, 1)) & (mag <= np.roll(mag, -1))
-    candidates = np.nonzero(local_min & (mag < tangent_band))[0]
-    for i in candidates:
-        if crossing[i] or crossing[(i - 1) % grid]:
-            continue
-        lo = theta[i] - 1.0 / grid
-        hi = theta[i] + 1.0 / grid
-        t, fmin = _refine_minimum(fn, lo, hi)
-        if fmin < tangent_band:
-            zeros.append(t % 1.0)
     # dedupe cyclically
     zeros.sort()
     out = []
@@ -442,16 +405,12 @@ def crossing_function(lhs: CircleHomeo, rhs: CircleHomeo):
     return s
 
 
-def graph_equation_zeros(
-    lhs: CircleHomeo,
-    rhs: CircleHomeo,
-    grid: int = SCAN_GRID,
-    tangent_band: float = 1e-7,
-):
-    """Chart positions where the graphs of two circle maps agree.
+def graph_equation_zeros(lhs: CircleHomeo, rhs: CircleHomeo):
+    """Chart positions where the graphs of two circle maps cross.
 
-    The zeros of the crossing function; `tangent_band` is a chart distance,
-    so a tangential zero is a local minimum with |s| < sin(pi * band).
+    The sign changes of the crossing function, which are all its zeros
+    here: maps of opposite orientation have a strictly monotone chart
+    difference, and a sgn(x) |x|^b chain has slope b != 1 at its fixed
+    points (b = 1 is a Mobius map, solved exactly instead).
     """
-    return wrapped_zeros(crossing_function(lhs, rhs), grid=grid,
-                         tangent_band=math.sin(math.pi * tangent_band))
+    return wrapped_zeros(crossing_function(lhs, rhs))

@@ -44,7 +44,6 @@ from .errors import (
     UnsupportedPlane,
 )
 from .homeo import (
-    SCAN_GRID,
     CircleHomeo,
     graph_equation_zeros,
     homeo_sup_distance,
@@ -173,7 +172,6 @@ class PlaneModel:
         "f_inv",
         "g_inv",
         "tol",
-        "scan_grid",
         "corrupt_twisted",
     )
 
@@ -183,15 +181,12 @@ class PlaneModel:
         f: CircleHomeo | None = None,
         g: CircleHomeo | None = None,
         tol: float = 1e-9,
-        scan_grid: int = SCAN_GRID,
         corrupt_twisted: bool = False,
     ):
         if family not in ("classical", "half-classical"):
             raise ConfigError(f"unknown plane family {family!r}")
         if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0.0):
             raise ConfigError(f"tol must be finite and positive, got {tol!r}")
-        if not (isinstance(scan_grid, numbers.Integral) and scan_grid >= 3):
-            raise ConfigError(f"scan_grid must be an integer of at least 3, got {scan_grid!r}")
         f = f if f is not None else CircleHomeo.identity()
         g = g if g is not None else CircleHomeo.identity()
         if family == "half-classical":
@@ -205,7 +200,6 @@ class PlaneModel:
         object.__setattr__(self, "f_inv", f.inverse())
         object.__setattr__(self, "g_inv", g.inverse())
         object.__setattr__(self, "tol", float(tol))
-        object.__setattr__(self, "scan_grid", int(scan_grid))
         object.__setattr__(self, "corrupt_twisted", bool(corrupt_twisted))
 
     def __setattr__(self, name, value):
@@ -345,12 +339,7 @@ class PlaneModel:
         if pair is not None:
             m1, m2, back = pair
             return [back(u) for u in self._mobius_equation_roots(m1, m2)]
-        thetas = graph_equation_zeros(
-            c1.graph,
-            c2.graph,
-            grid=self.scan_grid,
-            tangent_band=self.tangency_band,
-        )
+        thetas = graph_equation_zeros(c1.graph, c2.graph)
         roots = []
         inf = ProjPoint.infinity()
         for t in thetas:
@@ -530,7 +519,13 @@ class PlaneModel:
         return False, chordal(back(other), p.x)
 
     def _comparable_mobius_pair(self, c: Circle, d: Circle):
-        """Reduce both circles to Mobius maps in one coordinate, if possible."""
+        """Reduce both circles to Mobius maps in one coordinate, if possible.
+
+        Collapsing with `as_mobius` before reading tags also solves mixed
+        pairs exactly where the twists are Mobius (`half:id`); the tag rule
+        of `_shared_coordinates` would scan them, moving points by ~2e-10.
+        Touching keeps the tag rule for `FrameMember`'s unsummed action.
+        """
         m1, m2 = c.graph.as_mobius(), d.graph.as_mobius()
         if m1 is not None and m2 is not None:
             return m1, m2, lambda u: u

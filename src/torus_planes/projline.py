@@ -83,11 +83,6 @@ def chordal_h(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.minimum(d_minus, d_plus)
 
 
-def wrap_half(x):
-    """Wrap a chart difference into [-0.5, 0.5)."""
-    return (np.asarray(x, dtype=float) + 0.5) % 1.0 - 0.5
-
-
 class ProjPoint:
     """A point of RP^1 stored as its canonical homogeneous representative."""
 

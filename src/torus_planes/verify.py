@@ -53,7 +53,7 @@ from .groups import (
     parse_group_literal,
     require_point_action,
 )
-from .homeo import CircleHomeo, homeo_sup_distance
+from .homeo import SCAN_GRID, CircleHomeo, homeo_sup_distance
 from .planes import (
     PLUS,
     PlaneModel,
@@ -684,7 +684,7 @@ def verify_fixed_configuration(
         max_residual=max_residual,
         counterexamples=counterexamples,
         runtime_ms=(time.perf_counter() - t0) * 1000.0,
-        statistics={"factor_scan_grid": 512, "sampled_elements": len(elements)},
+        statistics={"factor_scan_grid": SCAN_GRID, "sampled_elements": len(elements)},
         negative_control=negative_control,
     )
 
@@ -766,28 +766,19 @@ def verify_derived_plane(
 
 
 def recheck_counterexample(suite: str, plane: PlaneModel, ce: dict) -> bool:
-    """Re-verify a counterexample in isolation at boosted scan resolution.
+    """Re-verify a counterexample in isolation.
 
     Runs the suite's check on the counterexample's inputs, under the
-    default TrialConfig, on a copy of the plane whose scan grid is ten
-    times finer. Returns True when the violation reproduces; sound reports
-    only carry counterexamples that do. The check is the suite's sound
-    one, so a negative control whose breakage lies in its check (rigidity,
-    derived-plane) does not reproduce.
+    default TrialConfig. Returns True when the violation reproduces; sound
+    reports only carry counterexamples that do. The check is the suite's
+    sound one, so a negative control whose breakage lies in its check
+    (rigidity, derived-plane) does not reproduce.
     """
     spec = SUITES.get(suite)
     if spec is None or spec.check is None or ce.keys() <= _CE_FIELDS:
         raise UnsupportedPlane(f"no trial inputs to recheck for suite {suite!r}")
     inputs = {k: _deser(v) for k, v in ce.items() if k not in _CE_FIELDS}
-    boosted = PlaneModel(
-        plane.family,
-        f=plane.f,
-        g=plane.g,
-        tol=plane.tol,
-        scan_grid=plane.scan_grid * 10,
-        corrupt_twisted=plane.corrupt_twisted,
-    )
-    return bool(spec.check(boosted, inputs, TrialConfig())[1])
+    return bool(spec.check(plane, inputs, TrialConfig())[1])
 
 
 # ----------------------------------------------------------------------

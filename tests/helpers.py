@@ -15,8 +15,13 @@ from torus_planes import (
     half_classical_plane,
     parse_plane_spec,
 )
-from torus_planes.homeo import bisect, crossing_function, graph_equation_zeros
-from torus_planes.projline import chart_h, h_from_chart, normalize_h, wrap_half
+from torus_planes.homeo import crossing_function, graph_equation_zeros
+from torus_planes.projline import chart_h, h_from_chart, normalize_h
+
+
+def wrap_half(x):
+    """Wrap a chart difference into [-0.5, 0.5)."""
+    return (np.asarray(x, dtype=float) + 0.5) % 1.0 - 0.5
 
 
 def rng_for(seed, trial=0):
@@ -108,6 +113,44 @@ def random_pgl(rng) -> MobiusMap:
 
 
 # ----------------------------------------------------------------------
+# one-point-per-call root and minimum finders for the reference scans
+
+
+def serial_bisect(fn, lo, hi, flo, atol=0.0, rtol=0.0, cap=200, geometric=False):
+    """Reference: one midpoint per call; returns (root, fn(root), calls)."""
+    for step in range(cap + 1):
+        mid = math.sqrt(lo * hi) if geometric else 0.5 * (lo + hi)
+        fm = float(fn(np.array([mid]))[0])
+        if (step == cap or fm == 0.0 or not math.isfinite(fm)
+                or hi - lo <= atol + rtol * hi):
+            return mid, fm, step + 1
+        if (fm < 0.0) == (flo < 0.0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+
+
+def golden_minimum(fn, lo, hi, tol):
+    """Golden-section minimum of |fn| over [lo, hi], to width tol; (t, |fn(t)|)."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = abs(float(fn(c))), abs(float(fn(d)))
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = abs(float(fn(c)))
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = abs(float(fn(d)))
+    t = c if fc < fd else d
+    return t, min(fc, fd)
+
+
+# ----------------------------------------------------------------------
 # independent cross-ratio oracle on the extended real line
 
 
@@ -189,13 +232,13 @@ def _near_gap_offsets(c, d, p):
     flip = np.isfinite(a) & np.isfinite(b) & ((a == 0.0) | ((a < 0.0) != (b < 0.0)))
     offsets = []
     for i in np.nonzero(flip)[0]:
-        root, residual = bisect(g, us[i], us[i + 1], a[i], cap=60)
+        root, residual, _ = serial_bisect(g, us[i], us[i + 1], a[i], cap=60)
         if math.isfinite(residual):  # not converged onto theta_p itself
             offsets.append(root - theta_p)
     return offsets
 
 
-def graph_tangency_separation(plane, c, d, p):
+def graph_tangency_separation(c, d, p):
     """Reference (far, separation) of two circles through p, read on their graphs.
 
     Independent of the shared-coordinate formula under test: a scan of the
@@ -207,7 +250,7 @@ def graph_tangency_separation(plane, c, d, p):
     # crossings only: near a shared pole two graphs get chordally close
     # without meeting, and counting such dips would fabricate far
     # intersections for a genuinely tangent pair
-    zeros = graph_equation_zeros(c.graph, d.graph, grid=plane.scan_grid, tangent_band=0.0)
+    zeros = graph_equation_zeros(c.graph, d.graph)
     s = crossing_function(c.graph, d.graph)
     far = []
     for z in zeros:

@@ -63,6 +63,11 @@ class TestJoinCommand:
         ["report-index", "{tmp}", "--out", "{tmp}/missing/index.json"],
         ["join", "--config", "{tmp}/latin1.cfg", "0,0", "1,1", "2,3"],
         ["join", "--config", "{tmp}/missing.cfg", "0,0", "1,1", "2,3"],
+        # powers of the parameters that overflow a float
+        ["verify", "--suite", "automorphism", "--group", "phi:1e300:2:3:0"],
+        ["verify", "--suite", "fixed-configuration", "--group", "phi:1e300:2:3:0"],
+        ["verify", "--suite", "automorphism", "--group", "phi2:-2000:2:0.5:0"],
+        ["plot", "orbit:phi:1e300:2:3:0:1,1:3", "--out", "{tmp}/x.svg"],
     ],
 )
 def test_bad_input_exits_2_without_traceback(args, tmp_path, capsys):
@@ -75,6 +80,21 @@ def test_bad_input_exits_2_without_traceback(args, tmp_path, capsys):
     assert run(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_cli_import_loads_no_oracle_or_test_package():
+    # core modules never import the high-precision oracle or the test tools,
+    # so a cold `torus-planes` start pays for none of them
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    code = ("import sys, torus_planes.cli; "
+            "print([m for m in ('mpmath', 'scipy', 'sympy', 'hypothesis') if m in sys.modules])")
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_grid_flag_is_gone(tmp_path, capsys):

@@ -185,13 +185,16 @@ class TestInducedActions:
         assert report.action_kind == "PSL-on-circle"
         assert not report.fixes_every_class
 
-    def test_phi2_power_factor_fixed_set(self):
-        # 2 sgn(x)|x|^3 fixes 0, infinity, and +-(1/2)^(1/2)
-        g = PhiTwoFixed(-1, 2, 3, 1)
+    @pytest.mark.parametrize("a, b", [(2.0, 3.0), (1.001, 1.001)])
+    def test_phi2_power_factor_fixed_set(self, a, b):
+        # a sgn(x)|x|^b fixes 0, infinity, and +-a^(-1/(b - 1)), where its
+        # slope is b: (2, 3) gives +-(1/2)^(1/2); (1.001, 1.001) gives
+        # +-1.001^-1000 ~ +-0.368, a shallow crossing the scan still finds
+        g = PhiTwoFixed(-1, a, b, 1)
         (fx_all, fx_pts), (fy_all, fy_pts) = map(fixed_coordinates, g.factor_homeos())
         assert not fx_all and not fy_all
         values = sorted(p.value() for p in fx_pts)
-        root = math.sqrt(0.5)
+        root = a ** (-1.0 / (b - 1.0))
         assert len(values) == 4
         assert math.isclose(values[0], -root, rel_tol=1e-7)
         assert math.isclose(values[1], 0.0, abs_tol=1e-9)

@@ -20,7 +20,7 @@ from torus_planes import (
     load_spline_knots,
     parse_plane_spec,
 )
-from torus_planes.homeo import BISECT_LEVELS, _lifted_grid, bisect
+from torus_planes.homeo import BISECT_LEVELS, BISECT_TOL, _lifted_grid, bisect
 from torus_planes.projline import chordal_h, h_from_chart
 
 from helpers import (
@@ -30,6 +30,7 @@ from helpers import (
     random_pgl,
     random_triple,
     rng_for,
+    serial_bisect,
     spline_eval_chart,
     spline_plane,
 )
@@ -304,20 +305,6 @@ class TestSpline:
 # batched bisection against the serial loop
 
 
-def serial_bisect(fn, lo, hi, flo, atol=0.0, rtol=0.0, cap=200, geometric=False):
-    """Reference: one midpoint per call; returns (root, fn(root), calls)."""
-    for step in range(cap + 1):
-        mid = math.sqrt(lo * hi) if geometric else 0.5 * (lo + hi)
-        fm = float(fn(np.array([mid]))[0])
-        if (step == cap or fm == 0.0 or not math.isfinite(fm)
-                or hi - lo <= atol + rtol * hi):
-            return mid, fm, step + 1
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-
-
 def _bisect_fn(kind, r):
     """Elementwise test functions with a sign change, a zero run or a gap at r."""
     if kind == "linear":
@@ -333,25 +320,16 @@ def _bisect_fn(kind, r):
 @settings(max_examples=300, deadline=None)
 @given(
     kind=st.sampled_from(["linear", "cubic", "steps", "gap"]),
-    geometric=st.booleans(),
     lo=st.floats(1e-6, 1e3),
     width=st.floats(1e-9, 1e3),
     where=st.floats(-0.5, 1.5),
-    atol=st.sampled_from([0.0, 1e-11, 1e-6, 1e-2]),
-    rtol=st.sampled_from([0.0, 1e-13, 1e-5]),
-    cap=st.integers(0, 200),
     lower_zero=st.booleans(),
 )
-@example(kind="linear", geometric=False, lo=1.0, width=1.0, where=0.25, atol=0.0,
-         rtol=0.0, cap=200, lower_zero=False)  # exact zero at a midpoint
-@example(kind="gap", geometric=False, lo=1.0, width=1.0, where=0.3, atol=0.0,
-         rtol=0.0, cap=60, lower_zero=False)  # non-finite value
-@example(kind="cubic", geometric=True, lo=1e-3, width=10.0, where=0.4, atol=0.0,
-         rtol=0.0, cap=7, lower_zero=False)  # iteration cap
-@example(kind="linear", geometric=False, lo=1.0, width=1.0, where=0.7, atol=0.0,
-         rtol=0.0, cap=60, lower_zero=True)  # lower value 0
-def test_bisect_matches_serial_bisection(kind, geometric, lo, width, where, atol,
-                                         rtol, cap, lower_zero):
+@example(kind="linear", lo=1.0, width=1.0, where=0.25, lower_zero=False)  # exact zero at a midpoint
+@example(kind="gap", lo=1.0, width=1.0, where=0.3, lower_zero=False)  # non-finite value
+@example(kind="linear", lo=1.0, width=1.0, where=0.7, lower_zero=True)  # lower value 0
+@example(kind="cubic", lo=1e6, width=1.0, where=0.4, lower_zero=False)  # floats too coarse: step bound
+def test_bisect_matches_serial_bisection(kind, lo, width, where, lower_zero):
     hi = lo + width
     fn = _bisect_fn(kind, lo + where * width)
     flo = 0.0 if lower_zero else float(fn(np.array([lo]))[0])
@@ -361,10 +339,8 @@ def test_bisect_matches_serial_bisection(kind, geometric, lo, width, where, atol
         calls.append(len(x))
         return fn(x)
 
-    root, froot = bisect(counted, lo, hi, flo, atol=atol, rtol=rtol, cap=cap,
-                         geometric=geometric)
-    want_root, want_froot, steps = serial_bisect(fn, lo, hi, flo, atol, rtol, cap,
-                                                 geometric)
+    root, froot = bisect(counted, lo, hi, flo)
+    want_root, want_froot, steps = serial_bisect(fn, lo, hi, flo, atol=BISECT_TOL)
     assert root == want_root
     assert froot == want_froot or (math.isnan(froot) and math.isnan(want_froot))
     # each call covers the midpoints of BISECT_LEVELS steps

@@ -10,6 +10,7 @@ from torus_planes import (
     ConfigError,
     EqualCircles,
     MobiusMap,
+    NoBranch,
     ParallelInput,
     PlaneModel,
     PointOnBaseCross,
@@ -31,16 +32,19 @@ from torus_planes import (
 )
 from torus_planes import homeo
 from torus_planes.planes import TAG_CLASSICAL, TAG_PSL, TAG_TWISTED, parse_config_text
-from torus_planes.projline import chart_h, h_from_chart, wrap_half
+from torus_planes.projline import chart_h, h_from_chart
 from torus_planes.verify import TrialConfig, _sample_secant_claim, _sample_touching
 
 from helpers import (
     SEEDED_PLANES,
     canonical_chain_action,
+    golden_minimum,
     graph_tangency_separation,
     random_proj_point,
     random_triple,
     rng_for,
+    serial_bisect,
+    wrap_half,
 )
 
 P = ProjPoint.from_real
@@ -481,10 +485,7 @@ class TestConfig:
         {"tol": math.nan},
         {"tol": math.inf},
         {"tol": 0.0},
-        {"scan_grid": 2},
         {"tol": "x"},
-        {"scan_grid": "x"},
-        {"scan_grid": 10.5},
     ])
     def test_bad_tolerances_rejected(self, kwargs):
         with pytest.raises(ConfigError, match=next(iter(kwargs))):
@@ -588,7 +589,7 @@ def chart_difference_zeros(lhs, rhs, grid=512, tangent_band=1e-7):
         elif (flo < 0.0) == (fhi < 0.0) and fhi != 0.0:
             continue
         elif abs(flo - fhi) < 0.5:
-            accept(*homeo.bisect(fn, lo, hi, flo, atol=homeo.BISECT_TOL))
+            accept(*homeo.bisect(fn, lo, hi, flo))
         elif depth < 12:
             mid = 0.5 * (lo + hi)
             fmid = float(fn(mid))
@@ -597,7 +598,8 @@ def chart_difference_zeros(lhs, rhs, grid=512, tangent_band=1e-7):
     local_min = (mag <= np.roll(mag, 1)) & (mag <= np.roll(mag, -1))
     for i in np.nonzero(local_min & (mag < tangent_band))[0]:
         if not (crossing[i] or crossing[(i - 1) % grid]):
-            t, fmin = homeo._refine_minimum(fn, theta[i] - 1.0 / grid, theta[i] + 1.0 / grid)
+            t, fmin = golden_minimum(fn, theta[i] - 1.0 / grid, theta[i] + 1.0 / grid,
+                                     homeo.BISECT_TOL)
             if fmin < tangent_band:
                 zeros.append(t % 1.0)
     return sorted(zeros)
@@ -609,9 +611,15 @@ def _cyclic_gap(a, b):
 
 
 def _mixed_route_pair(plane, rng):
-    """Circles c1, c2 of opposite branches sharing two drawn points a and b."""
+    """Circles c1, c2 of opposite branches sharing two drawn points a and b.
+
+    Draws that a steep twist cannot join are redrawn.
+    """
     while True:
-        c1 = plane.join(*random_triple(rng))
+        try:
+            c1 = plane.join(*random_triple(rng))
+        except NoBranch:
+            continue
         ta, tb = rng.random(2)
         a = c1.point_at(ProjPoint.from_chart(ta))
         b = c1.point_at(ProjPoint.from_chart(tb))
@@ -620,24 +628,52 @@ def _mixed_route_pair(plane, rng):
                 or parallel(a, r, 1e-2) != "none" or parallel(b, r, 1e-2) != "none"
                 or plane.membership_residual(c1, r) < 1e-2):
             continue
-        c2 = plane.join(a, b, r)
+        try:
+            c2 = plane.join(a, b, r)
+        except NoBranch:
+            continue
         if (c1.tag == TAG_TWISTED) != (c2.tag == TAG_TWISTED):
             return c1, c2, (a, b)
 
 
-@pytest.mark.parametrize("name", ["power-2", "power-1/3", "spline"])
+# the seeded planes, then steep power twists; a plane's index keys its rng
+CROSSING_PLANES = {
+    **SEEDED_PLANES,
+    "power-20": lambda rng: parse_plane_spec("half:power:20"),
+    "power-0.05": lambda rng: parse_plane_spec("half:power:0.05"),
+}
+CROSSING_ORDER = sorted(SEEDED_PLANES) + ["power-20", "power-0.05"]
+
+
+@pytest.mark.parametrize("name", ["power-2", "power-1/3", "spline", "power-20", "power-0.05"])
 def test_crossing_scan_finds_every_chart_difference_zero(name):
-    rng = rng_for(902, sorted(SEEDED_PLANES).index(name))
-    plane = SEEDED_PLANES[name](rng)
+    # the reference keeps its tangential-minimum search, so a zero the
+    # crossings-only scan misses would show here
+    rng = rng_for(902, CROSSING_ORDER.index(name))
+    plane = CROSSING_PLANES[name](rng)
     for _ in range(24):
         c1, c2, shared = _mixed_route_pair(plane, rng)
-        band = plane.tangency_band
-        zeros = homeo.graph_equation_zeros(c1.graph, c2.graph, tangent_band=band)
-        for z in chart_difference_zeros(c1.graph, c2.graph, tangent_band=band):
+        zeros = homeo.graph_equation_zeros(c1.graph, c2.graph)
+        for z in chart_difference_zeros(c1.graph, c2.graph, tangent_band=plane.tangency_band):
             assert min(_cyclic_gap(z, y) for y in zeros) <= 1e-9
         pts = plane.circle_intersect(c1, c2)
         assert len(pts) == 2
         assert all(min(torus_dist(p, s) for p in pts) <= 1e-6 for s in shared)
+
+
+@pytest.mark.parametrize("spec", ["half:id", "half:power:1"])
+def test_mixed_pairs_meet_on_both_circles_where_the_twists_are_mobius(spec):
+    # both graphs collapse to Mobius maps, so the quadratic solves the pair
+    # exactly; the chart scan would leave residuals near 1e-10
+    plane = parse_plane_spec(spec)
+    rng = rng_for(904)
+    for _ in range(100):
+        c1, c2, _ = _mixed_route_pair(plane, rng)
+        pts = plane.circle_intersect(c1, c2)
+        assert len(pts) == 2
+        for p in pts:
+            assert plane.membership_residual(c1, p) <= 1e-12
+            assert plane.membership_residual(c2, p) <= 1e-12
 
 
 def test_chart_scan_keeps_a_crossing_next_to_a_steep_cell():
@@ -731,9 +767,9 @@ def scanned_tangency_counts(plane, c, p, q):
         for i in np.nonzero((hi == 0.0) | ((lo != 0.0) & ((lo < 0.0) != (hi < 0.0))))[0]:
             t_star, t_tau = ts[i], tau[i]
             if t_tau != 0.0:
-                t_star, t_tau = homeo.bisect(lambda t: slope_differences(probe, t)[0],
-                                             ts[i], ts[i + 1], t_tau,
-                                             rtol=1e-13, cap=80, geometric=True)
+                t_star, t_tau, _ = serial_bisect(lambda t: slope_differences(probe, t)[0],
+                                                 ts[i], ts[i + 1], t_tau,
+                                                 rtol=1e-13, cap=80, geometric=True)
             if abs(t_tau) >= 0.05 or any(abs(t_star - r) <= 1e-6 * max(t_star, r)
                                          for r in roots):
                 continue
@@ -763,8 +799,7 @@ def test_touch_certified_on_the_graphs_too(name):
     rng = rng_for(77, sorted(SEEDED_PLANES).index(name))
     plane = SEEDED_PLANES[name](rng)
     cfg = TrialConfig(seed=77, trials=60)
-    readings = (plane.tangency_separation,
-                lambda c, d, p: graph_tangency_separation(plane, c, d, p))
+    readings = (plane.tangency_separation, graph_tangency_separation)
     for i in range(cfg.trials):
         inputs = _sample_secant_claim(plane, cfg.rng_for(i), cfg)
         c, p = plane.join(*inputs["points"]), inputs["p"]
