@@ -37,7 +37,7 @@ print(f"  {report.plane}: pass={report.passed}, worst separation {report.max_res
 
 print("\n== the negative control must fail ==")
 control = SUITES["joining"].control(TrialConfig(seed=42, trials=30))
-print(f"  corrupted plane: pass={control.passed} with {len(control.counterexamples)} counterexamples")
+print(f"  {control.plane}: pass={control.passed} with {len(control.counterexamples)} counterexamples")
 print(f"  first reason: {control.counterexamples[0]['reason'][:72]}...")
 
 print("\n== determinism ==")

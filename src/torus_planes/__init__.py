@@ -49,7 +49,6 @@ from .planes import (
     ParallelClass,
     PlaneModel,
     classical_plane,
-    corrupted_half_classical,
     half_classical_plane,
     homeo_from_spec,
     parallel,

@@ -41,7 +41,6 @@ from .errors import (
     ParallelInput,
     PointOnBaseCross,
     PreconditionViolated,
-    UnsupportedPlane,
 )
 from .homeo import (
     CircleHomeo,
@@ -66,10 +65,6 @@ MINUS = "minus"
 TAG_CLASSICAL = "classical-PGL"
 TAG_PSL = "half-classical-PSL"
 TAG_TWISTED = "half-classical-twisted"
-
-# x -> -x: fixes 0 and infinity, reverses orientation; used by the
-# deliberately corrupted twist branch of negative-control planes
-_NEG = MobiusMap([[-1.0, 0.0], [0.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -172,17 +167,10 @@ class PlaneModel:
         "f_inv",
         "g_inv",
         "tol",
-        "corrupt_twisted",
     )
 
-    def __init__(
-        self,
-        family: str,
-        f: CircleHomeo | None = None,
-        g: CircleHomeo | None = None,
-        tol: float = 1e-9,
-        corrupt_twisted: bool = False,
-    ):
+    def __init__(self, family: str, f: CircleHomeo | None = None,
+                 g: CircleHomeo | None = None, tol: float = 1e-9):
         if family not in ("classical", "half-classical"):
             raise ConfigError(f"unknown plane family {family!r}")
         if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0.0):
@@ -200,7 +188,6 @@ class PlaneModel:
         object.__setattr__(self, "f_inv", f.inverse())
         object.__setattr__(self, "g_inv", g.inverse())
         object.__setattr__(self, "tol", float(tol))
-        object.__setattr__(self, "corrupt_twisted", bool(corrupt_twisted))
 
     def __setattr__(self, name, value):
         raise AttributeError("PlaneModel is immutable")
@@ -214,8 +201,6 @@ class PlaneModel:
         text = f"half-classical({', '.join(parts)})"
         if not _is_identity_homeo(self.g):
             text += "[experimental-g]"
-        if self.corrupt_twisted:
-            text += "[corrupted-twisted-branch]"
         return text
 
     @property
@@ -280,9 +265,6 @@ class PlaneModel:
         nu = self._twist_branch_solution(p, q, r)
         if nu is None:
             raise NoBranch("the twisted branch's images coincide within tolerance")
-        if self.corrupt_twisted:
-            # deliberate corruption: hand back a det > 0 "member"
-            return self._twisted_circle(nu.compose(_NEG))
         if nu.orientation == -1:
             return self._twisted_circle(nu)
         raise NoBranch(
@@ -430,12 +412,11 @@ class PlaneModel:
                 self.g.apply(q.y),
                 tol=self.tol,
             )
-            twisted_sign = 1 if self.corrupt_twisted else -1
             return _PencilBranch(
                 name="twisted",
                 family=fam_uv,
-                sign=twisted_sign,
-                circle=lambda t: self._twisted_circle(fam_uv.member(t, twisted_sign)),
+                sign=-1,
+                circle=lambda t: self._twisted_circle(fam_uv.member(t, -1)),
             )
 
         if self.family == "classical":
@@ -498,15 +479,12 @@ class PlaneModel:
         phi1 = det(Au, De) + det(Ae, Du) and phi2 = det(Ae, De), so the
         other common point is phi2 u - phi1 e, measured from p in x. Equal
         circles (phi1 = phi2 = 0) and circles of different branches, whose
-        opposite orientations cross twice, are far; different branches of
-        one orientation (a corrupted plane) raise UnsupportedPlane.
+        opposite orientations cross twice, are far.
         """
         twisted = d.tag == TAG_TWISTED
         shared = self._shared_coordinates(c, twisted)
         if shared is None:
-            if c.mobius.orientation != d.mobius.orientation:
-                return True, math.inf
-            raise UnsupportedPlane("circles of different branches keep one orientation")
+            return True, math.inf
         a, back = shared
         u = _pair(self.f.apply(p.x) if twisted else p.x)
         e = (-u[1], u[0])
@@ -586,15 +564,6 @@ def half_classical_plane(
 ) -> PlaneModel:
     """Half-classical plane M(f, g); the theorems' planes use g = id."""
     return PlaneModel("half-classical", f=f, g=g, tol=tol)
-
-
-def corrupted_half_classical(f: CircleHomeo) -> PlaneModel:
-    """Negative-control fixture: the twisted branch hands out det > 0 members.
-
-    Its joins return circles that miss the input points and fall outside
-    the declared circle set, so the joining suite must fail on it.
-    """
-    return PlaneModel("half-classical", f=f, corrupt_twisted=True)
 
 
 # ----------------------------------------------------------------------

@@ -15,11 +15,11 @@ Inputs are serialised only for counterexamples, and
 `recheck_counterexample` runs the check on deserialised ones.
 
 Every suite has a paired negative control, a deliberately broken run that
-must fail; a passing control fails the whole run. The registry gives each
-control's plane and trial cap, and `negative_control=True` selects the
-suite's broken variant where the plane or group does not already carry
-it. Controls are how the harness distinguishes "the property holds" from
-"the test is vacuous".
+must fail from its first trial on; a passing control fails the whole run.
+The registry gives each control's plane and trial cap, and
+`negative_control=True` selects the suite's broken variant where the plane
+or group does not already carry it. Controls are how the harness
+distinguishes "the property holds" from "the test is vacuous".
 """
 
 from __future__ import annotations
@@ -56,9 +56,9 @@ from .groups import (
 from .homeo import SCAN_GRID, CircleHomeo, homeo_sup_distance
 from .planes import (
     PLUS,
+    TAG_TWISTED,
     PlaneModel,
     classical_plane,
-    corrupted_half_classical,
     half_classical_plane,
     parallel,
 )
@@ -249,6 +249,18 @@ def _sample_points(plane, rng, cfg) -> dict:
     return {"points": sample_triple(rng, cfg.separation)}
 
 
+def _sample_reversing(plane, rng, cfg) -> dict:
+    """A triple whose x and y cyclic orders disagree, so it joins on the twisted branch.
+
+    Where they agree, the map x -> y through the triple keeps orientation;
+    then p and q trade y coordinates, which reverses the y order.
+    """
+    p, q, r = sample_triple(rng, cfg.separation)
+    if mobius_from_three(p.x, q.x, r.x, p.y, q.y, r.y).orientation == 1:
+        p, q = TorusPoint(p.x, q.y), TorusPoint(q.x, p.y)
+    return {"points": [p, q, r]}
+
+
 def _ser(value):
     """JSON form of a trial input: a point, a list of points or a group element."""
     if isinstance(value, TorusPoint):
@@ -307,6 +319,7 @@ def verify_joining(
     contain the points within tolerance, lie in the plane's circle set,
     and be the only branch solution. The stress variant samples nearly
     degenerate triples and only reports conditioning, with a loose bound.
+    The negative control draws twisted-branch triples only.
     """
     separation = 1e-7 if stress else cfg.separation
     threshold = cfg.tol if cfg.tol is not None else (1e-5 if stress else plane.tol)
@@ -314,7 +327,7 @@ def verify_joining(
         "joining-stress" if stress else "joining",
         plane,
         replace(cfg, separation=separation, tol=threshold),
-        _sample_points,
+        _sample_reversing if negative_control else _sample_points,
         _check_joining,
         {"separation": separation, "threshold": threshold},
         negative_control,
@@ -478,13 +491,15 @@ def verify_automorphism(
     one sup distance between the chains image . hx and hy . c, for g's factor
     maps (hx, hy). Parallel classes must map to parallel classes of the same
     kind. A g without a point action (`Case3Element`) is a ConfigError.
+    The negative control draws twisted-branch triples only.
     """
     require_point_action(g)
+    sample = _sample_reversing if negative_control else _sample_points
     return _run_trials(
         "automorphism",
         plane,
         cfg,
-        lambda plane, rng, cfg: {**_sample_points(plane, rng, cfg), "group": g},
+        lambda plane, rng, cfg: {**sample(plane, rng, cfg), "group": g},
         _check_automorphism,
         {"group": group_literal(g), "threshold": cfg.tol if cfg.tol is not None else 1e-8},
         negative_control,
@@ -826,10 +841,25 @@ def _plane_and_group(plane, group):
     return plane, group
 
 
+class _CorruptedTwistPlane(PlaneModel):
+    """The joining control's plane: twisted joins use nu . (x -> -x), det > 0."""
+
+    __slots__ = ()
+
+    def describe(self) -> str:
+        return super().describe() + "[corrupted-twisted-branch]"
+
+    def join(self, p, q, r):
+        circle = super().join(p, q, r)
+        if circle.tag != TAG_TWISTED:
+            return circle
+        return self._twisted_circle(circle.mobius.compose(MobiusMap.scaling(-1.0)))
+
+
 _JOINING = SuiteSpec(
     "joining", "verify_joining", _plane_only,
-    # a plane whose twisted branch uses det > 0 members
-    lambda: (corrupted_half_classical(CircleHomeo.power(2.0)),), 60, _check_joining,
+    # every control triple joins on the twisted branch, which this plane breaks
+    lambda: (_CorruptedTwistPlane("half-classical", CircleHomeo.power(2.0)),), 60, _check_joining,
 )
 
 SUITES = {

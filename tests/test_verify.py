@@ -19,10 +19,12 @@ from torus_planes import (
     recheck_counterexample,
 )
 from torus_planes.groups import DiagonalPSL, KernelPlusPSL, parse_group_literal
+from torus_planes.planes import TAG_TWISTED
 from torus_planes.verify import (
     SUITES,
     TrialConfig,
     _check_automorphism,
+    _sample_reversing,
     sample_triple,
     verify_automorphism,
     verify_derived_plane,
@@ -139,30 +141,26 @@ class TestNegativeControls:
         for name, spec in SUITES.items():
             assert callable(spec.control), name
 
-    def test_joining_control_fails(self):
-        report = control("joining")
+    # every control fails on its first trial; (42, 60) is the CLI-sized run
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    @pytest.mark.parametrize("seed, trials", [(1, 1), (2, 1), (3, 1), (39, 5), (42, 60)])
+    def test_control_fails(self, suite, seed, trials):
+        report = control(suite, TrialConfig(seed=seed, trials=trials))
         assert not report.passed and report.negative_control
         assert report.counterexamples
 
-    def test_touching_control_fails(self):
-        report = control("touching", TrialConfig(seed=42, trials=8))
-        assert not report.passed and report.counterexamples
+    @pytest.mark.parametrize("seed", [1, 2, 3, 39])
+    def test_control_triples_join_on_the_twisted_branch(self, half2, seed):
+        cfg = TrialConfig(seed=seed)
+        for i in range(20):
+            p, q, r = _sample_reversing(half2, cfg.rng_for(i), cfg)["points"]
+            assert half2.join(p, q, r).tag == TAG_TWISTED
 
-    def test_automorphism_control_fails(self):
-        report = control("automorphism")
-        assert not report.passed and report.counterexamples
-
-    def test_rigidity_control_fails(self):
-        report = control("rigidity")
-        assert not report.passed
-
-    def test_fixed_configuration_control_fails(self):
-        report = control("fixed-configuration")
-        assert not report.passed
-
-    def test_derived_plane_control_fails(self):
-        report = control("derived-plane")
-        assert not report.passed
+    def test_no_branch_reported_on_corrupted_set(self):
+        bad = SUITES["joining"].control_args()[0]
+        c = bad.join(pt(0, 0), pt(1, -1), pt(math.inf, math.inf))
+        assert not bad.circle_in_set(c)
+        assert bad.membership_residual(c, pt(1, -1)) > 1e-3
 
 
 class TestReports:
