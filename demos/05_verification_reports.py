@@ -23,7 +23,7 @@ cfg = TrialConfig(seed=42, trials=200)
 classical = classical_plane()
 half = half_classical_plane(CircleHomeo.power(2))
 
-print("== joining on four planes ==")
+print("== joining on two planes ==")
 for plane in (classical, half):
     report = verify_joining(plane, cfg)
     print(

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -124,6 +123,24 @@ def _images(m: MobiusMap, u):
     return (mu0, mu1), (me0, me1)
 
 
+def _tangency_parameter(a: MobiusMap, fam: TwoPointFamily) -> float:
+    """lam* of the family member tangent at Xp to the circle with map A.
+
+    In the coordinates the family shares with c (c's map A), members
+    M(lam) h = lam det(Xp, h) Yq + det(Xq, h) Yp meet c where
+    det(A h, M(lam) h) vanishes. At h = u + t e (u = Xp, e = (-u1, u0))
+    its t-coefficient is linear in lam and zero at lam* = -[det(Xq, e)
+    det(Au, Yp) + det(Xq, u) det(Ae, Yp)] / [det(u, e) det(Au, Yq)];
+    NaN when the denominator vanishes.
+    """
+    u, xq, yp, yq = _pair(fam.xp), _pair(fam.xq), _pair(fam.yp), _pair(fam.yq)
+    e = (-u[1], u[0])
+    au, ae = _images(a, u)
+    den = _det(u, e) * _det(au, yq)
+    num = _det(xq, e) * _det(au, yp) + _det(xq, u) * _det(ae, yp)
+    return -num / den if den != 0.0 else math.nan
+
+
 def parallel(p: TorusPoint, q: TorusPoint, tol: float = EQUALITY_TOL) -> str:
     """Parallelism of two torus points: plus, minus, both, or none."""
     same_x = chordal(p.x, q.x) <= tol
@@ -135,16 +152,6 @@ def parallel(p: TorusPoint, q: TorusPoint, tol: float = EQUALITY_TOL) -> str:
     if same_y:
         return MINUS
     return "none"
-
-
-@dataclass(frozen=True)
-class _PencilBranch:
-    """One branch of the pencil of circles through two fixed points."""
-
-    name: str
-    family: TwoPointFamily
-    sign: int  # orientation handed to the family selector
-    circle: Callable[[float], Circle]
 
 
 class PlaneModel:
@@ -348,12 +355,15 @@ class PlaneModel:
 
         Preconditions: p on c, q off c, p and q non-parallel. Only c's own
         branch of the pencil of circles through p and q can hold a member
-        tangent to c at p, as the other reverses c's orientation, and it
-        holds at most one, at the closed-form lam* of `_tangency_parameter`.
-        It is tried first, and the first member whose `tangency_separation`
-        is within the tangency band is returned. Its graph holds p and q by
-        construction (see TwoPointFamily). Raises NotFound when no branch
-        has one, an axiom-of-touching counterexample candidate.
+        tangent to c at p, as the other reverses c's orientation. So touch
+        builds one TwoPointFamily, in c's coordinates (x to y, or f(x) to
+        g(y) when c is twisted), and takes its member at the closed-form
+        lam* of `_tangency_parameter`, whose sign sets the orientation; on
+        half-classical planes it must be c's (+1 for PSL, -1 twisted). The
+        member holds p and q by construction (see TwoPointFamily) and is
+        returned when its `tangency_separation` is within the tangency
+        band. Raises NotFound otherwise, an axiom-of-touching
+        counterexample candidate.
         """
         if not self.contains(c, p):
             raise PreconditionViolated("p must lie on the circle")
@@ -361,111 +371,26 @@ class PlaneModel:
             raise PreconditionViolated("q must not lie on the circle")
         if parallel(p, q, self.tol) != "none":
             raise PreconditionViolated("p and q must be non-parallel")
-        # c's own branch first
-        for branch in self._pencil_branches(p, q, reverse=c.tag == TAG_TWISTED):
-            d, sep = self._certified_candidate(branch, c, p)
-            if sep <= self.tangency_band:
-                return d
-        raise NotFound("no tangent pencil member located")
-
-    def _certified_candidate(self, branch: _PencilBranch, c: Circle, p: TorusPoint):
-        """(member, separation) of the branch's tangency candidate.
-
-        The separation is infinite when the branch has no admissible (and
-        buildable) parameter or its member meets c away from p.
-        """
-        t_star = self._tangency_parameter(branch, c)
+        twisted = c.tag == TAG_TWISTED
+        anchors = (p.x, p.y, q.x, q.y)
+        if twisted:
+            anchors = (self.f.apply(p.x), self.g.apply(p.y), self.f.apply(q.x), self.g.apply(q.y))
+        fam = TwoPointFamily(*anchors, tol=self.tol)
+        lam = _tangency_parameter(c.mobius, fam)
+        orientation = fam.base_orientation if lam > 0.0 else -fam.base_orientation
+        if not (math.isfinite(lam) and lam != 0.0) or (
+            self.is_half_classical and orientation != (-1 if twisted else 1)
+        ):
+            raise NotFound("lam* gives no member of the carrier's branch")
         try:
-            d = branch.circle(t_star) if t_star is not None else None
+            m = fam.member(abs(lam), orientation)
         except PreconditionViolated:
-            d = None
-        if d is None:
-            return None, math.inf
+            raise NotFound("the tangent member is singular in floating point") from None
+        d = self._twisted_circle(m) if twisted else self.mobius_circle(m)
         far, sep = self.tangency_separation(c, d, p)
-        return d, (math.inf if far else sep)
-
-    def _pencil_branches(self, p: TorusPoint, q: TorusPoint, reverse: bool = False):
-        """The branch parametrizations of circles through p and q, in order.
-
-        A lazy iterator: each branch's TwoPointFamily (for the twisted
-        branch, with the twist images of p and q) is built only when the
-        iteration reaches it, so a caller that stops at the first branch
-        pays for that one alone. `reverse` yields the branches backwards.
-        """
-
-        def mobius_branch(fam: TwoPointFamily, name: str, sign: int,
-                          tag: str) -> _PencilBranch:
-            def circle(t: float) -> Circle:
-                m = fam.member(t, sign)
-                return Circle(CircleHomeo.from_mobius(m), tag, m)
-
-            return _PencilBranch(name=name, family=fam, sign=sign, circle=circle)
-
-        def family_xy() -> TwoPointFamily:
-            return TwoPointFamily(p.x, p.y, q.x, q.y, tol=self.tol)
-
-        def twisted_branch() -> _PencilBranch:
-            fam_uv = TwoPointFamily(
-                self.f.apply(p.x),
-                self.g.apply(p.y),
-                self.f.apply(q.x),
-                self.g.apply(q.y),
-                tol=self.tol,
-            )
-            return _PencilBranch(
-                name="twisted",
-                family=fam_uv,
-                sign=-1,
-                circle=lambda t: self._twisted_circle(fam_uv.member(t, -1)),
-            )
-
-        if self.family == "classical":
-            fam_xy = family_xy()  # both branches share it
-            makers = [
-                lambda: mobius_branch(fam_xy, "pgl-positive", 1, TAG_CLASSICAL),
-                lambda: mobius_branch(fam_xy, "pgl-negative", -1, TAG_CLASSICAL),
-            ]
-        else:
-            makers = [lambda: mobius_branch(family_xy(), "psl", 1, TAG_PSL), twisted_branch]
-        if reverse:
-            makers.reverse()
-        return (make() for make in makers)
-
-    def _shared_coordinates(self, c: Circle, twisted: bool):
-        """(c's Mobius map, map back to x) in coordinates shared with a side.
-
-        x to y when neither side is twisted, f(x) to g(y) when both are;
-        None across branches.
-        """
-        if (c.tag == TAG_TWISTED) != twisted:
-            return None
-        return c.mobius, (self.f_inv.apply if twisted else lambda u: u)
-
-    def _tangency_parameter(self, branch: _PencilBranch, c: Circle) -> float | None:
-        """|lam*| of the branch member tangent to c at p, or None.
-
-        In the coordinates the branch shares with c (c's map A), members
-        M(lam) h = lam det(Xp, h) Yq + det(Xq, h) Yp meet c where
-        det(A h, M(lam) h) vanishes. At h = u + t e (u = Xp, e = (-u1, u0))
-        its t-coefficient is linear in lam and zero at lam* = -[det(Xq, e)
-        det(Au, Yp) + det(Xq, u) det(Ae, Yp)] / [det(u, e) det(Au, Yq)].
-        None across branches, whose opposite orientations cross twice, and
-        when lam*'s sign does not give the branch's orientation.
-        """
-        shared = self._shared_coordinates(c, branch.name == "twisted")
-        if shared is None:
-            return None
-        fam = branch.family
-        u, xq, yp, yq = _pair(fam.xp), _pair(fam.xq), _pair(fam.yp), _pair(fam.yq)
-        e = (-u[1], u[0])
-        au, ae = _images(shared[0], u)
-        den = _det(u, e) * _det(au, yq)
-        num = _det(xq, e) * _det(au, yp) + _det(xq, u) * _det(ae, yp)
-        lam = -num / den if den != 0.0 else math.nan
-        lam_sign = 1.0 if fam.base_orientation == branch.sign else -1.0
-        if not (math.isfinite(lam) and lam * lam_sign > 0.0):
-            return None
-        return abs(lam)
+        if far or not sep <= self.tangency_band:
+            raise NotFound(f"the tangent member's separation {sep:.3e} is beyond the band")
+        return d
 
     # -- tangency measurement ------------------------------------------
 
@@ -477,31 +402,31 @@ class PlaneModel:
         maps A and D through u = p.x there; with e = (-u1, u0),
         det(A h, D h) at h = s u + t e is t (s phi1 + t phi2), where
         phi1 = det(Au, De) + det(Ae, Du) and phi2 = det(Ae, De), so the
-        other common point is phi2 u - phi1 e, measured from p in x. Equal
-        circles (phi1 = phi2 = 0) and circles of different branches, whose
-        opposite orientations cross twice, are far.
+        other common point is phi2 u - phi1 e, measured from p in x. The
+        shared coordinates are x to y when neither circle is twisted and
+        f(x) to g(y) when both are. Equal circles (phi1 = phi2 = 0) and
+        circles of different branches, whose opposite orientations cross
+        twice, are far.
         """
         twisted = d.tag == TAG_TWISTED
-        shared = self._shared_coordinates(c, twisted)
-        if shared is None:
+        if (c.tag == TAG_TWISTED) != twisted:
             return True, math.inf
-        a, back = shared
         u = _pair(self.f.apply(p.x) if twisted else p.x)
         e = (-u[1], u[0])
-        (au, ae), (du, de) = _images(a, u), _images(d.mobius, u)
+        (au, ae), (du, de) = _images(c.mobius, u), _images(d.mobius, u)
         phi1 = _det(au, de) + _det(ae, du)
         phi2 = _det(ae, de)
         if phi1 == 0.0 and phi2 == 0.0:
             return True, math.inf
         other = ProjPoint(phi2 * u[0] - phi1 * e[0], phi2 * u[1] - phi1 * e[1])
-        return False, chordal(back(other), p.x)
+        return False, chordal(self.f_inv.apply(other) if twisted else other, p.x)
 
     def _comparable_mobius_pair(self, c: Circle, d: Circle):
         """Reduce both circles to Mobius maps in one coordinate, if possible.
 
         Collapsing with `as_mobius` before reading tags also solves mixed
         pairs exactly where the twists are Mobius (`half:id`); the tag rule
-        of `_shared_coordinates` would scan them, moving points by ~2e-10.
+        of `tangency_separation` would scan them, moving points by ~2e-10.
         Touching keeps the tag rule for `FrameMember`'s unsummed action.
         """
         m1, m2 = c.graph.as_mobius(), d.graph.as_mobius()
@@ -511,24 +436,19 @@ class PlaneModel:
             return c.mobius, d.mobius, self.f_inv.apply
         return None
 
-    def count_tangency_brackets(self, c: Circle, p: TorusPoint, q: TorusPoint):
-        """Pencil members certified tangent to c at p, over every branch.
+    def count_tangency_brackets(self, c: Circle, p: TorusPoint, q: TorusPoint) -> int:
+        """1 when touch() finds its tangent to c at p through q, 0 on NotFound.
 
-        The oracle behind touching uniqueness: a sound plane shows exactly
-        one certified tangency across all branches for admissible (c, p, q).
-        Unlike touch() it does not stop at the first hit: every branch's
-        candidate, at lam* in the coordinates it shares with c, is
-        measured by the closed-form separation; a branch across from c's
-        has none, as its members reverse c's orientation. Candidates are
-        accepted at ten times the tangency band: the counter locates
-        tangencies, while touch() certifies the returned circle at the band
-        itself. Returns (count, [(branch name, count), ...]).
+        Nothing in the library calls it: the benchmark's tracer still wraps
+        this name. The benchmark change that retires the known-defect
+        screening (ROADMAP item 2) drops that span, and the method goes
+        after it.
         """
-        details = []
-        for branch in self._pencil_branches(p, q):
-            _, sep = self._certified_candidate(branch, c, p)
-            details.append((branch.name, int(sep <= 10.0 * self.tangency_band)))
-        return sum(n for _, n in details), details
+        try:
+            self.touch(c, p, q)
+        except NotFound:
+            return 0
+        return 1
 
     # -- derived planes --------------------------------------------------
 

@@ -1,6 +1,8 @@
 """Shared sampling and oracle helpers for the test suite."""
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -10,6 +12,7 @@ from torus_planes import (
     MonotoneSpline,
     ProjPoint,
     TorusPoint,
+    TwoPointFamily,
     chordal,
     classical_plane,
     half_classical_plane,
@@ -110,6 +113,42 @@ def random_pgl(rng) -> MobiusMap:
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         if abs(det) > 0.1:
             return MobiusMap(m)
+
+
+# ----------------------------------------------------------------------
+# the pencil of circles through two points, branch by branch
+
+
+@dataclass(frozen=True)
+class PencilBranch:
+    """One branch of the pencil of circles through two points."""
+
+    name: str
+    family: TwoPointFamily
+    sign: int  # the orientation its members take
+    circle: Callable  # parameter t > 0 -> the member's circle
+
+
+def pencil_branches(plane, p, q):
+    """Reference: every branch of the pencil of circles through p and q.
+
+    The classical plane has one family in x to y, with members of either
+    orientation. A half-classical plane has its PSL family in x to y and
+    its twisted family in f(x) to g(y). Touch builds only the carrier's
+    branch; the reference builds them all, to look for tangents across
+    from the carrier too.
+    """
+
+    def branch(name, fam, sign):
+        wrap = plane._twisted_circle if name == "twisted" else plane.mobius_circle
+        return PencilBranch(name, fam, sign, lambda t: wrap(fam.member(t, sign)))
+
+    fam_xy = TwoPointFamily(p.x, p.y, q.x, q.y, tol=plane.tol)
+    if not plane.is_half_classical:
+        return [branch("pgl-positive", fam_xy, 1), branch("pgl-negative", fam_xy, -1)]
+    f, g = plane.f.apply, plane.g.apply
+    fam_uv = TwoPointFamily(f(p.x), g(p.y), f(q.x), g(q.y), tol=plane.tol)
+    return [branch("psl", fam_xy, 1), branch("twisted", fam_uv, -1)]
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -11,12 +10,14 @@ from torus_planes import (
     EqualCircles,
     MobiusMap,
     NoBranch,
+    NotFound,
     ParallelInput,
     PlaneModel,
     PointOnBaseCross,
     PreconditionViolated,
     ProjPoint,
     TorusPoint,
+    TwoPointFamily,
     chordal,
     classical_plane,
     half_classical_plane,
@@ -28,7 +29,7 @@ from torus_planes import (
     proj_matrix_equal,
     torus_dist,
 )
-from torus_planes import homeo
+from torus_planes import homeo, planes
 from torus_planes.planes import TAG_CLASSICAL, TAG_PSL, TAG_TWISTED, parse_config_text
 from torus_planes.projline import chart_h, h_from_chart
 from torus_planes.verify import TrialConfig, _sample_secant_claim, _sample_touching
@@ -38,6 +39,7 @@ from helpers import (
     canonical_chain_action,
     golden_minimum,
     graph_tangency_separation,
+    pencil_branches,
     random_proj_point,
     random_triple,
     rng_for,
@@ -252,8 +254,7 @@ class TestTouch:
         assert proj_matrix_equal(d.mobius, MobiusMap([[2.0, 0.0], [-1.0, 2.0]]), 1e-8)
         far, sep = classical.tangency_separation(ident, d, pt(0, 0))
         assert not far and sep <= classical.tangency_band
-        count, _ = classical.count_tangency_brackets(ident, pt(0, 0), pt(1, 2))
-        assert count == 1
+        assert_scan_finds_touch(classical, ident, pt(0, 0), pt(1, 2), d)
 
     def test_classical_parabolic_example(self, classical):
         ident = classical.mobius_circle(MobiusMap.identity())
@@ -288,8 +289,7 @@ class TestTouch:
             assert half2.membership_residual(d, q) < 1e-9
             far, sep = half2.tangency_separation(circle, d, p)
             assert not far and sep <= half2.tangency_band
-            count, _ = half2.count_tangency_brackets(circle, p, q)
-            assert count == 1
+            assert_scan_finds_touch(half2, circle, p, q, d)
             done += 1
 
     def test_touch_stays_in_circle_set(self, half2):
@@ -302,7 +302,7 @@ class TestTouch:
         assert half2.circle_in_set(d) and d.tag == TAG_TWISTED
         far, sep = half2.tangency_separation(circle, d, p)
         assert not far and sep <= half2.tangency_band
-        assert half2.count_tangency_brackets(circle, p, q) == (1, [("psl", 0), ("twisted", 1)])
+        assert_scan_finds_touch(half2, circle, p, q, d)
 
     @pytest.mark.parametrize("spec, seed, trial", STEEP_TANGENTS)
     def test_touch_contains_q_where_the_tangent_is_steep(self, spec, seed, trial):
@@ -375,20 +375,47 @@ class TestTouch:
         twisted = half2.join(pt(0, 0), pt(1, -1), pt(INF, INF))
         assert half2.tangency_separation(psl, twisted, pt(0, 0)) == (True, math.inf)
 
-    def test_a_member_that_cannot_be_built_is_no_candidate(self, half2):
+    def test_a_member_that_cannot_be_built_is_no_candidate(self, half2, monkeypatch):
         circle = half2.join(pt(0, 0), pt(1, 1), pt(2, 3))
         p, q = circle.point_at(P(0.5)), pt(-1, 4)
+        half2.touch(circle, p, q)  # found while the member can be built
 
         calls = []
 
-        def singular(t):
+        def singular(fam, t, orientation=None):
             calls.append(t)
             raise PreconditionViolated("family member is singular in floating point")
 
-        for branch in half2._pencil_branches(p, q):
-            broken = dataclasses.replace(branch, circle=singular)
-            assert half2._certified_candidate(broken, circle, p) == (None, math.inf)
-        assert calls  # some branch had a parameter to build
+        monkeypatch.setattr(TwoPointFamily, "member", singular)
+        with pytest.raises(NotFound):
+            half2.touch(circle, p, q)
+        assert len(calls) == 1
+
+    def test_touch_builds_one_family(self, classical, half2, monkeypatch):
+        # c's own branch only, also when touch finds nothing there
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return TwoPointFamily(*args, **kwargs)
+
+        monkeypatch.setattr(planes, "TwoPointFamily", counted)
+        twisted = half2.join(pt(0, 0), pt(1, -1), pt(INF, INF))
+        psl = half2.join(pt(0, 0), pt(1, 1), pt(2, 3))
+        ident = classical.mobius_circle(MobiusMap.identity())
+        cases = [(classical, ident, pt(0, 0), pt(1, 2)),
+                 (half2, twisted, twisted.point_at(P(2.0)), pt(1, 5)),
+                 (half2, psl, psl.point_at(P(0.5)), pt(-1, 4))]
+        for plane, c, p, q in cases:
+            built.clear()
+            plane.touch(c, p, q)
+            assert len(built) == 1
+        monkeypatch.setattr(PlaneModel, "tangency_band", -1.0)  # certify nothing
+        for plane, c, p, q in cases:
+            built.clear()
+            with pytest.raises(NotFound):
+                plane.touch(c, p, q)
+            assert len(built) == 1
 
 
 class TestDerived:
@@ -527,7 +554,7 @@ def test_bisected_functions_are_batch_invariant(name, monkeypatch):
         # the reference pencil slope difference over its scan grid and
         # random parameters
         ts = np.concatenate([PENCIL_TS, 10.0 ** rng.uniform(-8.0, 8.0, 64)])
-        for branch in plane._pencil_branches(p, q):
+        for branch in pencil_branches(plane, p, q):
             probe = pencil_probe(plane, branch, c, p)
             _assert_batch_invariant(lambda t: slope_differences(probe, t)[0], ts, (1, 3, 15))
         # the crossing function of two graphs, as graph_equation_zeros builds
@@ -692,6 +719,9 @@ def test_chart_scan_keeps_a_crossing_next_to_a_steep_cell():
 
 
 PENCIL_TS = np.logspace(-8.0, 8.0, 16 * 24 + 1)
+# the difference quotient places the tangency parameter to ~5e-5 relative,
+# which moves the member's canonical entries by up to 3.7e-3 (seeds 7, 903)
+SCAN_MATCH_TOL = 1e-2
 
 
 def pencil_probe(plane, branch, c, p):
@@ -735,17 +765,18 @@ def slope_differences(probe, ts):
     return (delta[:, 1] - delta[:, 0]) / (2.0 * probe["eps"]), valid
 
 
-def scanned_tangency_counts(plane, c, p, q):
-    """Reference: per-branch counts of certified tangents the slope scan finds.
+def scanned_tangents(plane, c, p, q):
+    """Reference: (branch name, member) of each certified tangent the slope scan finds.
 
-    Sign changes of the slope difference over PENCIL_TS are bisected on
-    geometric midpoints, as parameters span sixteen decades. A change at a
-    pole (a degenerate member) keeps a large difference and is dropped;
-    the rest are certified at ten times the band, like
-    `count_tangency_brackets`.
+    Both branches of the pencil are scanned. Sign changes of the slope
+    difference over PENCIL_TS are bisected on geometric midpoints, as
+    parameters span sixteen decades. A change at a pole (a degenerate
+    member) keeps a large difference and is dropped; the rest are
+    certified at ten times the band, as the difference quotient only
+    approximates the tangency parameter.
     """
-    details = []
-    for branch in plane._pencil_branches(p, q):
+    found = []
+    for branch in pencil_branches(plane, p, q):
         probe = pencil_probe(plane, branch, c, p)
         tau, valid = slope_differences(probe, PENCIL_TS)
         ts, tau = PENCIL_TS[valid], tau[valid]
@@ -760,11 +791,21 @@ def scanned_tangency_counts(plane, c, p, q):
             if abs(t_tau) >= 0.05 or any(abs(t_star - r) <= 1e-6 * max(t_star, r)
                                          for r in roots):
                 continue
-            far, sep = plane.tangency_separation(c, branch.circle(t_star), p)
+            member = branch.circle(t_star)
+            far, sep = plane.tangency_separation(c, member, p)
             if not far and sep <= 10.0 * plane.tangency_band:
                 roots.append(t_star)
-        details.append((branch.name, len(roots)))
-    return details
+                found.append((branch.name, member))
+    return found
+
+
+def assert_scan_finds_touch(plane, c, p, q, d):
+    """The slope scan finds one certified tangent, on c's branch, and it is d."""
+    found = scanned_tangents(plane, c, p, q)
+    assert len(found) == 1, found
+    name, member = found[0]
+    assert (name == "twisted") == (c.tag == TAG_TWISTED) == (d.tag == TAG_TWISTED)
+    assert proj_matrix_equal(member.mobius, d.mobius, SCAN_MATCH_TOL), (member, d)
 
 
 @pytest.mark.parametrize("name", sorted(SEEDED_PLANES))
@@ -774,9 +815,11 @@ def test_pencil_tangency_matches_the_slope_scan(name):
     cfg = TrialConfig(seed=903, trials=200)
     for i in range(cfg.trials):
         inputs = _sample_touching(plane, cfg.rng_for(i), cfg)
-        c = plane.join(*inputs["points"])
-        _, details = plane.count_tangency_brackets(c, inputs["p"], inputs["q"])
-        assert details == scanned_tangency_counts(plane, c, inputs["p"], inputs["q"]), i
+        c, p, q = plane.join(*inputs["points"]), inputs["p"], inputs["q"]
+        try:
+            assert_scan_finds_touch(plane, c, p, q, plane.touch(c, p, q))
+        except AssertionError as exc:
+            raise AssertionError(f"trial {i}: {exc}") from None
 
 
 @pytest.mark.parametrize("name", sorted(SEEDED_PLANES))

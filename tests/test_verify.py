@@ -19,11 +19,12 @@ from torus_planes import (
     recheck_counterexample,
 )
 from torus_planes.groups import DiagonalPSL, KernelPlusPSL, parse_group_literal
-from torus_planes.planes import TAG_TWISTED
+from torus_planes.planes import TAG_PSL, TAG_TWISTED
 from torus_planes.verify import (
     SUITES,
     TrialConfig,
     _check_automorphism,
+    _check_touching,
     _sample_reversing,
     sample_triple,
     verify_automorphism,
@@ -107,6 +108,22 @@ class TestSuitesPass:
         cfg = TrialConfig(seed=42, trials=25)
         assert verify_touching(classical, cfg).passed
         assert verify_touching(half2, cfg).passed
+
+    def test_touching_trial_where_the_twist_merges_p_and_q(self):
+        # f = x^20 maps p.x and q.x within tol of each other, so the twisted
+        # branch's family cannot be built; the carrier is PSL, and touching
+        # on its own branch must not need it
+        plane = parse_plane_spec("half:power:20")
+        points = [pt(0.3555512775969055, 0.806271759323538),
+                  pt(-0.4225394180995248, -1.061965446525834),
+                  pt(0.6055108321138744, 7.754624744306137)]
+        circle = plane.join(*points)
+        assert circle.tag == TAG_PSL
+        p = circle.point_at(ProjPoint.from_real(-0.20795380693606588))
+        q = pt(-0.34331147830969216, -5.169007467721856)
+        inputs = {"points": points, "p": p, "q": q}
+        sep, reasons = _check_touching(plane, inputs, TrialConfig())
+        assert reasons == [] and sep <= plane.tangency_band
 
     def test_automorphism(self, classical, half2):
         cfg = TrialConfig(seed=42, trials=25)
