@@ -115,7 +115,7 @@ def cmd_verify(args) -> int:
                 f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}"
             )
     seed = _resolve_seed(args.seed)
-    cfg = TrialConfig(seed=seed, trials=args.trials, tol=args.tol)
+    cfg = TrialConfig(seed=seed, trials=args.trials)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -290,7 +290,7 @@ def _add_plane_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--f", help="twist map f: id | power:<p> | spline:<path>")
     parser.add_argument("--g", help="twist map g: id | power:<p> | spline:<path>")
-    parser.add_argument("--tol", type=float, default=None, help="membership tolerance")
+    parser.add_argument("--tol", type=float, default=None, help="plane membership tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -543,8 +543,12 @@ def plane_from_config(cfg: dict) -> PlaneModel:
     """Build a plane from a configuration mapping.
 
     Keys: `family` (default classical), `f` and `g` (twist-map specs,
-    default id; the classical plane takes no other) and `tolerance`.
+    default id; the classical plane takes no other) and `tolerance`; any
+    other key is a ConfigError.
     """
+    unknown = ", ".join(sorted(set(cfg) - {"family", "f", "g", "tolerance"}))
+    if unknown:
+        raise ConfigError(f"unknown configuration key(s): {unknown}")
     family = cfg.get("family", "classical")
     try:
         tol = float(cfg.get("tolerance", 1e-9))

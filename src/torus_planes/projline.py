@@ -328,7 +328,7 @@ class FrameMember(MobiusMap):
     def __init__(self, lam: float, xp: ProjPoint, xq: ProjPoint, yp: ProjPoint,
                  yq: ProjPoint):
         super().__init__(_frame_entries(lam, xp, xq, yp, yq))
-        for name, value in zip(self.__slots__, (lam, xp, xq, yp, yq)):
+        for name, value in zip(FrameMember.__slots__, (lam, xp, xq, yp, yq)):
             object.__setattr__(self, name, value)
 
     def apply(self, p: ProjPoint) -> ProjPoint:
@@ -365,8 +365,8 @@ class TwoPointFamily:
             raise CoincidentPoints("source points coincide")
         if chordal(x2, y2) <= tol:
             raise CoincidentPoints("target points coincide")
-        sign = _det(x1, y1) * _det(y2, x2)
-        for name, value in zip(self.__slots__, (x1, y1, x2, y2, 1 if sign > 0.0 else -1)):
+        sign = 1 if _det(x1, y1) * _det(y2, x2) > 0.0 else -1
+        for name, value in zip(TwoPointFamily.__slots__, (x1, y1, x2, y2, sign)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):

@@ -7,12 +7,13 @@ in isolation. Reports are deterministic: trial i draws only from the RNG
 substream keyed by (seed, i), so reruns of the same configuration give
 byte-identical payloads (wall time is excluded from the canonical form).
 
-A trial-based suite is `sample(plane, rng, cfg)`, which draws a trial's
-inputs as library objects (the entry point binds suite arguments such as
-the group element into them), and `check(plane, inputs, cfg)`, which
-returns `(residual, reasons)`; a non-empty `reasons` fails the trial.
-Inputs are serialised only for counterexamples, and
-`recheck_counterexample` runs the check on deserialised ones.
+A trial-based suite is `sample(plane, rng)`, which draws a trial's inputs
+as library objects (the entry point binds suite arguments such as the
+group element into them), and `check(plane, inputs)`, which returns
+`(residual, reasons)`; a non-empty `reasons` fails the trial. Both read
+only the plane, the inputs and this module's constants, so a suite's run,
+control and recheck apply one check. Inputs are serialised only for
+counterexamples, and `recheck_counterexample` runs the check on them.
 
 Every suite has a paired negative control, a deliberately broken run that
 must fail from its first trial on; a passing control fails the whole run.
@@ -74,28 +75,28 @@ from .projline import (
 SCHEMA = "torus-planes/verify-report/v1"
 #: grid of the sup distance by which a permuted rejoin must agree
 REJOIN_GRID = 64
+#: least chordal distance between the sampled coordinates of a trial
+SEPARATION = 1e-3
+#: joining-stress: nearly degenerate triples, checked against a loose bound
+STRESS_SEPARATION, STRESS_THRESHOLD = 1e-7, 1e-5
+#: automorphism: sup distance by which g's image of a circle must match
+IMAGE_TOL = 1e-8
+#: touching: least membership residual of q on the carrier
+OFF_CIRCLE_MARGIN = 1e-2
 
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Deterministic trial plan: same config, plane, suite => same report."""
+    """Seed and trial count: same config, plane, suite => same report."""
 
     seed: int = 42
     trials: int = 200
-    separation: float = 1e-3
-    tol: float | None = None
 
     def __post_init__(self):
         for name, least in (("seed", 0), ("trials", 1)):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < least:
                 raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
-        for name in ("separation", "tol"):
-            value = getattr(self, name)
-            if value is None and name == "tol":
-                continue
-            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and positive, got {value!r}")
 
     def rng_for(self, trial: int) -> np.random.Generator:
         return np.random.default_rng((int(self.seed), int(trial)))
@@ -163,7 +164,7 @@ def _run_trials(
     negative_control: bool,
     keep_residual: bool = False,
 ) -> VerifyReport:
-    """Run `check(plane, sample(plane, rng_i, cfg), cfg)` for every trial i.
+    """Run `check(plane, sample(plane, rng_i))` for every trial i.
 
     With `keep_residual`, a counterexample also records its finite residual.
     """
@@ -173,11 +174,11 @@ def _run_trials(
     max_residual = 0.0
     for i in range(cfg.trials):
         try:
-            inputs = sample(plane, cfg.rng_for(i), cfg)
+            inputs = sample(plane, cfg.rng_for(i))
         except SamplingExhausted as exc:
             inputs, residual, reasons = {}, math.inf, [str(exc)]
         else:
-            residual, reasons = check(plane, inputs, cfg)
+            residual, reasons = check(plane, inputs)
         if math.isfinite(residual):
             max_residual = max(max_residual, residual)
         if not reasons:
@@ -245,17 +246,17 @@ def sample_triple(rng: np.random.Generator, separation: float) -> list[TorusPoin
     return [TorusPoint(x, y) for x, y in zip(xs, ys)]
 
 
-def _sample_points(plane, rng, cfg) -> dict:
-    return {"points": sample_triple(rng, cfg.separation)}
+def _sample_points(plane, rng, separation=None) -> dict:
+    return {"points": sample_triple(rng, separation or SEPARATION)}
 
 
-def _sample_reversing(plane, rng, cfg) -> dict:
+def _sample_reversing(plane, rng, separation=None) -> dict:
     """A triple whose x and y cyclic orders disagree, so it joins on the twisted branch.
 
     Where they agree, the map x -> y through the triple keeps orientation;
     then p and q trade y coordinates, which reverses the y order.
     """
-    p, q, r = sample_triple(rng, cfg.separation)
+    p, q, r = sample_triple(rng, separation or SEPARATION)
     if mobius_from_three(p.x, q.x, r.x, p.y, q.y, r.y).orientation == 1:
         p, q = TorusPoint(p.x, q.y), TorusPoint(q.x, p.y)
     return {"points": [p, q, r]}
@@ -282,18 +283,17 @@ def _deser(obj):
 # joining
 
 
-def _check_joining(plane, inputs, cfg):
-    """Join the triple: membership, circle set, unique branch, permuted rejoin."""
+def _check_joining(plane, inputs, threshold=None):
+    """Join the triple: membership (within `threshold`, else plane.tol), set, branch, rejoin."""
     p, q, r = inputs["points"]
     try:
         circle = plane.join(p, q, r)
     except (NoBranch, ParallelInput) as exc:
         return math.inf, [f"join failed: {exc}"]
     residual = max(plane.membership_residual(circle, pt) for pt in (p, q, r))
-    threshold = cfg.tol if cfg.tol is not None else plane.tol
     valid = sum(1 for _, ok in plane.join_branches(p, q, r).values() if ok)
     reasons = []
-    if residual > threshold:
+    if residual > (threshold or plane.tol):
         reasons.append(f"membership residual {residual:.3e}")
     if not plane.circle_in_set(circle):
         reasons.append("circle not in the plane's circle set")
@@ -305,6 +305,9 @@ def _check_joining(plane, inputs, cfg):
         if agreement > plane.uniq_tol:
             reasons.append(f"permuted rejoin disagrees by {agreement:.3e}")
     return residual, reasons
+
+
+_check_stress = partial(_check_joining, threshold=STRESS_THRESHOLD)
 
 
 def verify_joining(
@@ -321,15 +324,15 @@ def verify_joining(
     degenerate triples and only reports conditioning, with a loose bound.
     The negative control draws twisted-branch triples only.
     """
-    separation = 1e-7 if stress else cfg.separation
-    threshold = cfg.tol if cfg.tol is not None else (1e-5 if stress else plane.tol)
+    separation = STRESS_SEPARATION if stress else SEPARATION
     return _run_trials(
         "joining-stress" if stress else "joining",
         plane,
-        replace(cfg, separation=separation, tol=threshold),
-        _sample_reversing if negative_control else _sample_points,
-        _check_joining,
-        {"separation": separation, "threshold": threshold},
+        cfg,
+        partial(_sample_reversing if negative_control else _sample_points,
+                separation=separation),
+        _check_stress if stress else _check_joining,
+        {"separation": separation, "threshold": STRESS_THRESHOLD if stress else plane.tol},
         negative_control,
         keep_residual=True,
     )
@@ -352,41 +355,36 @@ def _conditioned(plane: PlaneModel, x: ProjPoint) -> bool:
     return _SLOPE_BOUNDS[0] <= slope <= _SLOPE_BOUNDS[1]
 
 
-def _off_margin(cfg: TrialConfig) -> float:
-    return max(10.0 * cfg.separation, 1e-2)
-
-
-def _sample_touching(plane, rng, cfg) -> dict:
+def _sample_touching(plane, rng) -> dict:
     """A carrier triple, a conditioned anchor p on its circle, q well off it."""
-    base = sample_triple(rng, cfg.separation)
+    base = sample_triple(rng, SEPARATION)
     try:
         circle = plane.join(*base)
     except (NoBranch, ParallelInput):
         return {"points": base}  # the check reports the failed carrier join
-    margin = _off_margin(cfg)
     p = circle.point_at(_draw(rng, sample_proj_point, lambda x: _conditioned(plane, x)))
     q = _draw(rng, _random_torus_point, lambda q: (
-        parallel(p, q, cfg.separation) == "none"
-        and plane.membership_residual(circle, q) >= margin
+        parallel(p, q, SEPARATION) == "none"
+        and plane.membership_residual(circle, q) >= OFF_CIRCLE_MARGIN
         and _conditioned(plane, q.x)
     ))
     return {"points": base, "p": p, "q": q}
 
 
-def _sample_secant_claim(plane, rng, cfg) -> dict:
+def _sample_secant_claim(plane, rng) -> dict:
     """The negative control: a third point r whose secant is claimed tangent."""
-    inputs = _sample_touching(plane, rng, cfg)
+    inputs = _sample_touching(plane, rng)
     if "p" in inputs:
         p, q = inputs["p"], inputs["q"]
         r = _draw(rng, _random_torus_point, lambda r: (
-            parallel(p, r, cfg.separation) == "none"
-            and parallel(q, r, cfg.separation) == "none"
+            parallel(p, r, SEPARATION) == "none"
+            and parallel(q, r, SEPARATION) == "none"
         ))
         inputs["claimed_points"] = [p, q, r]
     return inputs
 
 
-def _check_touching(plane, inputs, cfg):
+def _check_touching(plane, inputs):
     """The tangent (or claimed circle) must pass q and meet the carrier only at p."""
     try:
         circle = plane.join(*inputs["points"])
@@ -436,7 +434,7 @@ def verify_touching(
         _check_touching,
         {
             "tangency_band": plane.tangency_band,
-            "off_circle_margin": _off_margin(cfg),
+            "off_circle_margin": OFF_CIRCLE_MARGIN,
             "twist_slope_bounds": list(_SLOPE_BOUNDS),
         },
         negative_control,
@@ -450,7 +448,7 @@ def verify_touching(
 _HALF_STEP = CircleHomeo.from_mobius(MobiusMap.rotation(1.0 / 32.0))  # j/16 -> (j + 1/2)/16
 
 
-def _check_automorphism(plane, inputs, cfg):
+def _check_automorphism(plane, inputs):
     """Carrier points of the joined circle must map onto the re-joined image."""
     triple, g = inputs["points"], inputs["group"]
     try:
@@ -462,7 +460,7 @@ def _check_automorphism(plane, inputs, cfg):
     residual = homeo_sup_distance(image.graph.compose(hx).compose(_HALF_STEP),
                                   hy.compose(circle.graph).compose(_HALF_STEP), 16)
     reasons = []
-    if residual > (cfg.tol if cfg.tol is not None else 1e-8):
+    if residual > IMAGE_TOL:
         reasons.append(f"image circle residual {residual:.3e}")
     a = TorusPoint(triple[0].x, triple[1].y)
     if parallel(g.act(triple[0]), g.act(a)) != PLUS:
@@ -494,9 +492,9 @@ def verify_automorphism(
         "automorphism",
         plane,
         cfg,
-        lambda plane, rng, cfg: {**sample(plane, rng, cfg), "group": g},
+        lambda plane, rng: {**sample(plane, rng), "group": g},
         _check_automorphism,
-        {"group": group_literal(g), "threshold": cfg.tol if cfg.tol is not None else 1e-8},
+        {"group": group_literal(g), "threshold": IMAGE_TOL},
         negative_control,
         keep_residual=True,
     )
@@ -511,7 +509,7 @@ def _identity_deviation(m: MobiusMap) -> float:
                max(abs(m.a + 1.0), abs(m.b), abs(m.c), abs(m.d + 1.0)))
 
 
-def _check_rigidity(plane, inputs, cfg, shift: int = 0):
+def _check_rigidity(plane, inputs, shift: int = 0):
     """Both coordinate maps fixing the triple must be the identity.
 
     `shift` cyclically permutes the targets; the negative control uses 1.
@@ -668,7 +666,7 @@ def verify_fixed_configuration(
         plane = classical_plane()
         rng = cfg.rng_for(0)
         for _ in range(12):
-            circle = plane.join(*sample_triple(rng, cfg.separation))
+            circle = plane.join(*sample_triple(rng, SEPARATION))
             if all(
                 max(
                     plane.membership_residual(circle, el.act(
@@ -706,19 +704,15 @@ def verify_fixed_configuration(
 _INF_BASE = TorusPoint.from_reals(math.inf, math.inf)
 
 
-def _sample_derived(plane, rng, cfg, base: TorusPoint) -> dict:
+def _sample_derived(plane, rng, base: TorusPoint) -> dict:
     """Two derived points off the base cross, not equal to each other."""
-
-    def off_base(pt):
-        return (chordal(pt.x, base.x) >= cfg.separation
-                and chordal(pt.y, base.y) >= cfg.separation)
-
-    a = _draw(rng, _random_torus_point, off_base)
-    b = _draw(rng, _random_torus_point, lambda b: off_base(b) and parallel(a, b) != "both")
+    a = _draw(rng, _random_torus_point, lambda a: parallel(a, base, SEPARATION) == "none")
+    b = _draw(rng, _random_torus_point, lambda b: (
+        parallel(b, base, SEPARATION) == "none" and parallel(a, b) != "both"))
     return {"a": a, "b": b, "base": base}
 
 
-def _check_derived(plane, inputs, cfg, shift_base: bool = False):
+def _check_derived(plane, inputs, shift_base: bool = False):
     """The line through a and b must re-join identically with swapped points.
 
     `shift_base` rejoins at a shifted base; the negative control sets it.
@@ -778,17 +772,17 @@ def verify_derived_plane(
 def recheck_counterexample(suite: str, plane: PlaneModel, ce: dict) -> bool:
     """Re-verify a counterexample in isolation.
 
-    Runs the suite's check on the counterexample's inputs, under the
-    default TrialConfig. Returns True when the violation reproduces; sound
-    reports only carry counterexamples that do. The check is the suite's
-    sound one, so a negative control whose breakage lies in its check
-    (rigidity, derived-plane) does not reproduce.
+    Runs the suite's own check, the one its run applied, on the
+    counterexample's inputs. Returns True when the violation reproduces;
+    sound reports only carry counterexamples that do. The check is the
+    suite's sound one, so a negative control whose breakage lies in its
+    check (rigidity, derived-plane) does not reproduce.
     """
     spec = SUITES.get(suite)
     if spec is None or spec.check is None or ce.keys() <= _CE_FIELDS:
         raise UnsupportedPlane(f"no trial inputs to recheck for suite {suite!r}")
     inputs = {k: _deser(v) for k, v in ce.items() if k not in _CE_FIELDS}
-    return bool(spec.check(plane, inputs, TrialConfig())[1])
+    return bool(spec.check(plane, inputs)[1])
 
 
 # ----------------------------------------------------------------------
@@ -801,10 +795,10 @@ class SuiteSpec:
 
     `run(plane, cfg, group)` calls the `verify_<suite>` function named
     `entry` with `bind(plane, group)` as its leading arguments and
-    `options` as keywords. `control(cfg)` calls it with
+    `options` as keywords. `control(cfg)` calls it with `options` and
     `negative_control=True` on `control_args()`, the control's plane (and
     group or base), with the trials capped at `control_trials`. `check` is
-    the trial check that `recheck_counterexample` replays.
+    the trial check the run applies and `recheck_counterexample` replays.
     """
 
     name: str
@@ -822,7 +816,8 @@ class SuiteSpec:
     def control(self, cfg: TrialConfig) -> VerifyReport:
         if self.control_trials is not None:
             cfg = replace(cfg, trials=min(cfg.trials, self.control_trials))
-        return globals()[self.entry](*self.control_args(), cfg, negative_control=True)
+        return globals()[self.entry](*self.control_args(), cfg, negative_control=True,
+                                     **self.options)
 
 
 def _plane_only(plane, group):
@@ -859,7 +854,8 @@ _JOINING = SuiteSpec(
 
 SUITES = {
     "joining": _JOINING,
-    "joining-stress": replace(_JOINING, name="joining-stress", options={"stress": True}),
+    "joining-stress": replace(_JOINING, name="joining-stress", check=_check_stress,
+                              options={"stress": True}),
     # secant circles claimed as tangents must be caught
     "touching": SuiteSpec(
         "touching", "verify_touching", _plane_only,

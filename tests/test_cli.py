@@ -63,6 +63,7 @@ class TestJoinCommand:
         ["report-index", "{tmp}", "--out", "{tmp}/missing/index.json"],
         ["join", "--config", "{tmp}/latin1.cfg", "0,0", "1,1", "2,3"],
         ["join", "--config", "{tmp}/missing.cfg", "0,0", "1,1", "2,3"],
+        ["join", "--config", "{tmp}/misspelt.cfg", "0,0", "1,1", "2,3"],
         # powers of the parameters that overflow a float
         ["verify", "--suite", "automorphism", "--group", "phi:1e300:2:3:0"],
         ["verify", "--suite", "fixed-configuration", "--group", "phi:1e300:2:3:0"],
@@ -74,6 +75,7 @@ def test_bad_input_exits_2_without_traceback(args, tmp_path, capsys):
     (tmp_path / "nan-knots.txt").write_text("0 0\nnan 1\n1 2\n")
     (tmp_path / "file.txt").write_text("not a directory\n")
     (tmp_path / "latin1.cfg").write_bytes(b"family = classical\n# caf\xe9\n")
+    (tmp_path / "misspelt.cfg").write_text("family = classical\ntolerence = 0.5\n")
     args = [a.replace("{tmp}", str(tmp_path)) for a in args]
     if args[0] == "verify" and "--out" not in args:
         args = args + ["--out", str(tmp_path)]
@@ -221,6 +223,22 @@ class TestVerifyCommand:
         pa.pop("runtime_ms"), pb.pop("runtime_ms")
         pa["manifest"].pop("out_dir"), pb["manifest"].pop("out_dir")
         assert json.dumps(pa, sort_keys=True) == json.dumps(pb, sort_keys=True)
+
+    def test_tol_flag_sets_only_the_plane_tolerance(self, tmp_path):
+        # the default tolerance written out moves no suite's threshold
+        args = [
+            "verify", "--plane", "half:power:2", "--suite", "joining-stress,automorphism",
+            "--trials", "20", "--seed", "3", "--out", str(tmp_path),
+        ]
+        runs = []
+        for extra in ([], ["--tol", "1e-9"]):
+            assert run(args + extra) == 0
+            runs.append({})
+            for path in sorted(tmp_path.glob("*.json")):
+                payload = json.loads(path.read_text())
+                payload.pop("runtime_ms")
+                runs[-1][path.name] = json.dumps(payload, sort_keys=True)
+        assert len(runs[0]) == 4 and runs[0] == runs[1]
 
 
 class TestPlotCommand:

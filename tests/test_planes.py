@@ -240,7 +240,7 @@ def steep_touch(spec, seed, trial):
     """(plane, carrier, p, q, touch's result) for a touching-suite trial."""
     plane = parse_plane_spec(spec)
     cfg = TrialConfig(seed=seed, trials=trial + 1)
-    inputs = _sample_touching(plane, cfg.rng_for(trial), cfg)
+    inputs = _sample_touching(plane, cfg.rng_for(trial))
     circle, p, q = plane.join(*inputs["points"]), inputs["p"], inputs["q"]
     return plane, circle, p, q, plane.touch(circle, p, q)
 
@@ -493,6 +493,8 @@ class TestConfig:
             plane_from_config({"tolerance": "tiny"})
         with pytest.raises(ConfigError):
             plane_from_config({"family": "classical", "f": "power:2"})
+        with pytest.raises(ConfigError, match="tolerence"):
+            plane_from_config({"family": "classical", "tolerence": "0.5"})
 
     @pytest.mark.parametrize("kwargs", [
         {"tol": -1.0},
@@ -814,7 +816,7 @@ def test_pencil_tangency_matches_the_slope_scan(name):
     plane = SEEDED_PLANES[name](rng)
     cfg = TrialConfig(seed=903, trials=200)
     for i in range(cfg.trials):
-        inputs = _sample_touching(plane, cfg.rng_for(i), cfg)
+        inputs = _sample_touching(plane, cfg.rng_for(i))
         c, p, q = plane.join(*inputs["points"]), inputs["p"], inputs["q"]
         try:
             assert_scan_finds_touch(plane, c, p, q, plane.touch(c, p, q))
@@ -831,7 +833,7 @@ def test_touch_certified_on_the_graphs_too(name):
     cfg = TrialConfig(seed=77, trials=60)
     readings = (plane.tangency_separation, graph_tangency_separation)
     for i in range(cfg.trials):
-        inputs = _sample_secant_claim(plane, cfg.rng_for(i), cfg)
+        inputs = _sample_secant_claim(plane, cfg.rng_for(i))
         c, p = plane.join(*inputs["points"]), inputs["p"]
         tangent = plane.touch(c, p, inputs["q"])
         secant = plane.join(*inputs["claimed_points"])

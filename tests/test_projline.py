@@ -17,7 +17,7 @@ from torus_planes import (
     mobius_from_three,
     proj_matrix_equal,
 )
-from torus_planes.projline import chart_h, h_from_chart, normalize_h
+from torus_planes.projline import FrameMember, chart_h, h_from_chart, normalize_h
 
 from helpers import (
     assert_columns_match_batch,
@@ -358,6 +358,21 @@ class TestTwoPairs:
             TwoPointFamily(P(0), P(1), P(0), P(2))
         with pytest.raises(CoincidentPoints):
             TwoPointFamily(P(0), P(1), INF, P(1))
+
+    def test_slotted_subclasses_keep_their_fields(self):
+        # `__slots__ = ()` is the usual way to subclass a slotted class
+        class Family(TwoPointFamily):
+            __slots__ = ()
+
+        class Member(FrameMember):
+            __slots__ = ()
+
+        want = TwoPointFamily(P(0), P(1), INF, P(2)).member(3.0)
+        got = Family(P(0), P(1), INF, P(2)).member(3.0)
+        member = Member(want.lam, want.xp, want.xq, want.yp, want.yq)
+        for m in (got, member):
+            image, want_image = m.apply(P(5)), want.apply(P(5))
+            assert m.lam == want.lam and (image.h0, image.h1) == (want_image.h0, want_image.h1)
 
 
 class TestFixedPoints:

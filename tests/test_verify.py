@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -19,8 +20,12 @@ from torus_planes import (
     recheck_counterexample,
 )
 from torus_planes.groups import DiagonalPSL, KernelPlusPSL, parse_group_literal
+from torus_planes import verify
 from torus_planes.planes import TAG_PSL, TAG_TWISTED
 from torus_planes.verify import (
+    SEPARATION,
+    STRESS_SEPARATION,
+    STRESS_THRESHOLD,
     SUITES,
     TrialConfig,
     _check_automorphism,
@@ -69,9 +74,10 @@ class TestSampling:
         assert CFG.rng_for(3).random() == CFG.rng_for(3).random()
         assert CFG.rng_for(3).random() != CFG.rng_for(4).random()
 
-    def test_unreachable_separation_fails_instead_of_hanging(self, classical):
+    def test_unreachable_separation_fails_instead_of_hanging(self, classical, monkeypatch):
         # chordal distance is at most sqrt(2), so no second point is ever accepted
-        report = verify_joining(classical, TrialConfig(trials=2, separation=1.5))
+        monkeypatch.setattr(verify, "SEPARATION", 1.5)
+        report = verify_joining(classical, TrialConfig(trials=2))
         assert not report.passed
         assert [ce["trial"] for ce in report.counterexamples] == [0, 1]
         assert all("sampling exhausted" in ce["reason"] for ce in report.counterexamples)
@@ -92,7 +98,7 @@ class TestSuitesPass:
         report = verify_joining(plane, cfg)
         collapsed = []
         for i in range(cfg.trials):
-            branches = plane.join_branches(*sample_triple(cfg.rng_for(i), cfg.separation))
+            branches = plane.join_branches(*sample_triple(cfg.rng_for(i), SEPARATION))
             if not branches["psl"][1] and branches["twisted"][0] is None:
                 collapsed.append(i)
         assert collapsed
@@ -102,7 +108,7 @@ class TestSuitesPass:
     def test_joining_stress_reports_conditioning(self, classical):
         report = verify_joining(classical, TrialConfig(seed=42, trials=30), stress=True)
         assert report.suite == "joining-stress"
-        assert report.statistics["separation"] == 1e-7
+        assert report.statistics == {"separation": 1e-7, "threshold": 1e-5}
 
     def test_touching(self, classical, half2):
         cfg = TrialConfig(seed=42, trials=25)
@@ -122,7 +128,7 @@ class TestSuitesPass:
         p = circle.point_at(ProjPoint.from_real(-0.20795380693606588))
         q = pt(-0.34331147830969216, -5.169007467721856)
         inputs = {"points": points, "p": p, "q": q}
-        sep, reasons = _check_touching(plane, inputs, TrialConfig())
+        sep, reasons = _check_touching(plane, inputs)
         assert reasons == [] and sep <= plane.tangency_band
 
     def test_automorphism(self, classical, half2):
@@ -170,8 +176,16 @@ class TestNegativeControls:
     def test_control_triples_join_on_the_twisted_branch(self, half2, seed):
         cfg = TrialConfig(seed=seed)
         for i in range(20):
-            p, q, r = _sample_reversing(half2, cfg.rng_for(i), cfg)["points"]
+            p, q, r = _sample_reversing(half2, cfg.rng_for(i))["points"]
             assert half2.join(p, q, r).tag == TAG_TWISTED
+
+    def test_stress_control_is_a_stress_run(self):
+        # the control runs with its suite's options: stress sampling and threshold
+        report = control("joining-stress", TrialConfig(seed=3, trials=5))
+        assert report.suite == "joining-stress" and report.negative_control
+        assert report.statistics["separation"] == STRESS_SEPARATION == 1e-7
+        assert report.statistics["threshold"] == STRESS_THRESHOLD == 1e-5
+        assert report.counterexamples[0]["trial"] == 0
 
     def test_no_branch_reported_on_corrupted_set(self):
         bad = SUITES["joining"].control_args()[0]
@@ -215,17 +229,21 @@ class TestReports:
     @pytest.mark.parametrize(
         "field, value",
         [("seed", -1), ("seed", 1.5), ("seed", "7"), ("seed", None),
-         ("trials", 2.5), ("trials", "5"), ("separation", "x"), ("separation", None),
-         ("tol", "x"), ("tol", [1])],
+         ("trials", 2.5), ("trials", "5")],
     )
     def test_counts_must_be_integers_in_range(self, field, value):
         with pytest.raises(ConfigError, match=field):
             TrialConfig(**{field: value})
 
-    def test_monotone_tolerance(self, classical):
-        tight = verify_joining(classical, TrialConfig(seed=42, trials=50, tol=1e-9))
-        loose = verify_joining(classical, TrialConfig(seed=42, trials=50, tol=1e-6))
+    def test_config_is_a_seed_and_a_trial_count(self):
+        assert [f.name for f in dataclasses.fields(TrialConfig)] == ["seed", "trials"]
+
+    def test_monotone_tolerance(self):
+        cfg = TrialConfig(seed=42, trials=50)
+        tight = verify_joining(classical_plane(tol=1e-9), cfg)
+        loose = verify_joining(classical_plane(tol=1e-6), cfg)
         assert tight.passed and loose.passed
+        assert tight.statistics["threshold"] == 1e-9 and loose.statistics["threshold"] == 1e-6
 
 
 class TestRecheck:
@@ -251,6 +269,17 @@ class TestRecheck:
         for ce in report.counterexamples[:3]:
             replayed = recheck_counterexample(suite, plane, ce)
             assert replayed is reproduces
+
+    def test_recheck_replays_the_runs_check(self):
+        # a residual above the plane's tolerance and within the stress
+        # threshold fails joining's check and passes joining-stress's
+        plane = classical_plane(tol=1e-15)
+        report = verify_joining(plane, TrialConfig(seed=1, trials=50))
+        ce = next(ce for ce in report.counterexamples
+                  if ce["reason"].startswith("membership residual") and "; " not in ce["reason"])
+        assert 1e-15 < ce["residual"] <= 1e-5
+        assert recheck_counterexample("joining", plane, ce) is True
+        assert recheck_counterexample("joining-stress", plane, ce) is False
 
     def test_fixed_configuration_has_nothing_to_replay(self):
         report = control("fixed-configuration")
@@ -286,7 +315,7 @@ def test_automorphism_residual_matches_the_probe_loop(name):
         _, g = SUITES["automorphism"].bind(plane, group)
         for _ in range(8):
             triple = random_triple(rng)
-            residual, _ = _check_automorphism(plane, {"points": triple, "group": g}, CFG)
+            residual, _ = _check_automorphism(plane, {"points": triple, "group": g})
             try:
                 circle = plane.join(*triple)
                 image = plane.join(*(g.act(p) for p in triple))
