@@ -9,9 +9,10 @@ dispatches to library calls, and maps outcomes to exit codes:
   a seed that is not a non-negative integer, an output path that cannot
   be written).
 
-The run manifest (config path, plane, suites, seed, output directory) is
-echoed verbatim into every report for reproducibility. `TORUS_PLANES_SEED`
-supplies the seed when no flag is given.
+The run manifest (config path, plane and its tolerance, suites, seed,
+output directory) is echoed verbatim into every report for
+reproducibility. `TORUS_PLANES_SEED` supplies the seed when no flag is
+given.
 """
 
 from __future__ import annotations
@@ -122,6 +123,7 @@ def cmd_verify(args) -> int:
         "config": args.config,
         "subcommand": "verify",
         "plane": plane.describe(),
+        "tolerance": plane.tol,
         "suites": suite_names,
         "group": group_literal(group) if group is not None else None,
         "seed": seed,

@@ -18,9 +18,10 @@ chains' lifted images of a cached grid. Along the lifted chart
 continuous function of period 1 that vanishes exactly where the graphs
 meet; it equals +-sin(pi * chart difference). Root finding is bisection of
 its sign changes on a grid scan, with no seam to filter and no derivative;
-`bisect` evaluates the midpoints of several levels per call and returns
-what serial bisection returns. Only crossings are found; the graphs
-scanned here never touch without crossing (see `graph_equation_zeros`).
+`bisect` refines all of a scan's brackets together, in rounds of several
+levels with one call each, and returns what serial bisection returns for
+each bracket. Only crossings are found; the graphs scanned here never
+touch without crossing (see `graph_equation_zeros`).
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ SCAN_GRID = 512
 #: chart-space width to which brackets are refined
 BISECT_TOL = 1e-11
 
-#: bisection steps whose midpoints `bisect` evaluates in one call
-BISECT_LEVELS = 4
+#: bisection steps a `bisect` round takes for every open bracket, in one call
+BISECT_LEVELS = 5
 
 #: evaluations after which `bisect` stops, for brackets too wide in floats
 _BISECT_STEPS = 201
@@ -325,58 +326,64 @@ def load_spline_knots(path) -> MonotoneSpline:
 # chart-space zero finding
 
 
-def bisect(fn, lo: float, hi: float, flo: float):
-    """Bisect a sign-change bracket of an array-valued fn; (root, fn(root)).
+def bisect(fn, brackets):
+    """Bisect sign-change brackets (lo, hi, flo) of an array-valued fn; [(root, fn(root))].
 
-    Each step evaluates fn at the midpoint of [lo, hi] and stops there when
-    the value is zero or not finite, when hi - lo <= BISECT_TOL (28 steps
-    from a 1/512 bracket) or at step _BISECT_STEPS; else the midpoint
-    replaces lo when (fn < 0) == (flo < 0), hi when not. One call to fn
-    takes the midpoints of BISECT_LEVELS steps, so the result is serial
+    Serial bisection evaluates fn at the midpoint of [lo, hi] and stops
+    there when the value is zero or not finite, when hi - lo <= BISECT_TOL
+    (28 steps from a 1/512 bracket) or at step _BISECT_STEPS; else the
+    midpoint replaces lo when (fn < 0) == (flo < 0), hi when not. Here every
+    bracket still open advances BISECT_LEVELS steps a round, and a round is
+    one call to fn on all their midpoint trees, so the results are serial
     bisection's exactly when fn gives an element the same bits in every batch.
     """
+    pending = [(b, *bracket) for b, bracket in enumerate(brackets)]
+    out = [None] * len(pending)
     steps = _BISECT_STEPS
-    while True:
+    while pending:
         depth = min(BISECT_LEVELS, steps)
         n = 1 << depth
-        pts = np.empty(n + 1)
-        pts[0], pts[n] = lo, hi
+        pts = np.empty((len(pending), n + 1))
+        pts[:, [0, n]] = [(lo, hi) for _, lo, hi, _ in pending]
         for stride in (n >> k for k in range(depth)):  # coarsest level first
-            pts[stride // 2::stride] = 0.5 * (pts[0:n:stride] + pts[stride::stride])
-        vals = np.asarray(fn(pts[1:n]), dtype=float).tolist()
-        pts = pts.tolist()
-        i, j = 0, n
-        for _ in range(depth):
-            k = (i + j) // 2
-            mid, fm = pts[k], vals[k - 1]
-            steps -= 1
-            if steps == 0 or fm == 0.0 or not math.isfinite(fm) or hi - lo <= BISECT_TOL:
-                return mid, fm
-            if (fm < 0.0) == (flo < 0.0):  # fm keeps flo's sign class
-                i, lo = k, mid
+            pts[:, stride // 2::stride] = 0.5 * (pts[:, 0:n:stride] + pts[:, stride::stride])
+        vals = np.asarray(fn(pts[:, 1:n].ravel()), dtype=float).reshape(len(pending), n - 1)
+        still_open = []
+        for (b, lo, hi, flo), row, fv in zip(pending, pts.tolist(), vals.tolist()):
+            i, j = 0, n
+            for step in range(steps - 1, steps - 1 - depth, -1):
+                k = (i + j) // 2
+                mid, fm = row[k], fv[k - 1]
+                if step == 0 or fm == 0.0 or not math.isfinite(fm) or hi - lo <= BISECT_TOL:
+                    out[b] = mid, fm
+                    break
+                if (fm < 0.0) == (flo < 0.0):  # fm keeps flo's sign class
+                    i, lo = k, mid
+                else:
+                    j, hi = k, mid
             else:
-                j, hi = k, mid
+                still_open.append((b, lo, hi, flo))
+        pending = still_open
+        steps -= depth
+    return out
 
 
 def wrapped_zeros(fn):
     """Crossing zeros in [0, 1) of a continuous function of period 1.
 
     `fn` must accept array chart arguments. Sign changes between
-    neighbouring points of a SCAN_GRID scan are bisected to BISECT_TOL. A
-    zero where fn touches 0 without changing sign is not found; the
-    functions scanned here cross at every zero (see `graph_equation_zeros`).
+    neighbouring points of a SCAN_GRID scan are bisected together to
+    BISECT_TOL. A zero where fn touches 0 without changing sign is not
+    found; the functions scanned here cross at every zero (see
+    `graph_equation_zeros`).
     """
     theta = np.arange(SCAN_GRID) / SCAN_GRID
     vals = np.asarray(fn(theta), dtype=float)
     crossing = (vals == 0.0) | (np.sign(vals) != np.sign(np.roll(vals, -1)))
-    zeros = []
-    for i in np.nonzero(crossing)[0]:
-        lo, flo = theta[i], vals[i]
-        if flo == 0.0:
-            zeros.append(lo)
-            continue
-        root, _ = bisect(fn, lo, lo + 1.0 / SCAN_GRID, flo)
-        zeros.append(root % 1.0)
+    starts = np.nonzero(crossing)[0]
+    zeros = [theta[i] for i in starts if vals[i] == 0.0]
+    brackets = [(theta[i], theta[i] + 1.0 / SCAN_GRID, vals[i]) for i in starts if vals[i] != 0.0]
+    zeros += [root % 1.0 for root, _ in bisect(fn, brackets)]
     # dedupe cyclically
     zeros.sort()
     out = []

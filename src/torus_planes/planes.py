@@ -526,16 +526,19 @@ def _is_identity_homeo(h: CircleHomeo) -> bool:
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse a flat `key = value` configuration block."""
-    out = {}
+    """Parse a flat `key = value` configuration block; a repeated key is a ConfigError."""
+    out, first_line = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected `key = value`")
-        key, value = stripped.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
+        out[key] = value
     return out
 
 

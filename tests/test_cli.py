@@ -64,6 +64,7 @@ class TestJoinCommand:
         ["join", "--config", "{tmp}/latin1.cfg", "0,0", "1,1", "2,3"],
         ["join", "--config", "{tmp}/missing.cfg", "0,0", "1,1", "2,3"],
         ["join", "--config", "{tmp}/misspelt.cfg", "0,0", "1,1", "2,3"],
+        ["join", "--config", "{tmp}/repeated.cfg", "0,0", "1,1", "2,3"],
         # powers of the parameters that overflow a float
         ["verify", "--suite", "automorphism", "--group", "phi:1e300:2:3:0"],
         ["verify", "--suite", "fixed-configuration", "--group", "phi:1e300:2:3:0"],
@@ -76,12 +77,21 @@ def test_bad_input_exits_2_without_traceback(args, tmp_path, capsys):
     (tmp_path / "file.txt").write_text("not a directory\n")
     (tmp_path / "latin1.cfg").write_bytes(b"family = classical\n# caf\xe9\n")
     (tmp_path / "misspelt.cfg").write_text("family = classical\ntolerence = 0.5\n")
+    (tmp_path / "repeated.cfg").write_text("family = classical\nfamily = half-classical\nf = power:2\n")
     args = [a.replace("{tmp}", str(tmp_path)) for a in args]
     if args[0] == "verify" and "--out" not in args:
         args = args + ["--out", str(tmp_path)]
     assert run(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_repeated_config_key_is_one_error_line(tmp_path, capsys):
+    (tmp_path / "repeated.cfg").write_text("family = classical\nfamily = half-classical\nf = power:2\n")
+    assert run(["join", "--config", str(tmp_path / "repeated.cfg"), "0,0", "1,1", "2,3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 2: key 'family' repeats line 1\n"
 
 
 def test_cli_import_loads_no_oracle_or_test_package():
@@ -223,6 +233,19 @@ class TestVerifyCommand:
         pa.pop("runtime_ms"), pb.pop("runtime_ms")
         pa["manifest"].pop("out_dir"), pb["manifest"].pop("out_dir")
         assert json.dumps(pa, sort_keys=True) == json.dumps(pb, sort_keys=True)
+
+    def test_manifest_records_the_plane_tolerance(self, tmp_path):
+        # the plane description omits the tolerance, which decides touching here
+        manifests = []
+        for extra in ([], ["--tol", "1e-18"]):
+            out = tmp_path / (extra[-1] if extra else "default")
+            run(["verify", "--plane", "half:power:2", "--suite", "touching", "--trials", "5",
+                 "--seed", "1", "--out", str(out), *extra])
+            manifests.append(json.loads((out / "touching-seed1.json").read_text())["manifest"])
+        assert [m.pop("tolerance") for m in manifests] == [1e-9, 1e-18]
+        assert [m.pop("out_dir") for m in manifests] == [str(tmp_path / "default"),
+                                                         str(tmp_path / "1e-18")]
+        assert manifests[0] == manifests[1]
 
     def test_tol_flag_sets_only_the_plane_tolerance(self, tmp_path):
         # the default tolerance written out moves no suite's threshold

@@ -20,7 +20,13 @@ from torus_planes import (
     load_spline_knots,
     parse_plane_spec,
 )
-from torus_planes.homeo import BISECT_LEVELS, BISECT_TOL, _lifted_grid, bisect
+from torus_planes.homeo import (
+    _BISECT_STEPS,
+    BISECT_LEVELS,
+    BISECT_TOL,
+    _lifted_grid,
+    bisect,
+)
 from torus_planes.projline import chordal_h, h_from_chart
 
 from helpers import (
@@ -317,31 +323,67 @@ def _bisect_fn(kind, r):
     return lambda x: np.where(np.abs(x - r) < 1e-6, np.nan, x - r)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    kind=st.sampled_from(["linear", "cubic", "steps", "gap"]),
-    lo=st.floats(1e-6, 1e3),
-    width=st.floats(1e-9, 1e3),
-    where=st.floats(-0.5, 1.5),
-    lower_zero=st.booleans(),
-)
-@example(kind="linear", lo=1.0, width=1.0, where=0.25, lower_zero=False)  # exact zero at a midpoint
-@example(kind="gap", lo=1.0, width=1.0, where=0.3, lower_zero=False)  # non-finite value
-@example(kind="linear", lo=1.0, width=1.0, where=0.7, lower_zero=True)  # lower value 0
-@example(kind="cubic", lo=1e6, width=1.0, where=0.4, lower_zero=False)  # floats too coarse: step bound
-def test_bisect_matches_serial_bisection(kind, lo, width, where, lower_zero):
-    hi = lo + width
-    fn = _bisect_fn(kind, lo + where * width)
-    flo = 0.0 if lower_zero else float(fn(np.array([lo]))[0])
+def _assert_bisect_matches_serial(fn, brackets):
+    """bisect of the brackets gives each serial bisection's root and value, in rounds."""
     calls = []
 
     def counted(x):
         calls.append(len(x))
         return fn(x)
 
-    root, froot = bisect(counted, lo, hi, flo)
-    want_root, want_froot, steps = serial_bisect(fn, lo, hi, flo, atol=BISECT_TOL)
-    assert root == want_root
-    assert froot == want_froot or (math.isnan(froot) and math.isnan(want_froot))
-    # each call covers the midpoints of BISECT_LEVELS steps
-    assert len(calls) == -(-steps // BISECT_LEVELS)
+    got = bisect(counted, brackets)
+    want = [serial_bisect(fn, lo, hi, flo, atol=BISECT_TOL) for lo, hi, flo in brackets]
+    assert len(got) == len(want)
+    for (root, froot), (want_root, want_froot, _) in zip(got, want):
+        assert root == want_root
+        assert froot == want_froot or (math.isnan(froot) and math.isnan(want_froot))
+    # round r evaluates the midpoint trees, BISECT_LEVELS steps deep, of
+    # every bracket whose serial bisection runs past step r * BISECT_LEVELS
+    rounds = [-(-steps // BISECT_LEVELS) for *_, steps in want]
+    depths = [min(BISECT_LEVELS, _BISECT_STEPS - r * BISECT_LEVELS) for r in range(max(rounds))]
+    assert calls == [((1 << d) - 1) * sum(k > r for k in rounds) for r, d in enumerate(depths)]
+    return want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["linear", "cubic", "steps", "gap"]),
+    where=st.floats(-0.5, 1.5),
+    spans=st.lists(st.tuples(st.floats(1e-6, 1e3), st.floats(1e-9, 1e3), st.booleans()),
+                   min_size=1, max_size=4),
+)
+@example(kind="linear", where=0.25, spans=[(1.0, 1.0, False)])  # exact zero at a midpoint
+@example(kind="gap", where=0.3, spans=[(1.0, 1.0, False)])  # non-finite value
+@example(kind="linear", where=0.7, spans=[(1.0, 1.0, True)])  # lower value 0
+@example(kind="cubic", where=0.4, spans=[(1e6, 1.0, False)])  # floats too coarse: step bound
+def test_bisect_matches_serial_bisection(kind, where, spans):
+    # the function's feature sits at `where` in the first bracket; the
+    # others are drawn freely and stop after their own step counts
+    lo0, width0, _ = spans[0]
+    fn = _bisect_fn(kind, lo0 + where * width0)
+    brackets = [(lo, lo + width, 0.0 if lower_zero else float(fn(np.array([lo]))[0]))
+                for lo, width, lower_zero in spans]
+    _assert_bisect_matches_serial(fn, brackets)
+
+
+def test_bisect_brackets_stop_in_different_rounds():
+    # one function, four regions: an exact zero at the second midpoint of
+    # [1, 2], a non-finite band at 20.3, a root bisected down to BISECT_TOL,
+    # and a cubic at 1e6 whose floats are too coarse for BISECT_TOL
+    def fn(x):
+        return np.where(x < 10.0, x - 1.25,
+                        np.where(x < 50.0, _bisect_fn("gap", 20.3)(x),
+                                 np.where(x < 1e5, x - 200.0 / 3.0,
+                                          _bisect_fn("cubic", 1e6 + 0.4)(x))))
+
+    brackets = [(lo, hi, float(fn(np.array([lo]))[0]))
+                for lo, hi in ((1.0, 2.0), (20.0, 21.0), (66.0, 67.0), (1e6, 1e6 + 1.0))]
+    want = _assert_bisect_matches_serial(fn, brackets)
+    (_, zero, s_zero), (_, gap, s_gap), (_, near, s_tol), (_, _, s_cap) = want
+    assert zero == 0.0 and s_zero == 2
+    assert math.isnan(gap)
+    assert 0.0 < abs(near) <= BISECT_TOL and s_tol < _BISECT_STEPS
+    assert s_cap == _BISECT_STEPS
+    rounds = [-(-steps // BISECT_LEVELS) for steps in (s_zero, s_gap, s_tol, s_cap)]
+    assert len(set(rounds)) == 4
+    assert bisect(fn, []) == []

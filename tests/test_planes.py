@@ -496,6 +496,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="tolerence"):
             plane_from_config({"family": "classical", "tolerence": "0.5"})
 
+    def test_repeated_key_rejected(self):
+        # the last value used to win silently
+        text = "family = classical\n# the twisted plane\nfamily = half-classical\nf = power:2\n"
+        with pytest.raises(ConfigError, match=r"line 3: key 'family' repeats line 1"):
+            parse_config_text(text)
+
     @pytest.mark.parametrize("kwargs", [
         {"tol": -1.0},
         {"tol": math.nan},
@@ -563,7 +569,9 @@ def test_bisected_functions_are_batch_invariant(name, monkeypatch):
         # it; every lifted atom acts elementwise, so single points agree too
         homeo.graph_equation_zeros(c.graph, d.graph)
         thetas = np.concatenate([np.arange(512) / 512, rng.uniform(0.0, 1.0 + 1 / 512, 64)])
-        _assert_batch_invariant(captured.pop(), thetas, (1, 3, 7, 15))
+        # a bisection round evaluates the midpoint trees of k brackets at once
+        rounds = tuple(k * ((1 << homeo.BISECT_LEVELS) - 1) for k in (1, 2, 3, 4))
+        _assert_batch_invariant(captured.pop(), thetas, (1, 3, 7, 15) + rounds)
 
 
 # ----------------------------------------------------------------------
@@ -605,7 +613,7 @@ def chart_difference_zeros(lhs, rhs, grid=512, tangent_band=1e-7):
         elif (flo < 0.0) == (fhi < 0.0) and fhi != 0.0:
             continue
         elif abs(flo - fhi) < 0.5:
-            accept(*homeo.bisect(fn, lo, hi, flo))
+            accept(*homeo.bisect(fn, [(lo, hi, flo)])[0])
         elif depth < 12:
             mid = 0.5 * (lo + hi)
             fmid = float(fn(mid))
@@ -675,6 +683,36 @@ def test_crossing_scan_finds_every_chart_difference_zero(name):
         pts = plane.circle_intersect(c1, c2)
         assert len(pts) == 2
         assert all(min(torus_dist(p, s) for p in pts) <= 1e-6 for s in shared)
+
+
+def test_chart_scan_bisects_its_brackets_together(monkeypatch):
+    # one call scans the grid; each later call advances every open bracket
+    # BISECT_LEVELS steps, so two crossings cost one call series, not two
+    rng = rng_for(905)
+    c1, c2, _ = _mixed_route_pair(parse_plane_spec("half:power:2"), rng)
+    calls = []
+    build = homeo.crossing_function
+
+    def counted_crossing_function(lhs, rhs):
+        fn = build(lhs, rhs)
+
+        def counted(theta):
+            calls.append(len(theta))
+            return fn(theta)
+
+        return counted
+
+    monkeypatch.setattr(homeo, "crossing_function", counted_crossing_function)
+    zeros = homeo.graph_equation_zeros(c1.graph, c2.graph)
+    assert len(zeros) == 2
+    fn = build(c1.graph, c2.graph)
+    theta = np.arange(homeo.SCAN_GRID) / homeo.SCAN_GRID
+    vals = fn(theta)
+    starts = np.nonzero(np.sign(vals) != np.sign(np.roll(vals, -1)))[0]
+    assert len(starts) == 2
+    steps = max(serial_bisect(fn, theta[i], theta[i] + 1.0 / homeo.SCAN_GRID, vals[i],
+                              atol=homeo.BISECT_TOL)[2] for i in starts)
+    assert len(calls) == 1 + -(-steps // homeo.BISECT_LEVELS)
 
 
 @pytest.mark.parametrize("spec", ["half:id", "half:power:1"])
