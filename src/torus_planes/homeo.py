@@ -8,8 +8,9 @@ twists loaded from knot files). A CircleHomeo is a chain of such atoms
 and Mobius maps, evaluated left to right; a circle of the torus is the
 graph of one.
 
-Every atom has one array action, the lifted `lift_h`, that moves
-homogeneous pairs continuously without the canonical sign flip.
+Every atom has one action, the lifted `lift_h`, on a pair of floats or of
+arrays, that moves homogeneous pairs continuously without the canonical
+sign flip; a Mobius atom makes no numpy call on floats.
 `CircleHomeo.apply_h` canonicalizes once, after the whole chain, for
 callers that want canonical pairs (plotting). Circles are compared on the
 lift: `homeo_sup_distance` is the largest chordal distance between two
@@ -219,9 +220,10 @@ class CircleHomeo:
     def lift_h(self, h: np.ndarray) -> np.ndarray:
         """Unit-norm images of pairs (2, ...), never sign-flipped: continuous in h."""
         for atom in self.atoms:
-            h = atom.lift_h(h)
-            h = h / np.hypot(h[0], h[1])
-        return h
+            x, y = atom.lift_h(h)
+            n = np.hypot(x, y)
+            h = x / n, y / n
+        return np.array(h)
 
     def compose(self, first: "CircleHomeo") -> "CircleHomeo":
         """self after first."""

@@ -28,8 +28,6 @@ import math
 import numbers
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     CoincidentPoints,
     ConfigError,
@@ -117,12 +115,6 @@ def _det(a, b) -> float:
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _images(m: MobiusMap, u):
-    """m's linear action (`lift_h`) on the pair u and on e = (-u1, u0)."""
-    (mu0, me0), (mu1, me1) = m.lift_h(np.array([[u[0], -u[1]], [u[1], u[0]]])).tolist()
-    return (mu0, mu1), (me0, me1)
-
-
 def _tangency_parameter(a: MobiusMap, fam: TwoPointFamily) -> float:
     """lam* of the family member tangent at Xp to the circle with map A.
 
@@ -135,7 +127,7 @@ def _tangency_parameter(a: MobiusMap, fam: TwoPointFamily) -> float:
     """
     u, xq, yp, yq = _pair(fam.xp), _pair(fam.xq), _pair(fam.yp), _pair(fam.yq)
     e = (-u[1], u[0])
-    au, ae = _images(a, u)
+    au, ae = a.lift_h(u), a.lift_h(e)
     den = _det(u, e) * _det(au, yq)
     num = _det(xq, e) * _det(au, yp) + _det(xq, u) * _det(ae, yp)
     return -num / den if den != 0.0 else math.nan
@@ -413,7 +405,8 @@ class PlaneModel:
             return True, math.inf
         u = _pair(self.f.apply(p.x) if twisted else p.x)
         e = (-u[1], u[0])
-        (au, ae), (du, de) = _images(c.mobius, u), _images(d.mobius, u)
+        au, ae = c.mobius.lift_h(u), c.mobius.lift_h(e)
+        du, de = d.mobius.lift_h(u), d.mobius.lift_h(e)
         phi1 = _det(au, de) + _det(ae, du)
         phi2 = _det(ae, de)
         if phi1 == 0.0 and phi2 == 0.0:

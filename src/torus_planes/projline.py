@@ -16,8 +16,9 @@ Conventions:
   making the entry of largest magnitude positive. Orientation is the sign
   of the determinant: +1 exactly for PSL(2,R) members, -1 otherwise.
 * A Mobius map is stored as four Python floats. Products and the action
-  use the entry formula (a x + b y, ...), elementwise on arrays, so a
-  point's image has the same bits alone and in any batch.
+  use the entry formula (a x + b y, ...). One `lift_h` serves a pair of
+  floats and a pair of arrays, elementwise, so a point's image has the
+  same bits alone, as floats and in any batch.
 * Maps through point pairs have one frame form, lam det(Xp, h) Yq +
   det(Xq, h) Yp: the members of a TwoPointFamily, and the three-point
   solver as the member whose lam the third pair fixes.
@@ -260,12 +261,12 @@ class MobiusMap:
     # -- action -------------------------------------------------------
 
     def apply(self, p: ProjPoint) -> ProjPoint:
-        return ProjPoint(self.a * p.h0 + self.b * p.h1, self.c * p.h0 + self.d * p.h1)
+        return ProjPoint(*self.lift_h((p.h0, p.h1)))
 
-    def lift_h(self, h: np.ndarray) -> np.ndarray:
-        """The linear action on pairs (2, ...), unscaled; elementwise, so batch-invariant."""
-        h = np.asarray(h, dtype=float)
-        return np.array([self.a * h[0] + self.b * h[1], self.c * h[0] + self.d * h[1]])
+    def lift_h(self, h):
+        """The unscaled linear action on a pair (h0, h1) of floats or arrays, to the same kind."""
+        h0, h1 = h
+        return self.a * h0 + self.b * h1, self.c * h0 + self.d * h1
 
     def __repr__(self):
         return f"MobiusMap([[{self.a:.6g}, {self.b:.6g}], [{self.c:.6g}, {self.d:.6g}]])"
@@ -318,8 +319,8 @@ class FrameMember(MobiusMap):
     """The member lam det(Xp, h) Yq + det(Xq, h) Yp of a TwoPointFamily.
 
     a, b, c, d hold the summed matrix, for the algebra and the orientation;
-    `apply` and `lift_h` evaluate the two terms unsummed. det(Xq, Xq) is
-    exactly 0 in floats, so Xq's image is a multiple of Yq, and Xp's of
+    `lift_h`, and so `apply`, evaluates the two terms unsummed. det(Xq, Xq)
+    is exactly 0 in floats, so Xq's image is a multiple of Yq, and Xp's of
     Yp, however steep the member is.
     """
 
@@ -331,18 +332,12 @@ class FrameMember(MobiusMap):
         for name, value in zip(FrameMember.__slots__, (lam, xp, xq, yp, yq)):
             object.__setattr__(self, name, value)
 
-    def apply(self, p: ProjPoint) -> ProjPoint:
+    def lift_h(self, h):
+        h0, h1 = h
         xp, xq, yp, yq = self.xp, self.xq, self.yp, self.yq
-        dp = self.lam * (xp.h0 * p.h1 - xp.h1 * p.h0)
-        dq = xq.h0 * p.h1 - xq.h1 * p.h0
-        return ProjPoint(dp * yq.h0 + dq * yp.h0, dp * yq.h1 + dq * yp.h1)
-
-    def lift_h(self, h: np.ndarray) -> np.ndarray:
-        h = np.asarray(h, dtype=float)
-        xp, xq, yp, yq = self.xp, self.xq, self.yp, self.yq
-        dp = self.lam * (xp.h0 * h[1] - xp.h1 * h[0])
-        dq = xq.h0 * h[1] - xq.h1 * h[0]
-        return np.array([dp * yq.h0 + dq * yp.h0, dp * yq.h1 + dq * yp.h1])
+        dp = self.lam * (xp.h0 * h1 - xp.h1 * h0)
+        dq = xq.h0 * h1 - xq.h1 * h0
+        return dp * yq.h0 + dq * yp.h0, dp * yq.h1 + dq * yp.h1
 
 
 class TwoPointFamily:

@@ -824,11 +824,16 @@ def _plane_only(plane, group):
     return (plane,)
 
 
+# the automorphism suite's group when none is given, per plane family
+_MU = MobiusMap((2.0, 1.0, 1.0, 1.0))
+_DEFAULT_GROUPS = {"classical": DiagonalPSL(_MU), "half-classical": KernelPlusPSL(_MU)}
+
+
 def _plane_and_group(plane, group):
-    if group is None:
-        m = MobiusMap([[2.0, 1.0], [1.0, 1.0]])
-        group = DiagonalPSL(m) if plane.family == "classical" else KernelPlusPSL(m)
-    return plane, group
+    return plane, group if group is not None else _DEFAULT_GROUPS[plane.family]
+
+
+_NEGATION = MobiusMap((-1.0, 0.0, 0.0, 1.0))  # x -> -x, det < 0
 
 
 class _CorruptedTwistPlane(PlaneModel):
@@ -843,7 +848,7 @@ class _CorruptedTwistPlane(PlaneModel):
         circle = super().join(p, q, r)
         if circle.tag != TAG_TWISTED:
             return circle
-        return self._twisted_circle(circle.mobius.compose(MobiusMap.scaling(-1.0)))
+        return self._twisted_circle(circle.mobius.compose(_NEGATION))
 
 
 _JOINING = SuiteSpec(

@@ -391,6 +391,29 @@ class TestTouch:
             half2.touch(circle, p, q)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("name", ["classical", "power-2", "spline"])
+    def test_touching_makes_no_array_call(self, name, monkeypatch):
+        # touch and its certificate run on Python floats, carriers of both branches
+        rng = rng_for(252)
+        plane = SEEDED_PLANES[name](rng)
+        cases = []
+        while len(cases) < 16:
+            inputs = _sample_touching(plane, rng)
+            if "p" in inputs:
+                cases.append((plane.join(*inputs["points"]), inputs["p"], inputs["q"]))
+        if plane.is_half_classical:
+            assert {c.tag for c, _, _ in cases} == {TAG_PSL, TAG_TWISTED}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy array built on the touching path")
+
+        monkeypatch.setattr(np, "array", refuse)
+        monkeypatch.setattr(np, "asarray", refuse)
+        for c, p, q in cases:
+            d = plane.touch(c, p, q)
+            far, sep = plane.tangency_separation(c, d, p)
+            assert not far and sep <= plane.tangency_band
+
     def test_touch_builds_one_family(self, classical, half2, monkeypatch):
         # c's own branch only, also when touch finds nothing there
         built = []

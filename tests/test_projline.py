@@ -203,7 +203,26 @@ def test_mobius_action_is_batch_invariant():
     for _ in range(6):
         m = random_pgl(rng)
         h = rng.normal(size=(2, 512)) * 10.0 ** rng.uniform(-3.0, 3.0, 512)
-        assert_columns_match_batch(m.lift_h, h)
+        assert_columns_match_batch(lambda h: np.asarray(m.lift_h(h)), h)
+
+
+def test_float_pair_action_is_a_column_of_the_batch_action():
+    # one lift_h for floats and arrays: a float pair gives Python floats with
+    # the bits of its column in the batch, for plain maps and frame members
+    rng = rng_for(107)
+    maps = [random_pgl(rng) for _ in range(4)]
+    for _ in range(6):
+        (x1, y1), (x2, y2) = random_separated_points(rng, 2), random_separated_points(rng, 2)
+        fam = TwoPointFamily(x1, x2, y1, y2)
+        maps += [fam.member(10.0 ** rng.uniform(-4.0, 4.0), sign) for sign in (1, -1)]
+    assert {m.orientation for m in maps if isinstance(m, FrameMember)} == {1, -1}
+    h = rng.normal(size=(2, 256)) * 10.0 ** rng.uniform(-3.0, 3.0, 256)
+    for m in maps:
+        batch = np.asarray(m.lift_h(h))
+        for k, (h0, h1) in enumerate(h.T.tolist()):
+            got = m.lift_h((h0, h1))
+            assert type(got) is tuple and [type(v) for v in got] == [float, float]
+            assert np.array(got).tobytes() == batch[:, k].tobytes()
 
 
 class TestFromThree:
