@@ -8,13 +8,18 @@ twists loaded from knot files). A CircleHomeo is a chain of such atoms
 and Mobius maps, evaluated left to right; a circle of the torus is the
 graph of one.
 
-Every atom has one action, the lifted `lift_h`, on a pair of floats or of
-arrays, that moves homogeneous pairs continuously without the canonical
-sign flip; a Mobius atom makes no numpy call on floats.
-`CircleHomeo.apply_h` canonicalizes once, after the whole chain, for
-callers that want canonical pairs (plotting). Circles are compared on the
-lift: `homeo_sup_distance` is the largest chordal distance between two
-chains' lifted images of a cached grid. Along the lifted chart
+Every atom has one action, the lifted `lift_h`, that moves homogeneous
+pairs continuously without the canonical sign flip. A pair of Python
+floats is lifted on `math` and gives floats; a (2, ...) array, or a pair
+of arrays, is lifted on numpy, which is imported on that first array use.
+The two kernels may differ in the last bit (numpy's SIMD `power`,
+`arctan2` and `hypot` against `math`'s). `CircleHomeo.apply_h`
+canonicalizes once, after the whole chain, for callers that want
+canonical pairs (plotting). Circles are compared on the lift:
+`homeo_sup_distance` is the largest chordal distance between two chains'
+lifted images of a grid, on floats for grids of at most FLOAT_GRID points
+and on arrays above; `audit_monotone` lifts its 256 points on floats, so
+building a plane loads no numpy. Along the lifted chart
 (sin pi theta, cos pi theta) the determinant s(theta) of two images is a
 continuous function of period 1 that vanishes exactly where the graphs
 meet; it equals +-sin(pi * chart difference). Root finding is bisection of
@@ -31,8 +36,7 @@ import math
 import numbers
 from bisect import bisect_right
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, MonotonicityError, PreconditionViolated
 from .projline import (
@@ -42,6 +46,9 @@ from .projline import (
     lift_chart,
     normalize_h,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: grid points of the bracket scan
 SCAN_GRID = 512
@@ -54,6 +61,20 @@ BISECT_LEVELS = 5
 
 #: evaluations after which `bisect` stops, for brackets too wide in floats
 _BISECT_STEPS = 201
+
+#: grids of at most this many points are lifted on Python floats, larger ones on arrays
+FLOAT_GRID = 16
+
+
+def _floats(h) -> bool:
+    """Whether h is a tuple of Python floats (an ndarray or its elements are not)."""
+    return type(h) is tuple and type(h[0]) is float
+
+
+def _lift_chart_float(theta: float) -> tuple:
+    """`lift_chart` of one chart value, on floats."""
+    alpha = theta * math.pi
+    return math.sin(alpha), math.cos(alpha)
 
 
 class PowerMap:
@@ -83,9 +104,17 @@ class PowerMap:
             math.copysign(abs(p.h1) ** e, p.h1) if p.h1 != 0.0 else 0.0,
         )
 
-    def lift_h(self, h: np.ndarray) -> np.ndarray:
+    def lift_h(self, h):
+        """sgn(v) |v|^p of each entry of a pair of floats or of arrays."""
+        e = self.exponent
+        if _floats(h):
+            h0, h1 = h
+            return (math.copysign(abs(h0) ** e, h0) if h0 else 0.0,
+                    math.copysign(abs(h1) ** e, h1) if h1 else 0.0)
+        import numpy as np
+
         h = np.asarray(h, dtype=float)
-        return np.sign(h) * np.abs(h) ** self.exponent
+        return np.sign(h) * np.abs(h) ** e
 
     def inverse(self) -> "PowerMap":
         return PowerMap(1.0 / self.exponent)
@@ -103,35 +132,39 @@ class MonotoneSpline:
     Knots are (x, y) point pairs, strictly monotone in the angle chart and
     winding exactly once, so the map is an orientation-preserving circle
     homeomorphism. Linear interpolation in the chart keeps the inverse
-    exact: it is the spline with swapped knots.
+    exact: it is the spline with swapped knots. The lifted chart tables
+    `_tx` and `_ty` are lists of floats, built in Python; `_arrays` holds
+    them as arrays from the first array lift on.
     """
 
-    __slots__ = ("knots", "_tx", "_ty", "_tx_list", "_ty_list")
+    __slots__ = ("knots", "_tx", "_ty", "_arrays")
     orientation = 1
 
     def __init__(self, knots):
         knots = list(knots)
         if len(knots) < 2:
             raise MonotonicityError("need at least two knots")
-        tx = np.array([x.chart() for x, _ in knots])
-        ty = np.array([y.chart() for _, y in knots])
-        order = np.argsort(tx, kind="stable")
-        tx, ty = tx[order], ty[order]
-        gaps_x = np.diff(np.append(tx, tx[0] + 1.0))
-        gaps_y = (np.diff(np.append(ty, ty[0])) % 1.0)
-        if np.any(gaps_x <= 1e-12):
+        knots = sorted(((x, y) for x, y in knots), key=lambda k: k[0].chart())  # stable
+        tx = [x.chart() for x, _ in knots]
+        ty = [y.chart() for _, y in knots]
+        gaps_x = [b - a for a, b in zip(tx, tx[1:] + [tx[0] + 1.0])]
+        gaps_y = [(b - a) % 1.0 for a, b in zip(ty, ty[1:] + [ty[0]])]
+        if min(gaps_x) <= 1e-12:
             raise MonotonicityError("knot x-coordinates must be distinct")
-        if np.any(gaps_y <= 1e-12) or np.any(gaps_y >= 1.0):
+        if min(gaps_y) <= 1e-12 or max(gaps_y) >= 1.0:
             raise MonotonicityError("knot y-coordinates must be strictly monotone")
-        if abs(gaps_y.sum() - 1.0) > 1e-9:
+        if abs(math.fsum(gaps_y) - 1.0) > 1e-9:
             raise MonotonicityError("knots must wind exactly once around the circle")
-        object.__setattr__(self, "knots", [(knots[i][0], knots[i][1]) for i in order])
-        # lifted tables with a duplicated wrap-around segment
-        object.__setattr__(self, "_tx", np.append(tx, tx[0] + 1.0))
-        ty_lift = np.concatenate([[ty[0]], ty[0] + np.cumsum(gaps_y)])
+        # lifted tables with a duplicated wrap-around segment; ty climbs by
+        # the running sum of its gaps, as a cumulative sum does
+        ty_lift, climbed = [ty[0]], 0.0
+        for gap in gaps_y:
+            climbed += gap
+            ty_lift.append(ty[0] + climbed)
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "_tx", tx + [tx[0] + 1.0])
         object.__setattr__(self, "_ty", ty_lift)
-        object.__setattr__(self, "_tx_list", self._tx.tolist())
-        object.__setattr__(self, "_ty_list", ty_lift.tolist())
+        object.__setattr__(self, "_arrays", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MonotoneSpline is immutable")
@@ -139,22 +172,44 @@ class MonotoneSpline:
     def apply(self, p: ProjPoint) -> ProjPoint:
         # the chart table lookup on Python floats: one point sent through
         # numpy costs ~50 us
-        tx, ty = self._tx_list, self._ty_list
+        tx, ty = self._tx, self._ty
         t = (p.chart() - tx[0]) % 1.0 + tx[0]
         j = min(max(bisect_right(tx, t) - 1, 0), len(tx) - 2)
         s = (t - tx[j]) / (tx[j + 1] - tx[j])
         return ProjPoint.from_chart((ty[j] + s * (ty[j + 1] - ty[j])) % 1.0)
 
-    def lift_h(self, h: np.ndarray) -> np.ndarray:
+    def lift_h(self, h):
         """The lifted table on the double cover x = atan2(h0, h1) / pi.
 
         F(x) = interp(x - k) + k with k = floor(x - tx[0]) turns a full
         turn of x into a full turn of F, so the image pair is continuous
-        wherever the input pair is.
+        wherever the input pair is. On floats, interp is `numpy.interp`'s
+        formula, slope * (t - tx[j]) + ty[j], with its slope.
         """
+        tx, ty = self._tx, self._ty
+        if _floats(h):
+            x = math.atan2(h[0], h[1]) / math.pi
+            if math.isnan(x):  # math.floor raises on nan; on arrays nan flows through
+                return math.nan, math.nan
+            k = float(math.floor(x - tx[0]))
+            t = x - k
+            j = bisect_right(tx, t) - 1
+            if j >= len(tx) - 1:  # numpy.interp's end values
+                y = ty[-1]
+            elif j < 0:
+                y = ty[0]
+            elif t == tx[j]:
+                y = ty[j]
+            else:
+                y = (ty[j + 1] - ty[j]) / (tx[j + 1] - tx[j]) * (t - tx[j]) + ty[j]
+            return _lift_chart_float(y + k)
+        import numpy as np
+
+        if self._arrays is None:
+            object.__setattr__(self, "_arrays", (np.array(tx), np.array(ty)))
         x = np.arctan2(h[0], h[1]) / math.pi
-        k = np.floor(x - self._tx[0])
-        return lift_chart(np.interp(x - k, self._tx, self._ty) + k)
+        k = np.floor(x - tx[0])
+        return lift_chart(np.interp(x - k, *self._arrays) + k)
 
     def inverse(self) -> "MonotoneSpline":
         return MonotoneSpline([(y, x) for x, y in self.knots])
@@ -214,11 +269,26 @@ class CircleHomeo:
 
         Raises PreconditionViolated when an image is not finite and nonzero.
         """
+        import numpy as np
+
         with np.errstate(all="ignore"):  # a 0/0 or overflowing lift is caught below
             return normalize_h(self.lift_h(h))
 
-    def lift_h(self, h: np.ndarray) -> np.ndarray:
-        """Unit-norm images of pairs (2, ...), never sign-flipped: continuous in h."""
+    def lift_h(self, h):
+        """Unit-norm images, never sign-flipped: continuous in h.
+
+        A pair of floats gives a pair of floats; a (2, ...) array gives a
+        (2, ...) array. An image pair that rounds to (0, 0) becomes nan on
+        either kernel, as 0/0 does on arrays.
+        """
+        if _floats(h):
+            for atom in self.atoms:
+                x, y = atom.lift_h(h)
+                n = math.hypot(x, y)
+                h = (x / n, y / n) if n else (math.nan, math.nan)
+            return h
+        import numpy as np
+
         for atom in self.atoms:
             x, y = atom.lift_h(h)
             n = np.hypot(x, y)
@@ -252,14 +322,15 @@ class CircleHomeo:
         chart value still advance. Raises MonotonicityError on violation or
         a step that is not finite (a lift that rounds to 0/0); a failed
         audit means the chain does not describe a circle homeomorphism.
+        The grid is lifted on floats.
         """
-        with np.errstate(invalid="ignore", divide="ignore"):  # a 0/0 lift is caught below
-            a = self.lift_h(lift_chart(np.arange(256) / 256))
-        b = np.concatenate([a[:, 1:], -a[:, :1]], axis=1)  # the lift of theta = 1
-        det = a[0] * b[1] - a[1] * b[0]
-        steps = self.orientation * np.arctan2(-det, a[0] * b[0] + a[1] * b[1]) / math.pi
-        winding = steps.sum()
-        if not (np.all(steps > 0.0) and abs(winding - 1.0) <= 1e-6):  # False on nan
+        a = [self.lift_h(h) for h in _float_grid(256)]
+        b = a[1:] + [(-a[0][0], -a[0][1])]  # the lift of theta = 1
+        o = self.orientation
+        steps = [o * math.atan2(-(x0 * y1 - x1 * y0), x0 * y0 + x1 * y1) / math.pi
+                 for (x0, x1), (y0, y1) in zip(a, b)]
+        winding = math.fsum(steps)
+        if not (all(step > 0.0 for step in steps) and abs(winding - 1.0) <= 1e-6):  # nan fails
             raise MonotonicityError(
                 f"images of 256 grid points are not cyclically ordered "
                 f"(orientation {self.orientation:+d}, winding {winding:.6f})"
@@ -272,7 +343,15 @@ class CircleHomeo:
 
 
 @lru_cache(maxsize=8)
+def _float_grid(grid_size: int) -> tuple:
+    """The lifted grid j / grid_size as float pairs, with `lift_chart`'s bits."""
+    return tuple(_lift_chart_float(j / grid_size) for j in range(grid_size))
+
+
+@lru_cache(maxsize=8)
 def _lifted_grid(grid_size: int) -> np.ndarray:
+    import numpy as np
+
     grid = lift_chart(np.arange(grid_size) / grid_size)
     grid.flags.writeable = False  # one array shared by every call
     return grid
@@ -281,10 +360,23 @@ def _lifted_grid(grid_size: int) -> np.ndarray:
 def homeo_sup_distance(h1: CircleHomeo, h2: CircleHomeo, grid_size: int) -> float:
     """Max chordal distance between the lifted images of the grid j / grid_size.
 
-    Either sign of an image counts; a non-finite one raises PreconditionViolated.
+    Either sign of an image counts; a non-finite one raises
+    PreconditionViolated. Grids of at most FLOAT_GRID points are lifted on
+    floats, point by point; larger ones as one array each.
     """
     if not (isinstance(grid_size, numbers.Integral) and grid_size >= 3):
         raise ConfigError(f"grid_size must be an integer of at least 3, got {grid_size!r}")
+    if grid_size <= FLOAT_GRID:
+        distance = 0.0
+        for h in _float_grid(grid_size):
+            (a0, a1), (b0, b1) = h1.lift_h(h), h2.lift_h(h)
+            d = min(math.hypot(a0 - b0, a1 - b1), math.hypot(a0 + b0, a1 + b1))
+            if not math.isfinite(d):  # a nan image makes both hypots nan
+                raise PreconditionViolated("homogeneous pair must be finite and nonzero")
+            distance = max(distance, d)
+        return distance
+    import numpy as np
+
     grid = _lifted_grid(grid_size)
     with np.errstate(all="ignore"):  # a non-finite image is caught below
         distance = float(np.max(chordal_h(h1.lift_h(grid), h2.lift_h(grid))))
@@ -339,6 +431,8 @@ def bisect(fn, brackets):
     one call to fn on all their midpoint trees, so the results are serial
     bisection's exactly when fn gives an element the same bits in every batch.
     """
+    import numpy as np
+
     pending = [(b, *bracket) for b, bracket in enumerate(brackets)]
     out = [None] * len(pending)
     steps = _BISECT_STEPS
@@ -379,6 +473,8 @@ def wrapped_zeros(fn):
     found; the functions scanned here cross at every zero (see
     `graph_equation_zeros`).
     """
+    import numpy as np
+
     theta = np.arange(SCAN_GRID) / SCAN_GRID
     vals = np.asarray(fn(theta), dtype=float)
     crossing = (vals == 0.0) | (np.sign(vals) != np.sign(np.roll(vals, -1)))

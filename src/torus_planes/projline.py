@@ -15,10 +15,14 @@ Conventions:
 * Mobius matrices are normalized to |det| = 1 and sign-canonicalized by
   making the entry of largest magnitude positive. Orientation is the sign
   of the determinant: +1 exactly for PSL(2,R) members, -1 otherwise.
-* A Mobius map is stored as four Python floats. Products and the action
-  use the entry formula (a x + b y, ...). One `lift_h` serves a pair of
-  floats and a pair of arrays, elementwise, so a point's image has the
-  same bits alone, as floats and in any batch.
+* A Mobius map is stored as four Python floats, built in Python from a
+  flat (a, b, c, d), a nested 2x2 or anything with `.tolist()`. Products
+  and the action use the entry formula (a x + b y, ...). One `lift_h`
+  serves a pair of floats and a pair of arrays, elementwise, so a point's
+  image has the same bits alone, as floats and in any batch.
+* Scalar work runs on `math`; numpy is imported on first array use (the
+  `*_h` array helpers and `MobiusMap.m`), so building points and maps and
+  acting with them never loads it.
 * Maps through point pairs have one frame form, lam det(Xp, h) Yq +
   det(Xq, h) Yp: the members of a TwoPointFamily, and the three-point
   solver as the member whose lam the third pair fixes.
@@ -27,10 +31,13 @@ Conventions:
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import sys
+from typing import TYPE_CHECKING
 
 from .errors import CoincidentPoints, IdentityMap, PreconditionViolated
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: chordal tolerance below which two points count as equal
 EQUALITY_TOL = 1e-9
@@ -40,11 +47,13 @@ DISC_BAND = 1e-10
 
 # slack under which a representative already counts as unit-norm; skipping
 # the division keeps canonicalization bit-for-bit idempotent
-_NORM_SLACK = 4.0 * np.finfo(float).eps
+_NORM_SLACK = 4.0 * sys.float_info.epsilon
 
 
 def normalize_h(h: np.ndarray) -> np.ndarray:
     """Canonicalize homogeneous coordinates, shape (2, ...) -> (2, ...)."""
+    import numpy as np
+
     h = np.asarray(h, dtype=float)
     n = np.hypot(h[0], h[1])
     if np.any(n == 0.0) or not np.all(np.isfinite(n)):
@@ -58,6 +67,8 @@ def normalize_h(h: np.ndarray) -> np.ndarray:
 
 def chart_h(h: np.ndarray) -> np.ndarray:
     """Angle chart of homogeneous pairs: theta in [0, 1), infinity at 0.5."""
+    import numpy as np
+
     h = np.asarray(h, dtype=float)
     theta = (np.arctan2(h[0], h[1]) / math.pi) % 1.0
     # a tiny negative angle rounds up to 1.0 under % 1.0; it is chart 0
@@ -66,6 +77,8 @@ def chart_h(h: np.ndarray) -> np.ndarray:
 
 def lift_chart(theta) -> np.ndarray:
     """Unit pairs (sin pi theta, cos pi theta): continuous, with no sign flip."""
+    import numpy as np
+
     alpha = np.asarray(theta, dtype=float) * math.pi
     return np.stack([np.sin(alpha), np.cos(alpha)])
 
@@ -77,6 +90,8 @@ def h_from_chart(theta) -> np.ndarray:
 
 def chordal_h(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Chordal distance between unit representatives of either sign, broadcasting."""
+    import numpy as np
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     d_minus = np.hypot(a[0] - b[0], a[1] - b[1])
@@ -173,21 +188,25 @@ def torus_dist(p: TorusPoint, q: TorusPoint) -> float:
 class MobiusMap:
     """A fractional-linear map of RP^1: a 2x2 real matrix up to scale.
 
-    Built from a nested 2x2, a flat (a, b, c, d) or an ndarray, and stored
-    as the floats a, b, c, d of [[a, b], [c, d]] with |det| = 1 and the
-    largest-magnitude entry positive, so projective equality is entrywise
-    comparison; the read-only `m` builds the array. The orientation
-    attribute is sign(det), exact in {+1, -1}.
+    Built from a flat (a, b, c, d), a nested 2x2 or anything with
+    `.tolist()` (an ndarray), flattened in Python, and stored as the floats
+    a, b, c, d of [[a, b], [c, d]] with |det| = 1 and the largest-magnitude
+    entry positive, so projective equality is entrywise comparison; the
+    read-only `m` builds the ndarray. The orientation attribute is
+    sign(det), exact in {+1, -1}.
     """
 
     __slots__ = ("a", "b", "c", "d", "orientation")
 
     def __init__(self, m):
         try:
-            if type(m) is tuple and len(m) == 4:  # flat, without numpy
-                a, b, c, d = float(m[0]), float(m[1]), float(m[2]), float(m[3])
+            if hasattr(m, "tolist"):
+                m = m.tolist()
+            if len(m) == 2:
+                (a, b), (c, d) = m
             else:
-                a, b, c, d = np.array(m, dtype=float).reshape(4).tolist()
+                a, b, c, d = m
+            a, b, c, d = float(a), float(b), float(c), float(d)
         except (TypeError, ValueError) as exc:
             raise PreconditionViolated(f"matrix needs four real entries: {exc}") from None
         det = a * d - b * c
@@ -215,6 +234,8 @@ class MobiusMap:
 
     @property
     def m(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([[self.a, self.b], [self.c, self.d]])
 
     # -- constructors -------------------------------------------------
@@ -226,7 +247,7 @@ class MobiusMap:
     @classmethod
     def affine(cls, a: float, b: float) -> "MobiusMap":
         """x -> a x + b (a != 0)."""
-        return cls([[a, b], [0.0, 1.0]])
+        return cls((a, b, 0.0, 1.0))
 
     @classmethod
     def scaling(cls, t: float) -> "MobiusMap":
@@ -237,7 +258,7 @@ class MobiusMap:
         """Rotation of the circle by `shift` in chart units (period 1)."""
         beta = shift * math.pi
         c, s = math.cos(beta), math.sin(beta)
-        return cls([[c, s], [-s, c]])
+        return cls((c, s, -s, c))
 
     # -- algebra ------------------------------------------------------
 

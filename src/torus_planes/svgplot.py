@@ -7,14 +7,15 @@ chart of its graph at those points. The samples are split into polyline
 segments wherever either coordinate jumps by more than half a turn, so
 graphs winding around the torus never draw seam-crossing artifacts, and
 a segment of one point is dropped. Canvas x coordinates are the exact
-integers k, so their text and the sample points are built once at
-import. Output is byte-deterministic for fixed inputs: fixed float
-formatting, fixed palette, no timestamps.
+integers k, so their text and the sample points are built once, on the
+first render, which is also where numpy is imported. Output is
+byte-deterministic for fixed inputs: fixed float formatting, fixed
+palette, no timestamps.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from functools import lru_cache
 
 from .errors import ConfigError
 from .planes import PLUS, Circle
@@ -44,25 +45,35 @@ def _to_canvas(theta_x: float, theta_y: float) -> tuple[float, float]:
     return theta_x * _CANVAS, (1.0 - theta_y) * _CANVAS
 
 
-# the circle samples, shared by every circle: charts k / _SAMPLES with the
-# last wrapped to 0, their homogeneous pairs, the x seam jump, and one
-# "x,%.6f" template per sample whose x text is the exact integer k
-_X = (np.arange(_SAMPLES + 1) / _SAMPLES) % 1.0
-_X_JUMP = np.abs(np.diff(_X)) > 0.5
-_H = h_from_chart(_X)
-_H.setflags(write=False)
-_POINT_TEMPLATES = tuple(f"{_fmt(x)},%.6f" for x in (_X * _CANVAS).tolist())
+@lru_cache(maxsize=1)
+def _samples():
+    """The circle samples, shared by every circle.
+
+    Charts k / _SAMPLES with the last wrapped to 0, their homogeneous
+    pairs, the x seam jump, and one "x,%.6f" template per sample whose x
+    text is the exact integer k.
+    """
+    import numpy as np
+
+    x = (np.arange(_SAMPLES + 1) / _SAMPLES) % 1.0
+    h = h_from_chart(x)
+    h.setflags(write=False)
+    templates = tuple(f"{_fmt(v)},%.6f" for v in (x * _CANVAS).tolist())
+    return h, np.abs(np.diff(x)) > 0.5, templates
 
 
 def _circle_polylines(circle: Circle, color: str) -> list[str]:
     """One <polyline> per seam-free segment of at least two samples."""
-    ty = chart_h(circle.graph.apply_h(_H))
+    import numpy as np
+
+    h, x_jump, templates = _samples()
+    ty = chart_h(circle.graph.apply_h(h))
     py = ((1.0 - ty) * _CANVAS).tolist()
-    cuts = np.flatnonzero(_X_JUMP | (np.abs(np.diff(ty)) > 0.5)) + 1
+    cuts = np.flatnonzero(x_jump | (np.abs(np.diff(ty)) > 0.5)) + 1
     bounds = [0, *cuts.tolist(), len(py)]
     head = f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="'
     return [
-        head + " ".join(_POINT_TEMPLATES[a:b]) % tuple(py[a:b]) + '" />'
+        head + " ".join(templates[a:b]) % tuple(py[a:b]) + '" />'
         for a, b in zip(bounds, bounds[1:])
         if b - a >= 2
     ]

@@ -4,8 +4,10 @@ Each suite runs seeded trials against a plane (and possibly a group
 element) and produces a VerifyReport: pass/fail, the worst residual, and
 a counterexample list carrying full inputs so any failure can be replayed
 in isolation. Reports are deterministic: trial i draws only from the RNG
-substream keyed by (seed, i), so reruns of the same configuration give
-byte-identical payloads (wall time is excluded from the canonical form).
+substream keyed by (seed, i), numpy's SeedSequence + PCG64 stream
+reproduced bit for bit in pure Python (`pcg64`), so reruns of the same
+configuration give byte-identical payloads (wall time is excluded from
+the canonical form).
 
 A trial-based suite is `sample(plane, rng)`, which draws a trial's inputs
 as library objects (the entry point binds suite arguments such as the
@@ -17,7 +19,8 @@ counterexamples, and `recheck_counterexample` runs the check on them.
 
 Every suite has a paired negative control, a deliberately broken run that
 must fail from its first trial on; a passing control fails the whole run.
-The registry gives each control's plane and trial cap, and
+The registry gives each control's plane and trial cap (a twisted control
+plane is built once per process and shared, as planes are immutable), and
 `negative_control=True` selects the suite's broken variant where the plane
 or group does not already carry it. Controls are how the harness
 distinguishes "the property holds" from "the test is vacuous".
@@ -30,10 +33,8 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from typing import Callable
-
-import numpy as np
 
 from .errors import (
     ConfigError,
@@ -55,6 +56,7 @@ from .groups import (
     require_point_action,
 )
 from .homeo import SCAN_GRID, CircleHomeo, homeo_sup_distance
+from .pcg64 import PCG64Stream
 from .planes import (
     PLUS,
     TAG_TWISTED,
@@ -98,8 +100,9 @@ class TrialConfig:
             if not isinstance(value, numbers.Integral) or value < least:
                 raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
 
-    def rng_for(self, trial: int) -> np.random.Generator:
-        return np.random.default_rng((int(self.seed), int(trial)))
+    def rng_for(self, trial: int) -> PCG64Stream:
+        """Trial's stream: the draws of numpy.random.default_rng((seed, trial)), without numpy."""
+        return PCG64Stream((int(self.seed), int(trial)))
 
 
 @dataclass
@@ -214,11 +217,11 @@ def _run_trials(
 _MAX_DRAWS = 1000
 
 
-def sample_proj_point(rng: np.random.Generator) -> ProjPoint:
+def sample_proj_point(rng) -> ProjPoint:
     return ProjPoint.from_chart(rng.random())
 
 
-def _random_torus_point(rng: np.random.Generator) -> TorusPoint:
+def _random_torus_point(rng) -> TorusPoint:
     return TorusPoint(sample_proj_point(rng), sample_proj_point(rng))
 
 
@@ -239,8 +242,11 @@ def _sample_separated(rng, count: int, separation: float) -> list[ProjPoint]:
     return pts
 
 
-def sample_triple(rng: np.random.Generator, separation: float) -> list[TorusPoint]:
-    """Three pairwise non-parallel torus points, coordinates separated."""
+def sample_triple(rng, separation: float) -> list[TorusPoint]:
+    """Three pairwise non-parallel torus points, coordinates separated.
+
+    `rng` is anything with `random()`: a trial's PCG64Stream or a numpy Generator.
+    """
     xs = _sample_separated(rng, 3, separation)
     ys = _sample_separated(rng, 3, separation)
     return [TorusPoint(x, y) for x, y in zip(xs, ys)]
@@ -797,8 +803,9 @@ class SuiteSpec:
     `entry` with `bind(plane, group)` as its leading arguments and
     `options` as keywords. `control(cfg)` calls it with `options` and
     `negative_control=True` on `control_args()`, the control's plane (and
-    group or base), with the trials capped at `control_trials`. `check` is
-    the trial check the run applies and `recheck_counterexample` replays.
+    group or base), with the trials capped at `control_trials`; a control
+    that builds a twisted plane builds it once. `check` is the trial check
+    the run applies and `recheck_counterexample` replays.
     """
 
     name: str
@@ -851,10 +858,17 @@ class _CorruptedTwistPlane(PlaneModel):
         return self._twisted_circle(circle.mobius.compose(_NEGATION))
 
 
+@cache
+def _power_two_plane():
+    """The touching and automorphism controls' plane, built once: planes are immutable."""
+    return half_classical_plane(CircleHomeo.power(2.0))
+
+
 _JOINING = SuiteSpec(
     "joining", "verify_joining", _plane_only,
     # every control triple joins on the twisted branch, which this plane breaks
-    lambda: (_CorruptedTwistPlane("half-classical", CircleHomeo.power(2.0)),), 60, _check_joining,
+    cache(lambda: (_CorruptedTwistPlane("half-classical", CircleHomeo.power(2.0)),)), 60,
+    _check_joining,
 )
 
 SUITES = {
@@ -864,16 +878,13 @@ SUITES = {
     # secant circles claimed as tangents must be caught
     "touching": SuiteSpec(
         "touching", "verify_touching", _plane_only,
-        lambda: (half_classical_plane(CircleHomeo.power(2.0)),), 10,
+        lambda: (_power_two_plane(),), 10,
         _check_touching,
     ),
     # the wrong-side kernel on a twisted plane
     "automorphism": SuiteSpec(
         "automorphism", "verify_automorphism", _plane_and_group,
-        lambda: (
-            half_classical_plane(CircleHomeo.power(2.0)),
-            KernelMinusPSL(MobiusMap.affine(1.0, 1.0)),
-        ),
+        lambda: (_power_two_plane(), KernelMinusPSL(MobiusMap.affine(1.0, 1.0))),
         40,
         _check_automorphism,
     ),

@@ -94,19 +94,52 @@ def test_repeated_config_key_is_one_error_line(tmp_path, capsys):
     assert captured.err == "error: line 2: key 'family' repeats line 1\n"
 
 
-def test_cli_import_loads_no_oracle_or_test_package():
-    # core modules never import the high-precision oracle or the test tools,
-    # so a cold `torus-planes` start pays for none of them
+_PROBE = """
+import json, sys
+import torus_planes.cli
+rc = torus_planes.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else None
+heavy = ('numpy', 'mpmath', 'scipy', 'sympy', 'hypothesis')
+print(json.dumps([rc, [m for m in heavy if m in sys.modules]]))
+"""
+
+
+def _cold_run(args, cwd):
+    """(exit code, heavy modules loaded) of `torus-planes ARGS` in a fresh interpreter."""
     src = Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    code = ("import sys, torus_planes.cli; "
-            "print([m for m in ('mpmath', 'scipy', 'sympy', 'hypothesis') if m in sys.modules])")
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
+        [sys.executable, "-c", _PROBE, *args], capture_output=True, text=True, cwd=cwd,
         env={**os.environ, "PYTHONPATH": path}, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+def test_cli_import_loads_no_oracle_or_test_package(tmp_path):
+    # core modules never import the high-precision oracle or the test tools,
+    # and commands that do only scalar geometry never import numpy, so a
+    # cold `torus-planes` start pays for none of them
+    (tmp_path / "knots.txt").write_text("0 0\n1 2\ninf inf\n-1 -0.5\n")
+    (tmp_path / "reports").mkdir()
+    cases = [
+        [],
+        ["report-index", "reports"],
+        ["join", "--plane", "classical", "0,0", "1,2", "3,-1"],
+        ["join", "--plane", "half:power:2", "0,0", "1,-1", "inf,inf"],
+        ["join", "--plane", "half:spline:knots.txt", "0,0", "1,2", "3,-1"],
+        ["verify", "--plane", "half:power:2", "--suite", "touching", "--trials", "1",
+         "--seed", "1", "--out", "reports"],
+    ]
+    for args in cases:
+        rc, loaded = _cold_run(args, tmp_path)
+        assert rc in (None, 0) and loaded == [], (args, rc, loaded)
+
+
+def test_plot_loads_numpy_on_first_array_use(tmp_path):
+    rc, loaded = _cold_run(["plot", "--plane", "classical", "circle3:0,0:1,2:3,-1",
+                            "--out", "figure.svg"], tmp_path)
+    assert rc == 0 and loaded == ["numpy"]
+    assert (tmp_path / "figure.svg").read_text(encoding="utf-8").startswith("<svg")
 
 
 def test_grid_flag_is_gone(tmp_path, capsys):

@@ -24,6 +24,8 @@ from torus_planes.homeo import (
     _BISECT_STEPS,
     BISECT_LEVELS,
     BISECT_TOL,
+    FLOAT_GRID,
+    _float_grid,
     _lifted_grid,
     bisect,
 )
@@ -125,13 +127,18 @@ class TestSupDistance:
         with pytest.raises(ValueError):
             grid[0, 0] = 1.0
 
-    def test_non_finite_image_raises(self):
+    @pytest.mark.parametrize("grid_size", [FLOAT_GRID, 64])
+    def test_non_finite_image_raises(self, grid_size):
         # PowerMap(3000) underflows every pair off the axes to (0, 0); a nan
-        # distance would pass every `>` threshold
+        # distance would pass every `>` threshold, on floats as on arrays
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(PreconditionViolated):
-                homeo_sup_distance(CircleHomeo((PowerMap(3000.0),)), CircleHomeo(), 64)
+                homeo_sup_distance(CircleHomeo((PowerMap(3000.0),)), CircleHomeo(), grid_size)
+
+    def test_float_grid_has_the_array_grids_bits(self):
+        for n in (3, FLOAT_GRID, 256):
+            assert np.array(_float_grid(n)).T.tobytes() == _lifted_grid(n).tobytes()
 
 
 def reference_sup_distance(h1, h2, grid_size):
@@ -225,6 +232,30 @@ def test_chain_action_is_batch_invariant(exponent):
         h = rng.normal(size=(2, 512))
         assert_columns_match_batch(chain.apply_h, h)
         assert_columns_match_batch(chain.lift_h, h)
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_PLANES))
+def test_float_lift_agrees_with_the_array_lift(name):
+    # the math and numpy kernels may differ in the last bits, never more
+    rng = rng_for(213, sorted(SEEDED_PLANES).index(name))
+    plane = SEEDED_PLANES[name](rng)
+    grid = _lifted_grid(64)
+    for _ in range(8):
+        graph = plane.join(*random_triple(rng)).graph
+        for chain in (graph, graph.inverse(), CircleHomeo(plane.f.atoms + graph.atoms)):
+            batch = chain.lift_h(grid)
+            for k, h in enumerate(_float_grid(64)):
+                h0, h1 = chain.lift_h(h)
+                assert type(h0) is float and type(h1) is float
+                assert abs(h0 - batch[0, k]) <= 1e-13 and abs(h1 - batch[1, k]) <= 1e-13
+
+
+def test_float_power_lift_keeps_numpys_signs():
+    # sgn(-0.0) is +0.0 in numpy, so both zeros lift to +0.0
+    power = PowerMap(2.0)
+    for v in (0.0, -0.0, 0.5, -0.5):
+        assert power.lift_h((v, 1.0))[0].hex() == float(power.lift_h(np.array([v, 1.0]))[0]).hex()
+    assert math.isnan(power.lift_h((math.nan, 1.0))[0])
 
 
 class _ClaimsPreserving(CircleHomeo):

@@ -150,6 +150,7 @@ class TestMobiusContract:
         for a, b, c, d in rows:
             maps = [MobiusMap([[a, b], [c, d]]), MobiusMap((a, b, c, d)),
                     MobiusMap([a, b, c, d]), MobiusMap(np.array([[a, b], [c, d]])),
+                    MobiusMap(np.array([a, b, c, d])),
                     MobiusMap(tuple(np.float64(v) for v in (a, b, c, d))),
                     MobiusMap(tuple(repr(v) for v in (a, b, c, d)))]
             want = [v.hex() for v in reference_entries([a, b, c, d])]
@@ -158,6 +159,16 @@ class TestMobiusContract:
                 assert all(type(v) is float for v in (m.a, m.b, m.c, m.d))
                 assert m.orientation == (1 if a * d - b * c > 0.0 else -1)
                 assert m.m.tolist() == [[m.a, m.b], [m.c, m.d]]
+
+    def test_named_constructors_match_the_nested_form(self):
+        def entries(m):
+            return m.a, m.b, m.c, m.d
+
+        for t, b in ((2.0, 1.0), (-0.5, 3.0), (1e-3, -7.0)):
+            assert entries(MobiusMap.affine(t, b)) == entries(MobiusMap([[t, b], [0.0, 1.0]]))
+            assert entries(MobiusMap.scaling(t)) == entries(MobiusMap([[t, 0.0], [0.0, 1.0]]))
+        c, s = math.cos(0.3 * math.pi), math.sin(0.3 * math.pi)
+        assert entries(MobiusMap.rotation(0.3)) == entries(MobiusMap([[c, s], [-s, c]]))
 
     def test_immutable(self):
         m = MobiusMap.rotation(0.3)
@@ -191,7 +202,8 @@ class TestMobiusContract:
             assert got.orientation == want.orientation
 
     @pytest.mark.parametrize("m", [
-        [1, 2, 3], "abcd", [[1, 2], [3]], ("a", "b", "c", "d"), None,
+        [1, 2, 3], "abcd", [[1, 2], [3]], ("a", "b", "c", "d"), None, [1, 2],
+        [[1, 2, 3], [4, 5, 6]], np.zeros((2, 3)),
     ], ids=repr)
     def test_malformed_input_rejected(self, m):
         with pytest.raises(PreconditionViolated):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from torus_planes import (
@@ -73,6 +74,20 @@ class TestSampling:
     def test_rng_streams_are_per_trial(self):
         assert CFG.rng_for(3).random() == CFG.rng_for(3).random()
         assert CFG.rng_for(3).random() != CFG.rng_for(4).random()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, (7 << 32) | 5, 2**70])
+    def test_trial_stream_is_numpys_default_rng(self, seed):
+        # seeds past 32 bits take several SeedSequence words, as the
+        # benchmark's (seed << 32) | op trial seeds do
+        for trial in (0, 1, 199, 2**33):
+            ours = TrialConfig(seed=seed, trials=1).rng_for(trial)
+            ref = np.random.default_rng((seed, trial))
+            assert [ours.random() for _ in range(50)] == [ref.random() for _ in range(50)]
+
+    def test_sample_triple_accepts_a_numpy_generator(self):
+        ours = sample_triple(TrialConfig(seed=5).rng_for(3), SEPARATION)
+        ref = sample_triple(np.random.default_rng((5, 3)), SEPARATION)
+        assert [verify._ser(p) for p in ours] == [verify._ser(p) for p in ref]
 
     def test_unreachable_separation_fails_instead_of_hanging(self, classical, monkeypatch):
         # chordal distance is at most sqrt(2), so no second point is ever accepted
@@ -163,6 +178,11 @@ class TestNegativeControls:
     def test_every_suite_has_a_control(self):
         for name, spec in SUITES.items():
             assert callable(spec.control), name
+
+    @pytest.mark.parametrize("suite", ["joining", "joining-stress", "touching", "automorphism"])
+    def test_twisted_control_plane_is_built_once(self, suite):
+        # planes are immutable, so every control run shares one
+        assert SUITES[suite].control_args()[0] is SUITES[suite].control_args()[0]
 
     # every control fails on its first trial; (42, 60) is the CLI-sized run
     @pytest.mark.parametrize("suite", sorted(SUITES))
