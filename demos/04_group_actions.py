@@ -55,7 +55,7 @@ for d in (0.0, -1.0, -2.0):
         image = g.act(fixed)
         assert image.x.value() == fixed.x.value() and image.y.value() == fixed.y.value()
 print("  PhiStd(d) fixes exactly (inf,inf); single elements may fix more,")
-print("  which is why the verification scans intersect over a family sample.")
+print("  which is why the verification intersects over a family sample.")
 
 print("\n== induced actions on the parallel-class sets ==")
 for g, side in [

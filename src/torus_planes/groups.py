@@ -40,13 +40,12 @@ from .errors import (
     PreconditionViolated,
     UnsupportedPlane,
 )
-from .homeo import CircleHomeo, PowerMap, graph_equation_zeros
+from .homeo import CircleHomeo, PowerMap
 from .projline import (
     MobiusMap,
     ProjPoint,
     TorusPoint,
     TwoPointFamily,
-    chordal,
     mobius_fixed_points,
 )
 from .planes import MINUS, PLUS, ParallelClass
@@ -415,36 +414,36 @@ def _classify_factor(h: CircleHomeo) -> str:
 def fixed_coordinates(h: CircleHomeo):
     """Fixed points of a circle map: (fixes_everything, points).
 
-    Mobius chains use the exact eigenvector solver; anything else falls
-    back to the graph equation h = id, a 512-point scan with bisection of
-    its crossings (every fixed point of a power chain). Infinity is checked
-    explicitly (the chart cannot represent it exactly), and scan roots
-    converging to it are absorbed: a map contracting toward infinity
-    leaves a visible chordal residual at any nearby finite point.
+    Mobius chains use the exact eigenvector solver. The chain
+    (PowerMap(b), MobiusMap.scaling(a)), x -> a sgn(x) |x|^b with b != 1,
+    fixes infinity, 0, +a^t and -a^t, t = 1/(1 - b), in that order. Each
+    root is a homogeneous pair whose small entry, a^-|t| or a^|t|, is at
+    most 1, so none overflows; where that entry underflows to 0, only
+    (infinity, 0) is returned. Other chains raise PreconditionViolated.
     """
     m = h.as_mobius()
     if m is not None:
         if m.is_identity(1e-12):
             return True, ()
         return False, tuple(mobius_fixed_points(m))
-    inf = ProjPoint.infinity()
-    inf_fixed = chordal(h.apply(inf), inf) <= 1e-9
-    thetas = graph_equation_zeros(h, CircleHomeo.identity())
-    pts = [inf] if inf_fixed else []
-    for t in thetas:
-        cand = ProjPoint.from_chart(t)
-        if chordal(cand, inf) <= 1e-5:
-            continue  # the infinity check above owns this neighbourhood
-        if chordal(h.apply(cand), cand) <= 1e-8:
-            pts.append(cand)
-    return False, tuple(pts)
+    power, scale = h.atoms if len(h.atoms) == 2 else (None, None)
+    if not (isinstance(power, PowerMap) and isinstance(scale, MobiusMap)
+            and scale.b == scale.c == 0.0 and scale.a / scale.d > 0.0):
+        raise PreconditionViolated("fixed points need a Mobius or a scaled power chain")
+    a, t = scale.a / scale.d, 1.0 / (1.0 - power.exponent)
+    small = a ** (-abs(t) if a >= 1.0 else abs(t))
+    pts = (ProjPoint.infinity(), ProjPoint(0.0, 1.0))
+    if small == 0.0:
+        return False, pts
+    root = (1.0, small) if (a >= 1.0) == (t > 0.0) else (small, 1.0)
+    return False, pts + (ProjPoint(*root), ProjPoint(-root[0], root[1]))
 
 
 def induced_factor_action(g, side: str):
     """The action induced on (+)- or (-)-parallel-class coordinates.
 
     Returns the coordinate map together with a report that classifies the
-    action and lists the fixed classes located by the coordinate scan.
+    action and lists its fixed classes (see `fixed_coordinates`).
     """
     if side not in (PLUS, MINUS):
         raise ConfigError("side must be 'plus' or 'minus'")

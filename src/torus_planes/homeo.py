@@ -26,8 +26,8 @@ meet; it equals +-sin(pi * chart difference). Root finding is bisection of
 its sign changes on a grid scan, with no seam to filter and no derivative;
 `bisect` refines all of a scan's brackets together, in rounds of several
 levels with one call each, and returns what serial bisection returns for
-each bracket. Only crossings are found; the graphs scanned here never
-touch without crossing (see `graph_equation_zeros`).
+each bracket. Only crossings are found; the graphs scanned here, of
+maps of opposite orientation, never touch without crossing.
 """
 
 from __future__ import annotations
@@ -514,8 +514,7 @@ def graph_equation_zeros(lhs: CircleHomeo, rhs: CircleHomeo):
     """Chart positions where the graphs of two circle maps cross.
 
     The sign changes of the crossing function, which are all its zeros
-    here: maps of opposite orientation have a strictly monotone chart
-    difference, and a sgn(x) |x|^b chain has slope b != 1 at its fixed
-    points (b = 1 is a Mobius map, solved exactly instead).
+    here: the maps compared are of opposite orientation, so their chart
+    difference is strictly monotone.
     """
     return wrapped_zeros(crossing_function(lhs, rhs))

@@ -55,7 +55,7 @@ from .groups import (
     parse_group_literal,
     require_point_action,
 )
-from .homeo import SCAN_GRID, CircleHomeo, homeo_sup_distance
+from .homeo import CircleHomeo, homeo_sup_distance
 from .pcg64 import PCG64Stream
 from .planes import (
     PLUS,
@@ -66,6 +66,7 @@ from .planes import (
     parallel,
 )
 from .projline import (
+    EQUALITY_TOL,
     MobiusMap,
     ProjPoint,
     TorusPoint,
@@ -561,18 +562,15 @@ def verify_rigidity(
 
 
 def _common_factor_fixed(elements, side_index: int):
-    """(fixes_all, common fixed coordinates) across a family sample."""
+    """(fixes_all, the first non-identity factor's fixed points that every factor keeps)."""
     factors = [el.factor_homeos()[side_index] for el in elements]
-    scans = [pts for all_fixed, pts in map(fixed_coordinates, factors) if not all_fixed]
-    if not scans:
-        return True, ()
-    candidates = [
-        p for p in scans[0]
-        if all(any(chordal(p, q) <= 1e-7 for q in pts) for pts in scans[1:])
-    ]
-    return False, tuple(
-        p for p in candidates if all(chordal(h.apply(p), p) <= 1e-7 for h in factors)
-    )
+    for fixes_all, pts in map(fixed_coordinates, factors):
+        if not fixes_all:
+            return False, tuple(
+                p for p in pts
+                if all(chordal(h.apply(p), p) <= EQUALITY_TOL for h in factors)
+            )
+    return True, ()
 
 
 _EXPECTED_CONFIG = {
@@ -588,12 +586,12 @@ _EXPECTED_CONFIG = {
 }
 
 
-def _same_set(found, expected, near) -> bool:
-    """Whether each found element is near an expected one, and vice versa."""
+def _same_set(found, expected, dist) -> bool:
+    """Whether each found element is within EQUALITY_TOL of an expected one, and back."""
     return (
         len(found) == len(expected)
-        and all(any(near(f, e) for e in expected) for f in found)
-        and all(any(near(f, e) for f in found) for e in expected)
+        and all(any(dist(f, e) <= EQUALITY_TOL for e in expected) for f in found)
+        and all(any(dist(f, e) <= EQUALITY_TOL for f in found) for e in expected)
     )
 
 
@@ -604,13 +602,13 @@ def verify_fixed_configuration(
 ) -> VerifyReport:
     """Common fixed elements of a family sample match its classification.
 
-    Factor maps are scanned on a 512-point coordinate grid (the product
-    scan covers the 512 x 512 torus grid plus the infinity cross, since
-    the actions are componentwise); fixed points, fixed parallel classes
-    and, for the diagonal family, the invariant diagonal circle are
-    compared against the case labels of the classification. The negative
-    control compares a Phi family against the other Phi family's label, and
-    any other family against the Phi label.
+    The actions are componentwise, so fixed points are products of the
+    factor maps' common fixed coordinates, each map's solved in closed form
+    (`groups.fixed_coordinates`). Fixed points, fixed parallel classes and,
+    for the diagonal family, the invariant diagonal circle are compared
+    against the case labels of the classification. The negative control
+    compares a Phi family against the other Phi family's label, and any
+    other family against the Phi label.
     """
     elements = family_sample(family_key)
     expect_key = type(elements[0]).head
@@ -629,7 +627,7 @@ def verify_fixed_configuration(
             matches = want == "all" and fixes_all
         else:
             exp_pts = [ProjPoint.from_real(v) for v in want]
-            matches = _same_set(pts, exp_pts, lambda f, e: chordal(f, e) <= 1e-7)
+            matches = _same_set(pts, exp_pts, chordal)
         if not matches:
             counterexamples.append(
                 {
@@ -645,7 +643,7 @@ def verify_fixed_configuration(
     else:
         found_points = [TorusPoint(x, y) for x in fx_pts for y in fy_pts]
     exp_points = [TorusPoint.from_reals(*xy) for xy in expected["points"]]
-    if not _same_set(found_points, exp_points, lambda f, e: torus_dist(f, e) <= 1e-7):
+    if not _same_set(found_points, exp_points, torus_dist):
         counterexamples.append(
             {
                 "reason": "common fixed points mismatch",
@@ -698,7 +696,7 @@ def verify_fixed_configuration(
         max_residual=max_residual,
         counterexamples=counterexamples,
         runtime_ms=(time.perf_counter() - t0) * 1000.0,
-        statistics={"factor_scan_grid": SCAN_GRID, "sampled_elements": len(elements)},
+        statistics={"sampled_elements": len(elements)},
         negative_control=negative_control,
     )
 

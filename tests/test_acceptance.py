@@ -193,7 +193,7 @@ def test_criterion_5_fixed_configurations():
     for d in (math.inf, 0.0, 1.0, 2.0):
         g = PhiStd(d, 2.0, 3.0, 1.0)
         assert torus_dist(g.act(pt(INF, INF)), pt(INF, INF)) < 1e-12
-    _report_line(5, "fixed configurations, 512-grid scans", True, "; ".join(details))
+    _report_line(5, "fixed configurations, closed forms", True, "; ".join(details))
 
 
 def _phi_like_sample(rng, family, d):

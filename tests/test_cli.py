@@ -129,6 +129,8 @@ def test_cli_import_loads_no_oracle_or_test_package(tmp_path):
         ["join", "--plane", "half:spline:knots.txt", "0,0", "1,2", "3,-1"],
         ["verify", "--plane", "half:power:2", "--suite", "touching", "--trials", "1",
          "--seed", "1", "--out", "reports"],
+        ["verify", "--plane", "classical", "--suite", "fixed-configuration",
+         "--group", "phi2:-1:2:3:1", "--seed", "1", "--out", "reports"],
     ]
     for args in cases:
         rc, loaded = _cold_run(args, tmp_path)

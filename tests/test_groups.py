@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -11,8 +12,10 @@ from torus_planes import (
     KernelMinusPSL,
     KernelPlusPSL,
     MobiusMap,
+    MonotoneSpline,
     PhiStd,
     PhiTwoFixed,
+    PreconditionViolated,
     ProjPoint,
     TorusPoint,
     chordal,
@@ -185,21 +188,32 @@ class TestInducedActions:
         assert report.action_kind == "PSL-on-circle"
         assert not report.fixes_every_class
 
-    @pytest.mark.parametrize("a, b", [(2.0, 3.0), (1.001, 1.001)])
+    @pytest.mark.parametrize("a, b", [(2.0, 3.0), (1.001, 1.001), (1e-3, 0.5)])
     def test_phi2_power_factor_fixed_set(self, a, b):
-        # a sgn(x)|x|^b fixes 0, infinity, and +-a^(-1/(b - 1)), where its
-        # slope is b: (2, 3) gives +-(1/2)^(1/2); (1.001, 1.001) gives
-        # +-1.001^-1000 ~ +-0.368, a shallow crossing the scan still finds
+        # a sgn(x)|x|^b fixes infinity, 0 and +-a^(1/(1 - b)), in that order:
+        # (2, 3) gives +-(1/2)^(1/2); (1.001, 1.001) gives +-1.001^-1000 ~
+        # +-0.368; (1e-3, 0.5) gives +-1e-6, close to 0
         g = PhiTwoFixed(-1, a, b, 1)
         (fx_all, fx_pts), (fy_all, fy_pts) = map(fixed_coordinates, g.factor_homeos())
         assert not fx_all and not fy_all
-        values = sorted(p.value() for p in fx_pts)
-        root = a ** (-1.0 / (b - 1.0))
-        assert len(values) == 4
-        assert math.isclose(values[0], -root, rel_tol=1e-7)
-        assert math.isclose(values[1], 0.0, abs_tol=1e-9)
-        assert math.isclose(values[2], root, rel_tol=1e-7)
-        assert values[3] == INF
+        values = [p.value() for p in fx_pts]
+        root = a ** (1.0 / (1.0 - b))
+        assert values[:2] == [INF, 0.0] and len(values) == 4
+        assert math.isclose(values[2], root, rel_tol=4 * sys.float_info.epsilon)
+        assert math.isclose(values[3], -root, rel_tol=4 * sys.float_info.epsilon)
+
+    @pytest.mark.parametrize("a, b", [(10.0, 0.999), (10.0, 1.001)])
+    def test_phi2_power_factor_roots_past_float_range(self, a, b):
+        # +-10^1000 and +-10^-1000 are not floats: only infinity and 0 remain
+        hx, _ = PhiTwoFixed(-1, a, b, 1).factor_homeos()
+        fixes_all, pts = fixed_coordinates(hx)
+        assert not fixes_all
+        assert [p.value() for p in pts] == [INF, 0.0]
+
+    def test_fixed_coordinates_of_a_spline_chain_raises(self):
+        knots = [(P(x), P(y)) for x, y in ((0.0, 0.0), (1.0, 2.0), (INF, INF), (-1.0, -0.5))]
+        with pytest.raises(PreconditionViolated):
+            fixed_coordinates(CircleHomeo((MonotoneSpline(knots),)))
 
 
 class TestAutomorphismBehaviour:
