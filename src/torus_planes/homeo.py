@@ -22,12 +22,11 @@ and on arrays above; `audit_monotone` lifts its 256 points on floats, so
 building a plane loads no numpy. Along the lifted chart
 (sin pi theta, cos pi theta) the determinant s(theta) of two images is a
 continuous function of period 1 that vanishes exactly where the graphs
-meet; it equals +-sin(pi * chart difference). Root finding is bisection of
-its sign changes on a grid scan, with no seam to filter and no derivative;
-`bisect` refines all of a scan's brackets together, in rounds of several
-levels with one call each, and returns what serial bisection returns for
-each bracket. Only crossings are found; the graphs scanned here, of
-maps of opposite orientation, never touch without crossing.
+meet; it equals +-sin(pi * chart difference). Root finding scans it on a grid
+in one array call, with no seam to filter and no derivative, and
+`regula_falsi` refines each sign change on Python floats. Only crossings
+are found; the graphs scanned here, of maps of opposite orientation,
+never touch without crossing.
 """
 
 from __future__ import annotations
@@ -53,13 +52,10 @@ if TYPE_CHECKING:
 #: grid points of the bracket scan
 SCAN_GRID = 512
 
-#: chart-space width to which brackets are refined
+#: chart-space width to which crossing brackets are refined
 BISECT_TOL = 1e-11
 
-#: bisection steps a `bisect` round takes for every open bracket, in one call
-BISECT_LEVELS = 5
-
-#: evaluations after which `bisect` stops, for brackets too wide in floats
+#: evaluations after which `regula_falsi` stops, for brackets too wide in floats
 _BISECT_STEPS = 201
 
 #: grids of at most this many points are lifted on Python floats, larger ones on arrays
@@ -420,68 +416,76 @@ def load_spline_knots(path) -> MonotoneSpline:
 # chart-space zero finding
 
 
-def bisect(fn, brackets):
-    """Bisect sign-change brackets (lo, hi, flo) of an array-valued fn; [(root, fn(root))].
+def regula_falsi(fn, brackets):
+    """Refine sign-change brackets (lo, hi, flo, fhi) of a float function; [(root, fn(root))].
 
-    Serial bisection evaluates fn at the midpoint of [lo, hi] and stops
-    there when the value is zero or not finite, when hi - lo <= BISECT_TOL
-    (28 steps from a 1/512 bracket) or at step _BISECT_STEPS; else the
-    midpoint replaces lo when (fn < 0) == (flo < 0), hi when not. Here every
-    bracket still open advances BISECT_LEVELS steps a round, and a round is
-    one call to fn on all their midpoint trees, so the results are serial
-    bisection's exactly when fn gives an element the same bits in every batch.
+    Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971), one bracket
+    at a time, with one call of fn on a Python float per step. Brackets
+    are wider than BISECT_TOL, and flo and fhi are not both zero. A step
+    evaluates fn at the secant point of the bracket, or at its midpoint
+    where the secant point falls outside (a non-finite end value, or end
+    values of one sign), kept at least BISECT_TOL / 2 inside either end.
+    The point replaces lo when (fn < 0) == (flo < 0), hi when not, and the
+    value of an end kept for a second step running is halved in the
+    secant, so both ends close in on a simple crossing. A bracket stops
+    at the point just evaluated when its value is zero or not finite, or
+    at step _BISECT_STEPS; when it is at most BISECT_TOL wide, its end
+    with the smaller |fn| is the root, within BISECT_TOL of the crossing.
     """
-    import numpy as np
-
-    pending = [(b, *bracket) for b, bracket in enumerate(brackets)]
-    out = [None] * len(pending)
-    steps = _BISECT_STEPS
-    while pending:
-        depth = min(BISECT_LEVELS, steps)
-        n = 1 << depth
-        pts = np.empty((len(pending), n + 1))
-        pts[:, [0, n]] = [(lo, hi) for _, lo, hi, _ in pending]
-        for stride in (n >> k for k in range(depth)):  # coarsest level first
-            pts[:, stride // 2::stride] = 0.5 * (pts[:, 0:n:stride] + pts[:, stride::stride])
-        vals = np.asarray(fn(pts[:, 1:n].ravel()), dtype=float).reshape(len(pending), n - 1)
-        still_open = []
-        for (b, lo, hi, flo), row, fv in zip(pending, pts.tolist(), vals.tolist()):
-            i, j = 0, n
-            for step in range(steps - 1, steps - 1 - depth, -1):
-                k = (i + j) // 2
-                mid, fm = row[k], fv[k - 1]
-                if step == 0 or fm == 0.0 or not math.isfinite(fm) or hi - lo <= BISECT_TOL:
-                    out[b] = mid, fm
-                    break
-                if (fm < 0.0) == (flo < 0.0):  # fm keeps flo's sign class
-                    i, lo = k, mid
-                else:
-                    j, hi = k, mid
+    out = []
+    for lo, hi, flo, fhi in brackets:
+        slo, shi = flo, fhi  # the end values the secant uses, halved by the Illinois rule
+        kept = 0  # +1 after a step that kept lo, -1 after one that kept hi
+        for _ in range(_BISECT_STEPS):
+            mid = lo - slo * (hi - lo) / (shi - slo)
+            if not lo <= mid <= hi:  # a nan end value, or ends of one sign
+                mid = 0.5 * (lo + hi)
+            # half of BISECT_TOL in from either end, so that a secant point on
+            # the crossing, in floats, ends the bracket in one more step
+            mid = min(max(mid, lo + 0.5 * BISECT_TOL), hi - 0.5 * BISECT_TOL)
+            fm = fn(mid)
+            if fm == 0.0 or not math.isfinite(fm):
+                break
+            if (fm < 0.0) == (flo < 0.0):  # fm keeps flo's sign class
+                lo, flo, slo = mid, fm, fm
+                if kept == -1:
+                    shi *= 0.5
+                kept = -1
             else:
-                still_open.append((b, lo, hi, flo))
-        pending = still_open
-        steps -= depth
+                hi, fhi, shi = mid, fm, fm
+                if kept == 1:
+                    slo *= 0.5
+                kept = 1
+            if hi - lo <= BISECT_TOL:
+                mid, fm = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
+                break
+        out.append((mid, fm))
     return out
 
 
 def wrapped_zeros(fn):
     """Crossing zeros in [0, 1) of a continuous function of period 1.
 
-    `fn` must accept array chart arguments. Sign changes between
-    neighbouring points of a SCAN_GRID scan are bisected together to
-    BISECT_TOL. A zero where fn touches 0 without changing sign is not
+    `fn` must accept an array of chart values and a Python float. One
+    array call scans SCAN_GRID points; each sign change between
+    neighbouring points is then refined to BISECT_TOL by `regula_falsi`,
+    on floats. A zero where fn touches 0 without changing sign is not
     found; the functions scanned here cross at every zero (see
     `graph_equation_zeros`).
     """
     import numpy as np
 
-    theta = np.arange(SCAN_GRID) / SCAN_GRID
-    vals = np.asarray(fn(theta), dtype=float)
+    vals = np.asarray(fn(np.arange(SCAN_GRID) / SCAN_GRID), dtype=float)
     crossing = (vals == 0.0) | (np.sign(vals) != np.sign(np.roll(vals, -1)))
-    starts = np.nonzero(crossing)[0]
-    zeros = [theta[i] for i in starts if vals[i] == 0.0]
-    brackets = [(theta[i], theta[i] + 1.0 / SCAN_GRID, vals[i]) for i in starts if vals[i] != 0.0]
-    zeros += [root % 1.0 for root, _ in bisect(fn, brackets)]
+    v = vals.tolist()
+    v.append(v[0])  # the value at theta = 1
+    zeros, brackets = [], []
+    for i in np.flatnonzero(crossing).tolist():
+        if v[i] == 0.0:
+            zeros.append(i / SCAN_GRID)
+        else:
+            brackets.append((i / SCAN_GRID, (i + 1) / SCAN_GRID, v[i], v[i + 1]))
+    zeros += [root % 1.0 for root, _ in regula_falsi(fn, brackets)]
     # dedupe cyclically
     zeros.sort()
     out = []
@@ -499,11 +503,12 @@ def crossing_function(lhs: CircleHomeo, rhs: CircleHomeo):
 
     Continuous with period 1 (both lifts are antiperiodic), zero exactly
     where the graphs of lhs and rhs meet, and equal to
-    +-sin(pi * (lhs chart - rhs chart)).
+    +-sin(pi * (lhs chart - rhs chart)). A Python float theta is lifted on
+    `math` and gives a float; an array gives an array.
     """
 
     def s(theta):
-        h = lift_chart(theta)
+        h = _lift_chart_float(theta) if type(theta) is float else lift_chart(theta)
         a, b = lhs.lift_h(h), rhs.lift_h(h)
         return a[0] * b[1] - a[1] * b[0]
 

@@ -40,6 +40,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .homeo import (
+    BISECT_TOL,
     CircleHomeo,
     graph_equation_zeros,
     homeo_sup_distance,
@@ -326,8 +327,11 @@ class PlaneModel:
         for t in thetas:
             cand = ProjPoint.from_chart(t)
             # the chart cannot represent infinity exactly; snap roots that
-            # converged next to it when the graphs genuinely meet there
-            if chordal(cand, inf) < 1e-7 and (
+            # converged next to it when the graphs genuinely meet there. A
+            # crossing at infinity, chart 1/2, is refined to a root within
+            # BISECT_TOL of it in the chart (see regula_falsi), and
+            # chordal(from_chart(1/2 + d), inf) = 2 |sin(pi d / 2)| <= pi |d|
+            if chordal(cand, inf) <= math.pi * BISECT_TOL and (
                 chordal(c1.graph.apply(inf), c2.graph.apply(inf)) <= 10.0 * self.tol
             ):
                 cand = inf

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torus_planes import (
@@ -22,12 +22,11 @@ from torus_planes import (
 )
 from torus_planes.homeo import (
     _BISECT_STEPS,
-    BISECT_LEVELS,
     BISECT_TOL,
     FLOAT_GRID,
     _float_grid,
     _lifted_grid,
-    bisect,
+    regula_falsi,
 )
 from torus_planes.projline import chordal_h, h_from_chart
 
@@ -38,7 +37,6 @@ from helpers import (
     random_pgl,
     random_triple,
     rng_for,
-    serial_bisect,
     spline_eval_chart,
     spline_plane,
 )
@@ -339,82 +337,104 @@ class TestSpline:
 
 
 # ----------------------------------------------------------------------
-# batched bisection against the serial loop
+# regula falsi on float brackets
 
 
-def _bisect_fn(kind, r):
-    """Elementwise test functions with a sign change, a zero run or a gap at r."""
+def _float_fn(kind, r):
+    """Float test functions with a crossing, a zero run or a gap at r."""
     if kind == "linear":
         return lambda x: x - r
     if kind == "cubic":
         return lambda x: (x - r) * (x - r) * (x - r) - 1e-3 * (x - r)
     if kind == "steps":  # exactly zero on [r, r + 1/4)
-        return lambda x: np.floor(4.0 * (x - r))
+        return lambda x: float(math.floor(4.0 * (x - r)))
     # not finite within 1e-6 of r, like the near-gap function at its pole
-    return lambda x: np.where(np.abs(x - r) < 1e-6, np.nan, x - r)
+    return lambda x: math.nan if abs(x - r) < 1e-6 else x - r
 
 
-def _assert_bisect_matches_serial(fn, brackets):
-    """bisect of the brackets gives each serial bisection's root and value, in rounds."""
+def _refine_counted(fn, bracket):
+    """regula_falsi of one bracket: (root, value, float calls)."""
     calls = []
 
     def counted(x):
-        calls.append(len(x))
+        assert type(x) is float
+        calls.append(x)
         return fn(x)
 
-    got = bisect(counted, brackets)
-    want = [serial_bisect(fn, lo, hi, flo, atol=BISECT_TOL) for lo, hi, flo in brackets]
-    assert len(got) == len(want)
-    for (root, froot), (want_root, want_froot, _) in zip(got, want):
-        assert root == want_root
-        assert froot == want_froot or (math.isnan(froot) and math.isnan(want_froot))
-    # round r evaluates the midpoint trees, BISECT_LEVELS steps deep, of
-    # every bracket whose serial bisection runs past step r * BISECT_LEVELS
-    rounds = [-(-steps // BISECT_LEVELS) for *_, steps in want]
-    depths = [min(BISECT_LEVELS, _BISECT_STEPS - r * BISECT_LEVELS) for r in range(max(rounds))]
-    assert calls == [((1 << d) - 1) * sum(k > r for k in rounds) for r, d in enumerate(depths)]
-    return want
+    (root, value), = regula_falsi(counted, [bracket])
+    assert root in calls or root in bracket[:2]
+    return root, value, len(calls)
+
+
+def _assert_stops_by_the_rule(fn, bracket, root, value, calls):
+    """A zero, a non-finite value, the step cap, or an end of a bracket at most BISECT_TOL wide."""
+    lo, hi, _, _ = bracket
+    assert lo <= root <= hi and 1 <= calls <= _BISECT_STEPS
+    assert repr(value) == repr(fn(root))
+    if value == 0.0 or not math.isfinite(value) or calls == _BISECT_STEPS:
+        return
+    # the other end of that bracket is in the other sign class
+    near = [min(max(root + d, lo), hi) for d in (-BISECT_TOL, BISECT_TOL)]
+    assert {fn(t) < 0.0 for t in near} == {True, False}
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     kind=st.sampled_from(["linear", "cubic", "steps", "gap"]),
-    where=st.floats(-0.5, 1.5),
-    spans=st.lists(st.tuples(st.floats(1e-6, 1e3), st.floats(1e-9, 1e3), st.booleans()),
-                   min_size=1, max_size=4),
+    where=st.floats(0.01, 0.99),
+    spans=st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(1e-6, 1e3)), min_size=1, max_size=4),
 )
-@example(kind="linear", where=0.25, spans=[(1.0, 1.0, False)])  # exact zero at a midpoint
-@example(kind="gap", where=0.3, spans=[(1.0, 1.0, False)])  # non-finite value
-@example(kind="linear", where=0.7, spans=[(1.0, 1.0, True)])  # lower value 0
-@example(kind="cubic", where=0.4, spans=[(1e6, 1.0, False)])  # floats too coarse: step bound
-def test_bisect_matches_serial_bisection(kind, where, spans):
-    # the function's feature sits at `where` in the first bracket; the
-    # others are drawn freely and stop after their own step counts
-    lo0, width0, _ = spans[0]
-    fn = _bisect_fn(kind, lo0 + where * width0)
-    brackets = [(lo, lo + width, 0.0 if lower_zero else float(fn(np.array([lo]))[0]))
-                for lo, width, lower_zero in spans]
-    _assert_bisect_matches_serial(fn, brackets)
+def test_regula_falsi_stops_by_its_rule(kind, where, spans):
+    # each bracket holds the function's feature at `where` of its width
+    for lo, width in spans:
+        hi = lo + width
+        fn = _float_fn(kind, lo + where * width)
+        if (fn(lo) < 0.0) == (fn(hi) < 0.0):  # the feature rounded onto an end
+            continue
+        bracket = (lo, hi, fn(lo), fn(hi))
+        _assert_stops_by_the_rule(fn, bracket, *_refine_counted(fn, bracket))
 
 
-def test_bisect_brackets_stop_in_different_rounds():
-    # one function, four regions: an exact zero at the second midpoint of
-    # [1, 2], a non-finite band at 20.3, a root bisected down to BISECT_TOL,
-    # and a cubic at 1e6 whose floats are too coarse for BISECT_TOL
+def test_regula_falsi_closes_on_an_end_at_the_crossing():
+    # the crossing 0.3 + 1e-17 rounds to 0.3, so the secant point of the
+    # bracket is its lower end; the point half of BISECT_TOL inside crosses
+    # and closes the bracket, where bisection would halve it 37 times
     def fn(x):
-        return np.where(x < 10.0, x - 1.25,
-                        np.where(x < 50.0, _bisect_fn("gap", 20.3)(x),
-                                 np.where(x < 1e5, x - 200.0 / 3.0,
-                                          _bisect_fn("cubic", 1e6 + 0.4)(x))))
+        return x - 0.3 - 1e-17
 
-    brackets = [(lo, hi, float(fn(np.array([lo]))[0]))
-                for lo, hi in ((1.0, 2.0), (20.0, 21.0), (66.0, 67.0), (1e6, 1e6 + 1.0))]
-    want = _assert_bisect_matches_serial(fn, brackets)
-    (_, zero, s_zero), (_, gap, s_gap), (_, near, s_tol), (_, _, s_cap) = want
-    assert zero == 0.0 and s_zero == 2
-    assert math.isnan(gap)
-    assert 0.0 < abs(near) <= BISECT_TOL and s_tol < _BISECT_STEPS
-    assert s_cap == _BISECT_STEPS
-    rounds = [-(-steps // BISECT_LEVELS) for steps in (s_zero, s_gap, s_tol, s_cap)]
-    assert len(set(rounds)) == 4
-    assert bisect(fn, []) == []
+    assert fn(0.3) == -1e-17
+    assert _refine_counted(fn, (0.3, 1.3, fn(0.3), fn(1.3))) == (0.3, -1e-17, 1)
+
+
+def test_regula_falsi_edge_cases():
+    def fn(x):
+        # one float function, six regions
+        if x < 10.0:
+            return x - 1.25  # the first secant point of [1, 2] is its zero
+        if x < 50.0:
+            return _float_fn("gap", 20.3)(x)  # a non-finite band
+        if x < 100.0:
+            return 70.0 - x  # a zero at the lower end of [70, 71]
+        if x < 1e3:
+            return x - 501.0  # a zero at the upper end of [500, 501]
+        if x < 1e5:
+            return (x - 6666.0) ** 3 - 0.3  # a root refined to BISECT_TOL
+        return _float_fn("cubic", 1e6 + 0.4)(x)  # floats too coarse for BISECT_TOL
+
+    brackets = [(lo, hi, fn(lo), fn(hi)) for lo, hi in
+                ((1.0, 2.0), (20.0, 21.0), (70.0, 71.0), (500.0, 501.0), (6666.0, 6667.0),
+                 (1e6, 1e6 + 1.0))]
+    got = [_refine_counted(fn, bracket) for bracket in brackets]
+    for bracket, out in zip(brackets, got):
+        _assert_stops_by_the_rule(fn, bracket, *out)
+    zero, gap, low, high, near, cap = got
+    assert zero == (1.25, 0.0, 1)
+    assert abs(gap[0] - 20.3) < 1e-6 and math.isnan(gap[1]) and gap[2] == 1
+    # an end at a zero is returned after one step half of BISECT_TOL inside
+    assert low == (70.0, 0.0, 1) and high == (501.0, 0.0, 1)
+    assert near[1] != 0.0 and near[2] < 12
+    assert abs(near[0] - (6666.0 + 0.3 ** (1.0 / 3.0))) <= BISECT_TOL
+    assert cap[2] == _BISECT_STEPS
+    # several brackets in one call give what each gives alone, in order
+    assert repr(regula_falsi(fn, brackets)) == repr([(root, value) for root, value, _ in got])
+    assert regula_falsi(fn, []) == []

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from torus_planes import (
     ParallelInput,
     PlaneModel,
     PointOnBaseCross,
+    PowerMap,
     PreconditionViolated,
     ProjPoint,
     TorusPoint,
@@ -559,8 +561,8 @@ class TestConfig:
 
 
 # ----------------------------------------------------------------------
-# bisection evaluates many midpoints per call, so the functions it bisects
-# must give every element the same bits whichever batch it is evaluated in
+# the reference scans evaluate their functions in batches of any size, so
+# those functions must give every element the same bits in every batch
 
 
 def _assert_batch_invariant(fn, xs, sizes):
@@ -591,10 +593,13 @@ def test_bisected_functions_are_batch_invariant(name, monkeypatch):
         # the crossing function of two graphs, as graph_equation_zeros builds
         # it; every lifted atom acts elementwise, so single points agree too
         homeo.graph_equation_zeros(c.graph, d.graph)
+        fn = captured.pop()
         thetas = np.concatenate([np.arange(512) / 512, rng.uniform(0.0, 1.0 + 1 / 512, 64)])
-        # a bisection round evaluates the midpoint trees of k brackets at once
-        rounds = tuple(k * ((1 << homeo.BISECT_LEVELS) - 1) for k in (1, 2, 3, 4))
-        _assert_batch_invariant(captured.pop(), thetas, (1, 3, 7, 15) + rounds)
+        _assert_batch_invariant(fn, thetas, (1, 3, 7, 15))
+        # on a Python float, as the refiner evaluates it, the math kernels
+        # may differ from numpy's in the last bits, never more
+        values = fn(thetas)
+        assert all(abs(fn(t) - v) <= 1e-13 for t, v in zip(thetas.tolist(), values.tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -636,7 +641,7 @@ def chart_difference_zeros(lhs, rhs, grid=512, tangent_band=1e-7):
         elif (flo < 0.0) == (fhi < 0.0) and fhi != 0.0:
             continue
         elif abs(flo - fhi) < 0.5:
-            accept(*homeo.bisect(fn, [(lo, hi, flo)])[0])
+            accept(*serial_bisect(fn, lo, hi, flo, atol=homeo.BISECT_TOL)[:2])
         elif depth < 12:
             mid = 0.5 * (lo + hi)
             fmid = float(fn(mid))
@@ -657,10 +662,11 @@ def _cyclic_gap(a, b):
     return min(d, 1.0 - d)
 
 
-def _mixed_route_pair(plane, rng):
+def _mixed_route_pair(plane, rng, a_x=None):
     """Circles c1, c2 of opposite branches sharing two drawn points a and b.
 
-    Draws that a steep twist cannot join are redrawn.
+    a's x coordinate is a_x when one is given. Draws that a steep twist
+    cannot join are redrawn.
     """
     while True:
         try:
@@ -668,7 +674,9 @@ def _mixed_route_pair(plane, rng):
         except NoBranch:
             continue
         ta, tb = rng.random(2)
-        a = c1.point_at(ProjPoint.from_chart(ta))
+        if a_x is not None:
+            ta = a_x.chart()
+        a = c1.point_at(ProjPoint.from_chart(ta) if a_x is None else a_x)
         b = c1.point_at(ProjPoint.from_chart(tb))
         r = TorusPoint(random_proj_point(rng), random_proj_point(rng))
         if (_cyclic_gap(ta, tb) < 0.05 or chordal(a.y, b.y) < 0.05
@@ -708,11 +716,15 @@ def test_crossing_scan_finds_every_chart_difference_zero(name):
         assert all(min(torus_dist(p, s) for p in pts) <= 1e-6 for s in shared)
 
 
-def test_chart_scan_bisects_its_brackets_together(monkeypatch):
-    # one call scans the grid; each later call advances every open bracket
-    # BISECT_LEVELS steps, so two crossings cost one call series, not two
-    rng = rng_for(905)
-    c1, c2, _ = _mixed_route_pair(parse_plane_spec("half:power:2"), rng)
+# float evaluations regula falsi makes per root on the pairs below: 5 for
+# most roots, 11 at most over 2,000 roots of 1,000 mixed pairs on these planes
+FLOAT_CALLS_PER_ROOT = 12
+
+
+@pytest.mark.parametrize("name", ["power-2", "power-1/3", "spline", "power-20", "power-0.05"])
+def test_chart_scan_is_one_array_call_then_a_few_float_calls_per_root(name, monkeypatch):
+    rng = rng_for(905, CROSSING_ORDER.index(name))
+    plane = CROSSING_PLANES[name](rng)
     calls = []
     build = homeo.crossing_function
 
@@ -720,22 +732,86 @@ def test_chart_scan_bisects_its_brackets_together(monkeypatch):
         fn = build(lhs, rhs)
 
         def counted(theta):
-            calls.append(len(theta))
+            calls.append(theta if type(theta) is float else len(theta))
             return fn(theta)
 
         return counted
 
     monkeypatch.setattr(homeo, "crossing_function", counted_crossing_function)
-    zeros = homeo.graph_equation_zeros(c1.graph, c2.graph)
-    assert len(zeros) == 2
-    fn = build(c1.graph, c2.graph)
-    theta = np.arange(homeo.SCAN_GRID) / homeo.SCAN_GRID
-    vals = fn(theta)
-    starts = np.nonzero(np.sign(vals) != np.sign(np.roll(vals, -1)))[0]
-    assert len(starts) == 2
-    steps = max(serial_bisect(fn, theta[i], theta[i] + 1.0 / homeo.SCAN_GRID, vals[i],
-                              atol=homeo.BISECT_TOL)[2] for i in starts)
-    assert len(calls) == 1 + -(-steps // homeo.BISECT_LEVELS)
+    for _ in range(12):
+        c1, c2, _ = _mixed_route_pair(plane, rng)
+        calls.clear()
+        zeros = homeo.graph_equation_zeros(c1.graph, c2.graph)
+        assert len(zeros) == 2
+        assert calls[0] == homeo.SCAN_GRID
+        assert all(type(theta) is float for theta in calls[1:])
+        assert len(calls) - 1 <= FLOAT_CALLS_PER_ROOT * len(zeros)
+
+
+def _mp_lift(mp, atom, h):
+    """One atom's lifted action on a pair of mpf, unit-normalized."""
+    h0, h1 = h
+    if isinstance(atom, MobiusMap):
+        a, b, c, d = (mp.mpf(v) for v in (atom.a, atom.b, atom.c, atom.d))
+        x, y = a * h0 + b * h1, c * h0 + d * h1
+    elif isinstance(atom, PowerMap):
+        e = mp.mpf(atom.exponent)
+        x, y = (mp.sign(v) * abs(v) ** e for v in (h0, h1))
+    else:  # the spline's lifted chart table, as MonotoneSpline.lift_h reads it
+        tx, ty = atom._tx, atom._ty
+        chart = mp.atan2(h0, h1) / mp.pi
+        k = mp.floor(chart - tx[0])
+        t = chart - k
+        j = min(max(bisect_right(tx, float(t)) - 1, 0), len(tx) - 2)
+        while j > 0 and t < tx[j]:  # float(t) may round across a knot
+            j -= 1
+        while j < len(tx) - 2 and t >= tx[j + 1]:
+            j += 1
+        y_chart = (mp.mpf(ty[j + 1]) - ty[j]) / (mp.mpf(tx[j + 1]) - tx[j]) * (t - tx[j]) + ty[j]
+        x, y = mp.sin(mp.pi * (y_chart + k)), mp.cos(mp.pi * (y_chart + k))
+    n = mp.hypot(x, y)
+    return x / n, y / n
+
+
+@pytest.mark.parametrize("name", ["power-2", "power-1/3", "spline", "power-20", "power-0.05"])
+def test_chart_scan_roots_match_a_50_digit_oracle(name, monkeypatch):
+    # the crossing function of the same float maps at 50 digits, solved
+    # from the float root; the refiner's root must be within BISECT_TOL
+    mp = pytest.importorskip("mpmath")
+    monkeypatch.setattr(mp.mp, "dps", 50)
+    rng = rng_for(906, CROSSING_ORDER.index(name))
+    plane = CROSSING_PLANES[name](rng)
+    for _ in range(12):
+        c1, c2, _ = _mixed_route_pair(plane, rng)
+
+        def s(theta):
+            a = b = (mp.sin(mp.pi * theta), mp.cos(mp.pi * theta))
+            for atom in c1.graph.atoms:
+                a = _mp_lift(mp, atom, a)
+            for atom in c2.graph.atoms:
+                b = _mp_lift(mp, atom, b)
+            return a[0] * b[1] - a[1] * b[0]
+
+        zeros = homeo.graph_equation_zeros(c1.graph, c2.graph)
+        assert len(zeros) == 2
+        for theta in zeros:
+            exact = mp.findroot(s, (mp.mpf(theta) - 1e-9, mp.mpf(theta) + 1e-9), solver="anderson")
+            assert abs(s(exact)) < mp.mpf(10) ** -40
+            assert float(abs(mp.mpf(theta) - exact)) <= homeo.BISECT_TOL
+
+
+@pytest.mark.parametrize("name", ["power-2", "power-1/3", "spline"])
+def test_chart_scan_meets_infinity_exactly(name):
+    # chart 1/2, infinity, is a scan grid point; the refined root lands
+    # within the snap radius of it and is returned as infinity itself
+    rng = rng_for(907, CROSSING_ORDER.index(name))
+    plane = CROSSING_PLANES[name](rng)
+    inf = ProjPoint.infinity()
+    for _ in range(24):
+        c1, c2, _ = _mixed_route_pair(plane, rng, a_x=inf)
+        pts = plane.circle_intersect(c1, c2)
+        assert len(pts) == 2
+        assert sum((p.x.h0, p.x.h1) == (inf.h0, inf.h1) for p in pts) == 1
 
 
 @pytest.mark.parametrize("spec", ["half:id", "half:power:1"])

@@ -2,11 +2,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from torus_planes import MobiusMap, classical_plane, render_svg
 from torus_planes.planes import TAG_TWISTED
 from torus_planes.projline import chart_h, h_from_chart
-from torus_planes.svgplot import _CANVAS, _PALETTE, _SAMPLES
+from torus_planes import svgplot
+from torus_planes.svgplot import _CANVAS, _PALETTE, _SAMPLES, _sample_text
 
 from helpers import SEEDED_PLANES, canonical_chain_action, random_triple, rng_for
 
@@ -117,3 +121,54 @@ def test_one_sample_segment_is_dropped():
     assert point_counts(svg) == point_counts(reference_svg([circle])) == [511]
     assert re.search(r'points="1\.000000,', svg)
     assert_same_svg(svg, reference_svg([circle]))
+
+
+# ----------------------------------------------------------------------
+# the digit tables against "%.6f"
+
+
+def y_texts(py):
+    """The y text _sample_text writes for each canvas y."""
+    return ["".join(row) for row in _sample_text(np.asarray(py, dtype=float))[:, 1:].tolist()]
+
+
+def assert_writes_like_printf(py):
+    py = np.asarray(py, dtype=float)
+    for chunk in range(0, len(py), _SAMPLES + 1):
+        part = py[chunk:chunk + _SAMPLES + 1]
+        assert y_texts(part) == [f"{v:.6f}" for v in part.tolist()]
+
+
+def test_digit_tables_round_exact_ties_half_to_even(monkeypatch):
+    # k / 128 is k * 7812.5 millionths: every odd k is an exact tie, which
+    # the tables leave to "%.6f"
+    fallback = []
+    monkeypatch.setattr(svgplot, "_fmt", lambda v: fallback.append(v) or f"{v:.6f}")
+    ties = np.arange(1, 512 * 128 + 1) / 128
+    assert_writes_like_printf(ties)
+    assert len(fallback) == len(ties) // 2 and 1 / 128 in fallback
+    assert y_texts([1 / 128, 3 / 128]) == ["0.007812", "0.023438"]
+
+
+def test_digit_tables_next_to_rounding_boundaries():
+    # the floats nearest x.xxxxxx5 and their neighbours a few ulps away
+    rng = np.random.default_rng(912)
+    millionths = np.concatenate([rng.integers(0, 512_000_000, 4000), [0, 511_999_999]])
+    down = up = (millionths + 0.5) / 1e6
+    near = [down]
+    for _ in range(3):
+        down, up = np.nextafter(down, 0.0), np.nextafter(up, 512.0)
+        near += [down, up]
+    assert_writes_like_printf(np.concatenate(near))
+
+
+def test_digit_tables_at_the_ends_of_the_canvas():
+    assert_writes_like_printf([512.0, np.nextafter(512.0, 0.0), 511.9999995, 511.9999994999,
+                               5e-324, 2.0**-44, 1e-7, 4.999999e-7, 5e-7, 5.000001e-7, 1e-6])
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(1, _SAMPLES + 1),
+                  elements=st.floats(0.0, 512.0, exclude_min=True)))
+def test_digit_tables_write_like_printf(py):
+    assert_writes_like_printf(py)
