@@ -17,13 +17,14 @@ The two kernels may differ in the last bit (numpy's SIMD `power`,
 canonicalizes once, after the whole chain, for callers that want
 canonical pairs (plotting). Circles are compared on the lift:
 `homeo_sup_distance` is the largest chordal distance between two chains'
-lifted images of a grid, on floats for grids of at most FLOAT_GRID points
-and on arrays above; `audit_monotone` lifts its 256 points on floats, so
-building a plane loads no numpy. Along the lifted chart
-(sin pi theta, cos pi theta) the determinant s(theta) of two images is a
-continuous function of period 1 that vanishes exactly where the graphs
-meet; it equals +-sin(pi * chart difference). Root finding scans it on a grid
-in one array call, with no seam to filter and no derivative, and
+lifted images of a grid, on floats at every grid size, with each chain's
+twist atoms lifted once per grid and cached; `audit_monotone` lifts its
+256 points on floats, so building and comparing circles loads no numpy.
+Along the lifted chart (sin pi theta, cos pi theta) the determinant
+s(theta) of two images is a continuous function of period 1 that
+vanishes exactly where the graphs meet; it equals
++-sin(pi * chart difference). Root finding scans it on a grid in one
+array call, with no seam to filter and no derivative, and
 `regula_falsi` refines each sign change on Python floats. Only crossings
 are found; the graphs scanned here, of maps of opposite orientation,
 never touch without crossing.
@@ -41,7 +42,6 @@ from .errors import ConfigError, MonotonicityError, PreconditionViolated
 from .projline import (
     MobiusMap,
     ProjPoint,
-    chordal_h,
     lift_chart,
     normalize_h,
 )
@@ -58,8 +58,8 @@ BISECT_TOL = 1e-11
 #: evaluations after which `regula_falsi` stops, for brackets too wide in floats
 _BISECT_STEPS = 201
 
-#: grids of at most this many points are lifted on Python floats, larger ones on arrays
-FLOAT_GRID = 16
+#: entries of the cache of grids lifted through a chain's twist atoms
+TWIST_LIFTS = 16
 
 
 def _floats(h) -> bool:
@@ -344,39 +344,80 @@ def _float_grid(grid_size: int) -> tuple:
     return tuple(_lift_chart_float(j / grid_size) for j in range(grid_size))
 
 
-@lru_cache(maxsize=8)
-def _lifted_grid(grid_size: int) -> np.ndarray:
-    import numpy as np
+def _lift_all(atoms: tuple, grid: tuple) -> tuple:
+    """The float pairs of `grid` sent through `atoms`, each by `CircleHomeo.lift_h`."""
+    if not atoms:
+        return grid
+    lift = CircleHomeo(atoms).lift_h
+    return tuple(lift(h) for h in grid)
 
-    grid = lift_chart(np.arange(grid_size) / grid_size)
-    grid.flags.writeable = False  # one array shared by every call
-    return grid
+
+@lru_cache(maxsize=TWIST_LIFTS)
+def _twist_lift(twist: tuple, grid_size: int) -> tuple:
+    """The grid j / grid_size lifted through the twist atoms `twist`.
+
+    Atoms hash by identity, so the circles of one plane, whose chains start
+    with the plane's own twist atoms, share one entry.
+    """
+    return _lift_all(twist, _float_grid(grid_size))
+
+
+def _split_twist(h: CircleHomeo) -> tuple:
+    """(leading non-Mobius atoms, the rest) of a chain."""
+    atoms = h.atoms
+    k = 0
+    while k < len(atoms) and not isinstance(atoms[k], MobiusMap):
+        k += 1
+    return atoms[:k], atoms[k:]
 
 
 def homeo_sup_distance(h1: CircleHomeo, h2: CircleHomeo, grid_size: int) -> float:
     """Max chordal distance between the lifted images of the grid j / grid_size.
 
     Either sign of an image counts; a non-finite one raises
-    PreconditionViolated. Grids of at most FLOAT_GRID points are lifted on
-    floats, point by point; larger ones as one array each.
+    PreconditionViolated. Each chain's leading twist atoms lift the grid
+    once, cached (`_twist_lift`). When both chains end in one plain
+    `MobiusMap`, the two maps, their normalizations and the distance run
+    in one loop on floats; any other tail is lifted point by point through
+    `CircleHomeo.lift_h`. Both routes have the bits of `lift_h` applied to
+    the whole chain.
     """
     if not (isinstance(grid_size, numbers.Integral) and grid_size >= 3):
         raise ConfigError(f"grid_size must be an integer of at least 3, got {grid_size!r}")
-    if grid_size <= FLOAT_GRID:
-        distance = 0.0
-        for h in _float_grid(grid_size):
-            (a0, a1), (b0, b1) = h1.lift_h(h), h2.lift_h(h)
-            d = min(math.hypot(a0 - b0, a1 - b1), math.hypot(a0 + b0, a1 + b1))
-            if not math.isfinite(d):  # a nan image makes both hypots nan
-                raise PreconditionViolated("homogeneous pair must be finite and nonzero")
-            distance = max(distance, d)
-        return distance
-    import numpy as np
-
-    grid = _lifted_grid(grid_size)
-    with np.errstate(all="ignore"):  # a non-finite image is caught below
-        distance = float(np.max(chordal_h(h1.lift_h(grid), h2.lift_h(grid))))
-    if not math.isfinite(distance):
+    (twist1, tail1), (twist2, tail2) = _split_twist(h1), _split_twist(h2)
+    grid1, grid2 = _twist_lift(twist1, grid_size), _twist_lift(twist2, grid_size)
+    if (len(tail1) == 1 and type(tail1[0]) is MobiusMap
+            and len(tail2) == 1 and type(tail2[0]) is MobiusMap):
+        m1, m2 = tail1[0], tail2[0]
+        a, b, c, d = m1.a, m1.b, m1.c, m1.d
+        e, f, g, k = m2.a, m2.b, m2.c, m2.d
+        hypot = math.hypot
+        distance = total = 0.0
+        try:
+            for (x0, x1), (y0, y1) in zip(grid1, grid2):
+                u0 = a * x0 + b * x1
+                u1 = c * x0 + d * x1
+                n = hypot(u0, u1)
+                u0 /= n
+                u1 /= n
+                v0 = e * y0 + f * y1
+                v1 = g * y0 + k * y1
+                n = hypot(v0, v1)
+                v0 /= n
+                v1 /= n
+                minus, plus = hypot(u0 - v0, u1 - v1), hypot(u0 + v0, u1 + v1)
+                dist = plus if plus < minus else minus  # min(minus, plus), without the call
+                total += dist
+                if dist > distance:
+                    distance = dist
+        except ZeroDivisionError:  # an image that rounds to (0, 0)
+            total = math.nan
+    else:
+        images1, images2 = _lift_all(tail1, grid1), _lift_all(tail2, grid2)
+        dists = [min(math.hypot(a0 - b0, a1 - b1), math.hypot(a0 + b0, a1 + b1))
+                 for (a0, a1), (b0, b1) in zip(images1, images2)]
+        distance, total = max(dists), sum(dists)
+    if not math.isfinite(total):  # a nan image makes both hypots nan
         raise PreconditionViolated("homogeneous pair must be finite and nonzero")
     return distance
 

@@ -88,17 +88,6 @@ def h_from_chart(theta) -> np.ndarray:
     return normalize_h(lift_chart(theta))
 
 
-def chordal_h(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Chordal distance between unit representatives of either sign, broadcasting."""
-    import numpy as np
-
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d_minus = np.hypot(a[0] - b[0], a[1] - b[1])
-    d_plus = np.hypot(a[0] + b[0], a[1] + b[1])
-    return np.minimum(d_minus, d_plus)
-
-
 class ProjPoint:
     """A point of RP^1 stored as its canonical homogeneous representative."""
 

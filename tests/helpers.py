@@ -107,6 +107,33 @@ def canonical_chain_action(chain, h):
     return h
 
 
+def reference_sup_distance(h1, h2, grid_size):
+    """The canonical-chart sup distance on arrays: normalize_h after every atom."""
+    h = h_from_chart(np.arange(grid_size) / grid_size)
+    a, b = canonical_chain_action(h1, h), canonical_chain_action(h2, h)
+    chordal = np.minimum(np.hypot(a[0] - b[0], a[1] - b[1]), np.hypot(a[0] + b[0], a[1] + b[1]))
+    return float(np.max(chordal))
+
+
+def serial_sup_distance(h1, h2, grid_size):
+    """The lifted sup distance one grid point at a time, each lifted by the whole chain.
+
+    Each point j / grid_size is lifted on floats and sent through
+    `CircleHomeo.lift_h`; the distance is the max over points of the min of
+    the two hypots, as `homeo_sup_distance` defines it. nan when an image is.
+    """
+    distance = 0.0
+    for j in range(grid_size):
+        alpha = j / grid_size * math.pi
+        h = (math.sin(alpha), math.cos(alpha))
+        (a0, a1), (b0, b1) = h1.lift_h(h), h2.lift_h(h)
+        d = min(math.hypot(a0 - b0, a1 - b1), math.hypot(a0 + b0, a1 + b1))
+        if math.isnan(d):
+            return math.nan
+        distance = max(distance, d)
+    return distance
+
+
 def random_pgl(rng) -> MobiusMap:
     while True:
         m = rng.normal(size=(2, 2))

@@ -103,16 +103,21 @@ print(json.dumps([rc, [m for m in heavy if m in sys.modules]]))
 """
 
 
-def _cold_run(args, cwd):
-    """(exit code, heavy modules loaded) of `torus-planes ARGS` in a fresh interpreter."""
+def _fresh_run(script, args, cwd):
+    """The JSON last line that `script` prints, run with ARGS in a fresh interpreter."""
     src = Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", _PROBE, *args], capture_output=True, text=True, cwd=cwd,
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, cwd=cwd,
         env={**os.environ, "PYTHONPATH": path}, timeout=120,
     )
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+def _cold_run(args, cwd):
+    """(exit code, heavy modules loaded) of `torus-planes ARGS` in a fresh interpreter."""
+    return _fresh_run(_PROBE, args, cwd)
 
 
 def test_cli_import_loads_no_oracle_or_test_package(tmp_path):
@@ -131,10 +136,47 @@ def test_cli_import_loads_no_oracle_or_test_package(tmp_path):
          "--seed", "1", "--out", "reports"],
         ["verify", "--plane", "classical", "--suite", "fixed-configuration",
          "--group", "phi2:-1:2:3:1", "--seed", "1", "--out", "reports"],
+        # 64-point sup distances: the classical rejoin and the derived rejoin
+        ["verify", "--plane", "classical", "--suite", "joining,joining-stress", "--trials", "20",
+         "--seed", "1", "--out", "reports"],
+        ["verify", "--plane", "half:power:2", "--suite", "derived-plane", "--trials", "20",
+         "--seed", "1", "--out", "reports"],
+        ["verify", "--plane", "half:spline:knots.txt", "--suite", "derived-plane",
+         "--trials", "20", "--seed", "1", "--out", "reports"],
+        ["verify", "--plane", "classical", "--suite", "joining,automorphism,derived-plane,rigidity",
+         "--trials", "20", "--seed", "1", "--out", "reports"],
     ]
     for args in cases:
         rc, loaded = _cold_run(args, tmp_path)
         assert rc in (None, 0) and loaded == [], (args, rc, loaded)
+
+
+_INTERSECT_PROBE = """
+import json, sys
+from torus_planes import TorusPoint, parse_plane_spec
+plane = parse_plane_spec("half:power:2")
+P = TorusPoint.from_reals
+
+def circle(tag, *points):
+    c = plane.join(*points)
+    assert c.tag.endswith(tag), c.tag
+    return c
+
+psl = [circle("PSL", P(0, 0), P(1, 1), P(2, 3)), circle("PSL", P(0, 1), P(1, 2), P(3, 4))]
+twisted = [circle("twisted", P(0, 0), P(1, -1), P(2, -3)),
+           circle("twisted", P(0, 1), P(1, -2), P(3, -4))]
+loaded = []
+for c1, c2 in (psl, twisted, (psl[0], twisted[0])):  # quadratic, twisted, then mixed
+    plane.circle_intersect(c1, c2)
+    loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_circle_intersect_loads_numpy_only_for_a_chart_scan(tmp_path):
+    # the sup distance that screens equal circles runs on floats on every
+    # route; the mixed-branch chart scan is the one array call left
+    assert _fresh_run(_INTERSECT_PROBE, [], tmp_path) == [False, False, True]
 
 
 def test_plot_loads_numpy_on_first_array_use(tmp_path):

@@ -16,6 +16,7 @@ from torus_planes import (
     PreconditionViolated,
     ProjPoint,
     chordal,
+    half_classical_plane,
     homeo_sup_distance,
     load_spline_knots,
     parse_plane_spec,
@@ -23,20 +24,23 @@ from torus_planes import (
 from torus_planes.homeo import (
     _BISECT_STEPS,
     BISECT_TOL,
-    FLOAT_GRID,
+    TWIST_LIFTS,
     _float_grid,
-    _lifted_grid,
+    _split_twist,
+    _twist_lift,
     regula_falsi,
 )
-from torus_planes.projline import chordal_h, h_from_chart
+from torus_planes.planes import TAG_PSL, TAG_TWISTED
+from torus_planes.projline import lift_chart
 
 from helpers import (
     SEEDED_PLANES,
     assert_columns_match_batch,
-    canonical_chain_action,
     random_pgl,
     random_triple,
+    reference_sup_distance,
     rng_for,
+    serial_sup_distance,
     spline_eval_chart,
     spline_plane,
 )
@@ -95,6 +99,9 @@ class TestInverse:
         assert h.inverse().orientation == -1
 
 
+_ROTATION = MobiusMap.rotation(0.1)
+
+
 class TestSupDistance:
     def test_self_distance_zero(self):
         h = CircleHomeo.power(2.0)
@@ -119,31 +126,111 @@ class TestSupDistance:
         with pytest.raises(ConfigError, match="grid_size"):
             homeo_sup_distance(CircleHomeo.identity(), CircleHomeo.identity(), 3.5)
 
-    def test_cached_grid_is_read_only(self):
-        grid = _lifted_grid(64)
-        assert _lifted_grid(64) is grid
-        with pytest.raises(ValueError):
-            grid[0, 0] = 1.0
-
-    @pytest.mark.parametrize("grid_size", [FLOAT_GRID, 64])
-    def test_non_finite_image_raises(self, grid_size):
+    @pytest.mark.parametrize("grid_size", [16, 64])
+    @pytest.mark.parametrize("route", ["fused", "generic"])
+    def test_non_finite_image_raises(self, grid_size, route):
         # PowerMap(3000) underflows every pair off the axes to (0, 0); a nan
-        # distance would pass every `>` threshold, on floats as on arrays
+        # distance would pass every `>` threshold
+        steep = CircleHomeo((PowerMap(3000.0),))
+        rotation = CircleHomeo.from_mobius(_ROTATION)
+        # the fused loop takes chains that end in one Mobius map
+        pair = (rotation.compose(steep), rotation) if route == "fused" else (steep, CircleHomeo())
+        assert math.isnan(serial_sup_distance(*pair, grid_size))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(PreconditionViolated):
-                homeo_sup_distance(CircleHomeo((PowerMap(3000.0),)), CircleHomeo(), grid_size)
+                homeo_sup_distance(*pair, grid_size)
+            with pytest.raises(PreconditionViolated):
+                homeo_sup_distance(*reversed(pair), grid_size)
+
+    def test_mobius_image_that_rounds_to_zero_raises(self):
+        # no normalized map sends a unit pair to (0, 0); a zero map built
+        # around the constructor stands in for one on the fused loop
+        zero = object.__new__(MobiusMap)
+        for name in ("a", "b", "c", "d"):
+            object.__setattr__(zero, name, 0.0)
+        pair = CircleHomeo.from_mobius(zero), CircleHomeo.from_mobius(_ROTATION)
+        assert math.isnan(serial_sup_distance(*pair, 16))
+        with pytest.raises(PreconditionViolated):
+            homeo_sup_distance(*pair, 16)
 
     def test_float_grid_has_the_array_grids_bits(self):
-        for n in (3, FLOAT_GRID, 256):
-            assert np.array(_float_grid(n)).T.tobytes() == _lifted_grid(n).tobytes()
+        for n in (3, 16, 256):
+            assert np.array(_float_grid(n)).T.tobytes() == lift_chart(np.arange(n) / n).tobytes()
+
+    def test_rejoin_circles_share_one_twist_lift(self):
+        plane = parse_plane_spec("half:power:2")
+        rng = rng_for(215)
+        circle = plane.join(*random_triple(rng))
+        while circle.tag != TAG_TWISTED:
+            circle = plane.join(*random_triple(rng))
+        p, q, r = (circle.point_at(ProjPoint.from_chart(t)) for t in (0.1, 0.4, 0.7))
+        again = plane.join(r, p, q)
+        (twist1, _), (twist2, _) = _split_twist(circle.graph), _split_twist(again.graph)
+        assert twist1 == twist2 == plane.f.atoms
+        _twist_lift.cache_clear()
+        homeo_sup_distance(circle.graph, again.graph, 64)
+        info = _twist_lift.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert _twist_lift(twist1, 64) is _twist_lift(twist2, 64)
+
+    def test_twist_lift_cache_is_bounded(self):
+        _twist_lift.cache_clear()
+        for k in range(3 * TWIST_LIFTS):  # fresh atoms every call
+            chain = CircleHomeo((PowerMap(1.0 + k / 64.0), _ROTATION))
+            homeo_sup_distance(chain, CircleHomeo((PowerMap(2.0 + k / 64.0),)), 16)
+            assert _twist_lift.cache_info().currsize <= TWIST_LIFTS
+        assert _twist_lift.cache_info().currsize == TWIST_LIFTS
+
+    def test_mobius_tails_take_the_fused_loop(self, monkeypatch):
+        # once the twist lifts are cached, pairs of Mobius tails lift no
+        # point through CircleHomeo.lift_h; a tail with g's atoms does
+        plane = parse_plane_spec("half:power:2")
+        rng = rng_for(216)
+        graphs = [plane.join(*random_triple(rng)).graph for _ in range(6)]
+        pairs = [(a, b) for a in graphs for b in graphs]
+        g_plane = half_classical_plane(CircleHomeo.power(2.0), CircleHomeo.power(3.0))
+        other = g_plane.join(*random_triple(rng))
+        while other.tag != TAG_TWISTED:  # f's atoms, nu, then g's inverse
+            other = g_plane.join(*random_triple(rng))
+        other = other.graph
+        for a, b in pairs + [(graphs[0], other)]:
+            homeo_sup_distance(a, b, 64)
+
+        def refuse(self, h):
+            raise AssertionError("lifted point by point")
+
+        monkeypatch.setattr(CircleHomeo, "lift_h", refuse)
+        for a, b in pairs:
+            homeo_sup_distance(a, b, 64)
+        with pytest.raises(AssertionError, match="point by point"):
+            homeo_sup_distance(graphs[0], other, 64)
 
 
-def reference_sup_distance(h1, h2, grid_size):
-    """The canonical-chart sup distance: normalize_h after every atom."""
-    h = h_from_chart(np.arange(grid_size) / grid_size)
-    return float(np.max(chordal_h(canonical_chain_action(h1, h),
-                                  canonical_chain_action(h2, h))))
+def _sup_distance_pairs(rng):
+    """Circle pairs on every route: rejoin, same-branch and mixed pairs per plane."""
+    planes = {name: make(rng) for name, make in SEEDED_PLANES.items()}
+    planes["g-power-3"] = half_classical_plane(CircleHomeo.power(2.0), CircleHomeo.power(3.0))
+    pairs = []
+    for name, plane in sorted(planes.items()):
+        by_tag = {}
+        for _ in range(12):
+            p, q, r = random_triple(rng)
+            circle = plane.join(p, q, r)
+            by_tag.setdefault(circle.tag, []).append(circle.graph)
+            pairs.append((circle.graph, plane.join(r, p, q).graph))  # a rejoin pair
+        if name != "classical":
+            assert sorted(by_tag) == sorted([TAG_PSL, TAG_TWISTED]), name
+        graphs = [g for tag in sorted(by_tag) for g in by_tag[tag][:3]]
+        pairs += [(a, b) for a in graphs for b in graphs if a is not b]
+    return pairs
+
+
+@pytest.mark.parametrize("grid_size", [3, 16, 64, 256])
+def test_sup_distance_has_the_serial_float_bits(grid_size):
+    # the fused loop and the generic tail against each point lifted by the whole chain
+    for a, b in _sup_distance_pairs(rng_for(214)):
+        assert homeo_sup_distance(a, b, grid_size) == serial_sup_distance(a, b, grid_size)
 
 
 @pytest.mark.parametrize("name", sorted(SEEDED_PLANES))
@@ -157,7 +244,7 @@ def test_sup_distance_matches_the_canonical_reference(name):
         pairs.append((circle.graph, plane.join(r, p, q).graph))  # a rejoin pair
         pairs.append((circle.graph, plane.join(*random_triple(rng)).graph))
     for a, b in pairs:
-        for n in (3, 16, 64):
+        for n in (3, 16, 64, 256):
             assert abs(homeo_sup_distance(a, b, n) - reference_sup_distance(a, b, n)) <= 1e-13
 
 
@@ -237,7 +324,7 @@ def test_float_lift_agrees_with_the_array_lift(name):
     # the math and numpy kernels may differ in the last bits, never more
     rng = rng_for(213, sorted(SEEDED_PLANES).index(name))
     plane = SEEDED_PLANES[name](rng)
-    grid = _lifted_grid(64)
+    grid = lift_chart(np.arange(64) / 64)
     for _ in range(8):
         graph = plane.join(*random_triple(rng)).graph
         for chain in (graph, graph.inverse(), CircleHomeo(plane.f.atoms + graph.atoms)):
