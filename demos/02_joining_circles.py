@@ -62,3 +62,15 @@ for label, other in [
     points = plane.circle_intersect(ident, other)
     coords = [f"({p.x.value():g},{p.y.value():g})" for p in points]
     print(f"  identity vs {label}: {coords}")
+
+print("\n== a mixed-branch intersection, twist f(x) = sgn(x) x^2 ==")
+# a PSL circle against a twisted one: their graphs meet at the two fixed
+# points of an orientation-reversing map, one on each arc between a point
+# and its image, so two brackets hold both crossings
+psl = half.join(pt(0, 1), pt(1, 2), pt(3, 4))
+twisted = half.join(pt(0, 0), pt(1, -1), pt(2, -3))
+points = half.circle_intersect(psl, twisted)
+coords = [f"({p.x.value():.6g},{p.y.value():.6g})" for p in points]
+residual = max(half.membership_residual(c, p) for c in (psl, twisted) for p in points)
+print(f"  {psl.tag} vs {twisted.tag}: {coords}")
+print(f"  largest membership residual on either circle: {residual:.1e}")

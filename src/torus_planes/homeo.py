@@ -23,11 +23,11 @@ twist atoms lifted once per grid and cached; `audit_monotone` lifts its
 Along the lifted chart (sin pi theta, cos pi theta) the determinant
 s(theta) of two images is a continuous function of period 1 that
 vanishes exactly where the graphs meet; it equals
-+-sin(pi * chart difference). Root finding scans it on a grid in one
-array call, with no seam to filter and no derivative, and
-`regula_falsi` refines each sign change on Python floats. Only crossings
-are found; the graphs scanned here, of maps of opposite orientation,
-never touch without crossing.
++-sin(pi * chart difference). `graph_equation_zeros` solves it for maps
+of opposite orientation, whose graphs meet at the two fixed points of an
+orientation-reversing map: a point and its image bracket one fixed point
+on each arc between them, and `regula_falsi` refines both brackets on
+Python floats, with no grid and no array call.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from bisect import bisect_right
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError, MonotonicityError, PreconditionViolated
+from .errors import ConfigError, MonotonicityError, NotFound, PreconditionViolated
 from .projline import (
     MobiusMap,
     ProjPoint,
@@ -48,9 +48,6 @@ from .projline import (
 
 if TYPE_CHECKING:
     import numpy as np
-
-#: grid points of the bracket scan
-SCAN_GRID = 512
 
 #: chart-space width to which crossing brackets are refined
 BISECT_TOL = 1e-11
@@ -504,63 +501,60 @@ def regula_falsi(fn, brackets):
     return out
 
 
-def wrapped_zeros(fn):
-    """Crossing zeros in [0, 1) of a continuous function of period 1.
+def wrapped_zeros(fn, lo, hi, flo, fhi):
+    """The two crossing zeros in [0, 1), sorted, of a function of period 1.
 
-    `fn` must accept an array of chart values and a Python float. One
-    array call scans SCAN_GRID points; each sign change between
-    neighbouring points is then refined to BISECT_TOL by `regula_falsi`,
-    on floats. A zero where fn touches 0 without changing sign is not
-    found; the functions scanned here cross at every zero (see
-    `graph_equation_zeros`).
+    fn crosses zero once on each arc, (lo, hi) and (hi, lo + 1), where
+    lo < hi < lo + 1 and flo = fn(lo) and fhi = fn(hi) have opposite
+    signs; the value at lo + 1 is flo, by the period. `regula_falsi`
+    refines each arc to BISECT_TOL on Python floats.
     """
-    import numpy as np
-
-    vals = np.asarray(fn(np.arange(SCAN_GRID) / SCAN_GRID), dtype=float)
-    crossing = (vals == 0.0) | (np.sign(vals) != np.sign(np.roll(vals, -1)))
-    v = vals.tolist()
-    v.append(v[0])  # the value at theta = 1
-    zeros, brackets = [], []
-    for i in np.flatnonzero(crossing).tolist():
-        if v[i] == 0.0:
-            zeros.append(i / SCAN_GRID)
-        else:
-            brackets.append((i / SCAN_GRID, (i + 1) / SCAN_GRID, v[i], v[i + 1]))
-    zeros += [root % 1.0 for root, _ in regula_falsi(fn, brackets)]
-    # dedupe cyclically
-    zeros.sort()
-    out = []
-    for z in zeros:
-        if out and min(abs(z - out[-1]), 1.0 - abs(z - out[-1])) < 1e-9:
-            continue
-        out.append(z)
-    if len(out) >= 2 and (1.0 - abs(out[-1] - out[0])) < 1e-9:
-        out.pop()
-    return out
+    roots = regula_falsi(fn, [(lo, hi, flo, fhi), (hi, lo + 1.0, fhi, flo)])
+    return sorted(root % 1.0 for root, _ in roots)
 
 
 def crossing_function(lhs: CircleHomeo, rhs: CircleHomeo):
-    """s(theta) = det(lhs lifted, rhs lifted) along the lifted chart.
+    """s(theta) = det(lhs lifted, rhs lifted) along the lifted chart, on floats.
 
     Continuous with period 1 (both lifts are antiperiodic), zero exactly
     where the graphs of lhs and rhs meet, and equal to
-    +-sin(pi * (lhs chart - rhs chart)). A Python float theta is lifted on
-    `math` and gives a float; an array gives an array.
+    +-sin(pi * (lhs chart - rhs chart)). theta is a Python float.
     """
 
     def s(theta):
-        h = _lift_chart_float(theta) if type(theta) is float else lift_chart(theta)
+        h = _lift_chart_float(theta)
         a, b = lhs.lift_h(h), rhs.lift_h(h)
         return a[0] * b[1] - a[1] * b[0]
 
     return s
 
 
-def graph_equation_zeros(lhs: CircleHomeo, rhs: CircleHomeo):
-    """Chart positions where the graphs of two circle maps cross.
+#: start charts of the crossing brackets, in order: x = 1, -1, 0. Power twists
+#: are flat in floats at 0 and infinity (charts 0 and 1/2), where an image may
+#: land on a float zero of the crossing function; at +-1 their slope is p
+_STARTS = (0.25, 0.75, 0.0)
 
-    The sign changes of the crossing function, which are all its zeros
-    here: the maps compared are of opposite orientation, so their chart
-    difference is strictly monotone.
+
+def graph_equation_zeros(lhs: CircleHomeo, rhs: CircleHomeo):
+    """Chart positions, sorted, where the graphs of maps of opposite orientation cross.
+
+    The graphs meet at the fixed points of h = lhs^-1 rhs, which reverses
+    orientation. A lift H of h is decreasing with H(t + 1) = H(t) - 1, so
+    H(t) - t falls by 2 per turn: h has exactly two fixed points, one on
+    each arc between any point x and h(x), and the crossing function
+    changes sign once on each arc. The first start chart lo whose image's
+    chart hi, unwrapped into (lo, lo + 1), gives values of opposite signs
+    brackets both crossings for `wrapped_zeros`. Raises
+    PreconditionViolated for maps of one orientation, and NotFound when
+    no start gives opposite signs in floats.
     """
-    return wrapped_zeros(crossing_function(lhs, rhs))
+    if lhs.orientation == rhs.orientation:
+        raise PreconditionViolated("graphs to cross must be of maps of opposite orientation")
+    fn = crossing_function(lhs, rhs)
+    h = lhs.inverse().compose(rhs)
+    for lo in _STARTS:
+        hi = lo + (h.apply(ProjPoint.from_chart(lo)).chart() - lo) % 1.0
+        flo, fhi = fn(lo), fn(hi)
+        if flo * fhi < 0.0:
+            return wrapped_zeros(fn, lo, hi, flo, fhi)
+    raise NotFound("no start chart and its image bracket the crossings")

@@ -307,7 +307,8 @@ class PlaneModel:
 
         Mobius against Mobius reduces to a homogeneous quadratic; twisted
         against twisted reduces to the same quadratic in twist
-        coordinates; mixed branches fall back to a bracketed chart scan.
+        coordinates; mixed branches meet at the two fixed points of an
+        orientation-reversing map (see `graph_equation_zeros`).
         """
         if homeo_sup_distance(c1.graph, c2.graph, 64) <= self.uniq_tol:
             raise EqualCircles("circles coincide within tolerance")

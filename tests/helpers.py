@@ -18,8 +18,8 @@ from torus_planes import (
     half_classical_plane,
     parse_plane_spec,
 )
-from torus_planes.homeo import crossing_function, graph_equation_zeros
-from torus_planes.projline import chart_h, h_from_chart, normalize_h
+from torus_planes.homeo import BISECT_TOL
+from torus_planes.projline import chart_h, h_from_chart, lift_chart, normalize_h
 
 
 def wrap_half(x):
@@ -273,6 +273,37 @@ def cross_ratio_to_standard(x1, x2, x3):
 # tangency read on the graphs, by chart scan
 
 
+def array_crossing_function(lhs, rhs):
+    """Reference crossing function on arrays: det(lhs lifted, rhs lifted) along the lifted chart.
+
+    Continuous with period 1 and zero exactly where the graphs meet, for
+    maps of either orientation. The library solves it for maps of
+    opposite orientation only, on floats; the tangency reading below
+    scans pairs of one branch, which the library never scans.
+    """
+
+    def s(theta):
+        h = lift_chart(np.asarray(theta, dtype=float))
+        a, b = lhs.lift_h(h), rhs.lift_h(h)
+        return a[0] * b[1] - a[1] * b[0]
+
+    return s
+
+
+def grid_crossing_zeros(lhs, rhs, grid=512):
+    """Reference: every sign change of the crossing function on a grid, bisected.
+
+    Two crossings within one grid cell are not found.
+    """
+    s = array_crossing_function(lhs, rhs)
+    theta = np.arange(grid + 1) / grid
+    vals = s(theta)
+    a, b = vals[:-1], vals[1:]
+    flip = (a == 0.0) | ((a < 0.0) != (b < 0.0))
+    return [serial_bisect(s, theta[i], theta[i + 1], a[i], atol=BISECT_TOL)[0] % 1.0
+            for i in np.nonzero(flip)[0]]
+
+
 def _near_gap_offsets(c, d, p):
     """Signed chart offsets of all crossings near p, p's own zero removed.
 
@@ -283,7 +314,7 @@ def _near_gap_offsets(c, d, p):
     offsets, empty when no crossing lies within the search window.
     """
     theta_p = p.x.chart()
-    s = crossing_function(c.graph, d.graph)
+    s = array_crossing_function(c.graph, d.graph)
 
     def g(theta):
         theta = np.asarray(theta, dtype=float)
@@ -316,10 +347,9 @@ def graph_tangency_separation(c, d, p):
     # crossings only: near a shared pole two graphs get chordally close
     # without meeting, and counting such dips would fabricate far
     # intersections for a genuinely tangent pair
-    zeros = graph_equation_zeros(c.graph, d.graph)
-    s = crossing_function(c.graph, d.graph)
+    s = array_crossing_function(c.graph, d.graph)
     far = []
-    for z in zeros:
+    for z in grid_crossing_zeros(c.graph, d.graph):
         off = abs(float(wrap_half(z - theta_p)))
         if off <= 0.03:
             continue

@@ -173,10 +173,10 @@ print(json.dumps(loaded))
 """
 
 
-def test_circle_intersect_loads_numpy_only_for_a_chart_scan(tmp_path):
+def test_circle_intersect_loads_no_numpy_on_any_route(tmp_path):
     # the sup distance that screens equal circles runs on floats on every
-    # route; the mixed-branch chart scan is the one array call left
-    assert _fresh_run(_INTERSECT_PROBE, [], tmp_path) == [False, False, True]
+    # route, and so do the mixed-branch crossing brackets
+    assert _fresh_run(_INTERSECT_PROBE, [], tmp_path) == [False, False, False]
 
 
 def test_plot_loads_numpy_on_first_array_use(tmp_path):

@@ -574,14 +574,11 @@ def _assert_batch_invariant(fn, xs, sizes):
 
 
 @pytest.mark.parametrize("name", sorted(SEEDED_PLANES))
-def test_bisected_functions_are_batch_invariant(name, monkeypatch):
+def test_bisected_functions_are_batch_invariant(name):
     rng = rng_for(901, sorted(SEEDED_PLANES).index(name))
     plane = SEEDED_PLANES[name](rng)
-    captured = []
-    monkeypatch.setattr(homeo, "wrapped_zeros", lambda fn, **kwargs: captured.append(fn))
     for _ in range(4):
         c = plane.join(*random_triple(rng))
-        d = plane.join(*random_triple(rng))
         p = c.point_at(random_proj_point(rng))
         q = TorusPoint(random_proj_point(rng), random_proj_point(rng))
         # the reference pencil slope difference over its scan grid and
@@ -590,20 +587,11 @@ def test_bisected_functions_are_batch_invariant(name, monkeypatch):
         for branch in pencil_branches(plane, p, q):
             probe = pencil_probe(plane, branch, c, p)
             _assert_batch_invariant(lambda t: slope_differences(probe, t)[0], ts, (1, 3, 15))
-        # the crossing function of two graphs, as graph_equation_zeros builds
-        # it; every lifted atom acts elementwise, so single points agree too
-        homeo.graph_equation_zeros(c.graph, d.graph)
-        fn = captured.pop()
-        thetas = np.concatenate([np.arange(512) / 512, rng.uniform(0.0, 1.0 + 1 / 512, 64)])
-        _assert_batch_invariant(fn, thetas, (1, 3, 7, 15))
-        # on a Python float, as the refiner evaluates it, the math kernels
-        # may differ from numpy's in the last bits, never more
-        values = fn(thetas)
-        assert all(abs(fn(t) - v) <= 1e-13 for t, v in zip(thetas.tolist(), values.tolist()))
 
 
 # ----------------------------------------------------------------------
-# the chart-scan intersection route against the chart-difference scan
+# the mixed-branch intersection route (the benchmark's chart-scan route),
+# two crossing brackets refined on floats, against the chart-difference scan
 
 
 def chart_difference_zeros(lhs, rhs, grid=512, tangent_band=1e-7):
@@ -691,19 +679,22 @@ def _mixed_route_pair(plane, rng, a_x=None):
             return c1, c2, (a, b)
 
 
-# the seeded planes, then steep power twists; a plane's index keys its rng
+# the seeded planes, steep power twists, then g != id, whose twisted
+# circles end in a non-Mobius atom; a plane's index keys its rng
 CROSSING_PLANES = {
     **SEEDED_PLANES,
     "power-20": lambda rng: parse_plane_spec("half:power:20"),
     "power-0.05": lambda rng: parse_plane_spec("half:power:0.05"),
+    "power-2-g-power-3": lambda rng: parse_plane_spec("half:power:2:power:3"),
 }
-CROSSING_ORDER = sorted(SEEDED_PLANES) + ["power-20", "power-0.05"]
+CROSSING_ORDER = sorted(SEEDED_PLANES) + ["power-20", "power-0.05", "power-2-g-power-3"]
+MIXED_PLANES = ["power-2", "power-1/3", "spline", "power-20", "power-0.05", "power-2-g-power-3"]
 
 
-@pytest.mark.parametrize("name", ["power-2", "power-1/3", "spline", "power-20", "power-0.05"])
+@pytest.mark.parametrize("name", MIXED_PLANES)
 def test_crossing_scan_finds_every_chart_difference_zero(name):
     # the reference keeps its tangential-minimum search, so a zero the
-    # crossings-only scan misses would show here
+    # crossing brackets miss would show here
     rng = rng_for(902, CROSSING_ORDER.index(name))
     plane = CROSSING_PLANES[name](rng)
     for _ in range(24):
@@ -716,36 +707,74 @@ def test_crossing_scan_finds_every_chart_difference_zero(name):
         assert all(min(torus_dist(p, s) for p in pts) <= 1e-6 for s in shared)
 
 
-# float evaluations regula falsi makes per root on the pairs below: 5 for
-# most roots, 11 at most over 2,000 roots of 1,000 mixed pairs on these planes
-FLOAT_CALLS_PER_ROOT = 12
+# float evaluations of the crossing function per pair, start charts
+# included: a median of 22, at most 43 over 1,200 mixed pairs on these planes
+FLOAT_CALLS_PER_PAIR = 44
 
 
-@pytest.mark.parametrize("name", ["power-2", "power-1/3", "spline", "power-20", "power-0.05"])
-def test_chart_scan_is_one_array_call_then_a_few_float_calls_per_root(name, monkeypatch):
-    rng = rng_for(905, CROSSING_ORDER.index(name))
-    plane = CROSSING_PLANES[name](rng)
+def _counting_crossing_function(monkeypatch, values=None):
+    """Record each theta the crossing function is called with; values replaces it."""
     calls = []
     build = homeo.crossing_function
 
     def counted_crossing_function(lhs, rhs):
-        fn = build(lhs, rhs)
+        fn = values or build(lhs, rhs)
 
         def counted(theta):
-            calls.append(theta if type(theta) is float else len(theta))
+            calls.append(theta)
             return fn(theta)
 
         return counted
 
     monkeypatch.setattr(homeo, "crossing_function", counted_crossing_function)
+    return calls
+
+
+@pytest.mark.parametrize("name", MIXED_PLANES)
+def test_crossing_brackets_make_a_few_float_calls_per_pair(name, monkeypatch):
+    rng = rng_for(905, CROSSING_ORDER.index(name))
+    plane = CROSSING_PLANES[name](rng)
+    calls = _counting_crossing_function(monkeypatch)
     for _ in range(12):
         c1, c2, _ = _mixed_route_pair(plane, rng)
         calls.clear()
         zeros = homeo.graph_equation_zeros(c1.graph, c2.graph)
         assert len(zeros) == 2
-        assert calls[0] == homeo.SCAN_GRID
-        assert all(type(theta) is float for theta in calls[1:])
-        assert len(calls) - 1 <= FLOAT_CALLS_PER_ROOT * len(zeros)
+        assert all(type(theta) is float for theta in calls)
+        assert len(calls) <= FLOAT_CALLS_PER_PAIR
+
+
+def test_crossing_brackets_need_maps_of_opposite_orientation(half2):
+    c1, c2, _ = _mixed_route_pair(half2, rng_for(908))
+    psl, twisted = (c1, c2) if c1.tag == TAG_PSL else (c2, c1)
+    shifted = half2._twisted_circle(twisted.mobius.compose(MobiusMap.affine(1.0, 0.5)))
+    for lhs, rhs in ((psl, half2.mobius_circle(MobiusMap.affine(2.0, 0.0))), (twisted, shifted)):
+        with pytest.raises(PreconditionViolated):
+            homeo.graph_equation_zeros(lhs.graph, rhs.graph)
+    assert len(homeo.graph_equation_zeros(psl.graph, twisted.graph)) == 2
+
+
+def test_crossing_brackets_without_a_sign_change_raise_not_found(half2, monkeypatch):
+    # a crossing function of one sign: every start fails, with two
+    # evaluations each, and circle_intersect lets only the typed error out
+    calls = _counting_crossing_function(monkeypatch, values=lambda theta: 1.0)
+    c1, c2, _ = _mixed_route_pair(half2, rng_for(909))
+    with pytest.raises(NotFound):
+        homeo.graph_equation_zeros(c1.graph, c2.graph)
+    assert len(calls) == 2 * len(homeo._STARTS)
+    with pytest.raises(NotFound):
+        half2.circle_intersect(c1, c2)
+
+
+def test_crossing_brackets_stop_at_the_step_cap(half2, monkeypatch):
+    # negative values squeezed by 1e-300 hold every secant point at the
+    # negative end, so both brackets run to _BISECT_STEPS; the evaluations
+    # stay within two per start plus the two brackets' caps
+    c1, c2, _ = _mixed_route_pair(half2, rng_for(910))
+    exact = homeo.crossing_function(c1.graph, c2.graph)
+    calls = _counting_crossing_function(monkeypatch, values=lambda t: max(exact(t), 1e-300 * exact(t)))
+    homeo.graph_equation_zeros(c1.graph, c2.graph)
+    assert 2 * homeo._BISECT_STEPS < len(calls) <= 2 * len(homeo._STARTS) + 2 * homeo._BISECT_STEPS
 
 
 def _mp_lift(mp, atom, h):
@@ -773,7 +802,7 @@ def _mp_lift(mp, atom, h):
     return x / n, y / n
 
 
-@pytest.mark.parametrize("name", ["power-2", "power-1/3", "spline", "power-20", "power-0.05"])
+@pytest.mark.parametrize("name", MIXED_PLANES)
 def test_chart_scan_roots_match_a_50_digit_oracle(name, monkeypatch):
     # the crossing function of the same float maps at 50 digits, solved
     # from the float root; the refiner's root must be within BISECT_TOL
@@ -800,10 +829,10 @@ def test_chart_scan_roots_match_a_50_digit_oracle(name, monkeypatch):
             assert float(abs(mp.mpf(theta) - exact)) <= homeo.BISECT_TOL
 
 
-@pytest.mark.parametrize("name", ["power-2", "power-1/3", "spline"])
+@pytest.mark.parametrize("name", ["power-2", "power-1/3", "spline", "power-2-g-power-3"])
 def test_chart_scan_meets_infinity_exactly(name):
-    # chart 1/2, infinity, is a scan grid point; the refined root lands
-    # within the snap radius of it and is returned as infinity itself
+    # a crossing at infinity, chart 1/2, is refined to within BISECT_TOL of
+    # it, inside the snap radius, and is returned as infinity itself
     rng = rng_for(907, CROSSING_ORDER.index(name))
     plane = CROSSING_PLANES[name](rng)
     inf = ProjPoint.infinity()
@@ -817,7 +846,7 @@ def test_chart_scan_meets_infinity_exactly(name):
 @pytest.mark.parametrize("spec", ["half:id", "half:power:1"])
 def test_mixed_pairs_meet_on_both_circles_where_the_twists_are_mobius(spec):
     # both graphs collapse to Mobius maps, so the quadratic solves the pair
-    # exactly; the chart scan would leave residuals near 1e-10
+    # exactly; the crossing brackets would leave residuals near 1e-10
     plane = parse_plane_spec(spec)
     rng = rng_for(904)
     for _ in range(100):
