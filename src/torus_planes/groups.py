@@ -37,11 +37,13 @@ from dataclasses import dataclass
 from .errors import (
     ConfigError,
     FamilyMismatch,
+    IdentityMap,
     PreconditionViolated,
     UnsupportedPlane,
 )
 from .homeo import CircleHomeo, PowerMap
 from .projline import (
+    EQUALITY_TOL,
     MobiusMap,
     ProjPoint,
     TorusPoint,
@@ -368,9 +370,9 @@ class Case3Element(_GroupElement):
     def inverse(self) -> "Case3Element":
         return Case3Element(-self.angle, 1.0 / self.a, -self.b / self.a)
 
-    def is_identity(self, tol: float = 1e-12) -> bool:
-        ang = min(self.angle, 2.0 * math.pi - self.angle)
-        return ang <= tol and abs(self.a - 1.0) <= tol and abs(self.b) <= tol
+    def is_identity(self) -> bool:
+        """Whether both factor maps pass `MobiusMap.is_identity`."""
+        return all(h.as_mobius().is_identity() for h in self.factor_homeos())
 
     def __repr__(self):
         return f"Case3Element(angle={self.angle:g}, a={self.a:g}, b={self.b:g})"
@@ -400,11 +402,11 @@ class FactorActionReport:
 def _classify_factor(h: CircleHomeo) -> str:
     m = h.as_mobius()
     if m is not None:
-        if m.is_identity(1e-12):
+        if m.is_identity():
             return "trivial"
-        if abs(m.a - m.d) <= 1e-12 and abs(m.b + m.c) <= 1e-12:
+        if abs(m.a - m.d) <= EQUALITY_TOL and abs(m.b + m.c) <= EQUALITY_TOL:
             return "SO2-on-circle"
-        if abs(m.c) <= 1e-12:
+        if abs(m.c) <= EQUALITY_TOL:
             return "L2-on-line"
         return "PSL-on-circle"
     # power-map chains are affine conjugated by the power chart
@@ -414,7 +416,8 @@ def _classify_factor(h: CircleHomeo) -> str:
 def fixed_coordinates(h: CircleHomeo):
     """Fixed points of a circle map: (fixes_everything, points).
 
-    Mobius chains use the exact eigenvector solver. The chain
+    Mobius chains use `mobius_fixed_points`, and fix everything exactly
+    where it raises IdentityMap (`MobiusMap.is_identity`). The chain
     (PowerMap(b), MobiusMap.scaling(a)), x -> a sgn(x) |x|^b with b != 1,
     fixes infinity, 0, +a^t and -a^t, t = 1/(1 - b), in that order. Each
     root is a homogeneous pair whose small entry, a^-|t| or a^|t|, is at
@@ -423,9 +426,10 @@ def fixed_coordinates(h: CircleHomeo):
     """
     m = h.as_mobius()
     if m is not None:
-        if m.is_identity(1e-12):
+        try:
+            return False, tuple(mobius_fixed_points(m))
+        except IdentityMap:
             return True, ()
-        return False, tuple(mobius_fixed_points(m))
     power, scale = h.atoms if len(h.atoms) == 2 else (None, None)
     if not (isinstance(power, PowerMap) and isinstance(scale, MobiusMap)
             and scale.b == scale.c == 0.0 and scale.a / scale.d > 0.0):

@@ -9,7 +9,8 @@ and Mobius maps, evaluated left to right; a circle of the torus is the
 graph of one.
 
 Every atom has one action, the lifted `lift_h`, that moves homogeneous
-pairs continuously without the canonical sign flip. A pair of Python
+pairs continuously without the canonical sign flip; an atom's `apply` is
+its float lift of a point, canonicalized by `ProjPoint`. A pair of Python
 floats is lifted on `math` and gives floats; a (2, ...) array, or a pair
 of arrays, is lifted on numpy, which is imported on that first array use.
 The two kernels may differ in the last bit (numpy's SIMD `power`,
@@ -91,11 +92,7 @@ class PowerMap:
         raise AttributeError("PowerMap is immutable")
 
     def apply(self, p: ProjPoint) -> ProjPoint:
-        e = self.exponent
-        return ProjPoint(
-            math.copysign(abs(p.h0) ** e, p.h0) if p.h0 != 0.0 else 0.0,
-            math.copysign(abs(p.h1) ** e, p.h1) if p.h1 != 0.0 else 0.0,
-        )
+        return ProjPoint(*self.lift_h((p.h0, p.h1)))
 
     def lift_h(self, h):
         """sgn(v) |v|^p of each entry of a pair of floats or of arrays."""
@@ -163,13 +160,7 @@ class MonotoneSpline:
         raise AttributeError("MonotoneSpline is immutable")
 
     def apply(self, p: ProjPoint) -> ProjPoint:
-        # the chart table lookup on Python floats: one point sent through
-        # numpy costs ~50 us
-        tx, ty = self._tx, self._ty
-        t = (p.chart() - tx[0]) % 1.0 + tx[0]
-        j = min(max(bisect_right(tx, t) - 1, 0), len(tx) - 2)
-        s = (t - tx[j]) / (tx[j + 1] - tx[j])
-        return ProjPoint.from_chart((ty[j] + s * (ty[j + 1] - ty[j])) % 1.0)
+        return ProjPoint(*self.lift_h((p.h0, p.h1)))
 
     def lift_h(self, h):
         """The lifted table on the double cover x = atan2(h0, h1) / pi.
@@ -206,9 +197,6 @@ class MonotoneSpline:
 
     def inverse(self) -> "MonotoneSpline":
         return MonotoneSpline([(y, x) for x, y in self.knots])
-
-    def is_identity(self) -> bool:
-        return False
 
     def __repr__(self):
         return f"MonotoneSpline({len(self.knots)} knots)"

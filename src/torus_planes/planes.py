@@ -308,9 +308,11 @@ class PlaneModel:
         Mobius against Mobius reduces to a homogeneous quadratic; twisted
         against twisted reduces to the same quadratic in twist
         coordinates; mixed branches meet at the two fixed points of an
-        orientation-reversing map (see `graph_equation_zeros`).
+        orientation-reversing map (see `graph_equation_zeros`). Only graphs
+        of one orientation can be equal, so only they are compared first.
         """
-        if homeo_sup_distance(c1.graph, c2.graph, 64) <= self.uniq_tol:
+        if (c1.graph.orientation == c2.graph.orientation
+                and homeo_sup_distance(c1.graph, c2.graph, 64) <= self.uniq_tol):
             raise EqualCircles("circles coincide within tolerance")
         xs = self._intersection_points(c1, c2)
         pts = [TorusPoint(x, c1.graph.apply(x)) for x in xs]

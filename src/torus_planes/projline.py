@@ -23,6 +23,8 @@ Conventions:
 * Scalar work runs on `math`; numpy is imported on first array use (the
   `*_h` array helpers and `MobiusMap.m`), so building points and maps and
   acting with them never loads it.
+* One identity test, `MobiusMap.is_identity`: a map that passes it moves no
+  point past 2 EQUALITY_TOL, and `mobius_fixed_points` raises IdentityMap.
 * Maps through point pairs have one frame form, lam det(Xp, h) Yq +
   det(Xq, h) Yp: the members of a TwoPointFamily, and the three-point
   solver as the member whose lam the third pair fixes.
@@ -260,13 +262,15 @@ class MobiusMap:
     def inverse(self) -> "MobiusMap":
         return MobiusMap((self.d, -self.b, -self.c, self.a))
 
-    def is_identity(self, tol: float = 1e-12) -> bool:
-        return (
-            self.orientation == 1
-            and abs(self.b) <= tol
-            and abs(self.c) <= tol
-            and abs(self.a - self.d) <= tol
-        )
+    def is_identity(self) -> bool:
+        """Whether the map moves no point farther than point equality can see.
+
+        At det 1 with |b|, |c|, |a - d| <= t = EQUALITY_TOL, a unit pair h has
+        det(h, M h) = c h0^2 + (d - a) h0 h1 - b h1^2, at most 1.5 t, and
+        |M h| >= 1 - O(t), so no point moves by a chordal distance past ~1.5 t.
+        """
+        return (self.orientation == 1 and abs(self.b) <= EQUALITY_TOL
+                and abs(self.c) <= EQUALITY_TOL and abs(self.a - self.d) <= EQUALITY_TOL)
 
     # -- action -------------------------------------------------------
 
@@ -395,9 +399,9 @@ def mobius_fixed_points(m: MobiusMap):
     Fixed directions [X : Y] solve A X^2 + B X Y + C Y^2 = 0 with A = c,
     B = d - a, C = -b; the roots [q : A] and [C : q] avoid cancellation.
     |trace^2 - 4 det| below DISC_BAND classifies as parabolic with a single
-    fixed point.
+    fixed point. Raises IdentityMap where `MobiusMap.is_identity` holds.
     """
-    if m.is_identity(tol=1e-9):
+    if m.is_identity():
         raise IdentityMap("fixed points of the identity are everywhere")
     a, b, c, d = m.a, m.b, m.c, m.d
     big_a, big_b, big_c = c, d - a, -b

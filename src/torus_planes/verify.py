@@ -526,7 +526,7 @@ def _check_rigidity(plane, inputs, shift: int = 0):
     mu = mobius_from_three(*xs, *xs[shift:], *xs[:shift])
     nu = mobius_from_three(*ys, *ys[shift:], *ys[:shift])
     deviation = max(_identity_deviation(mu), _identity_deviation(nu))
-    if deviation > 1e-9:
+    if deviation > EQUALITY_TOL:
         return deviation, [f"non-identity solution, deviation {deviation:.3e}"]
     return deviation, []
 
@@ -660,7 +660,7 @@ def verify_fixed_configuration(
                 pt = el.act(TorusPoint.from_reals(*2 * (math.tan(1.2 * k - 7.0),)))
                 drift = chordal(pt.x, pt.y)
                 max_residual = max(max_residual, drift)
-                if drift > 1e-9:
+                if drift > EQUALITY_TOL:
                     counterexamples.append(
                         {"reason": "diagonal not setwise fixed",
                          "element": group_literal(el), "drift": drift}

@@ -84,7 +84,7 @@ def assert_columns_match_batch(fn, h):
 
 
 def spline_eval_chart(spline, theta):
-    """The spline's chart table looked up on arrays: scalar `apply`'s formula, bit for bit."""
+    """The spline's chart table looked up on arrays: a reference independent of its lift."""
     tx, ty = np.asarray(spline._tx), np.asarray(spline._ty)
     t = (np.asarray(theta, dtype=float) - tx[0]) % 1.0 + tx[0]
     j = np.clip(np.searchsorted(tx, t, side="right") - 1, 0, len(tx) - 2)

@@ -9,6 +9,7 @@ from torus_planes import (
     ConfigError,
     DiagonalPSL,
     FamilyMismatch,
+    IdentityMap,
     KernelMinusPSL,
     KernelPlusPSL,
     MobiusMap,
@@ -25,10 +26,12 @@ from torus_planes import (
     half_classical_plane,
     homeo_sup_distance,
     induced_factor_action,
+    mobius_fixed_points,
     parse_group_literal,
     torus_dist,
 )
 from torus_planes.groups import family_key_of, family_sample, fixed_coordinates
+from torus_planes.projline import EQUALITY_TOL
 
 from helpers import random_proj_point, random_psl, random_triple, rng_for
 
@@ -188,6 +191,26 @@ class TestInducedActions:
         assert report.action_kind == "PSL-on-circle"
         assert not report.fixes_every_class
 
+    @pytest.mark.parametrize("eps", [
+        1e-13, 1e-10, 1e-8,
+        math.nextafter(EQUALITY_TOL, 0.0), EQUALITY_TOL, math.nextafter(EQUALITY_TOL, 1.0),
+    ])
+    def test_one_identity_test_decides(self, eps):
+        # x -> x + eps: everything is fixed exactly where mobius_fixed_points
+        # sees the identity, and (infinity) is the one fixed class otherwise
+        m = MobiusMap.affine(1.0, eps)
+        try:
+            fixes_all, pts = False, [(p.h0, p.h1) for p in mobius_fixed_points(m)]
+        except IdentityMap:
+            fixes_all, pts = True, []
+        assert (fixes_all, pts) == ((True, []) if eps <= EQUALITY_TOL else (False, [(1.0, 0.0)]))
+        got_all, got = fixed_coordinates(CircleHomeo.from_mobius(m))
+        assert (got_all, [(p.h0, p.h1) for p in got]) == (fixes_all, pts)
+        _, report = induced_factor_action(KernelMinusPSL(m), "plus")
+        assert report.fixes_every_class == fixes_all
+        assert report.action_kind == ("trivial" if fixes_all else "L2-on-line")
+        assert [(c.coordinate.h0, c.coordinate.h1) for c in report.fixed_classes] == pts
+
     @pytest.mark.parametrize("a, b", [(2.0, 3.0), (1.001, 1.001), (1e-3, 0.5)])
     def test_phi2_power_factor_fixed_set(self, a, b):
         # a sgn(x)|x|^b fixes infinity, 0 and +-a^(1/(1 - b)), in that order:
@@ -297,6 +320,12 @@ class TestDiagonalOrbits:
             assert (image.x.value() > 0) == (start.x.value() > 0)
 
 
+def _within_identity(e, tol):
+    """Case3Element parameters within tol of the identity element's (0, 1, 0)."""
+    angle = min(e.angle, 2.0 * math.pi - e.angle)
+    return angle <= tol and abs(e.a - 1.0) <= tol and abs(e.b) <= tol
+
+
 class TestCase3:
     def test_identity_factors(self):
         e = Case3Element(0.0, 1.0, 0.0)
@@ -306,7 +335,7 @@ class TestCase3:
 
     def test_rotation_group_law(self):
         half_turn = Case3Element(math.pi, 1.0, 0.0)
-        assert half_turn.compose(half_turn).is_identity(1e-12)
+        assert _within_identity(half_turn.compose(half_turn), 1e-12)
 
     def test_factorwise_composition_example(self):
         left = Case3Element(math.pi / 3, 2.0, 1.0)
@@ -328,7 +357,7 @@ class TestCase3:
 
     def test_inverse(self):
         e = Case3Element(1.1, 2.0, -3.0)
-        assert e.compose(e.inverse()).is_identity(1e-12)
+        assert _within_identity(e.compose(e.inverse()), 1e-12)
 
     def test_no_point_action(self):
         e = Case3Element(1.0, 2.0, 0.0)

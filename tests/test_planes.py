@@ -82,7 +82,7 @@ class TestJoinClassical:
     def test_identity_circle(self, classical):
         c = classical.join(pt(0, 0), pt(1, 1), pt(INF, INF))
         assert c.tag == TAG_CLASSICAL
-        assert c.mobius.is_identity(1e-12)
+        assert proj_matrix_equal(c.mobius, MobiusMap.identity(), 1e-12)
 
     def test_one_minus_x(self, classical):
         c = classical.join(pt(0, 1), pt(1, 0), pt(INF, INF))
@@ -183,6 +183,25 @@ class TestIntersect:
         same = classical.mobius_circle(MobiusMap([[3.0, 0.0], [0.0, 3.0]]))
         with pytest.raises(EqualCircles):
             classical.circle_intersect(ident, same)
+
+    def test_only_same_branch_pairs_are_compared_first(self, half2, monkeypatch):
+        # graphs of opposite orientation cross twice, so they are never equal
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return homeo_sup_distance(*args)
+
+        monkeypatch.setattr(planes, "homeo_sup_distance", counted)
+        psl = half2.join(pt(0, 0), pt(1, 1), pt(2, 3))
+        twisted = half2.join(pt(0, 0), pt(1, -1), pt(2, -3))
+        for c in (psl, twisted):
+            rejoined = half2.join(*(c.point_at(P(v)) for v in (0.5, -2.0, 7.0)))
+            with pytest.raises(EqualCircles):
+                half2.circle_intersect(c, rejoined)
+        assert len(calls) == 2
+        assert len(half2.circle_intersect(psl, twisted)) == 2
+        assert len(calls) == 2
 
     def test_at_most_two_for_mobius_pairs(self, classical):
         rng = rng_for(305)
@@ -452,7 +471,7 @@ class TestDerived:
     def test_identity_line(self, classical):
         line = classical.derived_line_through(pt(INF, INF), pt(0, 0), pt(1, 1))
         assert line.kind == "circle"
-        assert line.circle.mobius.is_identity(1e-12)
+        assert proj_matrix_equal(line.circle.mobius, MobiusMap.identity(), 1e-12)
 
     def test_base_cross_rejected(self, classical):
         with pytest.raises(PointOnBaseCross):

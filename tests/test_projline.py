@@ -17,7 +17,13 @@ from torus_planes import (
     mobius_from_three,
     proj_matrix_equal,
 )
-from torus_planes.projline import FrameMember, chart_h, h_from_chart, normalize_h
+from torus_planes.projline import (
+    EQUALITY_TOL,
+    FrameMember,
+    chart_h,
+    h_from_chart,
+    normalize_h,
+)
 
 from helpers import (
     assert_columns_match_batch,
@@ -240,7 +246,7 @@ def test_float_pair_action_is_a_column_of_the_batch_action():
 class TestFromThree:
     def test_identity_case(self):
         m = mobius_from_three(P(0), P(1), INF, P(0), P(1), INF)
-        assert m.is_identity(1e-12)
+        assert proj_matrix_equal(m, MobiusMap.identity(), 1e-12)
 
     def test_inversion_case(self):
         m = mobius_from_three(P(0), P(1), INF, INF, P(1), P(0))
@@ -427,3 +433,21 @@ class TestFixedPoints:
     def test_identity_rejected(self):
         with pytest.raises(IdentityMap):
             mobius_fixed_points(MobiusMap.identity())
+
+
+def test_identity_band_moves_no_point_past_twice_equality():
+    # det-1 maps with |b|, |c|, |a - d| at most EQUALITY_TOL, half of them at
+    # the corners of the band, move 64 random points each by at most 2 t (the
+    # docstring derives 1.5 t)
+    rng, t = rng_for(410), EQUALITY_TOL
+    for k in range(200):
+        if k % 2:
+            b, c, delta = rng.uniform(-t, t, 3)
+        else:
+            b, c, delta = rng.choice([-t, t], 3) * (1.0 - 1e-6)
+        s = math.sqrt(1.0 + b * c + 0.25 * delta * delta)
+        m = MobiusMap((s + 0.5 * delta, b, c, s - 0.5 * delta))
+        assert m.is_identity()
+        for theta in rng.random(64):
+            p = ProjPoint.from_chart(theta)
+            assert chordal(m.apply(p), p) <= 2.0 * t
