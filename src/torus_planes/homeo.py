@@ -15,8 +15,10 @@ floats is lifted on `math` and gives floats; a (2, ...) array, or a pair
 of arrays, is lifted on numpy, which is imported on that first array use.
 The two kernels may differ in the last bit (numpy's SIMD `power`,
 `arctan2` and `hypot` against `math`'s). `CircleHomeo.apply_h`
-canonicalizes once, after the whole chain, for callers that want
-canonical pairs (plotting). Circles are compared on the lift:
+canonicalizes once, after the whole chain. No caller in `src/` is left
+(plotting reads its charts off the lift); it stays only as a span that
+perfbench's tracer wraps, and goes when that span does.
+Circles are compared on the lift:
 `homeo_sup_distance` is the largest chordal distance between two chains'
 lifted images of a grid, on floats at every grid size, with each chain's
 twist atoms lifted once per grid and cached; `audit_monotone` lifts its
@@ -124,10 +126,11 @@ class MonotoneSpline:
     homeomorphism. Linear interpolation in the chart keeps the inverse
     exact: it is the spline with swapped knots. The lifted chart tables
     `_tx` and `_ty` are lists of floats, built in Python; `_arrays` holds
-    them as arrays from the first array lift on.
+    them as arrays from the first array lift on. The inverse is built on
+    its first use and kept, and its own inverse is this spline.
     """
 
-    __slots__ = ("knots", "_tx", "_ty", "_arrays")
+    __slots__ = ("knots", "_tx", "_ty", "_arrays", "_inverse")
     orientation = 1
 
     def __init__(self, knots):
@@ -155,6 +158,7 @@ class MonotoneSpline:
         object.__setattr__(self, "_tx", tx + [tx[0] + 1.0])
         object.__setattr__(self, "_ty", ty_lift)
         object.__setattr__(self, "_arrays", None)
+        object.__setattr__(self, "_inverse", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MonotoneSpline is immutable")
@@ -196,7 +200,11 @@ class MonotoneSpline:
         return lift_chart(np.interp(x - k, *self._arrays) + k)
 
     def inverse(self) -> "MonotoneSpline":
-        return MonotoneSpline([(y, x) for x, y in self.knots])
+        if self._inverse is None:
+            inverse = MonotoneSpline([(y, x) for x, y in self.knots])
+            object.__setattr__(inverse, "_inverse", self)
+            object.__setattr__(self, "_inverse", inverse)
+        return self._inverse
 
     def __repr__(self):
         return f"MonotoneSpline({len(self.knots)} knots)"

@@ -397,6 +397,16 @@ class TestSpline:
             x = ProjPoint.from_chart(theta)
             assert chordal(inv.apply(s.apply(x)), x) < 1e-9
 
+    def test_inverse_is_built_once_and_inverts_back_to_the_spline(self):
+        knots = self._knots([(-1, -3), (0, 0), (1, 0.5), (4, 2)]) + [(INF, INF)]
+        s = MonotoneSpline(knots)
+        inv = s.inverse()
+        assert s.inverse() is inv and inv.inverse() is s
+        fresh = MonotoneSpline([(y, x) for x, y in knots])
+        assert (inv.knots, inv._tx, inv._ty) == (fresh.knots, fresh._tx, fresh._ty)
+        h = lift_chart(np.arange(64) / 64)
+        assert inv.lift_h(h).tobytes() == fresh.lift_h(h).tobytes()
+
     def test_rejects_non_monotone(self):
         with pytest.raises(MonotonicityError):
             MonotoneSpline(self._knots([(0, 0), (1, 2), (2, 1), (3, 3)]) + [(INF, INF)])
