@@ -23,23 +23,20 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, ParallelInput, PlaneGeometryError
-from .groups import group_literal, parse_group_literal, require_point_action
-from .planes import (
-    MINUS,
-    PLUS,
-    ParallelClass,
-    PlaneModel,
-    parse_config_text,
-    plane_from_config,
-    plane_spec_config,
-)
-from .projline import ProjPoint, TorusPoint
-from .svgplot import render_svg
-from .verify import SUITES, TrialConfig
+
+if TYPE_CHECKING:
+    from .planes import PlaneModel
+    from .projline import TorusPoint
 
 DEFAULT_SEED = 42
+#: `verify.SUITES`, sorted, for the `--suite` help; the parser does not import `verify`
+SUITE_NAMES = (
+    "automorphism", "derived-plane", "fixed-configuration", "joining", "joining-stress",
+    "rigidity", "touching",
+)
 
 
 def _resolve_seed(value) -> int:
@@ -61,6 +58,8 @@ def _resolve_plane(args) -> PlaneModel:
     spec or a bare family name), then from `--f`, `--g` and `--tol`; a
     later source overrides an earlier one key by key.
     """
+    from .planes import parse_config_text, plane_from_config, plane_spec_config
+
     cfg = {}
     if args.config:
         path = Path(args.config)
@@ -94,6 +93,8 @@ def _parse_real(token: str) -> float:
 
 
 def _parse_torus_point(token: str) -> TorusPoint:
+    from .projline import TorusPoint
+
     parts = token.split(",")
     if len(parts) != 2:
         raise ConfigError(f"expected `x,y`, got {token!r}")
@@ -105,6 +106,9 @@ def _parse_torus_point(token: str) -> TorusPoint:
 
 
 def cmd_verify(args) -> int:
+    from .groups import group_literal, parse_group_literal
+    from .verify import SUITES, TrialConfig
+
     plane = _resolve_plane(args)
     group = parse_group_literal(args.group) if args.group else None
     suite_names = []
@@ -183,6 +187,10 @@ def cmd_join(args) -> int:
 
 
 def _parse_plot_object(token: str, plane: PlaneModel):
+    from .groups import parse_group_literal, require_point_action
+    from .planes import MINUS, PLUS, ParallelClass
+    from .projline import ProjPoint
+
     if token.startswith("circle3:"):
         parts = token.split(":")[1:]
         if len(parts) != 3:
@@ -217,6 +225,8 @@ def _parse_plot_object(token: str, plane: PlaneModel):
 
 
 def cmd_plot(args) -> int:
+    from .svgplot import render_svg
+
     plane = _resolve_plane(args)
     objects = [_parse_plot_object(tok, plane) for tok in args.objects]
     svg = render_svg(objects)
@@ -306,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_plane_flags(p_verify)
     p_verify.add_argument(
         "--suite", action="append",
-        help=f"suite name(s), comma-separable; known: {', '.join(sorted(SUITES))}",
+        help=f"suite name(s), comma-separable; known: {', '.join(SUITE_NAMES)}",
     )
     p_verify.add_argument("--group", help="group-element literal (see groups module)")
     p_verify.add_argument("--trials", type=int, default=200)

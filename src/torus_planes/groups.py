@@ -32,7 +32,7 @@ classes, and `parse_group_literal`, `group_literal`, `family_key_of` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     ConfigError,
@@ -389,8 +389,7 @@ FAMILIES = {
 # induced actions on the parallel-class sets
 
 
-@dataclass(frozen=True)
-class FactorActionReport:
+class FactorActionReport(NamedTuple):
     """Classification of an induced action on one set of parallel classes."""
 
     side: str

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     CoincidentPoints,
@@ -65,8 +65,7 @@ TAG_PSL = "half-classical-PSL"
 TAG_TWISTED = "half-classical-twisted"
 
 
-@dataclass(frozen=True)
-class ParallelClass:
+class ParallelClass(NamedTuple):
     """A vertical ({x0} x S^1, kind plus) or horizontal (kind minus)."""
 
     kind: str
@@ -98,8 +97,7 @@ class Circle:
         return f"Circle({self.tag}, {self.mobius!r})"
 
 
-@dataclass(frozen=True)
-class DerivedLine:
+class DerivedLine(NamedTuple):
     """A line of a derived plane: a parallel class or a circle through base."""
 
     kind: str  # "plus-class" | "minus-class" | "circle"

@@ -32,9 +32,9 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, replace
 from functools import cache, partial
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import (
     ConfigError,
@@ -88,39 +88,40 @@ IMAGE_TOL = 1e-8
 OFF_CIRCLE_MARGIN = 1e-2
 
 
-@dataclass(frozen=True)
-class TrialConfig:
+class TrialConfig(NamedTuple("TrialConfig", [("seed", int), ("trials", int)])):
     """Seed and trial count: same config, plane, suite => same report."""
 
-    seed: int = 42
-    trials: int = 200
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, least in (("seed", 0), ("trials", 1)):
-            value = getattr(self, name)
+    def __new__(cls, seed: int = 42, trials: int = 200):
+        for name, value, least in (("seed", seed, 0), ("trials", trials, 1)):
             if not isinstance(value, numbers.Integral) or value < least:
                 raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
+        return super().__new__(cls, seed, trials)
 
     def rng_for(self, trial: int) -> PCG64Stream:
         """Trial's stream: the draws of numpy.random.default_rng((seed, trial)), without numpy."""
         return PCG64Stream((int(self.seed), int(trial)))
 
 
-@dataclass
 class VerifyReport:
-    """Outcome of one suite run; fails exactly when counterexamples exist."""
+    """Outcome of one suite run; fails exactly when counterexamples exist.
 
-    suite: str
-    plane: str
-    seed: int
-    trials: int
-    passed: bool
-    max_residual: float
-    counterexamples: list
-    runtime_ms: float
-    statistics: dict = field(default_factory=dict)
-    negative_control: bool = False
-    manifest: dict | None = None
+    Mutable: the CLI sets `manifest` before writing the report.
+    """
+
+    __slots__ = ("suite", "plane", "seed", "trials", "passed", "max_residual",
+                 "counterexamples", "runtime_ms", "statistics", "negative_control", "manifest")
+
+    def __init__(self, suite: str, plane: str, seed: int, trials: int, passed: bool,
+                 max_residual: float, counterexamples: list, runtime_ms: float,
+                 statistics: dict | None = None, negative_control: bool = False,
+                 manifest: dict | None = None):
+        self.suite, self.plane, self.seed, self.trials = suite, plane, seed, trials
+        self.passed, self.max_residual = passed, max_residual
+        self.counterexamples, self.runtime_ms = counterexamples, runtime_ms
+        self.statistics = {} if statistics is None else statistics
+        self.negative_control, self.manifest = negative_control, manifest
 
     def payload(self, include_runtime: bool = True) -> dict:
         out = {
@@ -519,14 +520,16 @@ def _identity_deviation(m: MobiusMap) -> float:
 def _check_rigidity(plane, inputs, shift: int = 0):
     """Both coordinate maps fixing the triple must be the identity.
 
-    `shift` cyclically permutes the targets; the negative control uses 1.
+    Identity is `MobiusMap.is_identity`; the residual is the larger
+    entry distance of the two maps to +-I. `shift` cyclically permutes
+    the targets; the negative control uses 1.
     """
     p, q, r = inputs["points"]
     xs, ys = (p.x, q.x, r.x), (p.y, q.y, r.y)
     mu = mobius_from_three(*xs, *xs[shift:], *xs[:shift])
     nu = mobius_from_three(*ys, *ys[shift:], *ys[:shift])
     deviation = max(_identity_deviation(mu), _identity_deviation(nu))
-    if deviation > EQUALITY_TOL:
+    if not (mu.is_identity() and nu.is_identity()):
         return deviation, [f"non-identity solution, deviation {deviation:.3e}"]
     return deviation, []
 
@@ -793,8 +796,7 @@ def recheck_counterexample(suite: str, plane: PlaneModel, ce: dict) -> bool:
 # registry
 
 
-@dataclass(frozen=True)
-class SuiteSpec:
+class SuiteSpec(NamedTuple):
     """How the CLI and callers reach one suite's entry point and control.
 
     `run(plane, cfg, group)` calls the `verify_<suite>` function named
@@ -812,7 +814,7 @@ class SuiteSpec:
     control_args: Callable[[], tuple]
     control_trials: int | None = None
     check: Callable | None = None
-    options: dict = field(default_factory=dict)
+    options: Mapping = MappingProxyType({})  # read-only, so sharing it is safe
 
     def run(self, plane, cfg: TrialConfig, group=None) -> VerifyReport:
         # looked up at call time, so a wrapper installed on the module is used
@@ -820,7 +822,7 @@ class SuiteSpec:
 
     def control(self, cfg: TrialConfig) -> VerifyReport:
         if self.control_trials is not None:
-            cfg = replace(cfg, trials=min(cfg.trials, self.control_trials))
+            cfg = TrialConfig(cfg.seed, min(cfg.trials, self.control_trials))
         return globals()[self.entry](*self.control_args(), cfg, negative_control=True,
                                      **self.options)
 
@@ -871,8 +873,8 @@ _JOINING = SuiteSpec(
 
 SUITES = {
     "joining": _JOINING,
-    "joining-stress": replace(_JOINING, name="joining-stress", check=_check_stress,
-                              options={"stress": True}),
+    "joining-stress": _JOINING._replace(name="joining-stress", check=_check_stress,
+                                        options={"stress": True}),
     # secant circles claimed as tangents must be caught
     "touching": SuiteSpec(
         "touching", "verify_touching", _plane_only,

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from torus_planes.cli import _resolve_plane, build_parser, main
+from torus_planes.verify import SUITES
 
 
 def run(args):
@@ -98,9 +99,21 @@ _PROBE = """
 import json, sys
 import torus_planes.cli
 rc = torus_planes.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else None
-heavy = ('numpy', 'mpmath', 'scipy', 'sympy', 'hypothesis')
-print(json.dumps([rc, [m for m in heavy if m in sys.modules]]))
+heavy = ('numpy', 'mpmath', 'scipy', 'sympy', 'hypothesis', 'dataclasses')
+ours = sorted(m.split('.', 1)[1] for m in sys.modules if m.startswith('torus_planes.'))
+print(json.dumps([rc, [m for m in heavy if m in sys.modules], ours]))
 """
+
+# the package modules a cold process compiles, by command (None: the import alone)
+_STARTUP = ["cli", "errors"]
+_GEOMETRY = _STARTUP + ["homeo", "planes", "projline"]
+_COMMAND_MODULES = {
+    None: _STARTUP,
+    "report-index": _STARTUP,
+    "join": _GEOMETRY,
+    "plot": sorted(_GEOMETRY + ["groups", "svgplot"]),
+    "verify": sorted(_GEOMETRY + ["groups", "pcg64", "verify"]),
+}
 
 
 def _fresh_run(script, args, cwd):
@@ -116,14 +129,17 @@ def _fresh_run(script, args, cwd):
 
 
 def _cold_run(args, cwd):
-    """(exit code, heavy modules loaded) of `torus-planes ARGS` in a fresh interpreter."""
+    """(exit code, heavy modules loaded, package modules loaded) of `torus-planes ARGS`
+    in a fresh interpreter."""
     return _fresh_run(_PROBE, args, cwd)
 
 
 def test_cli_import_loads_no_oracle_or_test_package(tmp_path):
-    # core modules never import the high-precision oracle or the test tools,
-    # and commands that do only scalar geometry never import numpy, so a
-    # cold `torus-planes` start pays for none of them
+    # core modules never import the high-precision oracle, the test tools or
+    # dataclasses (with inspect and ast), commands that do only scalar
+    # geometry never import numpy, and each command compiles only the
+    # package modules it uses, so a cold `torus-planes` start pays for none
+    # of the rest
     (tmp_path / "knots.txt").write_text("0 0\n1 2\ninf inf\n-1 -0.5\n")
     (tmp_path / "reports").mkdir()
     cases = [
@@ -147,8 +163,9 @@ def test_cli_import_loads_no_oracle_or_test_package(tmp_path):
          "--trials", "20", "--seed", "1", "--out", "reports"],
     ]
     for args in cases:
-        rc, loaded = _cold_run(args, tmp_path)
+        rc, loaded, ours = _cold_run(args, tmp_path)
         assert rc in (None, 0) and loaded == [], (args, rc, loaded)
+        assert ours == _COMMAND_MODULES[args[0] if args else None], (args, ours)
 
 
 _INTERSECT_PROBE = """
@@ -180,10 +197,18 @@ def test_circle_intersect_loads_no_numpy_on_any_route(tmp_path):
 
 
 def test_plot_loads_numpy_on_first_array_use(tmp_path):
-    rc, loaded = _cold_run(["plot", "--plane", "classical", "circle3:0,0:1,2:3,-1",
-                            "--out", "figure.svg"], tmp_path)
-    assert rc == 0 and loaded == ["numpy"]
+    rc, loaded, ours = _cold_run(["plot", "--plane", "classical", "circle3:0,0:1,2:3,-1",
+                                  "--out", "figure.svg"], tmp_path)
+    assert rc == 0 and loaded == ["numpy"] and ours == _COMMAND_MODULES["plot"]
     assert (tmp_path / "figure.svg").read_text(encoding="utf-8").startswith("<svg")
+
+
+def test_verify_help_lists_every_suite(capsys, monkeypatch):
+    # the help reads the suite names from a constant in `cli`, not from `verify`
+    monkeypatch.setenv("COLUMNS", "1000")  # one help line per flag
+    assert run(["verify", "--help"]) == 0
+    line = next(s for s in capsys.readouterr().out.splitlines() if "known: " in s)
+    assert line.split("known: ", 1)[1].split(", ") == sorted(SUITES)
 
 
 def test_grid_flag_is_gone(tmp_path, capsys):

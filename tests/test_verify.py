@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -158,6 +157,16 @@ class TestSuitesPass:
         with pytest.raises(UnsupportedPlane):
             verify_rigidity(half2, CFG)
 
+    def test_rigidity_decides_with_is_identity(self, classical, monkeypatch):
+        # a det-1 scaling with a - d = 1.5e-9 is within EQUALITY_TOL of the
+        # identity entrywise but is not the identity by `is_identity`
+        m = MobiusMap.scaling(1.0 + 1.5e-9)
+        assert not m.is_identity() and verify._identity_deviation(m) <= verify.EQUALITY_TOL
+        monkeypatch.setattr(verify, "mobius_from_three", lambda *points: m)
+        points = [pt(0, 0), pt(1, 1), pt(2, 3)]
+        residual, reasons = verify._check_rigidity(classical, {"points": points})
+        assert reasons and residual == verify._identity_deviation(m)
+
     def test_fixed_configuration_families(self):
         for key in ("diag", "kplus", "kminus", "phi:2", "phi:inf", "phi2:0", "phi2:-1"):
             report = verify_fixed_configuration(key, CFG)
@@ -256,7 +265,19 @@ class TestReports:
             TrialConfig(**{field: value})
 
     def test_config_is_a_seed_and_a_trial_count(self):
-        assert [f.name for f in dataclasses.fields(TrialConfig)] == ["seed", "trials"]
+        assert TrialConfig._fields == ("seed", "trials")
+        assert TrialConfig() == TrialConfig(42, 200)
+
+    def test_report_manifest_can_be_set(self, classical):
+        report = verify_joining(classical, TrialConfig(seed=1, trials=2))
+        assert report.manifest is None
+        report.manifest = {"seed": 1}
+        assert json.loads(report.full_json())["manifest"] == {"seed": 1}
+
+    def test_suite_options_are_not_shared_mutable_state(self):
+        assert SUITES["joining-stress"].options == {"stress": True}
+        with pytest.raises(TypeError):
+            SUITES["joining"].options["stress"] = True
 
     def test_monotone_tolerance(self):
         cfg = TrialConfig(seed=42, trials=50)
