@@ -21,7 +21,8 @@ perfbench's tracer wraps, and goes when that span does.
 Circles are compared on the lift:
 `homeo_sup_distance` is the largest chordal distance between two chains'
 lifted images of a grid, on floats at every grid size, with each chain's
-twist atoms lifted once per grid and cached; `audit_monotone` lifts its
+twist atoms lifted once per grid and cached, and read only up to the
+first sample past a caller's `stop_above`; `audit_monotone` lifts its
 256 points on floats, so building and comparing circles loads no numpy.
 Along the lifted chart (sin pi theta, cos pi theta) the determinant
 s(theta) of two images is a continuous function of period 1 that
@@ -350,9 +351,14 @@ def _twist_lift(twist: tuple, grid_size: int) -> tuple:
     """The grid j / grid_size lifted through the twist atoms `twist`.
 
     Atoms hash by identity, so the circles of one plane, whose chains start
-    with the plane's own twist atoms, share one entry.
+    with the plane's own twist atoms, share one entry. A lift with a
+    non-finite pair (an image that rounds to (0, 0) is nan after
+    `CircleHomeo.lift_h`) raises PreconditionViolated and is not cached.
     """
-    return _lift_all(twist, _float_grid(grid_size))
+    lift = _lift_all(twist, _float_grid(grid_size))
+    if not math.isfinite(sum(x + y for x, y in lift)):  # nan or inf in any pair
+        raise PreconditionViolated("homogeneous pair must be finite and nonzero")
+    return lift
 
 
 def _split_twist(h: CircleHomeo) -> tuple:
@@ -364,7 +370,8 @@ def _split_twist(h: CircleHomeo) -> tuple:
     return atoms[:k], atoms[k:]
 
 
-def homeo_sup_distance(h1: CircleHomeo, h2: CircleHomeo, grid_size: int) -> float:
+def homeo_sup_distance(h1: CircleHomeo, h2: CircleHomeo, grid_size: int, *,
+                       stop_above: float = math.inf) -> float:
     """Max chordal distance between the lifted images of the grid j / grid_size.
 
     Either sign of an image counts; a non-finite one raises
@@ -374,6 +381,17 @@ def homeo_sup_distance(h1: CircleHomeo, h2: CircleHomeo, grid_size: int) -> floa
     in one loop on floats; any other tail is lifted point by point through
     `CircleHomeo.lift_h`. Both routes have the bits of `lift_h` applied to
     the whole chain.
+
+    The loop on two Mobius tails returns at the first sample farther apart
+    than `stop_above`, with that sample's distance: above the bound, but
+    maybe short of the full maximum. A caller that only compares the
+    result with the bound gets the full grid's decision: the samples not
+    read can only raise the maximum, or raise PreconditionViolated. That
+    needs a non-finite twist lift, which `_twist_lift` refuses when it is
+    built, or a Mobius map so far from conformal that an image overflows
+    or rounds to (0, 0), as one with an entry near the float limit
+    (~1e308) does; only there may a bounded call return where the full
+    one raises. The other route reads every sample whatever the bound.
     """
     if not (isinstance(grid_size, numbers.Integral) and grid_size >= 3):
         raise ConfigError(f"grid_size must be an integer of at least 3, got {grid_size!r}")
@@ -403,6 +421,8 @@ def homeo_sup_distance(h1: CircleHomeo, h2: CircleHomeo, grid_size: int) -> floa
                 total += dist
                 if dist > distance:
                     distance = dist
+                    if dist > stop_above:
+                        break
         except ZeroDivisionError:  # an image that rounds to (0, 0)
             total = math.nan
     else:

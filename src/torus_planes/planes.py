@@ -307,10 +307,16 @@ class PlaneModel:
         against twisted reduces to the same quadratic in twist
         coordinates; mixed branches meet at the two fixed points of an
         orientation-reversing map (see `graph_equation_zeros`). Only graphs
-        of one orientation can be equal, so only they are compared first.
+        of one orientation can be equal, so only they are compared first,
+        on 64 samples with the bound `uniq_tol`. The comparison stops at
+        the first sample farther apart than `uniq_tol`; distinct circles
+        meet at two points at most, so it reads a few samples, not 64.
+        Later samples could only raise the distance, so the EqualCircles
+        decision is the full grid's (see `homeo_sup_distance`).
         """
         if (c1.graph.orientation == c2.graph.orientation
-                and homeo_sup_distance(c1.graph, c2.graph, 64) <= self.uniq_tol):
+                and homeo_sup_distance(c1.graph, c2.graph, 64, stop_above=self.uniq_tol)
+                <= self.uniq_tol):
             raise EqualCircles("circles coincide within tolerance")
         xs = self._intersection_points(c1, c2)
         pts = [TorusPoint(x, c1.graph.apply(x)) for x in xs]

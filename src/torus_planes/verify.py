@@ -461,7 +461,8 @@ def _check_automorphism(plane, inputs):
     triple, g = inputs["points"], inputs["group"]
     try:
         circle = plane.join(*triple)
-        image = plane.join(*(g.act(pt) for pt in triple))
+        images = [g.act(pt) for pt in triple]
+        image = plane.join(*images)
     except (NoBranch, ParallelInput) as exc:
         return math.inf, [f"join failed: {exc}"]
     hx, hy = g.factor_homeos()  # g(x, c(x)) lies on the image iff image . hx = hy . c
@@ -471,10 +472,10 @@ def _check_automorphism(plane, inputs):
     if residual > IMAGE_TOL:
         reasons.append(f"image circle residual {residual:.3e}")
     a = TorusPoint(triple[0].x, triple[1].y)
-    if parallel(g.act(triple[0]), g.act(a)) != PLUS:
+    if parallel(images[0], g.act(a)) != PLUS:
         reasons.append("(+)-parallelity not preserved")
     b = TorusPoint(triple[1].x, triple[0].y)
-    if parallel(g.act(triple[0]), g.act(b)) != "minus":
+    if parallel(images[0], g.act(b)) != "minus":
         reasons.append("(-)-parallelity not preserved")
     return residual, reasons
 
@@ -685,7 +686,8 @@ def verify_fixed_configuration(
                 for el in elements
             ):
                 diag = plane.mobius_circle(MobiusMap.identity())
-                if homeo_sup_distance(circle.graph, diag.graph, 64) > plane.uniq_tol:
+                if (homeo_sup_distance(circle.graph, diag.graph, 64, stop_above=plane.uniq_tol)
+                        > plane.uniq_tol):
                     counterexamples.append(
                         {"reason": "unexpected invariant circle found"}
                     )

@@ -31,7 +31,7 @@ from torus_planes.homeo import (
     _twist_lift,
     regula_falsi,
 )
-from torus_planes.planes import TAG_PSL, TAG_TWISTED
+from torus_planes.planes import TAG_PSL, TAG_TWISTED, PlaneModel
 from torus_planes.projline import lift_chart
 
 from helpers import (
@@ -137,12 +137,19 @@ class TestSupDistance:
         # the fused loop takes chains that end in one Mobius map
         pair = (rotation.compose(steep), rotation) if route == "fused" else (steep, CircleHomeo())
         assert math.isnan(serial_sup_distance(*pair, grid_size))
+        # a bounded call may stop at the first separating sample, before any
+        # nan image; the twist lift is refused where it is built instead
+        other = CircleHomeo.identity() if route == "fused" else CircleHomeo((_ROTATION, PowerMap(2.0)))
+        separated = (rotation.compose(steep), other) if route == "fused" else (steep, other)
+        assert serial_sup_distance(*separated, 1) > 1e-3  # the sample j = 0 alone
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(PreconditionViolated):
-                homeo_sup_distance(*pair, grid_size)
-            with pytest.raises(PreconditionViolated):
-                homeo_sup_distance(*reversed(pair), grid_size)
+            for a, b in (pair, separated):
+                for bound in (math.inf, PlaneModel.uniq_tol):
+                    with pytest.raises(PreconditionViolated):
+                        homeo_sup_distance(a, b, grid_size, stop_above=bound)
+                    with pytest.raises(PreconditionViolated):
+                        homeo_sup_distance(b, a, grid_size, stop_above=bound)
 
     def test_mobius_image_that_rounds_to_zero_raises(self):
         # no normalized map sends a unit pair to (0, 0); a zero map built
@@ -247,6 +254,35 @@ def test_sup_distance_matches_the_canonical_reference(name):
     for a, b in pairs:
         for n in (3, 16, 64, 256):
             assert abs(homeo_sup_distance(a, b, n) - reference_sup_distance(a, b, n)) <= 1e-13
+
+
+@pytest.mark.parametrize("grid_size", [16, 64])
+def test_bound_never_changes_a_decision(grid_size):
+    # a bounded call reads a prefix of the samples: it stops only above the bound
+    for a, b in _sup_distance_pairs(rng_for(214)):
+        full = homeo_sup_distance(a, b, grid_size)
+        assert abs(full - reference_sup_distance(a, b, grid_size)) <= 1e-13
+        for bound in (0.0, PlaneModel.uniq_tol, 1e-3, math.inf):
+            bounded = homeo_sup_distance(a, b, grid_size, stop_above=bound)
+            assert (bounded <= bound) == (full <= bound)
+            assert (bounded == full) if full <= bound else (bound < bounded <= full)
+
+
+def test_bound_reads_past_agreeing_early_samples():
+    # the twist is the identity on charts [0, 1/2] and moves chart 3/4 by
+    # 1e-6: the first 33 of 64 samples agree, later ones differ by more
+    # than uniq_tol
+    knots = [(ProjPoint.from_chart(x), ProjPoint.from_chart(y))
+             for x, y in ((0.0, 0.0), (0.5, 0.5), (0.75, 0.75 + 1e-6))]
+    near = CircleHomeo((MonotoneSpline(knots), _ROTATION))
+    rotation = CircleHomeo.from_mobius(_ROTATION)
+    tol = PlaneModel.uniq_tol
+    samples = [ProjPoint.from_chart(j / 64) for j in range(64)]
+    gaps = [chordal(near.apply(x), rotation.apply(x)) for x in samples]
+    assert max(gaps[:33]) <= 1e-15 and max(gaps) > 10 * tol
+    for a, b in ((near, rotation), (rotation, near)):
+        assert homeo_sup_distance(a, b, 64) > tol
+        assert homeo_sup_distance(a, b, 64, stop_above=tol) > tol
 
 
 class TestComposition:

@@ -188,9 +188,10 @@ class TestIntersect:
         # graphs of opposite orientation cross twice, so they are never equal
         calls = []
 
-        def counted(*args):
+        def counted(*args, stop_above):
+            assert stop_above == half2.uniq_tol  # decided at the first sample past it
             calls.append(args)
-            return homeo_sup_distance(*args)
+            return homeo_sup_distance(*args, stop_above=stop_above)
 
         monkeypatch.setattr(planes, "homeo_sup_distance", counted)
         psl = half2.join(pt(0, 0), pt(1, 1), pt(2, 3))
@@ -202,6 +203,25 @@ class TestIntersect:
         assert len(calls) == 2
         assert len(half2.circle_intersect(psl, twisted)) == 2
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("name", sorted(SEEDED_PLANES))
+    def test_rejoined_circles_are_equal_on_every_same_branch_route(self, name, monkeypatch):
+        # the bounded comparison alone must catch them: nothing is solved
+        def refuse(self, c1, c2):
+            raise AssertionError("equal circles reached the equation")
+
+        monkeypatch.setattr(PlaneModel, "_intersection_points", refuse)
+        rng = rng_for(306)
+        plane = SEEDED_PLANES[name](rng)
+        seen = set()
+        for _ in range(24):
+            circle = plane.join(*random_triple(rng))
+            rejoined = plane.join(*(circle.point_at(ProjPoint.from_chart(t)) for t in (0.2, 0.5, 0.9)))
+            assert rejoined.tag == circle.tag
+            with pytest.raises(EqualCircles):
+                plane.circle_intersect(circle, rejoined)
+            seen.add(circle.tag)
+        assert seen == ({TAG_CLASSICAL} if name == "classical" else {TAG_PSL, TAG_TWISTED})
 
     def test_at_most_two_for_mobius_pairs(self, classical):
         rng = rng_for(305)
