@@ -8,22 +8,20 @@ twists loaded from knot files). A CircleHomeo is a chain of such atoms
 and Mobius maps, evaluated left to right; a circle of the torus is the
 graph of one.
 
-Every atom has one action, the lifted `lift_h`, that moves homogeneous
-pairs continuously without the canonical sign flip; an atom's `apply` is
-its float lift of a point, canonicalized by `ProjPoint`. A pair of Python
-floats is lifted on `math` and gives floats; a (2, ...) array, or a pair
-of arrays, is lifted on numpy, which is imported on that first array use.
-The two kernels may differ in the last bit (numpy's SIMD `power`,
-`arctan2` and `hypot` against `math`'s). `CircleHomeo.apply_h`
-canonicalizes once, after the whole chain. No caller in `src/` is left
-(plotting reads its charts off the lift); it stays only as a span that
+Every atom has one action, the lifted `lift_h`, that moves a homogeneous
+pair of Python floats continuously, on `math`, without the canonical sign
+flip; an atom's `apply` is its float lift of a point, canonicalized by
+`ProjPoint`. `CircleHomeo.apply_h`, the one place numpy is imported,
+canonicalizes the float lifts of an array's columns once, after the whole
+chain. No caller in `src/` is left; it stays only as a span that
 perfbench's tracer wraps, and goes when that span does.
 Circles are compared on the lift:
 `homeo_sup_distance` is the largest chordal distance between two chains'
 lifted images of a grid, on floats at every grid size, with each chain's
-twist atoms lifted once per grid and cached, and read only up to the
-first sample past a caller's `stop_above`; `audit_monotone` lifts its
-256 points on floats, so building and comparing circles loads no numpy.
+twist atoms lifted once per grid and cached (plotting reads the same
+cache), and read only up to the first sample past a caller's
+`stop_above`; `audit_monotone` lifts its 256 points on floats, so
+building and comparing circles loads no numpy.
 Along the lifted chart (sin pi theta, cos pi theta) the determinant
 s(theta) of two images is a continuous function of period 1 that
 vanishes exactly where the graphs meet; it equals
@@ -40,18 +38,9 @@ import math
 import numbers
 from bisect import bisect_right
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from .errors import ConfigError, MonotonicityError, NotFound, PreconditionViolated
-from .projline import (
-    MobiusMap,
-    ProjPoint,
-    lift_chart,
-    normalize_h,
-)
-
-if TYPE_CHECKING:
-    import numpy as np
+from .projline import MobiusMap, ProjPoint, normalize_h
 
 #: chart-space width to which crossing brackets are refined
 BISECT_TOL = 1e-11
@@ -61,11 +50,6 @@ _BISECT_STEPS = 201
 
 #: entries of the cache of grids lifted through a chain's twist atoms
 TWIST_LIFTS = 16
-
-
-def _floats(h) -> bool:
-    """Whether h is a tuple of Python floats (an ndarray or its elements are not)."""
-    return type(h) is tuple and type(h[0]) is float
 
 
 def _lift_chart_float(theta: float) -> tuple:
@@ -97,17 +81,12 @@ class PowerMap:
     def apply(self, p: ProjPoint) -> ProjPoint:
         return ProjPoint(*self.lift_h((p.h0, p.h1)))
 
-    def lift_h(self, h):
-        """sgn(v) |v|^p of each entry of a pair of floats or of arrays."""
+    def lift_h(self, h: tuple) -> tuple:
+        """sgn(v) |v|^p of each entry of a pair of floats."""
         e = self.exponent
-        if _floats(h):
-            h0, h1 = h
-            return (math.copysign(abs(h0) ** e, h0) if h0 else 0.0,
-                    math.copysign(abs(h1) ** e, h1) if h1 else 0.0)
-        import numpy as np
-
-        h = np.asarray(h, dtype=float)
-        return np.sign(h) * np.abs(h) ** e
+        h0, h1 = h
+        return (math.copysign(abs(h0) ** e, h0) if h0 else 0.0,
+                math.copysign(abs(h1) ** e, h1) if h1 else 0.0)
 
     def inverse(self) -> "PowerMap":
         return PowerMap(1.0 / self.exponent)
@@ -126,12 +105,11 @@ class MonotoneSpline:
     winding exactly once, so the map is an orientation-preserving circle
     homeomorphism. Linear interpolation in the chart keeps the inverse
     exact: it is the spline with swapped knots. The lifted chart tables
-    `_tx` and `_ty` are lists of floats, built in Python; `_arrays` holds
-    them as arrays from the first array lift on. The inverse is built on
-    its first use and kept, and its own inverse is this spline.
+    `_tx` and `_ty` are lists of floats, built in Python. The inverse is
+    built on its first use and kept, and its own inverse is this spline.
     """
 
-    __slots__ = ("knots", "_tx", "_ty", "_arrays", "_inverse")
+    __slots__ = ("knots", "_tx", "_ty", "_inverse")
     orientation = 1
 
     def __init__(self, knots):
@@ -158,7 +136,6 @@ class MonotoneSpline:
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "_tx", tx + [tx[0] + 1.0])
         object.__setattr__(self, "_ty", ty_lift)
-        object.__setattr__(self, "_arrays", None)
         object.__setattr__(self, "_inverse", None)
 
     def __setattr__(self, name, value):
@@ -167,38 +144,30 @@ class MonotoneSpline:
     def apply(self, p: ProjPoint) -> ProjPoint:
         return ProjPoint(*self.lift_h((p.h0, p.h1)))
 
-    def lift_h(self, h):
-        """The lifted table on the double cover x = atan2(h0, h1) / pi.
+    def lift_h(self, h: tuple) -> tuple:
+        """The lifted table on the double cover x = atan2(h0, h1) / pi, on floats.
 
         F(x) = interp(x - k) + k with k = floor(x - tx[0]) turns a full
         turn of x into a full turn of F, so the image pair is continuous
-        wherever the input pair is. On floats, interp is `numpy.interp`'s
-        formula, slope * (t - tx[j]) + ty[j], with its slope.
+        wherever the input pair is. interp is `numpy.interp`'s formula,
+        slope * (t - tx[j]) + ty[j], with its slope and its end values.
         """
         tx, ty = self._tx, self._ty
-        if _floats(h):
-            x = math.atan2(h[0], h[1]) / math.pi
-            if math.isnan(x):  # math.floor raises on nan; on arrays nan flows through
-                return math.nan, math.nan
-            k = float(math.floor(x - tx[0]))
-            t = x - k
-            j = bisect_right(tx, t) - 1
-            if j >= len(tx) - 1:  # numpy.interp's end values
-                y = ty[-1]
-            elif j < 0:
-                y = ty[0]
-            elif t == tx[j]:
-                y = ty[j]
-            else:
-                y = (ty[j + 1] - ty[j]) / (tx[j + 1] - tx[j]) * (t - tx[j]) + ty[j]
-            return _lift_chart_float(y + k)
-        import numpy as np
-
-        if self._arrays is None:
-            object.__setattr__(self, "_arrays", (np.array(tx), np.array(ty)))
-        x = np.arctan2(h[0], h[1]) / math.pi
-        k = np.floor(x - tx[0])
-        return lift_chart(np.interp(x - k, *self._arrays) + k)
+        x = math.atan2(h[0], h[1]) / math.pi
+        if math.isnan(x):  # math.floor raises on nan
+            return math.nan, math.nan
+        k = float(math.floor(x - tx[0]))
+        t = x - k
+        j = bisect_right(tx, t) - 1
+        if j >= len(tx) - 1:  # numpy.interp's end values
+            y = ty[-1]
+        elif j < 0:
+            y = ty[0]
+        elif t == tx[j]:
+            y = ty[j]
+        else:
+            y = (ty[j + 1] - ty[j]) / (tx[j + 1] - tx[j]) * (t - tx[j]) + ty[j]
+        return _lift_chart_float(y + k)
 
     def inverse(self) -> "MonotoneSpline":
         if self._inverse is None:
@@ -254,36 +223,30 @@ class CircleHomeo:
             p = atom.apply(p)
         return p
 
-    def apply_h(self, h: np.ndarray) -> np.ndarray:
-        """Canonical images of pairs (2, ...): the lift, canonicalized once.
+    def apply_h(self, h):
+        """Canonical images of pairs (2, ...): each column's float lift, canonicalized.
 
         Raises PreconditionViolated when an image is not finite and nonzero.
         """
         import numpy as np
 
-        with np.errstate(all="ignore"):  # a 0/0 or overflowing lift is caught below
-            return normalize_h(self.lift_h(h))
+        h = np.asarray(h, dtype=float)
+        try:
+            lifts = [self.lift_h(pair) for pair in zip(*h.reshape(2, -1).tolist())]
+        except OverflowError:  # a power of an entry past the float range
+            raise PreconditionViolated("homogeneous pair must be finite and nonzero") from None
+        return normalize_h(np.array(lifts).T.reshape(h.shape))
 
-    def lift_h(self, h):
-        """Unit-norm images, never sign-flipped: continuous in h.
+    def lift_h(self, h: tuple) -> tuple:
+        """Unit-norm images of a pair of floats, never sign-flipped: continuous in h.
 
-        A pair of floats gives a pair of floats; a (2, ...) array gives a
-        (2, ...) array. An image pair that rounds to (0, 0) becomes nan on
-        either kernel, as 0/0 does on arrays.
+        An image pair that rounds to (0, 0) becomes (nan, nan).
         """
-        if _floats(h):
-            for atom in self.atoms:
-                x, y = atom.lift_h(h)
-                n = math.hypot(x, y)
-                h = (x / n, y / n) if n else (math.nan, math.nan)
-            return h
-        import numpy as np
-
         for atom in self.atoms:
             x, y = atom.lift_h(h)
-            n = np.hypot(x, y)
-            h = x / n, y / n
-        return np.array(h)
+            n = math.hypot(x, y)
+            h = (x / n, y / n) if n else (math.nan, math.nan)
+        return h
 
     def compose(self, first: "CircleHomeo") -> "CircleHomeo":
         """self after first."""
@@ -388,10 +351,11 @@ def homeo_sup_distance(h1: CircleHomeo, h2: CircleHomeo, grid_size: int, *,
     result with the bound gets the full grid's decision: the samples not
     read can only raise the maximum, or raise PreconditionViolated. That
     needs a non-finite twist lift, which `_twist_lift` refuses when it is
-    built, or a Mobius map so far from conformal that an image overflows
-    or rounds to (0, 0), as one with an entry near the float limit
-    (~1e308) does; only there may a bounded call return where the full
-    one raises. The other route reads every sample whatever the bound.
+    built, or a Mobius image that rounds to (0, 0). No image of a
+    `MobiusMap` overflows, but a map whose rows are parallel to within
+    rounding (entries past about 5e7, at det 1) can send a pair to exactly
+    (0, 0); only there may a bounded call return where the full one
+    raises. The other route reads every sample whatever the bound.
     """
     if not (isinstance(grid_size, numbers.Integral) and grid_size >= 3):
         raise ConfigError(f"grid_size must be an integer of at least 3, got {grid_size!r}")

@@ -445,7 +445,7 @@ class PlaneModel:
 
         Nothing in the library calls it: the benchmark's tracer still wraps
         this name. The benchmark change that retires the known-defect
-        screening (ROADMAP item 2) drops that span, and the method goes
+        screening (ROADMAP item 1) drops that span, and the method goes
         after it.
         """
         try:

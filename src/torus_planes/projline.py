@@ -212,7 +212,12 @@ class MobiusMap:
                 raise PreconditionViolated("matrix is singular or non-finite")
         r = math.sqrt(abs(det))
         a, b, c, d = a / r, b / r, c / r, d / r
-        if max((a, b, c, d), key=abs) < 0.0:  # the first largest, as argmax
+        big = max((a, b, c, d), key=abs)  # the first largest, as argmax
+        # a unit pair's image has entries |a h0 + b h1| <= 2 |big| and norm
+        # at most 2 sqrt(2) |big|, finite for |big| <= 2**1022 (~1.27e308)
+        if abs(big) > 2.0 ** 1022:
+            raise PreconditionViolated("matrix is so far from conformal that images overflow")
+        if big < 0.0:
             a, b, c, d = -a, -b, -c, -d
         object.__setattr__(self, "a", a + 0.0)
         object.__setattr__(self, "b", b + 0.0)

@@ -10,19 +10,21 @@ a segment of one point is dropped. Canvas x coordinates are the exact
 integers k, so their text is fixed per sample; canvas y coordinates lie
 in (0, 512] and are written from digit tables (an integer part and two
 3-digit groups of the rounded millionths), with the bytes "%.6f" gives.
-The sample points and the tables are built once, on the first render,
-which is also where numpy is imported.
+The tables are built once, on the first render, which is also where
+numpy is imported.
 
 All circles of a document go through one numpy pass. Each circle's
-chain splits into its leading twist atoms and a tail (`_split_twist`);
-the samples lifted through a twist are cached (`_twist_grid`), so the
-circles of one plane share one lift. The circles whose tail is one plain
-`MobiusMap` apply it together, with their coefficients as (n, 1)
-columns; any other tail is lifted by `CircleHomeo.lift_h`. Both have the
-bits of `lift_h` on the whole chain. The y chart is read off the
-unit-norm lift, atan2(x, y) / pi mod 1, with no canonical sign flip: a
-pair and its negation have one chart, up to a rounding of the last bit
-that the byte tests against the canonical reference check. The
+chain splits into its leading twist atoms and a tail (`_split_twist`).
+The samples lifted through a twist are the float lift that
+`homeo._twist_lift` caches for `homeo_sup_distance`, read here as a
+read-only array (`_twist_grid`), so the circles of one plane share one
+lift and plotting computes none of its own. The circles whose tail is
+one plain `MobiusMap` apply it together, with their coefficients as
+(n, 1) columns; any other tail is lifted on floats by `homeo._lift_all`.
+Both have the bits of `lift_h` on the whole chain. The y chart is read
+off the unit-norm lift, atan2(x, y) / pi mod 1, with no canonical sign
+flip: a pair and its negation have one chart, up to a rounding of the
+last bit that the byte tests against the canonical reference check. The
 digit-table text and the seam cuts are then built for all circles at
 once. Output is byte-deterministic for fixed inputs:
 fixed float formatting, fixed palette, no timestamps.
@@ -34,9 +36,9 @@ import math
 from functools import lru_cache
 
 from .errors import ConfigError, PreconditionViolated
-from .homeo import TWIST_LIFTS, CircleHomeo, _split_twist
+from .homeo import TWIST_LIFTS, _lift_all, _split_twist, _twist_lift
 from .planes import PLUS
-from .projline import MobiusMap, h_from_chart
+from .projline import MobiusMap
 
 
 _PALETTE = (
@@ -61,39 +63,33 @@ def _fmt(v: float) -> str:
 
 @lru_cache(maxsize=1)
 def _samples():
-    """The circle samples and the text table, shared by every circle.
+    """The x seam jump of the samples and the text table, shared by every circle.
 
-    Charts k / _SAMPLES with the last wrapped to 0, their homogeneous
-    pairs, the x seam jump, and one table of texts: from 0 the x text
-    " k.000000," of each sample (the exact integer k), from _WHOLE the
-    integer parts "0." to "512." of a canvas y, and from _GROUPS the
-    3-digit groups "000" to "999".
+    Sample charts are k / _SAMPLES with the last wrapped to 0. The table
+    of texts holds from 0 the x text " k.000000," of each sample (the
+    exact integer k), from _WHOLE the integer parts "0." to "512." of a
+    canvas y, and from _GROUPS the 3-digit groups "000" to "999".
     """
     import numpy as np
 
     x = (np.arange(_SAMPLES + 1) / _SAMPLES) % 1.0
-    h = h_from_chart(x)
-    h.setflags(write=False)
     table = np.array([f" {_fmt(v)}," for v in (x * _CANVAS).tolist()]
                      + [f"{k}." for k in range(_CANVAS + 1)]
                      + [f"{k:03d}" for k in range(1000)], dtype=object)
-    return h, np.abs(np.diff(x)) > 0.5, table
+    return np.abs(np.diff(x)) > 0.5, table
 
 
 @lru_cache(maxsize=TWIST_LIFTS)
 def _twist_grid(twist: tuple):
-    """The sample pairs lifted through the twist atoms `twist`, read-only.
+    """`_twist_lift(twist, _SAMPLES)` as a read-only (2, 513) array, its wrap sample last.
 
-    Atoms hash by identity, so the circles of one plane share one entry;
-    an empty twist is the samples themselves.
+    Atoms hash by identity, so the circles of one plane share one entry.
+    The wrap sample is chart 0 again, so its lift is the first one.
     """
-    h = _samples()[0]
-    if not twist:
-        return h
     import numpy as np
 
-    with np.errstate(all="ignore"):  # a 0/0 lift is nan, caught by the caller
-        h = CircleHomeo(twist).lift_h(h)
+    lift = _twist_lift(twist, _SAMPLES)
+    h = np.array(lift + lift[:1]).T
     h.setflags(write=False)
     return h
 
@@ -112,7 +108,7 @@ def _sample_text(py):
     """
     import numpy as np
 
-    table = _samples()[2]
+    table = _samples()[1]
     scaled = py * 1e6
     millionths = np.rint(scaled).astype(np.int64)
     thousandths = millionths // 1000
@@ -140,14 +136,14 @@ def _circle_charts(graphs):
     with np.errstate(all="ignore"):  # a 0/0 lift is nan, caught below
         for i, graph in enumerate(graphs):
             twist, tail = _split_twist(graph)
-            grid = _twist_grid(twist)
             if len(tail) == 1 and type(tail[0]) is MobiusMap:
                 m = tail[0]
-                lift[:, i] = grid
+                lift[:, i] = _twist_grid(twist)
                 rows.append(i)
                 coef.append((m.a, m.b, m.c, m.d))
-            else:
-                lift[:, i] = CircleHomeo(tail).lift_h(grid)
+            else:  # the wrap sample, chart 0 again, last
+                images = _lift_all(tail, _twist_lift(twist, _SAMPLES))
+                lift[:, i] = np.array(images + images[:1]).T
         if rows:
             a, b, c, d = np.array(coef).T[:, :, None]
             h0, h1 = lift[:, rows]
@@ -170,7 +166,7 @@ def _circle_polylines(graphs, colors) -> list[str]:
 
     if not graphs:
         return []
-    x_jump = _samples()[1]
+    x_jump = _samples()[0]
     ty = _circle_charts(graphs)
     text = _sample_text(((1.0 - ty) * _CANVAS).ravel()).ravel().tolist()
     row, cut = np.nonzero(x_jump | (np.abs(np.diff(ty)) > 0.5))

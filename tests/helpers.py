@@ -10,6 +10,7 @@ from torus_planes import (
     CircleHomeo,
     MobiusMap,
     MonotoneSpline,
+    PowerMap,
     ProjPoint,
     TorusPoint,
     TwoPointFamily,
@@ -19,7 +20,7 @@ from torus_planes import (
     parse_plane_spec,
 )
 from torus_planes.homeo import BISECT_TOL
-from torus_planes.projline import chart_h, h_from_chart, lift_chart, normalize_h
+from torus_planes.projline import chart_h, h_from_chart, normalize_h
 
 
 def wrap_half(x):
@@ -95,13 +96,16 @@ def spline_eval_chart(spline, theta):
 def canonical_chain_action(chain, h):
     """Reference chain action on pairs (2, ...): normalize_h after every atom.
 
-    Independent of the lifted path under test for splines, which are
-    evaluated through the canonical chart with `spline_eval_chart`.
+    Independent of the float lifts under test for twists: splines are
+    evaluated through the canonical chart with `spline_eval_chart`, and
+    power maps by their own formula on arrays. Mobius maps act on arrays.
     """
     h = normalize_h(h)
     for atom in chain.atoms:
         if isinstance(atom, MonotoneSpline):
             h = h_from_chart(spline_eval_chart(atom, chart_h(h)))
+        elif isinstance(atom, PowerMap):
+            h = normalize_h(np.sign(h) * np.abs(h) ** atom.exponent)
         else:
             h = normalize_h(atom.lift_h(h))
     return h
@@ -278,14 +282,20 @@ def array_crossing_function(lhs, rhs):
 
     Continuous with period 1 and zero exactly where the graphs meet, for
     maps of either orientation. The library solves it for maps of
-    opposite orientation only, on floats; the tangency reading below
-    scans pairs of one branch, which the library never scans.
+    opposite orientation only; the tangency reading below scans pairs of
+    one branch, which the library never scans. The chains are lifted one
+    float point at a time.
     """
 
     def s(theta):
-        h = lift_chart(np.asarray(theta, dtype=float))
-        a, b = lhs.lift_h(h), rhs.lift_h(h)
-        return a[0] * b[1] - a[1] * b[0]
+        theta = np.asarray(theta, dtype=float)
+        out = np.empty(theta.shape)
+        for i, t in np.ndenumerate(theta):
+            alpha = float(t) * math.pi
+            h = (math.sin(alpha), math.cos(alpha))
+            (a0, a1), (b0, b1) = lhs.lift_h(h), rhs.lift_h(h)
+            out[i] = a0 * b1 - a1 * b0
+        return out[()]
 
     return s
 

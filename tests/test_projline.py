@@ -207,6 +207,21 @@ class TestMobiusContract:
             assert proj_matrix_equal(got, want, 1e-15)
             assert got.orientation == want.orientation
 
+    def test_maps_whose_images_overflow_rejected(self):
+        # det 1, but the image of a unit pair near (1, 1) overflows
+        with pytest.raises(PreconditionViolated, match="overflow"):
+            MobiusMap((1.5e308, 1.5e308, -1 / 1.5e308, 0.0))
+        with pytest.raises(PreconditionViolated, match="overflow"):
+            MobiusMap((math.nextafter(2.0**1022, math.inf), 0.0, 0.0, 2.0**-1022))
+
+    def test_map_at_the_entry_bound_has_finite_images(self):
+        m = MobiusMap((2.0**1022, 2.0**1022, -(2.0**-1022), 0.0))
+        assert (m.a, m.b, m.c, m.d) == (2.0**1022, 2.0**1022, -(2.0**-1022), 0.0)
+        for theta in np.arange(64) / 64:
+            p = ProjPoint.from_chart(theta)
+            h0, h1 = m.lift_h((p.h0, p.h1))
+            assert math.isfinite(math.hypot(h0, h1)) and (h0, h1) != (0.0, 0.0)
+
     @pytest.mark.parametrize("m", [
         [1, 2, 3], "abcd", [[1, 2], [3]], ("a", "b", "c", "d"), None, [1, 2],
         [[1, 2, 3], [4, 5, 6]], np.zeros((2, 3)),

@@ -20,10 +20,11 @@ from torus_planes import (
     TorusPoint,
     TwoPointFamily,
     classical_plane,
+    homeo_sup_distance,
     parse_plane_spec,
     render_svg,
 )
-from torus_planes.homeo import TWIST_LIFTS, _split_twist
+from torus_planes.homeo import TWIST_LIFTS, _split_twist, _twist_lift
 from torus_planes.planes import TAG_PSL, TAG_TWISTED
 from torus_planes.projline import FrameMember, chart_h, h_from_chart
 from torus_planes import svgplot
@@ -261,6 +262,23 @@ def test_cached_twist_grids_are_read_only():
         with pytest.raises(ValueError):
             grid[0, 0] = 0.0
     assert svgplot._twist_grid.cache_info().maxsize == TWIST_LIFTS
+
+
+def test_plotting_reads_the_twist_lift_that_circle_comparison_cached():
+    # render_svg lifts no twist of its own: the samples lifted through the
+    # plane's twist are the float lift homeo_sup_distance cached
+    plane = parse_plane_spec("half:power:2")
+    rng = rng_for(918)
+    circle = plane.join(*random_triple(rng))
+    while circle.tag != TAG_TWISTED:
+        circle = plane.join(*random_triple(rng))
+    _twist_lift.cache_clear()
+    svgplot._twist_grid.cache_clear()
+    homeo_sup_distance(circle.graph, circle.graph, _SAMPLES)
+    before = _twist_lift.cache_info()
+    render_svg([("circle", circle)])
+    after = _twist_lift.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
 
 
 def test_mobius_tails_take_the_batched_pass(monkeypatch):
