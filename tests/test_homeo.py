@@ -32,11 +32,12 @@ from torus_planes.homeo import (
     regula_falsi,
 )
 from torus_planes.planes import TAG_PSL, TAG_TWISTED, PlaneModel
-from torus_planes.projline import lift_chart
+from torus_planes.projline import lift_chart, normalize_h
 
 from helpers import (
     SEEDED_PLANES,
     assert_columns_match_batch,
+    canonical_chain_action,
     random_pgl,
     random_triple,
     reference_sup_distance,
@@ -353,6 +354,34 @@ def test_chain_action_is_batch_invariant(exponent):
         chain = CircleHomeo((random_pgl(rng), PowerMap(exponent), random_pgl(rng)))
         h = rng.normal(size=(2, 512))
         assert_columns_match_batch(chain.apply_h, h)
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_PLANES))
+def test_float_lift_agrees_with_the_array_lift(name):
+    # the float lift of a chain, canonicalized, is the array reference action
+    # of tests/helpers.py up to the last bits
+    rng = rng_for(213, sorted(SEEDED_PLANES).index(name))
+    plane = SEEDED_PLANES[name](rng)
+    grid = lift_chart(np.arange(64) / 64)
+    for _ in range(8):
+        graph = plane.join(*random_triple(rng)).graph
+        for chain in (graph, graph.inverse(), CircleHomeo(plane.f.atoms + graph.atoms)):
+            want = canonical_chain_action(chain, grid)
+            for k, h in enumerate(_float_grid(64)):
+                h0, h1 = chain.lift_h(h)
+                assert type(h0) is float and type(h1) is float
+                got = normalize_h(np.array([h0, h1]))
+                assert abs(got[0] - want[0, k]) <= 1e-13 and abs(got[1] - want[1, k]) <= 1e-13
+
+
+def test_float_power_lift_keeps_numpys_signs():
+    # sgn(-0.0) is +0.0 in numpy, so both zeros lift to +0.0, as the array
+    # formula sgn(v) |v|^p of the reference action does
+    power = PowerMap(2.0)
+    for v in (0.0, -0.0, 0.5, -0.5):
+        want = float(np.sign(v) * np.abs(np.float64(v)) ** power.exponent)
+        assert power.lift_h((v, 1.0))[0].hex() == want.hex()
+    assert math.isnan(power.lift_h((math.nan, 1.0))[0])
 
 
 def test_apply_h_refuses_a_power_past_the_float_range():
