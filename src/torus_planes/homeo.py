@@ -53,7 +53,7 @@ TWIST_LIFTS = 16
 
 
 def _lift_chart_float(theta: float) -> tuple:
-    """`lift_chart` of one chart value, on floats."""
+    """The unit pair (sin pi theta, cos pi theta) of one chart value, on floats."""
     alpha = theta * math.pi
     return math.sin(alpha), math.cos(alpha)
 
@@ -297,7 +297,7 @@ class CircleHomeo:
 
 @lru_cache(maxsize=8)
 def _float_grid(grid_size: int) -> tuple:
-    """The lifted grid j / grid_size as float pairs, with `lift_chart`'s bits."""
+    """The lifted grid j / grid_size as float pairs, bit for bit numpy's sin and cos of it."""
     return tuple(_lift_chart_float(j / grid_size) for j in range(grid_size))
 
 

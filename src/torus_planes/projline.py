@@ -20,9 +20,10 @@ Conventions:
   and the action use the entry formula (a x + b y, ...). One `lift_h`
   serves a pair of floats and a pair of arrays, elementwise, so a point's
   image has the same bits alone, as floats and in any batch.
-* Scalar work runs on `math`; numpy is imported on first array use (the
-  `*_h` array helpers and `MobiusMap.m`), so building points and maps and
-  acting with them never loads it.
+* Scalar work runs on `math`; numpy is imported on first array use
+  (`normalize_h` and `MobiusMap.m`), so building points and maps and
+  acting with them never loads it. The chart is read one point at a time
+  (`ProjPoint.chart`); its array forms are test references.
 * One identity test, `MobiusMap.is_identity`: a map that passes it moves no
   point past 2 EQUALITY_TOL, and `mobius_fixed_points` raises IdentityMap.
 * Maps through point pairs have one frame form, lam det(Xp, h) Yq +
@@ -65,29 +66,6 @@ def normalize_h(h: np.ndarray) -> np.ndarray:
     flip = (out[1] < 0.0) | ((out[1] == 0.0) & (out[0] < 0.0))
     out = np.where(flip, -out, out)
     return out + 0.0
-
-
-def chart_h(h: np.ndarray) -> np.ndarray:
-    """Angle chart of homogeneous pairs: theta in [0, 1), infinity at 0.5."""
-    import numpy as np
-
-    h = np.asarray(h, dtype=float)
-    theta = (np.arctan2(h[0], h[1]) / math.pi) % 1.0
-    # a tiny negative angle rounds up to 1.0 under % 1.0; it is chart 0
-    return np.where(theta < 1.0, theta, 0.0)
-
-
-def lift_chart(theta) -> np.ndarray:
-    """Unit pairs (sin pi theta, cos pi theta): continuous, with no sign flip."""
-    import numpy as np
-
-    alpha = np.asarray(theta, dtype=float) * math.pi
-    return np.stack([np.sin(alpha), np.cos(alpha)])
-
-
-def h_from_chart(theta) -> np.ndarray:
-    """Inverse of the angle chart, returns canonical pairs of shape (2, ...)."""
-    return normalize_h(lift_chart(theta))
 
 
 class ProjPoint:
@@ -136,7 +114,8 @@ class ProjPoint:
 
     def chart(self) -> float:
         theta = (math.atan2(self.h0, self.h1) / math.pi) % 1.0
-        return theta if theta < 1.0 else 0.0  # see chart_h
+        # a tiny negative angle rounds up to 1.0 under % 1.0; it is chart 0
+        return theta if theta < 1.0 else 0.0
 
     def __repr__(self):
         if self.h1 == 0.0:

@@ -8,10 +8,16 @@ segments wherever either coordinate jumps by more than half a turn, so
 graphs winding around the torus never draw seam-crossing artifacts, and
 a segment of one point is dropped. Canvas x coordinates are the exact
 integers k, so their text is fixed per sample; canvas y coordinates lie
-in (0, 512] and are written from digit tables (an integer part and two
-3-digit groups of the rounded millionths), with the bytes "%.6f" gives.
-The tables are built once, on the first render, which is also where
-numpy is imported.
+in (0, 512] and are written with the bytes "%.6f" gives, from word
+tables. The text of a document is one buffer of uint32 words, six a
+sample: a (513, 6) template holds each sample's x text as three
+NUL-padded words, and three gathers write the y text from the rounded
+millionths, one word of its integer part ("0." to "512.") and one of each
+3-digit group. One bytes.translate drops the padding. Each polyline is a
+slice of the resulting string; its offsets come from one cumsum of the
+per-sample text lengths, read only at segment bounds. The tables are
+built once, on the first render, which is also where numpy is imported;
+no text is kept from one render to the next.
 
 All circles of a document go through one numpy pass. Each circle's
 chain splits into its leading twist atoms and a tail (`_split_twist`).
@@ -20,14 +26,15 @@ The samples lifted through a twist are the float lift that
 read-only array (`_twist_grid`), so the circles of one plane share one
 lift and plotting computes none of its own. The circles whose tail is
 one plain `MobiusMap` apply it together, with their coefficients as
-(n, 1) columns; any other tail is lifted on floats by `homeo._lift_all`.
+(n, 1) columns, normalised in place when every circle does (as on every
+g = id plane); any other tail is lifted on floats by `homeo._lift_all`.
 Both have the bits of `lift_h` on the whole chain. The y chart is read
 off the unit-norm lift, atan2(x, y) / pi mod 1, with no canonical sign
 flip: a pair and its negation have one chart, up to a rounding of the
 last bit that the byte tests against the canonical reference check. The
-digit-table text and the seam cuts are then built for all circles at
-once. Output is byte-deterministic for fixed inputs:
-fixed float formatting, fixed palette, no timestamps.
+text and the seam cuts are then built for all circles at once. Output is
+byte-deterministic for fixed inputs: fixed float formatting, fixed
+palette, no timestamps.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from functools import lru_cache
 
 from .errors import ConfigError, PreconditionViolated
 from .homeo import TWIST_LIFTS, _lift_all, _split_twist, _twist_lift
-from .planes import PLUS
+from .planes import MINUS, PLUS
 from .projline import MobiusMap
 
 
@@ -53,30 +60,41 @@ _PALETTE = (
 
 _CANVAS = 512
 _SAMPLES = 512  # chart samples per circle
-_WHOLE = _SAMPLES + 1  # offsets in the text table of `_samples`
-_GROUPS = _WHOLE + _CANVAS + 1
+_ROW = _SAMPLES + 1  # a circle's samples, its wrap sample last
 
 
 def _fmt(v: float) -> str:
     return f"{v:.6f}"
 
 
-@lru_cache(maxsize=1)
-def _samples():
-    """The x seam jump of the samples and the text table, shared by every circle.
+def _words(texts, width: int):
+    """The byte strings as rows of width / 4 uint32 words, each NUL-padded to width bytes."""
+    import numpy as np
 
-    Sample charts are k / _SAMPLES with the last wrapped to 0. The table
-    of texts holds from 0 the x text " k.000000," of each sample (the
-    exact integer k), from _WHOLE the integer parts "0." to "512." of a
-    canvas y, and from _GROUPS the 3-digit groups "000" to "999".
+    raw = b"".join(t.ljust(width, b"\0") for t in texts)
+    return np.frombuffer(raw, dtype=np.uint32).reshape(len(texts), width // 4)
+
+
+@lru_cache(maxsize=1)
+def _tables():
+    """The word tables of the sample text and the text lengths, built once.
+
+    The (513, 6) template holds in its first three words the x text
+    " k.000000," of sample k (the exact integer k; the wrap sample is 0
+    again) and zeros in the other three, where a canvas y goes. A y is
+    written from one word of its integer part, "0." to "512.", and one
+    word each of two 3-digit groups, "000" to "999". The lengths are those
+    of each x text and of the y text of each integer part.
     """
     import numpy as np
 
-    x = (np.arange(_SAMPLES + 1) / _SAMPLES) % 1.0
-    table = np.array([f" {_fmt(v)}," for v in (x * _CANVAS).tolist()]
-                     + [f"{k}." for k in range(_CANVAS + 1)]
-                     + [f"{k:03d}" for k in range(1000)], dtype=object)
-    return np.abs(np.diff(x)) > 0.5, table
+    x = [b" %d.000000," % (k % _SAMPLES) for k in range(_ROW)]
+    units = [b"%d." % k for k in range(_CANVAS + 1)]
+    template = np.zeros((_ROW, 6), dtype=np.uint32)
+    template[:, :3] = _words(x, 12)
+    groups = _words([b"%03d" % k for k in range(1000)], 4).ravel()
+    return (template, np.array([len(t) for t in x]), _words(units, 4).ravel(),
+            np.array([len(t) + 6 for t in units]), groups)
 
 
 @lru_cache(maxsize=TWIST_LIFTS)
@@ -94,13 +112,25 @@ def _twist_grid(twist: tuple):
     return h
 
 
-def _sample_text(py):
-    """(n, 4) object array whose rows join to " x,y" of each sample; y in (0, 512].
+def _tiled(table, n: int):
+    """The rows of a per-sample table for n samples laid end to end: row i mod 513 for sample i."""
+    import numpy as np
 
-    Row i holds the x text of sample i mod 513, so the samples of several
-    circles laid end to end each get their own x text. "%.6f" writes the
-    exact binary value of y rounded half to even at six decimals, that
-    is the digits of round(y * 10**6). For y <= 512 the
+    out = np.empty((-(-n // _ROW), *table.shape), dtype=table.dtype)
+    out[:] = table
+    return out.reshape(-1, *table.shape[1:])[:n]
+
+
+def _sample_text(py):
+    """The texts " x,y" of the samples laid end to end, and their offsets; y in (0, 512].
+
+    Sample i takes the x text of sample i mod 513, so the samples of
+    several circles laid end to end each get their own x text. Its text
+    is text[offsets[i]:offsets[i + 1]]. The words of all samples fill one
+    buffer, and one translate drops their NUL padding.
+
+    "%.6f" writes the exact binary value of y rounded half to even at six
+    decimals, that is the digits of round(y * 10**6). For y <= 512 the
     product is below 2**29, where a double's spacing is at most 2**-24, so
     fl(y * 10**6) is within 2**-25 of it; rint of the float then rounds as
     the exact product does unless that lies within 2**-25 of a half-integer.
@@ -108,20 +138,24 @@ def _sample_text(py):
     """
     import numpy as np
 
-    table = _samples()[1]
+    template, x_len, unit_words, y_len, group_words = _tables()
+    words = _tiled(template, len(py))
     scaled = py * 1e6
-    millionths = np.rint(scaled).astype(np.int64)
+    rounded = np.rint(scaled)
+    millionths = rounded.astype(np.int64)
     thousandths = millionths // 1000
     units = thousandths // 1000
-    index = np.empty((len(py), 4), dtype=np.intp)
-    index[:, 0] = np.arange(len(py)) % (_SAMPLES + 1)
-    index[:, 1] = units + _WHOLE
-    index[:, 2] = thousandths - 1000 * units + _GROUPS
-    index[:, 3] = millionths - 1000 * thousandths + _GROUPS
-    text = table[index]
-    for i in np.flatnonzero(np.abs(scaled - np.floor(scaled) - 0.5) <= 2.0**-25).tolist():
-        text[i, 1:] = _fmt(float(py[i])), "", ""
-    return text
+    words[:, 3] = unit_words[units]
+    words[:, 4] = group_words[thousandths - 1000 * units]
+    words[:, 5] = group_words[millionths - 1000 * thousandths]
+    length = _tiled(x_len, len(py)) + y_len[units]
+    for i in np.flatnonzero(np.abs(scaled - rounded) >= 0.5 - 2.0**-25).tolist():
+        y = _fmt(float(py[i])).encode()
+        words[i, 3:] = _words([y], 12)
+        length[i] = x_len[i % _ROW] + len(y)
+    offsets = np.zeros(len(py) + 1, dtype=np.intp)
+    np.cumsum(length, out=offsets[1:])
+    return words.tobytes().translate(None, b"\0").decode("ascii"), offsets
 
 
 def _circle_charts(graphs):
@@ -131,7 +165,7 @@ def _circle_charts(graphs):
     """
     import numpy as np
 
-    lift = np.empty((2, len(graphs), _SAMPLES + 1))
+    lift = np.empty((2, len(graphs), _ROW))
     rows, coef = [], []
     with np.errstate(all="ignore"):  # a 0/0 lift is nan, caught below
         for i, graph in enumerate(graphs):
@@ -146,10 +180,15 @@ def _circle_charts(graphs):
                 lift[:, i] = np.array(images + images[:1]).T
         if rows:
             a, b, c, d = np.array(coef).T[:, :, None]
-            h0, h1 = lift[:, rows]
+            mixed = len(rows) < len(graphs)
+            h0, h1 = lift[:, rows] if mixed else lift
             x, y = a * h0 + b * h1, c * h0 + d * h1
             n = np.hypot(x, y)
-            lift[:, rows] = x / n, y / n
+            if mixed:
+                lift[:, rows] = x / n, y / n
+            else:  # every row, as on every g = id plane: in place
+                np.divide(x, n, out=h0)
+                np.divide(y, n, out=h1)
     theta = np.arctan2(lift[0], lift[1]) / math.pi
     if not np.isfinite(theta).all():
         raise PreconditionViolated("homogeneous pair must be finite and nonzero")
@@ -166,25 +205,24 @@ def _circle_polylines(graphs, colors) -> list[str]:
 
     if not graphs:
         return []
-    x_jump = _samples()[0]
     ty = _circle_charts(graphs)
-    text = _sample_text(((1.0 - ty) * _CANVAS).ravel()).ravel().tolist()
-    row, cut = np.nonzero(x_jump | (np.abs(np.diff(ty)) > 0.5))
-    cuts = [[] for _ in graphs]
-    for i, k in zip(row.tolist(), (cut + 1).tolist()):
-        cuts[i].append(k)
-    width = 4 * (_SAMPLES + 1)
-    out = []
-    for i, color in enumerate(colors):
-        head = f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="'
-        base = i * width
-        bounds = [0, *cuts[i], _SAMPLES + 1]
-        out.append("".join(
-            head + "".join(text[base + 4 * a:base + 4 * b])[1:] + '" />\n'
-            for a, b in zip(bounds, bounds[1:])
-            if b - a >= 2
-        ))
-    return out
+    text, offsets = _sample_text(((1.0 - ty) * _CANVAS).ravel())
+    # a segment starts at each row's first sample, after a y jump, and at the
+    # wrap sample, where x jumps back to 0; bounds are flat sample indices
+    starts = np.ones(ty.shape, dtype=bool)
+    np.greater(np.abs(np.diff(ty[:, :-1])), 0.5, out=starts[:, 1:-1])
+    bounds = np.append(np.flatnonzero(starts), ty.size)
+    at = offsets[bounds].tolist()
+    bounds = bounds.tolist()
+    lines = [[] for _ in graphs]
+    for a, b, start, end in zip(bounds, bounds[1:], at, at[1:]):
+        if b - a >= 2:  # the text of sample a starts with its separating space
+            lines[a // _ROW].append(text[start + 1:end])
+    return [
+        "".join(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}" />\n'
+                for points in segments)
+        for color, segments in zip(colors, lines)
+    ]
 
 
 def render_svg(objects) -> str:
@@ -221,10 +259,12 @@ def render_svg(objects) -> str:
                     x = f"{coord * _CANVAS:.6f}"
                     parts.append(f'<line x1="{x}" y1="0" x2="{x}" y2="{_CANVAS}" '
                                  f'stroke="{color}" stroke-width="1.5" />\n')
-                else:
+                elif payload.kind == MINUS:
                     y = f"{(1.0 - coord) * _CANVAS:.6f}"
                     parts.append(f'<line x1="0" y1="{y}" x2="{_CANVAS}" y2="{y}" '
                                  f'stroke="{color}" stroke-width="1.5" />\n')
+                else:
+                    raise ConfigError(f"unknown parallel-class kind {payload.kind!r}")
             elif kind == "orbit":
                 parts += [
                     f'<circle cx="{pt.x.chart() * _CANVAS:.6f}" '

@@ -20,7 +20,26 @@ from torus_planes import (
     parse_plane_spec,
 )
 from torus_planes.homeo import BISECT_TOL
-from torus_planes.projline import chart_h, h_from_chart, normalize_h
+from torus_planes.projline import normalize_h
+
+
+def chart_h(h):
+    """Angle chart of homogeneous pairs: theta in [0, 1), infinity at 0.5."""
+    h = np.asarray(h, dtype=float)
+    theta = (np.arctan2(h[0], h[1]) / math.pi) % 1.0
+    # a tiny negative angle rounds up to 1.0 under % 1.0; it is chart 0
+    return np.where(theta < 1.0, theta, 0.0)
+
+
+def lift_chart(theta):
+    """Unit pairs (sin pi theta, cos pi theta): continuous, with no sign flip."""
+    alpha = np.asarray(theta, dtype=float) * math.pi
+    return np.stack([np.sin(alpha), np.cos(alpha)])
+
+
+def h_from_chart(theta):
+    """Inverse of the angle chart, returns canonical pairs of shape (2, ...)."""
+    return normalize_h(lift_chart(theta))
 
 
 def wrap_half(x):

@@ -33,14 +33,15 @@ from torus_planes import (
 )
 from torus_planes import homeo, planes
 from torus_planes.planes import TAG_CLASSICAL, TAG_PSL, TAG_TWISTED, parse_config_text
-from torus_planes.projline import chart_h, h_from_chart
 from torus_planes.verify import TrialConfig, _sample_secant_claim, _sample_touching
 
 from helpers import (
     SEEDED_PLANES,
     canonical_chain_action,
+    chart_h,
     golden_minimum,
     graph_tangency_separation,
+    h_from_chart,
     pencil_branches,
     random_proj_point,
     random_triple,

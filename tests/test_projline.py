@@ -20,15 +20,15 @@ from torus_planes import (
 from torus_planes.projline import (
     EQUALITY_TOL,
     FrameMember,
-    chart_h,
-    h_from_chart,
     normalize_h,
 )
 
 from helpers import (
     assert_columns_match_batch,
+    chart_h,
     composed_frame_from_three,
     cross_ratio_to_standard,
+    h_from_chart,
     random_pgl,
     random_proj_point,
     random_separated_points,

@@ -26,11 +26,18 @@ from torus_planes import (
 )
 from torus_planes.homeo import TWIST_LIFTS, _split_twist, _twist_lift
 from torus_planes.planes import TAG_PSL, TAG_TWISTED
-from torus_planes.projline import FrameMember, chart_h, h_from_chart
+from torus_planes.projline import FrameMember
 from torus_planes import svgplot
 from torus_planes.svgplot import _CANVAS, _PALETTE, _SAMPLES, _sample_text
 
-from helpers import SEEDED_PLANES, canonical_chain_action, random_triple, rng_for
+from helpers import (
+    SEEDED_PLANES,
+    canonical_chain_action,
+    chart_h,
+    h_from_chart,
+    random_triple,
+    rng_for,
+)
 
 
 # ----------------------------------------------------------------------
@@ -243,10 +250,14 @@ def test_circle_whose_lift_rounds_to_zero_raises(tail):
 
 def test_errors_are_raised_in_object_order():
     good = classical_plane().mobius_circle(MobiusMap.rotation(0.3))
-    with pytest.raises(ConfigError, match="unknown plot object kind 'dot'"):
-        render_svg([("circle", good), ("dot", None), ("circle", _bad_circle())])
-    with pytest.raises(PreconditionViolated):
-        render_svg([("circle", good), ("circle", _bad_circle()), ("dot", None)])
+    # a parallel class neither plus nor minus draws no line, horizontal or other
+    sideways = ParallelClass("sideways", ProjPoint.from_chart(0.2))
+    for bad, message in ((("dot", None), "unknown plot object kind 'dot'"),
+                         (("pclass", sideways), "unknown parallel-class kind 'sideways'")):
+        with pytest.raises(ConfigError, match=message):
+            render_svg([("circle", good), bad, ("circle", _bad_circle())])
+        with pytest.raises(PreconditionViolated):
+            render_svg([("circle", good), ("circle", _bad_circle()), bad])
 
 
 def test_cached_twist_grids_are_read_only():
@@ -308,15 +319,40 @@ def test_mobius_tails_take_the_batched_pass(monkeypatch):
             render_svg([("circle", circle)])
 
 
+def sample_texts(py):
+    """The text " x,y" _sample_text writes for each sample; the pieces cover its whole text."""
+    text, offsets = _sample_text(np.asarray(py, dtype=float))
+    assert offsets.shape == (len(py) + 1,) and (offsets[0], offsets[-1]) == (0, len(text))
+    bounds = offsets.tolist()
+    return [text[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def printf_texts(py):
+    """The text " x,y" of each sample, the x of sample i mod 513, by "%.6f"."""
+    x = (np.arange(len(py)) % (_SAMPLES + 1)) / _SAMPLES % 1.0 * _CANVAS
+    return [f" {a:.6f},{b:.6f}" for a, b in zip(x.tolist(), py.tolist())]
+
+
 def test_sample_text_gives_each_circle_its_x_text():
     # one row per sample of circles laid end to end: sample i has x text i mod 513
     rng = np.random.default_rng(917)
     py = rng.uniform(0.0, 512.0, 3 * (_SAMPLES + 1) + 5)
-    x = (np.arange(len(py)) % (_SAMPLES + 1)) / _SAMPLES % 1.0 * _CANVAS
-    text = _sample_text(py)
-    assert text.shape == (len(py), 4)
-    assert ["".join(row) for row in text.tolist()] == [
-        f" {a:.6f},{b:.6f}" for a, b in zip(x.tolist(), py.tolist())]
+    assert sample_texts(py) == printf_texts(py)
+
+
+def test_sample_text_mixes_every_padding_width():
+    # each x width (samples k < 10, k < 100, k >= 100) meets each y width:
+    # integer parts of 1, 2 and 3 digits, one rounded up into the next
+    # width, 512.0, and exact ties of each width, which "%.6f" writes; the
+    # float nearest 9.9999995 lies below it, so "%.6f" writes 9.999999
+    # where rint of its product gives 10.000000
+    ys = [0.5, 5.123456, 47.000001, 99.9999996, 9.9999994, 300.25, 512.0,
+          1 / 128, 10 + 1 / 128, 100 + 1 / 128, 511 + 127 / 128, 9.9999995]
+    py = np.resize(ys, 2 * (_SAMPLES + 1))
+    assert sample_texts(py) == printf_texts(py)
+    pairs = (text[1:].split(",") for text in printf_texts(py))
+    widths = {(x.index("."), y.index(".")) for x, y in pairs}
+    assert widths == {(a, b) for a in (1, 2, 3) for b in (1, 2, 3)}
 
 
 # ----------------------------------------------------------------------
@@ -325,7 +361,7 @@ def test_sample_text_gives_each_circle_its_x_text():
 
 def y_texts(py):
     """The y text _sample_text writes for each canvas y."""
-    return ["".join(row) for row in _sample_text(np.asarray(py, dtype=float))[:, 1:].tolist()]
+    return [text.split(",", 1)[1] for text in sample_texts(py)]
 
 
 def assert_writes_like_printf(py):
@@ -339,7 +375,6 @@ def test_digit_tables_round_exact_ties_half_to_even(monkeypatch):
     # k / 128 is k * 7812.5 millionths: every odd k is an exact tie, which
     # the tables leave to "%.6f"
     fallback = []
-    svgplot._samples()  # the x text is built first, so only tie samples reach _fmt below
     monkeypatch.setattr(svgplot, "_fmt", lambda v: fallback.append(v) or f"{v:.6f}")
     ties = np.arange(1, 512 * 128 + 1) / 128
     assert_writes_like_printf(ties)
