@@ -24,17 +24,18 @@ chain splits into its leading twist atoms and a tail (`_split_twist`).
 The samples lifted through a twist are the float lift that
 `homeo._twist_lift` caches for `homeo_sup_distance`, read here as a
 read-only array (`_twist_grid`), so the circles of one plane share one
-lift and plotting computes none of its own. The circles whose tail is
-one plain `MobiusMap` apply it together, with their coefficients as
-(n, 1) columns, normalised in place when every circle does (as on every
-g = id plane); any other tail is lifted on floats by `homeo._lift_all`.
-Both have the bits of `lift_h` on the whole chain. The y chart is read
-off the unit-norm lift, atan2(x, y) / pi mod 1, with no canonical sign
-flip: a pair and its negation have one chart, up to a rounding of the
-last bit that the byte tests against the canonical reference check. The
-text and the seam cuts are then built for all circles at once. Output is
-byte-deterministic for fixed inputs: fixed float formatting, fixed
-palette, no timestamps.
+lift and plotting computes none of its own. Every circle's twist lift
+goes through one in-place pass of Mobius maps, their coefficients as
+(n, 1) columns: the tail when that is one plain `MobiusMap` (as for
+joined circles on g = id planes), the identity otherwise. Any other tail
+is then lifted on floats by `homeo._lift_all`, its images written over
+that row. Both have the bits of `lift_h` on the whole chain. The y chart
+is read off the unit-norm lift, atan2(x, y) / pi mod 1, with no canonical
+sign flip: a pair and its negation have one chart, up to a rounding of
+the last bit that the byte tests against the canonical reference check.
+The text and the seam cuts are then built for all circles at once.
+Output is byte-deterministic for fixed inputs: fixed float formatting,
+fixed palette, no timestamps.
 """
 
 from __future__ import annotations
@@ -92,9 +93,12 @@ def _tables():
     units = [b"%d." % k for k in range(_CANVAS + 1)]
     template = np.zeros((_ROW, 6), dtype=np.uint32)
     template[:, :3] = _words(x, 12)
-    groups = _words([b"%03d" % k for k in range(1000)], 4).ravel()
-    return (template, np.array([len(t) for t in x]), _words(units, 4).ravel(),
-            np.array([len(t) + 6 for t in units]), groups)
+    tables = (template, np.array([len(t) for t in x]), _words(units, 4).ravel(),
+              np.array([len(t) + 6 for t in units]),
+              _words([b"%03d" % k for k in range(1000)], 4).ravel())
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 @lru_cache(maxsize=TWIST_LIFTS)
@@ -110,15 +114,6 @@ def _twist_grid(twist: tuple):
     h = np.array(lift + lift[:1]).T
     h.setflags(write=False)
     return h
-
-
-def _tiled(table, n: int):
-    """The rows of a per-sample table for n samples laid end to end: row i mod 513 for sample i."""
-    import numpy as np
-
-    out = np.empty((-(-n // _ROW), *table.shape), dtype=table.dtype)
-    out[:] = table
-    return out.reshape(-1, *table.shape[1:])[:n]
 
 
 def _sample_text(py):
@@ -139,7 +134,8 @@ def _sample_text(py):
     import numpy as np
 
     template, x_len, unit_words, y_len, group_words = _tables()
-    words = _tiled(template, len(py))
+    circles = -(-len(py) // _ROW)
+    words = np.concatenate((template,) * circles)[:len(py)]
     scaled = py * 1e6
     rounded = np.rint(scaled)
     millionths = rounded.astype(np.int64)
@@ -148,7 +144,7 @@ def _sample_text(py):
     words[:, 3] = unit_words[units]
     words[:, 4] = group_words[thousandths - 1000 * units]
     words[:, 5] = group_words[millionths - 1000 * thousandths]
-    length = _tiled(x_len, len(py)) + y_len[units]
+    length = np.concatenate((x_len,) * circles)[:len(py)] + y_len[units]
     for i in np.flatnonzero(np.abs(scaled - rounded) >= 0.5 - 2.0**-25).tolist():
         y = _fmt(float(py[i])).encode()
         words[i, 3:] = _words([y], 12)
@@ -166,29 +162,27 @@ def _circle_charts(graphs):
     import numpy as np
 
     lift = np.empty((2, len(graphs), _ROW))
-    rows, coef = [], []
+    coef = np.empty((4, len(graphs), 1))
+    generic = []
+    for i, graph in enumerate(graphs):
+        twist, tail = _split_twist(graph)
+        lift[:, i] = _twist_grid(twist)
+        if len(tail) == 1 and type(tail[0]) is MobiusMap:
+            m = tail[0]
+            coef[:, i, 0] = m.a, m.b, m.c, m.d
+        else:
+            coef[:, i, 0] = 1.0, 0.0, 0.0, 1.0
+            generic.append((i, twist, tail))
+    a, b, c, d = coef
+    h0, h1 = lift
     with np.errstate(all="ignore"):  # a 0/0 lift is nan, caught below
-        for i, graph in enumerate(graphs):
-            twist, tail = _split_twist(graph)
-            if len(tail) == 1 and type(tail[0]) is MobiusMap:
-                m = tail[0]
-                lift[:, i] = _twist_grid(twist)
-                rows.append(i)
-                coef.append((m.a, m.b, m.c, m.d))
-            else:  # the wrap sample, chart 0 again, last
-                images = _lift_all(tail, _twist_lift(twist, _SAMPLES))
-                lift[:, i] = np.array(images + images[:1]).T
-        if rows:
-            a, b, c, d = np.array(coef).T[:, :, None]
-            mixed = len(rows) < len(graphs)
-            h0, h1 = lift[:, rows] if mixed else lift
-            x, y = a * h0 + b * h1, c * h0 + d * h1
-            n = np.hypot(x, y)
-            if mixed:
-                lift[:, rows] = x / n, y / n
-            else:  # every row, as on every g = id plane: in place
-                np.divide(x, n, out=h0)
-                np.divide(y, n, out=h1)
+        x, y = a * h0 + b * h1, c * h0 + d * h1
+        n = np.hypot(x, y)
+        np.divide(x, n, out=h0)
+        np.divide(y, n, out=h1)
+        for i, twist, tail in generic:  # the wrap sample, chart 0 again, last
+            images = _lift_all(tail, _twist_lift(twist, _SAMPLES))
+            lift[:, i] = np.array(images + images[:1]).T
     theta = np.arctan2(lift[0], lift[1]) / math.pi
     if not np.isfinite(theta).all():
         raise PreconditionViolated("homogeneous pair must be finite and nonzero")

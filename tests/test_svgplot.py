@@ -275,6 +275,13 @@ def test_cached_twist_grids_are_read_only():
     assert svgplot._twist_grid.cache_info().maxsize == TWIST_LIFTS
 
 
+def test_cached_text_tables_are_read_only():
+    for table in svgplot._tables():
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0
+
+
 def test_plotting_reads_the_twist_lift_that_circle_comparison_cached():
     # render_svg lifts no twist of its own: the samples lifted through the
     # plane's twist are the float lift homeo_sup_distance cached
