@@ -64,6 +64,9 @@ TAG_CLASSICAL = "classical-PGL"
 TAG_PSL = "half-classical-PSL"
 TAG_TWISTED = "half-classical-twisted"
 
+#: a plane's default tolerance: membership residual, parallelity, joining
+PLANE_TOL = 1e-9
+
 
 class ParallelClass(NamedTuple):
     """A vertical ({x0} x S^1, kind plus) or horizontal (kind minus)."""
@@ -168,7 +171,7 @@ class PlaneModel:
     )
 
     def __init__(self, family: str, f: CircleHomeo | None = None,
-                 g: CircleHomeo | None = None, tol: float = 1e-9):
+                 g: CircleHomeo | None = None, tol: float = PLANE_TOL):
         if family not in ("classical", "half-classical"):
             raise ConfigError(f"unknown plane family {family!r}")
         if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0.0):
@@ -478,13 +481,13 @@ class PlaneModel:
         return DerivedLine(kind="circle", circle=self.join(base, a, b))
 
 
-def classical_plane(tol: float = 1e-9) -> PlaneModel:
+def classical_plane(tol: float = PLANE_TOL) -> PlaneModel:
     """The classical flat Minkowski plane: circles are all PGL(2, R) graphs."""
     return PlaneModel("classical", tol=tol)
 
 
 def half_classical_plane(
-    f: CircleHomeo, g: CircleHomeo | None = None, tol: float = 1e-9
+    f: CircleHomeo, g: CircleHomeo | None = None, tol: float = PLANE_TOL
 ) -> PlaneModel:
     """Half-classical plane M(f, g); the theorems' planes use g = id."""
     return PlaneModel("half-classical", f=f, g=g, tol=tol)
@@ -558,7 +561,7 @@ def plane_from_config(cfg: dict) -> PlaneModel:
         raise ConfigError(f"unknown configuration key(s): {unknown}")
     family = cfg.get("family", "classical")
     try:
-        tol = float(cfg.get("tolerance", 1e-9))
+        tol = float(cfg.get("tolerance", PLANE_TOL))
     except ValueError:
         raise ConfigError(f"bad tolerance {cfg['tolerance']!r}") from None
     f = homeo_from_spec(cfg.get("f", "id"))

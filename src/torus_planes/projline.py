@@ -270,7 +270,7 @@ class MobiusMap:
         return f"MobiusMap([[{self.a:.6g}, {self.b:.6g}], [{self.c:.6g}, {self.d:.6g}]])"
 
 
-def proj_matrix_equal(m1: MobiusMap, m2: MobiusMap, tol: float = 1e-10) -> bool:
+def proj_matrix_equal(m1: MobiusMap, m2: MobiusMap, tol: float) -> bool:
     """Projective equality of two maps via their canonical matrices."""
     d_minus = max(abs(m1.a - m2.a), abs(m1.b - m2.b), abs(m1.c - m2.c), abs(m1.d - m2.d))
     d_plus = max(abs(m1.a + m2.a), abs(m1.b + m2.b), abs(m1.c + m2.c), abs(m1.d + m2.d))

@@ -1,23 +1,22 @@
 """Deterministic SVG rendering of torus objects in the unit-square chart.
 
 The torus is drawn as [0, 1)^2 in the angle chart (0 at 0, infinity at
-0.5 on each axis). A circle is sampled at the 513 dyadic charts k / 512,
-k = 0..512, the last wrapping back to chart 0; its y samples are the
-chart of its graph at those points. The samples are split into polyline
-segments wherever either coordinate jumps by more than half a turn, so
-graphs winding around the torus never draw seam-crossing artifacts, and
-a segment of one point is dropped. Canvas x coordinates are the exact
-integers k, so their text is fixed per sample; canvas y coordinates lie
-in (0, 512] and are written with the bytes "%.6f" gives, from word
-tables. The text of a document is one buffer of uint32 words, six a
-sample: a (513, 6) template holds each sample's x text as three
-NUL-padded words, and three gathers write the y text from the rounded
-millionths, one word of its integer part ("0." to "512.") and one of each
-3-digit group. One bytes.translate drops the padding. Each polyline is a
-slice of the resulting string; its offsets come from one cumsum of the
-per-sample text lengths, read only at segment bounds. The tables are
-built once, on the first render, which is also where numpy is imported;
-no text is kept from one render to the next.
+0.5 on each axis). A circle is sampled at the 512 dyadic charts k / 512,
+one per canvas column; its y samples are the chart of its graph at those
+points. The samples are split into polyline segments wherever y jumps by
+more than half a turn, so graphs winding around the torus never draw
+seam-crossing artifacts, and a segment of one point is dropped. Canvas x
+coordinates are the exact integers k, so their text is fixed per sample;
+canvas y coordinates lie in (0, 512] and are written with the bytes
+"%.6f" gives, from word tables. The text of a document is one buffer of
+uint32 words, six a sample: a (512, 6) template holds each sample's x
+text as three NUL-padded words, and three gathers write the y text from
+the rounded millionths, one word of its integer part ("0." to "512.") and
+one of each 3-digit group. One bytes.translate drops the padding. Each
+polyline is a slice of the resulting string; its offsets come from one
+cumsum of the per-sample text lengths, read only at segment bounds. The
+tables are built once, on the first render, which is also where numpy is
+imported; no text is kept from one render to the next.
 
 All circles of a document go through one numpy pass. Each circle's
 chain splits into its leading twist atoms and a tail (`_split_twist`).
@@ -59,9 +58,9 @@ _PALETTE = (
     "#17becf",
 )
 
+# the canvas width, and the chart samples per circle: sample k is drawn
+# at x = k exactly, so its x text " k.000000," is fixed
 _CANVAS = 512
-_SAMPLES = 512  # chart samples per circle
-_ROW = _SAMPLES + 1  # a circle's samples, its wrap sample last
 
 
 def _fmt(v: float) -> str:
@@ -80,18 +79,18 @@ def _words(texts, width: int):
 def _tables():
     """The word tables of the sample text and the text lengths, built once.
 
-    The (513, 6) template holds in its first three words the x text
-    " k.000000," of sample k (the exact integer k; the wrap sample is 0
-    again) and zeros in the other three, where a canvas y goes. A y is
-    written from one word of its integer part, "0." to "512.", and one
-    word each of two 3-digit groups, "000" to "999". The lengths are those
-    of each x text and of the y text of each integer part.
+    The (512, 6) template holds in its first three words the x text
+    " k.000000," of sample k (the exact integer k) and zeros in the other
+    three, where a canvas y goes. A y is written from one word of its
+    integer part, "0." to "512.", and one word each of two 3-digit groups,
+    "000" to "999". The lengths are those of each x text and of the y text
+    of each integer part.
     """
     import numpy as np
 
-    x = [b" %d.000000," % (k % _SAMPLES) for k in range(_ROW)]
+    x = [b" %d.000000," % k for k in range(_CANVAS)]
     units = [b"%d." % k for k in range(_CANVAS + 1)]
-    template = np.zeros((_ROW, 6), dtype=np.uint32)
+    template = np.zeros((_CANVAS, 6), dtype=np.uint32)
     template[:, :3] = _words(x, 12)
     tables = (template, np.array([len(t) for t in x]), _words(units, 4).ravel(),
               np.array([len(t) + 6 for t in units]),
@@ -103,15 +102,13 @@ def _tables():
 
 @lru_cache(maxsize=TWIST_LIFTS)
 def _twist_grid(twist: tuple):
-    """`_twist_lift(twist, _SAMPLES)` as a read-only (2, 513) array, its wrap sample last.
+    """`_twist_lift(twist, _CANVAS)` as a read-only (2, 512) array.
 
     Atoms hash by identity, so the circles of one plane share one entry.
-    The wrap sample is chart 0 again, so its lift is the first one.
     """
     import numpy as np
 
-    lift = _twist_lift(twist, _SAMPLES)
-    h = np.array(lift + lift[:1]).T
+    h = np.array(_twist_lift(twist, _CANVAS)).T
     h.setflags(write=False)
     return h
 
@@ -119,7 +116,7 @@ def _twist_grid(twist: tuple):
 def _sample_text(py):
     """The texts " x,y" of the samples laid end to end, and their offsets; y in (0, 512].
 
-    Sample i takes the x text of sample i mod 513, so the samples of
+    Sample i takes the x text of sample i mod 512, so the samples of
     several circles laid end to end each get their own x text. Its text
     is text[offsets[i]:offsets[i + 1]]. The words of all samples fill one
     buffer, and one translate drops their NUL padding.
@@ -134,7 +131,7 @@ def _sample_text(py):
     import numpy as np
 
     template, x_len, unit_words, y_len, group_words = _tables()
-    circles = -(-len(py) // _ROW)
+    circles = -(-len(py) // _CANVAS)
     words = np.concatenate((template,) * circles)[:len(py)]
     scaled = py * 1e6
     rounded = np.rint(scaled)
@@ -148,20 +145,20 @@ def _sample_text(py):
     for i in np.flatnonzero(np.abs(scaled - rounded) >= 0.5 - 2.0**-25).tolist():
         y = _fmt(float(py[i])).encode()
         words[i, 3:] = _words([y], 12)
-        length[i] = x_len[i % _ROW] + len(y)
+        length[i] = x_len[i % _CANVAS] + len(y)
     offsets = np.zeros(len(py) + 1, dtype=np.intp)
     np.cumsum(length, out=offsets[1:])
     return words.tobytes().translate(None, b"\0").decode("ascii"), offsets
 
 
 def _circle_charts(graphs):
-    """(n, 513) y charts in [0, 1) of the graphs at the samples.
+    """(n, 512) y charts in [0, 1) of the graphs at the samples.
 
     Raises PreconditionViolated when a lifted image is not finite.
     """
     import numpy as np
 
-    lift = np.empty((2, len(graphs), _ROW))
+    lift = np.empty((2, len(graphs), _CANVAS))
     coef = np.empty((4, len(graphs), 1))
     generic = []
     for i, graph in enumerate(graphs):
@@ -180,9 +177,8 @@ def _circle_charts(graphs):
         n = np.hypot(x, y)
         np.divide(x, n, out=h0)
         np.divide(y, n, out=h1)
-        for i, twist, tail in generic:  # the wrap sample, chart 0 again, last
-            images = _lift_all(tail, _twist_lift(twist, _SAMPLES))
-            lift[:, i] = np.array(images + images[:1]).T
+        for i, twist, tail in generic:
+            lift[:, i] = np.array(_lift_all(tail, _twist_lift(twist, _CANVAS))).T
     theta = np.arctan2(lift[0], lift[1]) / math.pi
     if not np.isfinite(theta).all():
         raise PreconditionViolated("homogeneous pair must be finite and nonzero")
@@ -201,17 +197,17 @@ def _circle_polylines(graphs, colors) -> list[str]:
         return []
     ty = _circle_charts(graphs)
     text, offsets = _sample_text(((1.0 - ty) * _CANVAS).ravel())
-    # a segment starts at each row's first sample, after a y jump, and at the
-    # wrap sample, where x jumps back to 0; bounds are flat sample indices
+    # a segment starts at each row's first sample and after a y jump; bounds
+    # are flat sample indices
     starts = np.ones(ty.shape, dtype=bool)
-    np.greater(np.abs(np.diff(ty[:, :-1])), 0.5, out=starts[:, 1:-1])
+    np.greater(np.abs(np.diff(ty)), 0.5, out=starts[:, 1:])
     bounds = np.append(np.flatnonzero(starts), ty.size)
     at = offsets[bounds].tolist()
     bounds = bounds.tolist()
     lines = [[] for _ in graphs]
     for a, b, start, end in zip(bounds, bounds[1:], at, at[1:]):
         if b - a >= 2:  # the text of sample a starts with its separating space
-            lines[a // _ROW].append(text[start + 1:end])
+            lines[a // _CANVAS].append(text[start + 1:end])
     return [
         "".join(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}" />\n'
                 for points in segments)
@@ -224,7 +220,7 @@ def render_svg(objects) -> str:
 
     Kinds: ("circle", Circle), ("pclass", ParallelClass),
     ("orbit", list[TorusPoint]). Object i is drawn in palette colour
-    i mod 7. A circle becomes one polyline per seam-free run of its 513
+    i mod 7. A circle becomes one polyline per seam-free run of its 512
     chart samples (see the module docstring), with exact integer x
     coordinates; a parallel class becomes a line and an orbit a dot per
     point. Every number is written with six decimals, so the same

@@ -30,6 +30,12 @@ class TestJoinCommand:
         out = capsys.readouterr().out
         assert "half-classical-twisted" in out
 
+    def test_minus_infinity_is_the_point_at_infinity(self, capsys):
+        assert run(["join", "0,-inf", "1,1", "2,3"]) == 0
+        minus = capsys.readouterr().out
+        assert run(["join", "0,inf", "1,1", "2,3"]) == 0
+        assert minus == capsys.readouterr().out
+
     def test_parallel_input_exit_2(self, capsys):
         assert run(["join", "--plane", "classical", "0,0", "0,1", "2,2"]) == 2
         assert "error" in capsys.readouterr().err
@@ -55,6 +61,9 @@ class TestJoinCommand:
         ["join", "--plane", "half:spline:{tmp}/missing.txt", "0,0", "1,1", "2,3"],
         ["plot", "orbit:diag:psl:2,0,0,0.5:0,1:abc", "--out", "{tmp}/x.svg"],
         ["plot", "orbit:diag:psl:2,0,0,0.5:0,1:-3", "--out", "{tmp}/x.svg"],
+        ["plot", "circle3:0,0:1,1", "--out", "{tmp}/x.svg"],
+        ["plot", "pclass:diag:0", "--out", "{tmp}/x.svg"],
+        ["plot", "orbit:abc", "--out", "{tmp}/x.svg"],
         # the factor-only family has no point action to check
         ["verify", "--plane", "classical", "--suite", "automorphism", "--group", "case3:0.3:2:1"],
         ["verify", "--suite", "automorphism", "--group", "phi:nan:1:1:1"],
@@ -85,6 +94,7 @@ def test_bad_input_exits_2_without_traceback(args, tmp_path, capsys):
     assert run(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert err.count("\n") == 1, err
 
 
 def test_repeated_config_key_is_one_error_line(tmp_path, capsys):
@@ -429,6 +439,21 @@ class TestReportIndex:
 
     def test_missing_directory_exit_2(self, tmp_path):
         assert run(["report-index", str(tmp_path / "nope")]) == 2
+
+    def test_rerun_does_not_index_its_own_index(self, tmp_path):
+        (tmp_path / "good.json").write_text(json.dumps({"suite": "joining", "pass": True}))
+        assert run(["report-index", str(tmp_path)]) == 0
+        first = (tmp_path / "index.json").read_bytes()
+        assert run(["report-index", str(tmp_path)]) == 0
+        assert (tmp_path / "index.json").read_bytes() == first
+        assert [e["file"] for e in json.loads(first)["reports"]] == ["good.json"]
+
+    def test_file_that_is_not_json_skipped(self, tmp_path):
+        (tmp_path / "broken.json").write_text("{not json")
+        (tmp_path / "good.json").write_text(json.dumps({"suite": "joining", "pass": True}))
+        assert run(["report-index", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "index.json").read_text())
+        assert [e["file"] for e in payload["reports"]] == ["good.json"]
 
     @pytest.mark.parametrize("suite", [5, None, [1]])
     def test_non_string_suite_skipped(self, tmp_path, suite):

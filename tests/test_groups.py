@@ -186,6 +186,13 @@ class TestInducedActions:
         assert math.isclose(values[0], 2.0, abs_tol=1e-9)
         assert values[1] == INF
 
+    def test_phi2_power_side(self):
+        # x -> sgn(x) x^2 fixes infinity, 0 and +-1
+        _, report = induced_factor_action(PhiTwoFixed(-1, 1, 2, 1), "plus")
+        assert report.action_kind == "L2-on-line"
+        assert not report.fixes_every_class
+        assert [c.coordinate.value() for c in report.fixed_classes] == [INF, 0.0, 1.0, -1.0]
+
     def test_diagonal_is_psl_kind(self):
         _, report = induced_factor_action(DiagonalPSL(MobiusMap([[2, 1], [1, 1]])), "minus")
         assert report.action_kind == "PSL-on-circle"

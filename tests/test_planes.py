@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from torus_planes import (
+    Circle,
     CircleHomeo,
     CoincidentPoints,
     ConfigError,
@@ -146,6 +147,22 @@ class TestJoinHalfClassical:
             assert max(half2.membership_residual(circle, s) for s in (a, b, c)) < 1e-9
             branches = half2.join_branches(a, b, c)
             assert [ok for _, ok in branches.values()].count(True) == 1
+
+    def test_reversing_map_is_twisted_where_the_twists_are_mobius(self, half2):
+        # on half:id a det < 0 map factors through the twists as itself; on
+        # half:power:2, g m f^-1 is a negated power map, no Mobius map, so no
+        # branch holds it
+        m = MobiusMap([[-1.0, 0.0], [0.0, 1.0]])
+        c = parse_plane_spec("half:id").mobius_circle(m)
+        assert c.tag == TAG_TWISTED
+        assert proj_matrix_equal(c.graph.as_mobius(), m, 1e-15)
+        with pytest.raises(NoBranch):
+            half2.mobius_circle(m)
+
+    def test_circle_of_a_foreign_tag_is_not_in_the_set(self, half2):
+        m = MobiusMap.identity()
+        assert half2.circle_in_set(Circle(CircleHomeo.from_mobius(m), TAG_PSL, m))
+        assert not half2.circle_in_set(Circle(CircleHomeo.from_mobius(m), TAG_CLASSICAL, m))
 
     def test_classical_specialization(self, classical):
         # HalfClassical(id, id) carries the same circle set as the
@@ -417,6 +434,13 @@ class TestTouch:
         twisted = half2.join(pt(0, 0), pt(1, -1), pt(INF, INF))
         assert half2.tangency_separation(psl, twisted, pt(0, 0)) == (True, math.inf)
 
+    def test_separation_of_a_circle_from_itself(self, classical, half2):
+        # equal circles share every point: phi1 = phi2 = 0 reads as far
+        ident = classical.mobius_circle(MobiusMap.identity())
+        assert classical.tangency_separation(ident, ident, pt(0, 0)) == (True, math.inf)
+        twisted = half2.join(pt(0, 0), pt(1, -1), pt(INF, INF))
+        assert half2.tangency_separation(twisted, twisted, pt(0, 0)) == (True, math.inf)
+
     def test_a_member_that_cannot_be_built_is_no_candidate(self, half2, monkeypatch):
         circle = half2.join(pt(0, 0), pt(1, 1), pt(2, 3))
         p, q = circle.point_at(P(0.5)), pt(-1, 4)
@@ -488,6 +512,11 @@ class TestDerived:
         line = classical.derived_line_through(pt(INF, INF), pt(0, 0), pt(0, 5))
         assert line.kind == "plus-class"
         assert chordal(line.pclass.coordinate, P(0)) < 1e-12
+
+    def test_horizontal_class(self, classical):
+        line = classical.derived_line_through(pt(INF, INF), pt(0, 1), pt(2, 1))
+        assert line.kind == "minus-class"
+        assert chordal(line.pclass.coordinate, P(1)) < 1e-12
 
     def test_identity_line(self, classical):
         line = classical.derived_line_through(pt(INF, INF), pt(0, 0), pt(1, 1))

@@ -28,7 +28,7 @@ from torus_planes.homeo import TWIST_LIFTS, _split_twist, _twist_lift
 from torus_planes.planes import TAG_PSL, TAG_TWISTED
 from torus_planes.projline import FrameMember
 from torus_planes import svgplot
-from torus_planes.svgplot import _CANVAS, _PALETTE, _SAMPLES, _sample_text
+from torus_planes.svgplot import _CANVAS, _PALETTE, _sample_text
 
 from helpers import (
     SEEDED_PLANES,
@@ -45,7 +45,8 @@ from helpers import (
 
 
 def reference_segments(circle):
-    thetas = np.arange(_SAMPLES + 1) / _SAMPLES
+    # the 512 chart samples and the wrap back to chart 0, where x jumps
+    thetas = np.arange(_CANVAS + 1) / _CANVAS
     h = h_from_chart(thetas % 1.0)
     tx = thetas  # monotone lift along the x-axis
     ty = chart_h(canonical_chain_action(circle.graph, h))
@@ -124,7 +125,7 @@ def point_counts(svg):
 
 def _y_crosses_seam(circle):
     """True when the graph's chart y jumps between two neighbouring samples."""
-    h = h_from_chart(np.arange(_SAMPLES) / _SAMPLES)
+    h = h_from_chart(np.arange(_CANVAS) / _CANVAS)
     ty = chart_h(canonical_chain_action(circle.graph, h))
     return bool(np.any(np.abs(np.diff(ty)) > 0.5))
 
@@ -269,7 +270,7 @@ def test_cached_twist_grids_are_read_only():
     assert twists == {(), plane.f.atoms}
     for twist in twists:
         grid = svgplot._twist_grid(twist)
-        assert grid.shape == (2, _SAMPLES + 1) and not grid.flags.writeable
+        assert grid.shape == (2, _CANVAS) and not grid.flags.writeable
         with pytest.raises(ValueError):
             grid[0, 0] = 0.0
     assert svgplot._twist_grid.cache_info().maxsize == TWIST_LIFTS
@@ -292,7 +293,7 @@ def test_plotting_reads_the_twist_lift_that_circle_comparison_cached():
         circle = plane.join(*random_triple(rng))
     _twist_lift.cache_clear()
     svgplot._twist_grid.cache_clear()
-    homeo_sup_distance(circle.graph, circle.graph, _SAMPLES)
+    homeo_sup_distance(circle.graph, circle.graph, _CANVAS)
     before = _twist_lift.cache_info()
     render_svg([("circle", circle)])
     after = _twist_lift.cache_info()
@@ -335,15 +336,15 @@ def sample_texts(py):
 
 
 def printf_texts(py):
-    """The text " x,y" of each sample, the x of sample i mod 513, by "%.6f"."""
-    x = (np.arange(len(py)) % (_SAMPLES + 1)) / _SAMPLES % 1.0 * _CANVAS
+    """The text " x,y" of each sample, the x of sample i mod 512, by "%.6f"."""
+    x = np.arange(len(py)) % _CANVAS / _CANVAS * _CANVAS
     return [f" {a:.6f},{b:.6f}" for a, b in zip(x.tolist(), py.tolist())]
 
 
 def test_sample_text_gives_each_circle_its_x_text():
-    # one row per sample of circles laid end to end: sample i has x text i mod 513
+    # one row per sample of circles laid end to end: sample i has x text i mod 512
     rng = np.random.default_rng(917)
-    py = rng.uniform(0.0, 512.0, 3 * (_SAMPLES + 1) + 5)
+    py = rng.uniform(0.0, 512.0, 3 * _CANVAS + 5)
     assert sample_texts(py) == printf_texts(py)
 
 
@@ -355,7 +356,7 @@ def test_sample_text_mixes_every_padding_width():
     # where rint of its product gives 10.000000
     ys = [0.5, 5.123456, 47.000001, 99.9999996, 9.9999994, 300.25, 512.0,
           1 / 128, 10 + 1 / 128, 100 + 1 / 128, 511 + 127 / 128, 9.9999995]
-    py = np.resize(ys, 2 * (_SAMPLES + 1))
+    py = np.resize(ys, 2 * _CANVAS)
     assert sample_texts(py) == printf_texts(py)
     pairs = (text[1:].split(",") for text in printf_texts(py))
     widths = {(x.index("."), y.index(".")) for x, y in pairs}
@@ -373,8 +374,8 @@ def y_texts(py):
 
 def assert_writes_like_printf(py):
     py = np.asarray(py, dtype=float)
-    for chunk in range(0, len(py), _SAMPLES + 1):
-        part = py[chunk:chunk + _SAMPLES + 1]
+    for chunk in range(0, len(py), _CANVAS):
+        part = py[chunk:chunk + _CANVAS]
         assert y_texts(part) == [f"{v:.6f}" for v in part.tolist()]
 
 
@@ -407,7 +408,7 @@ def test_digit_tables_at_the_ends_of_the_canvas():
 
 
 @settings(max_examples=200, deadline=None)
-@given(hnp.arrays(np.float64, st.integers(1, _SAMPLES + 1),
+@given(hnp.arrays(np.float64, st.integers(1, _CANVAS),
                   elements=st.floats(0.0, 512.0, exclude_min=True)))
 def test_digit_tables_write_like_printf(py):
     assert_writes_like_printf(py)
