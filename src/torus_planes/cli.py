@@ -79,10 +79,8 @@ def _resolve_plane(args) -> PlaneModel:
 
 def _parse_real(token: str) -> float:
     token = token.strip().lower()
-    if token in ("inf", "+inf", "oo"):
+    if token == "oo":
         return math.inf
-    if token == "-inf":
-        return math.inf  # one point at infinity on the projective line
     try:
         value = float(token)
     except ValueError:
@@ -247,8 +245,6 @@ def cmd_report_index(args) -> int:
         raise ConfigError(f"not a directory: {directory}")
     entries = []
     for path in sorted(directory.glob("*.json")):
-        if path.name == "index.json":
-            continue
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError):

@@ -48,12 +48,13 @@ from .projline import (
     ProjPoint,
     TorusPoint,
     TwoPointFamily,
+    _Frozen,
     mobius_fixed_points,
 )
 from .planes import MINUS, PLUS, ParallelClass
 
 
-class _GroupElement:
+class _GroupElement(_Frozen):
     """An immutable element of one family, declared by its class attributes.
 
     `head` names the family in literals, written `head:` + `literal_form[0]`
@@ -65,14 +66,10 @@ class _GroupElement:
 
     __slots__ = ()
     head: str
-    family: str
     fields: tuple
     literal_form = ("", ":")
     key_arity = 0
     sample = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("group elements are immutable")
 
     @classmethod
     def from_params(cls, *values):
@@ -133,9 +130,7 @@ class _MobiusFamilyElement(_PointElement):
 
     def compose(self, other):
         if type(other) is not type(self):
-            raise FamilyMismatch(
-                f"cannot compose {self.family} with {getattr(other, 'family', '?')}"
-            )
+            raise FamilyMismatch(f"cannot compose {self.head} with {getattr(other, 'head', '?')}")
         return type(self)(self.mu.compose(other.mu))
 
     def inverse(self):
@@ -149,7 +144,6 @@ class KernelPlusPSL(_MobiusFamilyElement):
     """PSL acting on the second factor only; every (+)-class is fixed."""
 
     head = "kplus"
-    family = "kernel-plus-psl"
 
     def factor_homeos(self):
         return CircleHomeo.identity(), CircleHomeo.from_mobius(self.mu)
@@ -159,7 +153,6 @@ class KernelMinusPSL(_MobiusFamilyElement):
     """PSL acting on the first factor only; every (-)-class is fixed."""
 
     head = "kminus"
-    family = "kernel-minus-psl"
 
     def factor_homeos(self):
         return CircleHomeo.from_mobius(self.mu), CircleHomeo.identity()
@@ -169,7 +162,6 @@ class DiagonalPSL(_MobiusFamilyElement):
     """PSL acting identically on both factors; fixes the diagonal circle."""
 
     head = "diag"
-    family = "diagonal-psl"
 
     def factor_homeos(self):
         h = CircleHomeo.from_mobius(self.mu)
@@ -219,7 +211,6 @@ class PhiStd(_PhiElement):
 
     __slots__ = ()
     head = "phi"
-    family = "phi-std"
     sample = ((2.0, 3.0, 1.0), (1.5, 0.5, -1.0), (3.0, 1.25, 2.0))
 
     def __init__(self, d: float, a: float, b: float, c: float):
@@ -275,7 +266,6 @@ class PhiTwoFixed(_PhiElement):
 
     __slots__ = ()
     head = "phi2"
-    family = "phi-two-fixed"
     sample = ((2.0, 3.0, 1.0), (1.5, 2.0, -1.0), (3.0, 0.5, 2.0))
 
     def __init__(self, d: float, a: float, b: float, c: float):
@@ -339,7 +329,6 @@ class Case3Element(_GroupElement):
     __slots__ = ("angle", "a", "b")
     fields = __slots__
     head = "case3"
-    family = "case3-factor"
 
     def __init__(self, angle: float, a: float, b: float):
         if not (a > 0.0):

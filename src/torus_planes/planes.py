@@ -52,6 +52,7 @@ from .projline import (
     ProjPoint,
     TorusPoint,
     TwoPointFamily,
+    _Frozen,
     chordal,
     mobius_fixed_points,
     mobius_from_three,
@@ -75,7 +76,7 @@ class ParallelClass(NamedTuple):
     coordinate: ProjPoint
 
 
-class Circle:
+class Circle(_Frozen):
     """A circle of the torus: the graph of a circle homeomorphism.
 
     `tag` records the defining family branch and `mobius` its Mobius
@@ -89,9 +90,6 @@ class Circle:
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "mobius", mobius)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Circle is immutable")
 
     def point_at(self, x: ProjPoint) -> TorusPoint:
         return TorusPoint(x, self.graph.apply(x))
@@ -148,7 +146,7 @@ def parallel(p: TorusPoint, q: TorusPoint, tol: float = EQUALITY_TOL) -> str:
     return "none"
 
 
-class PlaneModel:
+class PlaneModel(_Frozen):
     """A toroidal circle plane: circle-set membership, join, touch, derive.
 
     Construct through `classical_plane()` or `half_classical_plane(f, g)`.
@@ -161,14 +159,7 @@ class PlaneModel:
     #: tangency separation below which two circles count as touching
     tangency_band = 1e-6
 
-    __slots__ = (
-        "family",
-        "f",
-        "g",
-        "f_inv",
-        "g_inv",
-        "tol",
-    )
+    __slots__ = ("family", "f", "g", "f_inv", "g_inv", "tol")
 
     def __init__(self, family: str, f: CircleHomeo | None = None,
                  g: CircleHomeo | None = None, tol: float = PLANE_TOL):
@@ -190,9 +181,6 @@ class PlaneModel:
         object.__setattr__(self, "g_inv", g.inverse())
         object.__setattr__(self, "tol", float(tol))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PlaneModel is immutable")
-
     # -- descriptors ---------------------------------------------------
 
     def describe(self) -> str:
@@ -200,13 +188,10 @@ class PlaneModel:
             return "classical"
         parts = [f"f={_describe_homeo(self.f)}", f"g={_describe_homeo(self.g)}"]
         text = f"half-classical({', '.join(parts)})"
-        if not _is_identity_homeo(self.g):
+        m = self.g.as_mobius()
+        if m is None or not m.is_identity():
             text += "[experimental-g]"
         return text
-
-    @property
-    def is_half_classical(self) -> bool:
-        return self.family == "half-classical"
 
     # -- membership ----------------------------------------------------
 
@@ -259,18 +244,14 @@ class PlaneModel:
             if parallel(a, b, self.tol) != "none":
                 raise ParallelInput("join requires pairwise non-parallel points")
         mu = mobius_from_three(p.x, q.x, r.x, p.y, q.y, r.y, tol=self.tol)
-        if self.family == "classical":
-            return Circle(CircleHomeo.from_mobius(mu), TAG_CLASSICAL, mu)
-        if mu.orientation == 1:
-            return Circle(CircleHomeo.from_mobius(mu), TAG_PSL, mu)
+        if self.family == "classical" or mu.orientation == 1:
+            return self.mobius_circle(mu)
         nu = self._twist_branch_solution(p, q, r)
         if nu is None:
             raise NoBranch("the twisted branch's images coincide within tolerance")
         if nu.orientation == -1:
             return self._twisted_circle(nu)
-        raise NoBranch(
-            "neither branch matches: orientation dichotomy failed for this plane"
-        )
+        raise NoBranch("neither branch matches: orientation dichotomy failed for this plane")
 
     def _twist_branch_solution(self, p, q, r) -> MobiusMap | None:
         """The twisted branch's nu; None when the twisted images coincide."""
@@ -306,53 +287,57 @@ class PlaneModel:
     def circle_intersect(self, c1: Circle, c2: Circle) -> list[TorusPoint]:
         """All common points of two distinct circles, sorted by x-chart.
 
-        Mobius against Mobius reduces to a homogeneous quadratic; twisted
-        against twisted reduces to the same quadratic in twist
-        coordinates; mixed branches meet at the two fixed points of an
-        orientation-reversing map (see `graph_equation_zeros`). Only graphs
-        of one orientation can be equal, so only they are compared first,
-        on 64 samples with the bound `uniq_tol`. The comparison stops at
-        the first sample farther apart than `uniq_tol`; distinct circles
-        meet at two points at most, so it reads a few samples, not 64.
-        Later samples could only raise the distance, so the EqualCircles
-        decision is the full grid's (see `homeo_sup_distance`).
+        Only graphs of one orientation can be equal, so only they are
+        compared first, on 64 samples with the bound `uniq_tol`. The
+        comparison stops at the first sample farther apart than `uniq_tol`;
+        distinct circles meet at two points at most, so it reads a few
+        samples, not 64. Later samples could only raise the distance, so
+        the EqualCircles decision is the full grid's (see
+        `homeo_sup_distance`).
+
+        Graphs that both collapse to Mobius maps meet at the fixed points
+        of m1^-1 m2, a homogeneous quadratic; two twisted circles solve the
+        same quadratic on their factors nu, in twist coordinates, and map
+        the roots back by f^-1; any other pair is of mixed branches, whose
+        graphs cross at the two fixed points of an orientation-reversing
+        map (see `graph_equation_zeros`). Collapsing with `as_mobius` before
+        reading tags solves mixed pairs exactly where the twists are Mobius
+        (`half:id`); the tag rule of `tangency_separation` would scan them,
+        moving points by ~2e-10. Touching keeps the tag rule for
+        `FrameMember`'s unsummed action.
         """
         if (c1.graph.orientation == c2.graph.orientation
                 and homeo_sup_distance(c1.graph, c2.graph, 64, stop_above=self.uniq_tol)
                 <= self.uniq_tol):
             raise EqualCircles("circles coincide within tolerance")
-        xs = self._intersection_points(c1, c2)
+        m1, m2, back = c1.graph.as_mobius(), c2.graph.as_mobius(), None
+        if (m1 is None or m2 is None) and c1.tag == c2.tag == TAG_TWISTED:
+            m1, m2, back = c1.mobius, c2.mobius, self.f_inv.apply
+        if m1 is not None and m2 is not None:
+            try:
+                xs = mobius_fixed_points(m1.inverse().compose(m2))
+            except IdentityMap:
+                raise EqualCircles("circles coincide within tolerance") from None
+            if back is not None:
+                xs = [back(u) for u in xs]
+        else:
+            xs = []
+            inf = ProjPoint.infinity()
+            for t in graph_equation_zeros(c1.graph, c2.graph):
+                x = ProjPoint.from_chart(t)
+                # the chart cannot represent infinity exactly; snap roots that
+                # converged next to it when the graphs genuinely meet there. A
+                # crossing at infinity, chart 1/2, is refined to a root within
+                # BISECT_TOL of it in the chart (see regula_falsi), and
+                # chordal(from_chart(1/2 + d), inf) = 2 |sin(pi d / 2)| <= pi |d|
+                if chordal(x, inf) <= math.pi * BISECT_TOL and (
+                    chordal(c1.graph.apply(inf), c2.graph.apply(inf)) <= 10.0 * self.tol
+                ):
+                    x = inf
+                xs.append(x)
         pts = [TorusPoint(x, c1.graph.apply(x)) for x in xs]
         pts.sort(key=lambda pt: pt.x.chart())
         return pts
-
-    def _intersection_points(self, c1: Circle, c2: Circle) -> list[ProjPoint]:
-        pair = self._comparable_mobius_pair(c1, c2)
-        if pair is not None:
-            m1, m2, back = pair
-            return [back(u) for u in self._mobius_equation_roots(m1, m2)]
-        thetas = graph_equation_zeros(c1.graph, c2.graph)
-        roots = []
-        inf = ProjPoint.infinity()
-        for t in thetas:
-            cand = ProjPoint.from_chart(t)
-            # the chart cannot represent infinity exactly; snap roots that
-            # converged next to it when the graphs genuinely meet there. A
-            # crossing at infinity, chart 1/2, is refined to a root within
-            # BISECT_TOL of it in the chart (see regula_falsi), and
-            # chordal(from_chart(1/2 + d), inf) = 2 |sin(pi d / 2)| <= pi |d|
-            if chordal(cand, inf) <= math.pi * BISECT_TOL and (
-                chordal(c1.graph.apply(inf), c2.graph.apply(inf)) <= 10.0 * self.tol
-            ):
-                cand = inf
-            roots.append(cand)
-        return roots
-
-    def _mobius_equation_roots(self, m1: MobiusMap, m2: MobiusMap):
-        try:
-            return mobius_fixed_points(m1.inverse().compose(m2))
-        except IdentityMap:
-            raise EqualCircles("circles coincide within tolerance") from None
 
     # -- touching ----------------------------------------------------------
 
@@ -385,7 +370,7 @@ class PlaneModel:
         lam = _tangency_parameter(c.mobius, fam)
         orientation = fam.base_orientation if lam > 0.0 else -fam.base_orientation
         if not (math.isfinite(lam) and lam != 0.0) or (
-            self.is_half_classical and orientation != (-1 if twisted else 1)
+            self.family == "half-classical" and orientation != (-1 if twisted else 1)
         ):
             raise NotFound("lam* gives no member of the carrier's branch")
         try:
@@ -427,21 +412,6 @@ class PlaneModel:
             return True, math.inf
         other = ProjPoint(phi2 * u[0] - phi1 * e[0], phi2 * u[1] - phi1 * e[1])
         return False, chordal(self.f_inv.apply(other) if twisted else other, p.x)
-
-    def _comparable_mobius_pair(self, c: Circle, d: Circle):
-        """Reduce both circles to Mobius maps in one coordinate, if possible.
-
-        Collapsing with `as_mobius` before reading tags also solves mixed
-        pairs exactly where the twists are Mobius (`half:id`); the tag rule
-        of `tangency_separation` would scan them, moving points by ~2e-10.
-        Touching keeps the tag rule for `FrameMember`'s unsummed action.
-        """
-        m1, m2 = c.graph.as_mobius(), d.graph.as_mobius()
-        if m1 is not None and m2 is not None:
-            return m1, m2, lambda u: u
-        if c.tag == TAG_TWISTED and d.tag == TAG_TWISTED:
-            return c.mobius, d.mobius, self.f_inv.apply
-        return None
 
     def count_tangency_brackets(self, c: Circle, p: TorusPoint, q: TorusPoint) -> int:
         """1 when touch() finds its tangent to c at p through q, 0 on NotFound.
@@ -525,11 +495,6 @@ def _describe_homeo(h: CircleHomeo) -> str:
         else:
             names.append(f"spline:{len(atom.knots)}")
     return "+".join(names)
-
-
-def _is_identity_homeo(h: CircleHomeo) -> bool:
-    m = h.as_mobius()
-    return m is not None and m.is_identity()
 
 
 def parse_config_text(text: str) -> dict:

@@ -68,7 +68,16 @@ def normalize_h(h: np.ndarray) -> np.ndarray:
     return out + 0.0
 
 
-class ProjPoint:
+class _Frozen:
+    """Base of the immutable value classes: `__init__` sets each slot once."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class ProjPoint(_Frozen):
     """A point of RP^1 stored as its canonical homogeneous representative."""
 
     __slots__ = ("h0", "h1")
@@ -86,9 +95,6 @@ class ProjPoint:
             h0, h1 = -h0, -h1
         object.__setattr__(self, "h0", h0 + 0.0)
         object.__setattr__(self, "h1", h1 + 0.0)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjPoint is immutable")
 
     @classmethod
     def from_real(cls, x: float) -> "ProjPoint":
@@ -130,7 +136,7 @@ def chordal(p: ProjPoint, q: ProjPoint) -> float:
     return min(d_minus, d_plus)
 
 
-class TorusPoint:
+class TorusPoint(_Frozen):
     """A point of the torus S^1 x S^1, one projective point per factor."""
 
     __slots__ = ("x", "y")
@@ -138,9 +144,6 @@ class TorusPoint:
     def __init__(self, x: ProjPoint, y: ProjPoint):
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TorusPoint is immutable")
 
     @classmethod
     def from_reals(cls, x: float, y: float) -> "TorusPoint":
@@ -155,7 +158,7 @@ def torus_dist(p: TorusPoint, q: TorusPoint) -> float:
     return max(chordal(p.x, q.x), chordal(p.y, q.y))
 
 
-class MobiusMap:
+class MobiusMap(_Frozen):
     """A fractional-linear map of RP^1: a 2x2 real matrix up to scale.
 
     Built from a flat (a, b, c, d), a nested 2x2 or anything with
@@ -203,9 +206,6 @@ class MobiusMap:
         object.__setattr__(self, "c", c + 0.0)
         object.__setattr__(self, "d", d + 0.0)
         object.__setattr__(self, "orientation", 1 if det > 0.0 else -1)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MobiusMap is immutable")
 
     @property
     def m(self) -> np.ndarray:
@@ -338,7 +338,7 @@ class FrameMember(MobiusMap):
         return dp * yq.h0 + dq * yp.h0, dp * yq.h1 + dq * yp.h1
 
 
-class TwoPointFamily:
+class TwoPointFamily(_Frozen):
     """The one-parameter family of Mobius maps sending x1 -> x2, y1 -> y2.
 
     In frame form, with det(X, h) = X0 h1 - X1 h0, sources Xp = x1, Xq = y1
@@ -361,9 +361,6 @@ class TwoPointFamily:
         sign = 1 if _det(x1, y1) * _det(y2, x2) > 0.0 else -1
         for name, value in zip(TwoPointFamily.__slots__, (x1, y1, x2, y2, sign)):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TwoPointFamily is immutable")
 
     def member(self, t: float, orientation: int | None = None) -> MobiusMap:
         """The member at parameter t > 0, optionally of a chosen orientation."""

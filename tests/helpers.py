@@ -194,7 +194,7 @@ def pencil_branches(plane, p, q):
         return PencilBranch(name, fam, sign, lambda t: wrap(fam.member(t, sign)))
 
     fam_xy = TwoPointFamily(p.x, p.y, q.x, q.y, tol=plane.tol)
-    if not plane.is_half_classical:
+    if plane.family != "half-classical":
         return [branch("pgl-positive", fam_xy, 1), branch("pgl-negative", fam_xy, -1)]
     f, g = plane.f.apply, plane.g.apply
     fam_uv = TwoPointFamily(f(p.x), g(p.y), f(q.x), g(q.y), tol=plane.tol)

@@ -225,10 +225,11 @@ class TestIntersect:
     @pytest.mark.parametrize("name", sorted(SEEDED_PLANES))
     def test_rejoined_circles_are_equal_on_every_same_branch_route(self, name, monkeypatch):
         # the bounded comparison alone must catch them: nothing is solved
-        def refuse(self, c1, c2):
+        def refuse(*args):
             raise AssertionError("equal circles reached the equation")
 
-        monkeypatch.setattr(PlaneModel, "_intersection_points", refuse)
+        monkeypatch.setattr(planes, "mobius_fixed_points", refuse)
+        monkeypatch.setattr(planes, "graph_equation_zeros", refuse)
         rng = rng_for(306)
         plane = SEEDED_PLANES[name](rng)
         seen = set()
@@ -467,7 +468,7 @@ class TestTouch:
             inputs = _sample_touching(plane, rng)
             if "p" in inputs:
                 cases.append((plane.join(*inputs["points"]), inputs["p"], inputs["q"]))
-        if plane.is_half_classical:
+        if plane.family == "half-classical":
             assert {c.tag for c, _, _ in cases} == {TAG_PSL, TAG_TWISTED}
 
         def refuse(*args, **kwargs):
@@ -564,12 +565,12 @@ class TestConfig:
             "tolerance": "1e-8",
         }
         plane = plane_from_config(cfg)
-        assert plane.is_half_classical and plane.tol == 1e-8
+        assert plane.family == "half-classical" and plane.tol == 1e-8
 
     def test_parse_plane_specs(self):
         assert parse_plane_spec("classical").family == "classical"
         plane = parse_plane_spec("half:power:2")
-        assert plane.is_half_classical
+        assert plane.family == "half-classical"
         assert parse_plane_spec("half:power:2:power:3").describe().startswith(
             "half-classical(f=power:2, g=power:3)"
         )

@@ -21,7 +21,7 @@ from torus_planes import (
 )
 from torus_planes.groups import DiagonalPSL, KernelPlusPSL, parse_group_literal
 from torus_planes import verify
-from torus_planes.planes import TAG_PSL, TAG_TWISTED
+from torus_planes.planes import TAG_CLASSICAL, TAG_PSL, TAG_TWISTED
 from torus_planes.verify import (
     SEPARATION,
     STRESS_SEPARATION,
@@ -144,6 +144,27 @@ class TestSuitesPass:
         inputs = {"points": points, "p": p, "q": q}
         sep, reasons = _check_touching(plane, inputs)
         assert reasons == [] and sep <= plane.tangency_band
+
+    @pytest.mark.parametrize("spec, tag", [("classical", TAG_CLASSICAL),
+                                           ("half:power:2", TAG_TWISTED)])
+    @pytest.mark.parametrize("delta, beyond", [(1e-4, True), (1e-7, False)])
+    def test_claimed_secant_against_the_tangency_band(self, spec, tag, delta, beyond):
+        # a claim through p, q and r, delta further along the carrier in the
+        # chart, meets the carrier again at r, about pi delta from p: 3.1e-4
+        # is beyond the 1e-6 band and trips its reason alone, 3.1e-7 is within
+        plane = parse_plane_spec(spec)
+        points = [pt(0, 0), pt(1, -1), pt(2, -3)]
+        carrier = plane.join(*points)
+        assert carrier.tag == tag
+        p, r = (carrier.point_at(ProjPoint.from_chart(t)) for t in (0.3, 0.3 + delta))
+        q = pt(-2, 5)
+        inputs = {"points": points, "p": p, "q": q, "claimed_points": [p, q, r]}
+        sep, reasons = _check_touching(plane, inputs)
+        assert sep == pytest.approx(math.pi * delta, rel=1e-2)
+        if beyond:
+            assert reasons == [f"tangency separation {sep:.3e} beyond band"]
+        else:
+            assert reasons == []
 
     def test_automorphism(self, classical, half2):
         cfg = TrialConfig(seed=42, trials=25)
