@@ -39,7 +39,7 @@ solved = mobius_from_three(P(0), P(1), INF, P(1), P(2), P(3))
 print("the unique map with 0->1, 1->2, inf->3: with det(X, h) = X0 h1 - X1 h0, it is")
 print("the frame member h -> lam det(0, h) 2 + det(1, h) 1, which sends 0 -> 1 and")
 print("1 -> 2 for every lam != 0; inf -> 3 fixes lam:")
-print(f"  matrix {solved.m.round(6).tolist()}")
+print(f"  {solved!r}")
 for x in (0.0, 1.0, math.inf, 5.0):
     print(f"  {x:g} -> {solved.apply(P(x)).value():g}")
 

@@ -29,7 +29,7 @@ ident = plane.mobius_circle(MobiusMap.identity())
 print("== classical examples ==")
 d = plane.touch(ident, pt(0, 0), pt(1, 2))
 print("tangent to the diagonal at (0,0) through (1,2):")
-print(f"  mobius {d.mobius.m.round(6).tolist()}  (the map 2x/(2-x))")
+print(f"  {d.mobius!r}  (the map 2x/(2-x))")
 points = plane.circle_intersect(ident, d)
 print(f"  meets the diagonal at: {[(p.x.value(), p.y.value()) for p in points]}")
 far, sep = plane.tangency_separation(ident, d, pt(0, 0))
@@ -37,7 +37,7 @@ print(f"  separation at the touch point: {sep:.2e} (band {plane.tangency_band:g}
 
 d2 = plane.touch(ident, pt(INF, INF), pt(0, 1))
 print("\ntangent at (inf,inf) through (0,1):")
-print(f"  mobius {d2.mobius.m.round(6).tolist()}  (the translation x+1)")
+print(f"  {d2.mobius!r}  (the translation x+1)")
 
 print("\n== half-classical plane, twist sgn(x) x^2 ==")
 half = half_classical_plane(CircleHomeo.power(2))

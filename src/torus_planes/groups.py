@@ -24,9 +24,12 @@ in the tests.
 
 A class declares its literal head, the numbers its literal carries, how
 many of them name the family rather than the element (d for the Phi
-families) and its fixed-configuration sample; `FAMILIES` maps heads to
-classes, and `parse_group_literal`, `group_literal`, `family_key_of` and
-`family_sample` read only those declarations.
+families), the remaining numbers of its identity (`identity_params`) and
+its fixed-configuration sample; `FAMILIES` maps heads to classes, and
+`identity`, `parse_group_literal`, `group_literal`, `family_key_of` and
+`family_sample` read only those declarations. One check,
+`_require_same_family`, compares the type and the key numbers of two
+elements before they compose; it is the only source of FamilyMismatch.
 """
 
 from __future__ import annotations
@@ -60,23 +63,44 @@ class _GroupElement(_Frozen):
     `head` names the family in literals, written `head:` + `literal_form[0]`
     + the numbers `params()` joined by `literal_form[1]`; `fields` names
     those numbers, so its length is the literal's arity. The first
-    `key_arity` of them name the family itself, and `sample` holds the
-    remaining numbers of each fixed-configuration sample element.
+    `key_arity` of them name the family itself; `identity_params` holds
+    the remaining numbers of the identity, and `sample` those of each
+    fixed-configuration sample element. `__init__` stores each field as a
+    float; the PSL families store their map instead.
     """
 
     __slots__ = ()
     head: str
     fields: tuple
+    identity_params: tuple
     literal_form = ("", ":")
     key_arity = 0
     sample = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.fields, values):
+            object.__setattr__(self, name, float(value))
 
     @classmethod
     def from_params(cls, *values):
         return cls(*values)
 
+    @classmethod
+    def identity(cls, *key):
+        """The identity of the family that the key numbers (d, if any) name."""
+        return cls.from_params(*key, *cls.identity_params)
+
     def params(self) -> tuple:
         return tuple(getattr(self, name) for name in self.fields)
+
+    def _require_same_family(self, other) -> None:
+        k = self.key_arity
+        if type(other) is not type(self) or other.params()[:k] != self.params()[:k]:
+            raise FamilyMismatch(f"cannot compose {self!r} with {other!r}")
+
+    def __repr__(self):
+        args = ", ".join(f"{n}={v:g}" for n, v in zip(self.fields, self.params()))
+        return f"{type(self).__name__}({args})"
 
 
 class _PointElement(_GroupElement):
@@ -104,6 +128,7 @@ class _MobiusFamilyElement(_PointElement):
 
     __slots__ = ("mu",)
     fields = ("m00", "m01", "m10", "m11")
+    identity_params = (1.0, 0.0, 0.0, 1.0)
     literal_form = ("psl:", ",")
     sample = (
         (2.0, 1.0, 1.0, 1.0),
@@ -124,13 +149,8 @@ class _MobiusFamilyElement(_PointElement):
     def params(self) -> tuple:
         return (self.mu.a, self.mu.b, self.mu.c, self.mu.d)
 
-    @classmethod
-    def identity(cls):
-        return cls(MobiusMap.identity())
-
     def compose(self, other):
-        if type(other) is not type(self):
-            raise FamilyMismatch(f"cannot compose {self.head} with {getattr(other, 'head', '?')}")
+        self._require_same_family(other)
         return type(self)(self.mu.compose(other.mu))
 
     def inverse(self):
@@ -183,24 +203,6 @@ class _PhiElement(_PointElement):
     fields = __slots__
     key_arity = 1
 
-    def __init__(self, d: float, a: float, b: float, c: float):
-        for name, value in zip(self.fields, (d, a, b, c)):
-            object.__setattr__(self, name, float(value))
-
-    def _require_same_family(self, other) -> None:
-        if not (type(other) is type(self) and (
-            self.d == other.d or (math.isinf(self.d) and math.isinf(other.d))
-        )):
-            raise FamilyMismatch(
-                f"{type(self).__name__} elements must share the exponent d"
-            )
-
-    def __repr__(self):
-        d = "inf" if math.isinf(self.d) else f"{self.d:g}"
-        return (
-            f"{type(self).__name__}(d={d}, a={self.a:g}, b={self.b:g}, c={self.c:g})"
-        )
-
 
 class PhiStd(_PhiElement):
     """The affine family with one fixed point at (inf, inf).
@@ -211,6 +213,7 @@ class PhiStd(_PhiElement):
 
     __slots__ = ()
     head = "phi"
+    identity_params = (1.0, 0.0, 0.0)
     sample = ((2.0, 3.0, 1.0), (1.5, 0.5, -1.0), (3.0, 1.25, 2.0))
 
     def __init__(self, d: float, a: float, b: float, c: float):
@@ -218,25 +221,16 @@ class PhiStd(_PhiElement):
             raise ConfigError("PhiStd requires a > 0")
         super().__init__(d, a, b, c)
 
-    @classmethod
-    def identity(cls, d: float):
-        return cls(d, 1.0, 0.0, 0.0)
+    def _scales(self) -> tuple:
+        """The (x, y) scale factors: (a, a^d), or (1, a) for d = inf."""
+        if math.isinf(self.d):
+            return 1.0, self.a
+        return self.a, _power(self.a, self.d)
 
     def compose(self, other: "PhiStd") -> "PhiStd":
         self._require_same_family(other)
-        if math.isinf(self.d):
-            return PhiStd(
-                self.d,
-                self.a * other.a,
-                self.b + other.b,
-                self.a * other.c + self.c,
-            )
-        return PhiStd(
-            self.d,
-            self.a * other.a,
-            self.a * other.b + self.b,
-            _power(self.a, self.d) * other.c + self.c,
-        )
+        sx, sy = self._scales()
+        return PhiStd(self.d, self.a * other.a, sx * other.b + self.b, sy * other.c + self.c)
 
     def inverse(self) -> "PhiStd":
         if math.isinf(self.d):
@@ -246,14 +240,10 @@ class PhiStd(_PhiElement):
         )
 
     def factor_homeos(self):
-        if math.isinf(self.d):
-            return (
-                CircleHomeo.from_mobius(MobiusMap.affine(1.0, self.b)),
-                CircleHomeo.from_mobius(MobiusMap.affine(self.a, self.c)),
-            )
+        sx, sy = self._scales()
         return (
-            CircleHomeo.from_mobius(MobiusMap.affine(self.a, self.b)),
-            CircleHomeo.from_mobius(MobiusMap.affine(_power(self.a, self.d), self.c)),
+            CircleHomeo.from_mobius(MobiusMap.affine(sx, self.b)),
+            CircleHomeo.from_mobius(MobiusMap.affine(sy, self.c)),
         )
 
 
@@ -266,6 +256,7 @@ class PhiTwoFixed(_PhiElement):
 
     __slots__ = ()
     head = "phi2"
+    identity_params = (1.0, 1.0, 0.0)
     sample = ((2.0, 3.0, 1.0), (1.5, 2.0, -1.0), (3.0, 0.5, 2.0))
 
     def __init__(self, d: float, a: float, b: float, c: float):
@@ -274,10 +265,6 @@ class PhiTwoFixed(_PhiElement):
         if not (a > 0.0 and b > 0.0):
             raise ConfigError("PhiTwoFixed requires a > 0 and b > 0")
         super().__init__(d, a, b, c)
-
-    @classmethod
-    def identity(cls, d: float):
-        return cls(d, 1.0, 1.0, 0.0)
 
     def compose(self, other: "PhiTwoFixed") -> "PhiTwoFixed":
         self._require_same_family(other)
@@ -329,17 +316,12 @@ class Case3Element(_GroupElement):
     __slots__ = ("angle", "a", "b")
     fields = __slots__
     head = "case3"
+    identity_params = (0.0, 1.0, 0.0)
 
     def __init__(self, angle: float, a: float, b: float):
         if not (a > 0.0):
             raise ConfigError("the affine factor requires a > 0")
-        object.__setattr__(self, "angle", float(angle) % (2.0 * math.pi))
-        object.__setattr__(self, "a", float(a))
-        object.__setattr__(self, "b", float(b))
-
-    @classmethod
-    def identity(cls):
-        return cls(0.0, 1.0, 0.0)
+        super().__init__(float(angle) % (2.0 * math.pi), a, b)
 
     def factor_homeos(self):
         return (
@@ -348,8 +330,7 @@ class Case3Element(_GroupElement):
         )
 
     def compose(self, other: "Case3Element") -> "Case3Element":
-        if not isinstance(other, Case3Element):
-            raise FamilyMismatch("cannot compose across families")
+        self._require_same_family(other)
         return Case3Element(
             self.angle + other.angle,
             self.a * other.a,
@@ -362,9 +343,6 @@ class Case3Element(_GroupElement):
     def is_identity(self) -> bool:
         """Whether both factor maps pass `MobiusMap.is_identity`."""
         return all(h.as_mobius().is_identity() for h in self.factor_homeos())
-
-    def __repr__(self):
-        return f"Case3Element(angle={self.angle:g}, a={self.a:g}, b={self.b:g})"
 
 
 #: literal head -> family class

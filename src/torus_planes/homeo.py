@@ -11,10 +11,11 @@ graph of one.
 Every atom has one action, the lifted `lift_h`, that moves a homogeneous
 pair of Python floats continuously, on `math`, without the canonical sign
 flip; an atom's `apply` is its float lift of a point, canonicalized by
-`ProjPoint`. `CircleHomeo.apply_h`, the one place numpy is imported,
-canonicalizes the float lifts of an array's columns once, after the whole
-chain. No caller in `src/` is left; it stays only as a span that
-perfbench's tracer wraps, and goes when that span does.
+`ProjPoint`, the one canonical form. `CircleHomeo.apply_h`, the one place
+numpy is imported, puts the float lift of each column of an array through
+`ProjPoint`, once, after the whole chain. No caller in `src/` is left; it
+stays only as a span that perfbench's tracer wraps, and goes when that
+span does.
 Circles are compared on the lift:
 `homeo_sup_distance` is the largest chordal distance between two chains'
 lifted images of a grid, on floats at every grid size, with each chain's
@@ -40,7 +41,7 @@ from bisect import bisect_right
 from functools import lru_cache
 
 from .errors import ConfigError, MonotonicityError, NotFound, PreconditionViolated
-from .projline import MobiusMap, ProjPoint, _Frozen, normalize_h
+from .projline import MobiusMap, ProjPoint, _Frozen
 
 #: chart-space width to which crossing brackets are refined
 BISECT_TOL = 1e-11
@@ -217,7 +218,7 @@ class CircleHomeo(_Frozen):
         return p
 
     def apply_h(self, h):
-        """Canonical images of pairs (2, ...): each column's float lift, canonicalized.
+        """Canonical images of pairs (2, ...): each column's float lift, as a `ProjPoint`.
 
         Raises PreconditionViolated when an image is not finite and nonzero.
         """
@@ -225,10 +226,10 @@ class CircleHomeo(_Frozen):
 
         h = np.asarray(h, dtype=float)
         try:
-            lifts = [self.lift_h(pair) for pair in zip(*h.reshape(2, -1).tolist())]
+            images = [ProjPoint(*self.lift_h(pair)) for pair in zip(*h.reshape(2, -1).tolist())]
         except OverflowError:  # a power of an entry past the float range
             raise PreconditionViolated("homogeneous pair must be finite and nonzero") from None
-        return normalize_h(np.array(lifts).T.reshape(h.shape))
+        return np.array([(p.h0, p.h1) for p in images]).T.reshape(h.shape)
 
     def lift_h(self, h: tuple) -> tuple:
         """Unit-norm images of a pair of floats, never sign-flipped: continuous in h.

@@ -20,10 +20,10 @@ Conventions:
   and the action use the entry formula (a x + b y, ...). One `lift_h`
   serves a pair of floats and a pair of arrays, elementwise, so a point's
   image has the same bits alone, as floats and in any batch.
-* Scalar work runs on `math`; numpy is imported on first array use
-  (`normalize_h` and `MobiusMap.m`), so building points and maps and
-  acting with them never loads it. The chart is read one point at a time
-  (`ProjPoint.chart`); its array forms are test references.
+* Scalar work runs on `math`; numpy is imported only by `MobiusMap.m`,
+  so building points and maps and acting with them never loads it.
+  `ProjPoint` is the one canonical form, and the chart is read one point
+  at a time (`ProjPoint.chart`); their array forms are test references.
 * One identity test, `MobiusMap.is_identity`: a map that passes it moves no
   point past 2 EQUALITY_TOL, and `mobius_fixed_points` raises IdentityMap.
 * Maps through point pairs have one frame form, lam det(Xp, h) Yq +
@@ -51,21 +51,6 @@ DISC_BAND = 1e-10
 # slack under which a representative already counts as unit-norm; skipping
 # the division keeps canonicalization bit-for-bit idempotent
 _NORM_SLACK = 4.0 * sys.float_info.epsilon
-
-
-def normalize_h(h: np.ndarray) -> np.ndarray:
-    """Canonicalize homogeneous coordinates, shape (2, ...) -> (2, ...)."""
-    import numpy as np
-
-    h = np.asarray(h, dtype=float)
-    n = np.hypot(h[0], h[1])
-    if np.any(n == 0.0) or not np.all(np.isfinite(n)):
-        raise PreconditionViolated("homogeneous pair must be finite and nonzero")
-    scale = np.where(np.abs(n - 1.0) <= _NORM_SLACK, 1.0, n)
-    out = h / scale
-    flip = (out[1] < 0.0) | ((out[1] == 0.0) & (out[0] < 0.0))
-    out = np.where(flip, -out, out)
-    return out + 0.0
 
 
 class _Frozen:
@@ -165,8 +150,9 @@ class MobiusMap(_Frozen):
     `.tolist()` (an ndarray), flattened in Python, and stored as the floats
     a, b, c, d of [[a, b], [c, d]] with |det| = 1 and the largest-magnitude
     entry positive, so projective equality is entrywise comparison; the
-    read-only `m` builds the ndarray. The orientation attribute is
-    sign(det), exact in {+1, -1}.
+    read-only `m` builds the ndarray, which only perfbench's digest line
+    and the tests read. The orientation attribute is sign(det), exact in
+    {+1, -1}.
     """
 
     __slots__ = ("a", "b", "c", "d", "orientation")

@@ -19,8 +19,22 @@ from torus_planes import (
     half_classical_plane,
     parse_plane_spec,
 )
+from torus_planes.errors import PreconditionViolated
 from torus_planes.homeo import BISECT_TOL
-from torus_planes.projline import normalize_h
+from torus_planes.projline import _NORM_SLACK
+
+
+def normalize_h(h):
+    """`ProjPoint`'s canonical form on arrays, shape (2, ...) -> (2, ...): the reference."""
+    h = np.asarray(h, dtype=float)
+    n = np.hypot(h[0], h[1])
+    if np.any(n == 0.0) or not np.all(np.isfinite(n)):
+        raise PreconditionViolated("homogeneous pair must be finite and nonzero")
+    scale = np.where(np.abs(n - 1.0) <= _NORM_SLACK, 1.0, n)
+    out = h / scale
+    flip = (out[1] < 0.0) | ((out[1] == 0.0) & (out[0] < 0.0))
+    out = np.where(flip, -out, out)
+    return out + 0.0
 
 
 def chart_h(h):

@@ -59,6 +59,8 @@ def _random_element(family, rng):
         return PhiTwoFixed(
             0.0, rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0), rng.normal()
         )
+    if family == "case3":
+        return Case3Element(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.3, 3.0), rng.normal())
     raise ValueError(family)
 
 
@@ -107,16 +109,23 @@ class TestAct:
             DiagonalPSL(MobiusMap([[0.0, 1.0], [1.0, 0.0]]))
 
 
+def _factor_image(g, p):
+    """p moved by g's factor maps: g.act(p) for the families with a point action."""
+    hx, hy = g.factor_homeos()
+    return TorusPoint(hx.apply(p.x), hy.apply(p.y))
+
+
 class TestCompose:
     def test_identity_neutral_everywhere(self):
         rng = rng_for(403)
-        for family in FAMILIES:
+        for family in (*FAMILIES, "case3"):
             g = _random_element(family, rng)
-            e = type(g).identity(g.d) if isinstance(g, (PhiStd, PhiTwoFixed)) else type(g).identity()
+            e = type(g).identity(*g.params()[:type(g).key_arity])
             assert e.compose(g).__class__ is g.__class__
             p = pt(0.7, -1.3)
-            assert torus_dist(e.compose(g).act(p), g.act(p)) < 1e-12
-            assert torus_dist(g.compose(e).act(p), g.act(p)) < 1e-12
+            assert torus_dist(_factor_image(e, p), p) == 0.0
+            assert torus_dist(_factor_image(e.compose(g), p), _factor_image(g, p)) < 1e-12
+            assert torus_dist(_factor_image(g.compose(e), p), _factor_image(g, p)) < 1e-12
 
     def test_phi_std_example_with_pointwise_oracle(self):
         comp = PhiStd(2, 2, 0, 0).compose(PhiStd(2, 1, 1, 0))
@@ -149,6 +158,18 @@ class TestCompose:
             KernelPlusPSL.identity().compose(KernelMinusPSL.identity())
         with pytest.raises(FamilyMismatch):
             PhiStd(2, 1, 0, 0).compose(3.0)
+        with pytest.raises(FamilyMismatch, match=r"^cannot compose PhiStd\(d=inf, .* with PhiStd\(d=2, "):
+            PhiStd(INF, 2, 1, 1).compose(PhiStd(2, 2, 1, 1))
+        with pytest.raises(FamilyMismatch, match=r"^cannot compose Case3Element\(.* with DiagonalPSL\("):
+            Case3Element(0.3, 2, 1).compose(DiagonalPSL.identity())
+
+    def test_reprs(self):
+        assert repr(PhiStd(INF, 2, 1, 1)) == "PhiStd(d=inf, a=2, b=1, c=1)"
+        assert repr(PhiTwoFixed(-1, 0.5, 3, -2)) == "PhiTwoFixed(d=-1, a=0.5, b=3, c=-2)"
+        assert repr(Case3Element(0.3, 2, 1)) == "Case3Element(angle=0.3, a=2, b=1)"
+        assert repr(KernelPlusPSL(MobiusMap((2, 1, 1, 1)))) == (
+            "KernelPlusPSL(MobiusMap([[2, 1], [1, 1]]))"
+        )
 
     def test_group_laws_all_families(self):
         rng = rng_for(406)

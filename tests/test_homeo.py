@@ -32,13 +32,13 @@ from torus_planes.homeo import (
     regula_falsi,
 )
 from torus_planes.planes import TAG_PSL, TAG_TWISTED, PlaneModel
-from torus_planes.projline import normalize_h
 
 from helpers import (
     SEEDED_PLANES,
     assert_columns_match_batch,
     canonical_chain_action,
     lift_chart,
+    normalize_h,
     random_pgl,
     random_triple,
     reference_sup_distance,

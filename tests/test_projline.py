@@ -17,11 +17,7 @@ from torus_planes import (
     mobius_from_three,
     proj_matrix_equal,
 )
-from torus_planes.projline import (
-    EQUALITY_TOL,
-    FrameMember,
-    normalize_h,
-)
+from torus_planes.projline import EQUALITY_TOL, FrameMember
 
 from helpers import (
     assert_columns_match_batch,
@@ -29,6 +25,7 @@ from helpers import (
     composed_frame_from_three,
     cross_ratio_to_standard,
     h_from_chart,
+    normalize_h,
     random_pgl,
     random_proj_point,
     random_separated_points,

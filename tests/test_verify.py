@@ -19,9 +19,9 @@ from torus_planes import (
     parse_plane_spec,
     recheck_counterexample,
 )
-from torus_planes.groups import DiagonalPSL, KernelPlusPSL, parse_group_literal
+from torus_planes.groups import DiagonalPSL, KernelMinusPSL, KernelPlusPSL, parse_group_literal
 from torus_planes import verify
-from torus_planes.planes import TAG_CLASSICAL, TAG_PSL, TAG_TWISTED
+from torus_planes.planes import TAG_CLASSICAL, TAG_PSL, TAG_TWISTED, parallel
 from torus_planes.verify import (
     SEPARATION,
     STRESS_SEPARATION,
@@ -165,6 +165,53 @@ class TestSuitesPass:
             assert reasons == [f"tangency separation {sep:.3e} beyond band"]
         else:
             assert reasons == []
+
+    @pytest.mark.parametrize("spec", ["classical", "half:power:2"])
+    def test_a_tangent_claim_that_misses_q_trips_q_membership_alone(self, spec):
+        # the claim is the tangent to c at p through a second point q2, so
+        # it touches c at p and trips only the reason for the missed q
+        plane = parse_plane_spec(spec)
+        for trial in range(10):
+            rng = CFG.rng_for(trial)
+            inputs = verify._sample_touching(plane, rng)
+            circle, p = plane.join(*inputs["points"]), inputs["p"]
+            q2 = verify._draw(rng, verify._random_torus_point, lambda q2: (
+                parallel(p, q2, SEPARATION) == "none"
+                and plane.membership_residual(circle, q2) >= verify.OFF_CIRCLE_MARGIN
+                and verify._conditioned(plane, q2.x)))
+            tangent = plane.touch(circle, p, q2)
+            r2 = verify._draw(rng, lambda rng: tangent.point_at(verify.sample_proj_point(rng)),
+                              lambda r2: parallel(p, r2, SEPARATION) == "none"
+                              and parallel(q2, r2, SEPARATION) == "none")
+            _, reasons = _check_touching(plane, {**inputs, "claimed_points": [p, q2, r2]})
+            residual_q = plane.membership_residual(plane.join(p, q2, r2), inputs["q"])
+            assert reasons == [f"q membership residual {residual_q:.3e}"]
+
+    def test_automorphism_threshold_from_both_sides(self, half2):
+        # an x-side translation does not commute with the power twist: the
+        # image misses by ~4.9 delta, within IMAGE_TOL at delta = 1e-9 and
+        # beyond it at 1e-7
+        cfg = TrialConfig(seed=1, trials=20)
+        within = verify_automorphism(half2, KernelMinusPSL(MobiusMap.affine(1.0, 1e-9)), cfg)
+        assert within.passed and 1e-9 < within.max_residual < verify.IMAGE_TOL
+        beyond = verify_automorphism(half2, KernelMinusPSL(MobiusMap.affine(1.0, 1e-7)), cfg)
+        assert not beyond.passed and beyond.max_residual > 10.0 * verify.IMAGE_TOL
+        assert all(ce["reason"].startswith("image circle residual")
+                   for ce in beyond.counterexamples)
+
+    def test_swapped_parallel_classes_trip_both_parallelity_reasons(self, classical):
+        # no library family can: each acts componentwise, so it keeps both classes
+        class Swap:
+            def act(self, p):
+                return TorusPoint(p.y, p.x)
+
+            def factor_homeos(self):
+                return CircleHomeo.identity(), CircleHomeo.identity()
+
+        triple = [pt(0, 0), pt(1, 2), pt(3, -1)]
+        residual, reasons = _check_automorphism(classical, {"points": triple, "group": Swap()})
+        assert reasons == [f"image circle residual {residual:.3e}",
+                           "(+)-parallelity not preserved", "(-)-parallelity not preserved"]
 
     def test_automorphism(self, classical, half2):
         cfg = TrialConfig(seed=42, trials=25)
