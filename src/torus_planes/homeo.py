@@ -191,7 +191,7 @@ class CircleHomeo(_Frozen):
     __slots__ = ("atoms",)
 
     def __init__(self, atoms=()):
-        object.__setattr__(self, "atoms", tuple(atoms))
+        _set_atoms(self, tuple(atoms))
 
     @classmethod
     def identity(cls) -> "CircleHomeo":
@@ -289,6 +289,9 @@ class CircleHomeo(_Frozen):
         if not self.atoms:
             return "CircleHomeo(identity)"
         return "CircleHomeo[" + " -> ".join(repr(a) for a in self.atoms) + "]"
+
+
+_set_atoms = CircleHomeo.atoms.__set__
 
 
 @lru_cache(maxsize=8)

@@ -87,15 +87,18 @@ class Circle(_Frozen):
     __slots__ = ("graph", "tag", "mobius")
 
     def __init__(self, graph: CircleHomeo, tag: str, mobius: MobiusMap):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "mobius", mobius)
+        _set_graph(self, graph)
+        _set_tag(self, tag)
+        _set_mobius(self, mobius)
 
     def point_at(self, x: ProjPoint) -> TorusPoint:
         return TorusPoint(x, self.graph.apply(x))
 
     def __repr__(self):
         return f"Circle({self.tag}, {self.mobius!r})"
+
+
+_set_graph, _set_tag, _set_mobius = Circle.graph.__set__, Circle.tag.__set__, Circle.mobius.__set__
 
 
 class DerivedLine(NamedTuple):
@@ -159,7 +162,7 @@ class PlaneModel(_Frozen):
     #: tangency separation below which two circles count as touching
     tangency_band = 1e-6
 
-    __slots__ = ("family", "f", "g", "f_inv", "g_inv", "tol")
+    __slots__ = ("family", "f", "g", "f_inv", "g_inv", "tol", "_description")
 
     def __init__(self, family: str, f: CircleHomeo | None = None,
                  g: CircleHomeo | None = None, tol: float = PLANE_TOL):
@@ -169,29 +172,29 @@ class PlaneModel(_Frozen):
             raise ConfigError(f"tol must be finite and positive, got {tol!r}")
         f = f if f is not None else CircleHomeo.identity()
         g = g if g is not None else CircleHomeo.identity()
+        description = "classical"
         if family == "half-classical":
             if f.orientation != 1 or g.orientation != 1:
                 raise ConfigError("twist maps must preserve orientation")
             f.audit_monotone()
             g.audit_monotone()
+            description = f"half-classical(f={_describe_homeo(f)}, g={_describe_homeo(g)})"
+            m = g.as_mobius()
+            if m is None or not m.is_identity():
+                description += "[experimental-g]"
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "f_inv", f.inverse())
         object.__setattr__(self, "g_inv", g.inverse())
         object.__setattr__(self, "tol", float(tol))
+        object.__setattr__(self, "_description", description)
 
     # -- descriptors ---------------------------------------------------
 
     def describe(self) -> str:
-        if self.family == "classical":
-            return "classical"
-        parts = [f"f={_describe_homeo(self.f)}", f"g={_describe_homeo(self.g)}"]
-        text = f"half-classical({', '.join(parts)})"
-        m = self.g.as_mobius()
-        if m is None or not m.is_identity():
-            text += "[experimental-g]"
-        return text
+        """The plane's text for reports, computed once at construction."""
+        return self._description
 
     # -- membership ----------------------------------------------------
 

@@ -20,6 +20,11 @@ Conventions:
   and the action use the entry formula (a x + b y, ...). One `lift_h`
   serves a pair of floats and a pair of arrays, elementwise, so a point's
   image has the same bits alone, as floats and in any batch.
+* Value objects are frozen: `_Frozen.__setattr__` refuses every assignment.
+  The ones built in every trial (points, maps, frame members, chains,
+  circles) store each slot through its member descriptor's `__set__`,
+  bound by name once after the class (`_set_h0 = ProjPoint.h0.__set__`);
+  the rest call `object.__setattr__`.
 * Scalar work runs on `math`; numpy is imported only by `MobiusMap.m`,
   so building points and maps and acting with them never loads it.
   `ProjPoint` is the one canonical form, and the chart is read one point
@@ -78,8 +83,8 @@ class ProjPoint(_Frozen):
             h1 /= n
         if h1 < 0.0 or (h1 == 0.0 and h0 < 0.0):
             h0, h1 = -h0, -h1
-        object.__setattr__(self, "h0", h0 + 0.0)
-        object.__setattr__(self, "h1", h1 + 0.0)
+        _set_h0(self, h0 + 0.0)
+        _set_h1(self, h1 + 0.0)
 
     @classmethod
     def from_real(cls, x: float) -> "ProjPoint":
@@ -114,11 +119,14 @@ class ProjPoint(_Frozen):
         return f"ProjPoint({self.h0 / self.h1:.12g})"
 
 
+_set_h0, _set_h1 = ProjPoint.h0.__set__, ProjPoint.h1.__set__
+
+
 def chordal(p: ProjPoint, q: ProjPoint) -> float:
     """Chordal distance between two projective points."""
     d_minus = math.hypot(p.h0 - q.h0, p.h1 - q.h1)
     d_plus = math.hypot(p.h0 + q.h0, p.h1 + q.h1)
-    return min(d_minus, d_plus)
+    return d_plus if d_plus < d_minus else d_minus
 
 
 class TorusPoint(_Frozen):
@@ -127,8 +135,8 @@ class TorusPoint(_Frozen):
     __slots__ = ("x", "y")
 
     def __init__(self, x: ProjPoint, y: ProjPoint):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        _set_x(self, x)
+        _set_y(self, y)
 
     @classmethod
     def from_reals(cls, x: float, y: float) -> "TorusPoint":
@@ -136,6 +144,9 @@ class TorusPoint(_Frozen):
 
     def __repr__(self):
         return f"TorusPoint({self.x!r}, {self.y!r})"
+
+
+_set_x, _set_y = TorusPoint.x.__set__, TorusPoint.y.__set__
 
 
 def torus_dist(p: TorusPoint, q: TorusPoint) -> float:
@@ -159,7 +170,7 @@ class MobiusMap(_Frozen):
 
     def __init__(self, m):
         try:
-            if hasattr(m, "tolist"):
+            if type(m) is not tuple and hasattr(m, "tolist"):
                 m = m.tolist()
             if len(m) == 2:
                 (a, b), (c, d) = m
@@ -180,18 +191,20 @@ class MobiusMap(_Frozen):
                 raise PreconditionViolated("matrix is singular or non-finite")
         r = math.sqrt(abs(det))
         a, b, c, d = a / r, b / r, c / r, d / r
-        big = max((a, b, c, d), key=abs)  # the first largest, as argmax
+        big = b if abs(b) > abs(a) else a  # the first largest, as argmax
+        big = c if abs(c) > abs(big) else big
+        big = d if abs(d) > abs(big) else big
         # a unit pair's image has entries |a h0 + b h1| <= 2 |big| and norm
         # at most 2 sqrt(2) |big|, finite for |big| <= 2**1022 (~1.27e308)
         if abs(big) > 2.0 ** 1022:
             raise PreconditionViolated("matrix is so far from conformal that images overflow")
         if big < 0.0:
             a, b, c, d = -a, -b, -c, -d
-        object.__setattr__(self, "a", a + 0.0)
-        object.__setattr__(self, "b", b + 0.0)
-        object.__setattr__(self, "c", c + 0.0)
-        object.__setattr__(self, "d", d + 0.0)
-        object.__setattr__(self, "orientation", 1 if det > 0.0 else -1)
+        _set_a(self, a + 0.0)
+        _set_b(self, b + 0.0)
+        _set_c(self, c + 0.0)
+        _set_d(self, d + 0.0)
+        _set_orientation(self, 1 if det > 0.0 else -1)
 
     @property
     def m(self) -> np.ndarray:
@@ -256,6 +269,11 @@ class MobiusMap(_Frozen):
         return f"MobiusMap([[{self.a:.6g}, {self.b:.6g}], [{self.c:.6g}, {self.d:.6g}]])"
 
 
+_set_a, _set_b, _set_c, _set_d = (MobiusMap.a.__set__, MobiusMap.b.__set__,
+                                  MobiusMap.c.__set__, MobiusMap.d.__set__)
+_set_orientation = MobiusMap.orientation.__set__
+
+
 def proj_matrix_equal(m1: MobiusMap, m2: MobiusMap, tol: float) -> bool:
     """Projective equality of two maps via their canonical matrices."""
     d_minus = max(abs(m1.a - m2.a), abs(m1.b - m2.b), abs(m1.c - m2.c), abs(m1.d - m2.d))
@@ -313,8 +331,11 @@ class FrameMember(MobiusMap):
     def __init__(self, lam: float, xp: ProjPoint, xq: ProjPoint, yp: ProjPoint,
                  yq: ProjPoint):
         super().__init__(_frame_entries(lam, xp, xq, yp, yq))
-        for name, value in zip(FrameMember.__slots__, (lam, xp, xq, yp, yq)):
-            object.__setattr__(self, name, value)
+        _set_lam(self, lam)
+        _set_xp(self, xp)
+        _set_xq(self, xq)
+        _set_yp(self, yp)
+        _set_yq(self, yq)
 
     def lift_h(self, h):
         h0, h1 = h
@@ -322,6 +343,11 @@ class FrameMember(MobiusMap):
         dp = self.lam * (xp.h0 * h1 - xp.h1 * h0)
         dq = xq.h0 * h1 - xq.h1 * h0
         return dp * yq.h0 + dq * yp.h0, dp * yq.h1 + dq * yp.h1
+
+
+_set_lam = FrameMember.lam.__set__
+_set_xp, _set_xq = FrameMember.xp.__set__, FrameMember.xq.__set__
+_set_yp, _set_yq = FrameMember.yp.__set__, FrameMember.yq.__set__
 
 
 class TwoPointFamily(_Frozen):

@@ -95,7 +95,7 @@ class TrialConfig(NamedTuple("TrialConfig", [("seed", int), ("trials", int)])):
 
     def __new__(cls, seed: int = 42, trials: int = 200):
         for name, value, least in (("seed", seed, 0), ("trials", trials, 1)):
-            if not isinstance(value, numbers.Integral) or value < least:
+            if type(value) is not int and not isinstance(value, numbers.Integral) or value < least:
                 raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
         return super().__new__(cls, seed, trials)
 
@@ -238,9 +238,15 @@ def _draw(rng, make: Callable, accept: Callable):
 
 def _sample_separated(rng, count: int, separation: float) -> list[ProjPoint]:
     pts: list[ProjPoint] = []
+
+    def separated(c):
+        for p in pts:
+            if not chordal(c, p) >= separation:
+                return False
+        return True
+
     for _ in range(count):
-        pts.append(_draw(rng, sample_proj_point,
-                         lambda c: all(chordal(c, p) >= separation for p in pts)))
+        pts.append(_draw(rng, sample_proj_point, separated))
     return pts
 
 

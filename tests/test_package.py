@@ -3,14 +3,20 @@ import importlib
 import pytest
 
 import torus_planes
+import numpy as np
+
 from torus_planes import (
+    CircleHomeo,
+    ConfigError,
     DerivedLine,
     FactorActionReport,
     ParallelClass,
     ProjPoint,
     TorusPoint,
     TrialConfig,
+    TwoPointFamily,
     classical_plane,
+    half_classical_plane,
 )
 
 
@@ -57,3 +63,38 @@ def test_value_types_are_immutable_and_compare_by_fields(name):
         value.extra = 1
     assert value == make() and hash(value) == hash(make())
     assert value != value._replace(**{first: object()})
+
+
+# the slotted classes, each built with every slot set past _Frozen.__setattr__
+_FAMILY = lambda: TwoPointFamily(*(ProjPoint.from_real(x) for x in (0.0, 1.0, 2.0, 3.0)))
+_FROZEN = {
+    "ProjPoint": lambda: _X,
+    "TorusPoint": lambda: TorusPoint(_X, _X),
+    "TwoPointFamily": _FAMILY,
+    "FrameMember": lambda: _FAMILY().member(2.0),
+    "CircleHomeo": lambda: CircleHomeo.power(2.0),
+    "Circle": lambda: _CIRCLE,
+    "PlaneModel": lambda: half_classical_plane(CircleHomeo.power(2.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FROZEN))
+def test_slotted_values_refuse_assignment(name):
+    value = _FROZEN[name]()
+    assert type(value).__name__ == name
+    slots = [s for cls in type(value).__mro__ for s in getattr(cls, "__slots__", ())]
+    assert slots
+    for slot in slots:
+        before = getattr(value, slot)
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(value, slot, before)
+        assert getattr(value, slot) is before
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+def test_trial_config_takes_every_integral_and_nothing_else():
+    assert TrialConfig(seed=np.int64(7), trials=np.int64(3)) == (7, 3)
+    for seed, trials in ((1, 2.0), (-1, 5), (1, 0), ("1", 5)):
+        with pytest.raises(ConfigError):
+            TrialConfig(seed=seed, trials=trials)

@@ -202,6 +202,18 @@ class TestIntersect:
         with pytest.raises(EqualCircles):
             classical.circle_intersect(ident, same)
 
+    def test_equality_bound_from_both_sides(self, classical):
+        # x -> (1 + 2 delta) x lies about delta from the identity's graph;
+        # delta = 1e-8 and 1e-6 sit a factor 10 either side of uniq_tol
+        ident = classical.mobius_circle(MobiusMap.identity())
+        near = classical.mobius_circle(MobiusMap.scaling(1.0 + 2e-8))
+        with pytest.raises(EqualCircles):
+            classical.circle_intersect(ident, near)
+        apart = classical.mobius_circle(MobiusMap.scaling(1.0 + 2e-6))
+        assert homeo_sup_distance(ident.graph, apart.graph, 64) < 1e-4
+        pts = classical.circle_intersect(ident, apart)
+        assert pts and all(p.x.value() in (0.0, INF) for p in pts)
+
     def test_only_same_branch_pairs_are_compared_first(self, half2, monkeypatch):
         # graphs of opposite orientation cross twice, so they are never equal
         calls = []

@@ -145,13 +145,15 @@ class TestMobiusContract:
     # ties of largest magnitude: the first in row-major order sets the sign;
     # negative zeros fold to +0.0
     EDGES = [(0.0, -1.0, 1.0, 0.0), (0.0, 1.0, -1.0, 0.0), (-1.0, 1.0, -1.0, -1.0),
-             (2.0, 0.0, 0.0, -2.0), (-3.0, 0.0, -0.0, 1.0), (2.0, -0.0, -0.0, 1.0)]
+             (2.0, 0.0, 0.0, -2.0), (-1.0, 0.0, 0.0, 1.0), (-3.0, 0.0, -0.0, 1.0),
+             (2.0, -0.0, -0.0, 1.0)]
 
     def test_inputs_agree_with_the_numpy_construction(self):
         rng = rng_for(105)
         rows = [tuple(r) for r in rng.normal(size=(200, 4)).tolist()] + self.EDGES
         for a, b, c, d in rows:
             maps = [MobiusMap([[a, b], [c, d]]), MobiusMap((a, b, c, d)),
+                    MobiusMap(((a, b), (c, d))),
                     MobiusMap([a, b, c, d]), MobiusMap(np.array([[a, b], [c, d]])),
                     MobiusMap(np.array([a, b, c, d])),
                     MobiusMap(tuple(np.float64(v) for v in (a, b, c, d))),
@@ -193,10 +195,13 @@ class TestMobiusContract:
         ((2e200, 1e200, 1e200, 1e200), (2.0, 1.0, 1.0, 1.0)),
         ((1e200, 1e200, -1e200, 1e200), (1.0, 1.0, -1.0, 1.0)),
         ((1e-130, 0.0, 0.0, 1e-130), (1.0, 0.0, 0.0, 1.0)),
+        ((3e-160, 1e-160, 1e-160, 1e-160), (3.0, 1.0, 1.0, 1.0)),
     ])
     def test_regular_maps_at_extreme_scales_accepted(self, entries, scaled):
         # a * d - b * c overflows, or falls below the floor, at this scale;
-        # the map is still the one of the scaled entries
+        # the map is still the one of the scaled entries. At 1e-160 the
+        # det 2e-320 is subnormal, and its square root without the rescale
+        # is off by ~5.6e-6 relative
         a, b, c, d = entries
         want = MobiusMap(scaled)
         for m in ((a, b, c, d), [[a, b], [c, d]], np.array(entries)):
@@ -220,7 +225,8 @@ class TestMobiusContract:
             assert math.isfinite(math.hypot(h0, h1)) and (h0, h1) != (0.0, 0.0)
 
     @pytest.mark.parametrize("m", [
-        [1, 2, 3], "abcd", [[1, 2], [3]], ("a", "b", "c", "d"), None, [1, 2],
+        [1, 2, 3], (1, 2, 3), "abcd", [[1, 2], [3]], ((1, 2), (3,)), ("a", "b", "c", "d"),
+        None, [1, 2],
         [[1, 2, 3], [4, 5, 6]], np.zeros((2, 3)),
     ], ids=repr)
     def test_malformed_input_rejected(self, m):
