@@ -242,11 +242,15 @@ class PlaneModel(_Frozen):
         preserve cyclic order. NoBranch reports a genuine failure of the
         candidate circle set, not a numerical crash; a steep twist that
         maps the points within tolerance of each other is one.
+
+        The pairs are tested once, in the three-point solve: a pair is
+        parallel exactly when its x or its y coordinates lie within `tol`,
+        the solve's CoincidentPoints, raised here as ParallelInput.
         """
-        for a, b in ((p, q), (p, r), (q, r)):
-            if parallel(a, b, self.tol) != "none":
-                raise ParallelInput("join requires pairwise non-parallel points")
-        mu = mobius_from_three(p.x, q.x, r.x, p.y, q.y, r.y, tol=self.tol)
+        try:
+            mu = mobius_from_three(p.x, q.x, r.x, p.y, q.y, r.y, tol=self.tol)
+        except CoincidentPoints:
+            raise ParallelInput("join requires pairwise non-parallel points") from None
         if self.family == "classical" or mu.orientation == 1:
             return self.mobius_circle(mu)
         nu = self._twist_branch_solution(p, q, r)

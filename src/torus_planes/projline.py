@@ -20,7 +20,7 @@ Conventions:
   and the action use the entry formula (a x + b y, ...). One `lift_h`
   serves a pair of floats and a pair of arrays, elementwise, so a point's
   image has the same bits alone, as floats and in any batch.
-* Value objects are frozen: `_Frozen.__setattr__` refuses every assignment.
+* Value objects are frozen: `_Frozen` refuses every assignment and deletion.
   The ones built in every trial (points, maps, frame members, chains,
   circles) store each slot through its member descriptor's `__set__`,
   bound by name once after the class (`_set_h0 = ProjPoint.h0.__set__`);
@@ -65,6 +65,9 @@ class _Frozen:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name}")
 
 
 class ProjPoint(_Frozen):

@@ -14,7 +14,10 @@ as library objects (the entry point binds suite arguments such as the
 group element into them), and `check(plane, inputs)`, which returns
 `(residual, reasons)`; a non-empty `reasons` fails the trial. Both read
 only the plane, the inputs and this module's constants, so a suite's run,
-control and recheck apply one check. Inputs are serialised only for
+control and recheck apply one check. Touching's sampler and check also
+read a one-entry memo of the carrier join (`_carrier`), keyed by the point
+objects: the check reuses the circle its sampler joined, and a recheck's
+deserialised points join afresh. Inputs are serialised only for
 counterexamples, and `recheck_counterexample` runs the check on them.
 
 Every suite has a paired negative control, a deliberately broken run that
@@ -32,7 +35,7 @@ import json
 import math
 import numbers
 import time
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
@@ -369,11 +372,21 @@ def _conditioned(plane: PlaneModel, x: ProjPoint) -> bool:
     return _SLOPE_BOUNDS[0] <= slope <= _SLOPE_BOUNDS[1]
 
 
+@lru_cache(maxsize=1)
+def _carrier(plane, p, q, r):
+    """`plane.join(p, q, r)`, kept for the last triple, keyed by the objects.
+
+    A trial's check hits its sampler's join; a recheck's deserialised points
+    join afresh. A join that raises is not kept: the check raises it again.
+    """
+    return plane.join(p, q, r)
+
+
 def _sample_touching(plane, rng) -> dict:
     """A carrier triple, a conditioned anchor p on its circle, q well off it."""
     base = sample_triple(rng, SEPARATION)
     try:
-        circle = plane.join(*base)
+        circle = _carrier(plane, *base)
     except (NoBranch, ParallelInput):
         return {"points": base}  # the check reports the failed carrier join
     p = circle.point_at(_draw(rng, sample_proj_point, lambda x: _conditioned(plane, x)))
@@ -401,7 +414,7 @@ def _sample_secant_claim(plane, rng) -> dict:
 def _check_touching(plane, inputs):
     """The tangent (or claimed circle) must pass q and meet the carrier only at p."""
     try:
-        circle = plane.join(*inputs["points"])
+        circle = _carrier(plane, *inputs["points"])
     except (NoBranch, ParallelInput) as exc:
         return math.inf, [f"carrier join failed: {exc}"]
     p, q, claimed = inputs["p"], inputs["q"], inputs.get("claimed_points")

@@ -88,6 +88,8 @@ def test_slotted_values_refuse_assignment(name):
         before = getattr(value, slot)
         with pytest.raises(AttributeError, match="immutable"):
             setattr(value, slot, before)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(value, slot)
         assert getattr(value, slot) is before
     with pytest.raises(AttributeError):
         value.extra = 1

@@ -56,6 +56,12 @@ pt = TorusPoint.from_reals
 INF = math.inf
 
 
+def _turned(x: ProjPoint, angle: float) -> ProjPoint:
+    """x with its homogeneous pair turned by `angle`, about |angle| away chordally."""
+    c, s = math.cos(angle), math.sin(angle)
+    return ProjPoint(c * x.h0 - s * x.h1, s * x.h0 + c * x.h1)
+
+
 @pytest.fixture(scope="module")
 def classical():
     return classical_plane()
@@ -115,6 +121,39 @@ class TestJoinClassical:
             points = [TorusPoint(ProjPoint.from_chart(t), ProjPoint.from_chart(t)) for t in xs]
             joined = classical.join(*points)
             assert homeo_sup_distance(joined.graph, identity.graph, 64) < 1e-9
+
+
+# a partner of a point, parallel to it in x, in y or in both; the near
+# ones lie 5e-10 away in chordal distance, inside the plane's tol 1e-9
+_PARTNERS = {
+    "x": lambda a: TorusPoint(a.x, P(7.0)),
+    "y": lambda a: TorusPoint(P(11.0), a.y),
+    "both": lambda a: TorusPoint(a.x, a.y),
+    "x-near": lambda a: TorusPoint(_turned(a.x, 5e-10), P(7.0)),
+    "y-near": lambda a: TorusPoint(P(11.0), _turned(a.y, 5e-10)),
+    "both-near": lambda a: TorusPoint(_turned(a.x, 5e-10), _turned(a.y, -5e-10)),
+}
+
+
+class TestJoinPairs:
+    """join tests its three pairs once, through the three-point solve."""
+
+    @pytest.mark.parametrize("spec", ["classical", "half:power:2"])
+    @pytest.mark.parametrize("i, j", [(0, 1), (0, 2), (1, 2)])
+    @pytest.mark.parametrize("kind", sorted(_PARTNERS))
+    def test_every_parallel_pair_is_rejected_as_parallel_input(self, spec, i, j, kind):
+        plane = parse_plane_spec(spec)
+        points = [pt(0, 0), pt(1, 3), pt(-2, 5)]
+        plane.join(*points)  # the free triple joins; only the partner is parallel
+        points[j] = _PARTNERS[kind](points[i])
+        a, b = points[i], points[j]
+        assert parallel(a, b, plane.tol) != "none"
+        if kind.endswith("-near"):
+            assert any(4e-10 < d < 6e-10 for d in (chordal(a.x, b.x), chordal(a.y, b.y)))
+        with pytest.raises(ParallelInput) as info:
+            plane.join(*points)
+        assert type(info.value) is ParallelInput
+        assert str(info.value) == "join requires pairwise non-parallel points"
 
 
 class TestJoinHalfClassical:

@@ -10,6 +10,7 @@ from torus_planes import (
     MobiusMap,
     NoBranch,
     ParallelInput,
+    PlaneModel,
     ProjPoint,
     SamplingExhausted,
     TorusPoint,
@@ -399,6 +400,69 @@ class TestRecheck:
     def test_sound_reports_have_nothing_to_recheck(self, classical):
         report = verify_joining(classical, TrialConfig(seed=42, trials=30))
         assert report.counterexamples == []
+
+
+def counted_joins(monkeypatch) -> list:
+    """The planes of every `PlaneModel.join` call from here on, one entry a call."""
+    calls, join = [], PlaneModel.join
+
+    def counted(plane, p, q, r):
+        calls.append(plane)
+        return join(plane, p, q, r)
+
+    monkeypatch.setattr(PlaneModel, "join", counted)
+    return calls
+
+
+class TestSharedCarrier:
+    """A touching trial's sampler and check read one carrier join."""
+
+    @pytest.mark.parametrize("name", sorted(SEEDED_PLANES))
+    # the control also joins its claim
+    @pytest.mark.parametrize("negative_control, joins_per_trial", [(False, 1), (True, 2)])
+    def test_a_touching_trial_joins_its_carrier_once(self, name, negative_control,
+                                                     joins_per_trial, monkeypatch):
+        plane = SEEDED_PLANES[name](rng_for(214))
+        calls = counted_joins(monkeypatch)
+        report = verify_touching(plane, TrialConfig(seed=3, trials=12), negative_control)
+        assert report.passed is not negative_control
+        assert len(calls) == joins_per_trial * 12 and set(calls) == {plane}
+
+    @pytest.mark.parametrize("name", sorted(SEEDED_PLANES))
+    @pytest.mark.parametrize("negative_control", [False, True])
+    def test_reports_match_a_join_on_every_read(self, name, negative_control, monkeypatch):
+        plane = SEEDED_PLANES[name](rng_for(215))
+        cfg = TrialConfig(seed=9, trials=20)
+        first = verify_touching(plane, cfg, negative_control).canonical_json()
+        assert verify_touching(plane, cfg, negative_control).canonical_json() == first
+        monkeypatch.setattr(verify, "_carrier", lambda plane, p, q, r: plane.join(p, q, r))
+        assert verify_touching(plane, cfg, negative_control).canonical_json() == first
+
+    def test_a_failed_carrier_join_is_joined_again_by_the_check(self, monkeypatch):
+        # x^9 collapses the twisted images of some triples (see the joining
+        # suite's test); their carrier join raises in the sampler and again
+        # in the check, which reports it
+        plane = parse_plane_spec("half:power:9")
+        cfg = TrialConfig(seed=1, trials=200)
+        calls = counted_joins(monkeypatch)
+        report = verify_touching(plane, cfg)
+        failed = [ce for ce in report.counterexamples
+                  if ce["reason"].startswith("carrier join failed: ")]
+        assert failed and all(ce.keys() == {"trial", "points", "reason"} for ce in failed)
+        assert "counterexamples_dropped" not in report.statistics
+        assert len(calls) == cfg.trials + len(failed)
+
+    def test_a_control_counterexample_rechecks_after_another_run(self, monkeypatch):
+        spec = SUITES["touching"]
+        plane = spec.control_args()[0]
+        report = spec.control(TrialConfig(seed=42, trials=10))
+        assert report.counterexamples
+        verify_touching(plane, TrialConfig(seed=5, trials=3))  # the memo now holds its triple
+        calls = counted_joins(monkeypatch)
+        for ce in report.counterexamples[:3]:
+            assert recheck_counterexample("touching", plane, ce) is True
+        # deserialised points miss the memo: carrier and claim are joined afresh
+        assert len(calls) == 2 * len(report.counterexamples[:3])
 
 
 # the group literals of the benchmark's cli-verify workload
